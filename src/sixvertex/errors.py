@@ -43,3 +43,7 @@ class NullspaceDimensionUnexpected(SixVertexError):
 
 class ConfigError(SixVertexError):
     """Invalid run configuration (CLI exit code 2)."""
+
+
+class ExponentOverflow(SixVertexError):
+    """An exponent would leave the range of its packed monomial digit."""

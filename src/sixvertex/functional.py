@@ -384,7 +384,7 @@ def check_b_nilpotency(L: int, lams, mus, q,
     inter = _b_product_vector(list(lams)[:-1], list(mus), q)
     scale = float(np.abs(inter).sum()) * float(
         np.abs(np.asarray(
-            build_monodromy(lams[-1], list(mus), q)._blocks["B"], dtype=complex)).max())
+            build_monodromy(lams[-1], list(mus), q).block("B"), dtype=complex)).max())
     r = float(np.abs(res).max())
     return CheckOutcome("b-nilpotency", r <= tolerance * max(scale, 1e-300), exact=False,
                         residual=r, scale=scale, tolerance=tolerance)

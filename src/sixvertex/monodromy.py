@@ -6,9 +6,12 @@ Its four auxiliary blocks act on the 2^L quantum space:
 
     A = T[0,0]   B = T[0,1]   C = T[1,0]   D = T[1,1]
 
-Blocks are materialized densely for L <= 6 (and always in the exact
-backend); beyond that the float backend applies them matrix-free as a
-left-to-right sweep of sparse one-site factors, O(L 2^L) per application.
+The float backend materializes the blocks densely for L <= 6.  The exact
+backend, and the float backend beyond L = 6, apply them matrix-free as a
+sweep of sparse one-site factors, O(L 2^L) scalar operations per
+application instead of the dense product's O(L 8^L); ``Monodromy.block``
+materializes a matrix-free block on request by applying it to the basis
+vectors.
 """
 
 from __future__ import annotations
@@ -55,12 +58,15 @@ def dual_vacuum(L: int, exact: bool = True) -> np.ndarray:
     return v
 
 
+def _site_weights(z, q):
+    """The weights a, b, c of one site at exponentiated argument z."""
+    zq = z * q
+    return (zq - invert(zq)) / 2, (z - invert(z)) / 2, (q - invert(q)) / 2
+
+
 def _site_blocks(z, q, exact: bool):
     """The four aux blocks of the one-site L-matrix as local 2x2 matrices."""
-    zq = z * q
-    a = (zq - invert(zq)) / 2
-    b = (z - invert(z)) / 2
-    c = (q - invert(q)) / 2
+    a, b, c = _site_weights(z, q)
     zero = _zero(exact)
     dt = object if exact else complex
     return {
@@ -98,10 +104,18 @@ class Monodromy:
     _blocks: dict = field(default_factory=dict, repr=False)
 
     def block(self, name: str) -> np.ndarray:
+        """The block as a 2^L x 2^L matrix; a matrix-free monodromy builds
+        it column by column from the basis vectors and keeps it."""
         if name not in _BLOCKS:
             raise KeyError(name)
-        if self.representation != "dense":
-            raise ValueError("matrix-free monodromy has no dense blocks; use apply_block")
+        if name not in self._blocks:
+            dim = 2 ** self.size
+            cols = []
+            for j in range(dim):
+                e = np.full(dim, _zero(self.exact), dtype=object if self.exact else complex)
+                e[j] = _one(self.exact)
+                cols.append(apply_block(self, name, e))
+            self._blocks[name] = np.stack(cols, axis=1)
         return self._blocks[name]
 
     def apply(self, name: str, vec: np.ndarray) -> np.ndarray:
@@ -114,7 +128,7 @@ def build_monodromy(u, ws, q, representation: str = "auto") -> Monodromy:
     L = len(ws)
     exact = is_exact(u)
     if representation == "auto":
-        representation = "dense" if (exact or L <= _DENSE_LIMIT) else "matrix-free"
+        representation = "dense" if (not exact and L <= _DENSE_LIMIT) else "matrix-free"
     m = Monodromy(size=L, u=u, ws=ws, q=q, exact=exact, representation=representation)
     if representation == "dense":
         dim = 2 ** L
@@ -138,12 +152,9 @@ def build_monodromy(u, ws, q, representation: str = "auto") -> Monodromy:
     return m
 
 
-def _apply_site(name: str, vec: np.ndarray, j: int, L: int, z, q, exact: bool):
+def _apply_site(name: str, vec: np.ndarray, j: int, L: int, weights, exact: bool):
     """Apply one aux block of the one-site L-matrix at site j (1-based)."""
-    zq = z * q
-    a = (zq - invert(zq)) / 2
-    b = (z - invert(z)) / 2
-    c = (q - invert(q)) / 2
+    a, b, c = weights
     pre, post = 2 ** (j - 1), 2 ** (L - j)
     v = vec.reshape(pre, 2, post)
     out = np.full_like(vec, _zero(exact)).reshape(pre, 2, post)
@@ -173,16 +184,14 @@ def apply_block(m: Monodromy, name: str, vec: np.ndarray) -> np.ndarray:
     if m.representation == "dense":
         return m._blocks[name] @ vec
     row, col = divmod(_BLOCKS.index(name), 2)
-    exact = m.exact
+    exact, L = m.exact, m.size
     zero_vec = np.full_like(vec, _zero(exact))
     phi = [zero_vec.copy(), zero_vec.copy()]
     phi[col] = vec.copy()
-    for j in range(m.size, 0, -1):
-        z = m.u * invert(m.ws[j - 1])
-        new0 = _apply_site("A", phi[0], j, m.size, z, m.q, exact) \
-            + _apply_site("B", phi[1], j, m.size, z, m.q, exact)
-        new1 = _apply_site("C", phi[0], j, m.size, z, m.q, exact) \
-            + _apply_site("D", phi[1], j, m.size, z, m.q, exact)
+    for j in range(L, 0, -1):
+        w = _site_weights(m.u * invert(m.ws[j - 1]), m.q)
+        new0 = _apply_site("A", phi[0], j, L, w, exact) + _apply_site("B", phi[1], j, L, w, exact)
+        new1 = _apply_site("C", phi[0], j, L, w, exact) + _apply_site("D", phi[1], j, L, w, exact)
         phi = [new0, new1]
     return phi[row]
 

@@ -10,7 +10,12 @@ powers ever appear.
 Two interchangeable scalar backends are used throughout:
 
 * :class:`LaurentPoly` -- exact, immutable, arbitrary-precision rational
-  coefficients.
+  coefficients.  Internally each monomial is one packed Python int with a
+  16-bit balanced digit per variable (exponents within +-EXP_LIMIT =
+  32767; anything beyond raises ExponentOverflow), and the coefficients
+  are integer numerators over one shared denominator, reduced once per
+  operation.  Digit slots come from a process-wide, append-only registry
+  that is safe to use from several threads.
 * plain ``complex`` -- double precision, paired with a caller-supplied scale
   for every zero test (see :class:`TolerancePolicy`).
 
@@ -21,15 +26,18 @@ cross-multiplication.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 from .errors import (
     DegreeExceeded,
+    ExponentOverflow,
     UnassignedVariable,
     ZeroBaseWithNegativeExponent,
 )
@@ -37,9 +45,9 @@ from .errors import (
 _KIND_RANK = {"u": 0, "w": 1, "q": 2}
 _RANK_KIND = {v: k for k, v in _KIND_RANK.items()}
 
-# Internal variable key: (kind rank, index).  Exponent vectors are stored as
-# tuples of ((rank, index), exponent) pairs sorted by key, zero exponents
-# omitted; the constant monomial is the empty tuple.
+# Variable key: (kind rank, index).  An exponent vector, the public form of
+# a monomial, is a tuple of ((rank, index), exponent) pairs sorted by key,
+# zero exponents omitted; the constant monomial is the empty tuple.
 VarKey = tuple[int, int]
 ExpVec = tuple[tuple[VarKey, int], ...]
 
@@ -88,33 +96,111 @@ def q_var() -> VarId:
     return VarId("q")
 
 
-def _merge_exps(e1: ExpVec, e2: ExpVec) -> ExpVec:
-    """Merge two sorted exponent vectors, adding exponents of shared keys."""
-    if not e1:
-        return e2
-    if not e2:
-        return e1
+# -- packed monomial keys ---------------------------------------------------
+#
+# Inside a LaurentPoly a monomial is one Python int: every variable owns a
+# fixed-width balanced digit, key = sum(e_v << (_DIGIT_BITS * slot(v))), so
+# multiplying two monomials is one integer addition.  A digit holds
+# exponents in [-EXP_LIMIT, EXP_LIMIT]; arithmetic raises ExponentOverflow
+# before a digit could carry into its neighbour.
+
+_DIGIT_BITS = 16
+_DIGIT_BASE = 1 << _DIGIT_BITS
+_DIGIT_MASK = _DIGIT_BASE - 1
+_DIGIT_HALF = _DIGIT_BASE >> 1
+EXP_LIMIT = _DIGIT_HALF - 1
+
+# Slot registry: variables get digit slots in order of first use, so the
+# keys stay short whatever the variable indices are.  Append-only: a slot,
+# once given, never changes, and every ordering is computed on decoded
+# vectors, so the slot order is invisible outside this module.  New slots
+# are handed out under a lock; lookups read the dict without it.
+_SLOT_OF: dict[VarKey, int] = {}
+_SLOT_KEYS: list[VarKey] = []
+_SLOT_LOCK = threading.Lock()
+
+
+def _slot(key: VarKey) -> int:
+    s = _SLOT_OF.get(key)
+    if s is None:
+        with _SLOT_LOCK:
+            s = _SLOT_OF.get(key)
+            if s is None:
+                s = len(_SLOT_KEYS)
+                _SLOT_KEYS.append(key)
+                _SLOT_OF[key] = s
+    return s
+
+
+def _overflow(e: int) -> ExponentOverflow:
+    return ExponentOverflow(f"exponent {e} is outside [-{EXP_LIMIT}, {EXP_LIMIT}]")
+
+
+def _encode(exps: ExpVec) -> tuple[int, int]:
+    """Packed key of an exponent vector and its largest |exponent|."""
+    key = 0
+    emax = 0
+    for k, e in exps:
+        a = abs(e)
+        if a > EXP_LIMIT:
+            raise _overflow(e)
+        if a > emax:
+            emax = a
+        key += e << (_DIGIT_BITS * _slot(k))
+    return key, emax
+
+
+def _digits(key: int) -> list[int]:
+    """Balanced digits of a packed key, lowest slot first."""
     out = []
-    i = j = 0
-    n1, n2 = len(e1), len(e2)
-    while i < n1 and j < n2:
-        k1, v1 = e1[i]
-        k2, v2 = e2[j]
-        if k1 < k2:
-            out.append(e1[i])
-            i += 1
-        elif k2 < k1:
-            out.append(e2[j])
-            j += 1
-        else:
-            s = v1 + v2
-            if s:
-                out.append((k1, s))
-            i += 1
-            j += 1
-    out.extend(e1[i:])
-    out.extend(e2[j:])
-    return tuple(out)
+    while key:
+        d = key & _DIGIT_MASK
+        if d >= _DIGIT_HALF:
+            d -= _DIGIT_BASE
+        out.append(d)
+        key = (key - d) >> _DIGIT_BITS
+    return out
+
+
+def _digit(key: int, slot: int) -> int:
+    """The exponent in one slot: biasing every lower digit to be
+    non-negative lets the shift see no borrow from below."""
+    shift = _DIGIT_BITS * slot
+    low_bias = _DIGIT_HALF * (((1 << shift) - 1) // _DIGIT_MASK)
+    d = ((key + low_bias) >> shift) & _DIGIT_MASK
+    return d - _DIGIT_BASE if d >= _DIGIT_HALF else d
+
+
+def _decode(key: int) -> ExpVec:
+    return tuple(sorted((_SLOT_KEYS[s], e) for s, e in enumerate(_digits(key)) if e))
+
+
+def _glex(vec: ExpVec):
+    """Graded-lex sort key of a decoded exponent vector."""
+    return (sum(e for _, e in vec), vec)
+
+
+def _digit_ranges(keys) -> tuple[list[int], list[int]]:
+    """Per-slot lowest and highest exponent over the keys."""
+    rows = [_digits(k) for k in keys]
+    width = max(map(len, rows), default=0)
+    slots = list(zip(*(r + [0] * (width - len(r)) for r in rows)))
+    return [min(s) for s in slots], [max(s) for s in slots]
+
+
+def _product_emax(a: "LaurentPoly", b: "LaurentPoly") -> int:
+    """Exact exponent bound of a * b, for when the cheap bound a._emax +
+    b._emax is too large to rule out a carry.  Raises ExponentOverflow when
+    some product term would leave its digit."""
+    lo_a, hi_a = _digit_ranges(a._num)
+    lo_b, hi_b = _digit_ranges(b._num)
+    emax = 0
+    for lo1, hi1, lo2, hi2 in itertools.zip_longest(lo_a, hi_a, lo_b, hi_b, fillvalue=0):
+        for e in (lo1 + lo2, hi1 + hi2):
+            if abs(e) > EXP_LIMIT:
+                raise _overflow(e)
+            emax = max(emax, abs(e))
+    return emax
 
 
 def _as_fraction(x) -> Fraction:
@@ -125,24 +211,61 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"cannot use {type(x).__name__} as an exact coefficient")
 
 
+def _make(num: dict[int, int], den: int, emax: int) -> "LaurentPoly":
+    """Wrap packed terms whose numerators and den share no common factor."""
+    r = LaurentPoly.__new__(LaurentPoly)
+    r._num = num
+    r._den = den
+    r._emax = emax if num else 0
+    r._hash = None
+    return r
+
+
+def _reduced(num: dict[int, int], den: int, emax: int) -> "LaurentPoly":
+    """Like _make, first dividing out the gcd of den and all numerators."""
+    if den != 1:
+        if not num:
+            den = 1
+        else:
+            g = math.gcd(den, *num.values())
+            if g != 1:
+                num = {k: v // g for k, v in num.items()}
+                den //= g
+    return _make(num, den, emax)
+
+
 class LaurentPoly:
     """Immutable multivariate Laurent polynomial over the rationals.
 
-    Terms are stored canonically: no zero coefficients, no zero exponents.
-    Two polynomials are equal iff their term maps are equal.  Instances are
-    hashable and safe to share across threads.
+    Representation: ``_num`` maps each packed monomial key (see
+    ``_encode``) to a nonzero integer numerator, over one positive shared
+    denominator ``_den`` that has no factor in common with all the
+    numerators, so every polynomial has exactly one stored form and two
+    polynomials are equal iff their stored forms are.  ``_emax`` bounds
+    every |exponent| from above; a product whose bound passes EXP_LIMIT is
+    checked exactly and raises ExponentOverflow rather than let a digit
+    carry.  The public surface speaks in decoded ``ExpVec``/``Fraction``
+    terms.  Instances are hashable and safe to share across threads; a
+    variable met for the first time gets its digit slot under the
+    registry's lock, so threads may also create polynomials concurrently.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_num", "_den", "_emax", "_hash")
 
     def __init__(self, terms: Mapping[ExpVec, Fraction] | None = None):
-        clean: dict[ExpVec, Fraction] = {}
+        acc: dict[int, Fraction] = {}
+        emax = 0
         if terms:
             for exps, coeff in terms.items():
                 c = _as_fraction(coeff)
                 if c:
-                    clean[exps] = c
-        self._terms = clean
+                    key, e = _encode(exps)
+                    acc[key] = acc.get(key, 0) + c
+                    emax = max(emax, e)
+        den = math.lcm(*(c.denominator for c in acc.values()))
+        self._num = {k: c.numerator * (den // c.denominator) for k, c in acc.items() if c}
+        self._den = den if self._num else 1
+        self._emax = emax if self._num else 0
         self._hash = None
 
     # -- constructors -------------------------------------------------
@@ -153,11 +276,12 @@ class LaurentPoly:
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls({(): Fraction(1)})
+        return _make({0: 1}, 1, 0)
 
     @classmethod
     def rational(cls, value) -> "LaurentPoly":
-        return cls({(): _as_fraction(value)})
+        f = _as_fraction(value)
+        return _make({0: f.numerator} if f else {}, f.denominator, 0)
 
     @classmethod
     def var(cls, v: VarId, exp: int = 1) -> "LaurentPoly":
@@ -172,61 +296,59 @@ class LaurentPoly:
 
     # -- inspection ----------------------------------------------------
 
-    def items(self) -> Iterable[tuple[ExpVec, Fraction]]:
-        return self._terms.items()
+    def items(self) -> list[tuple[ExpVec, Fraction]]:
+        den = self._den
+        return [(_decode(k), Fraction(v, den)) for k, v in self._num.items()]
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._num)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def is_monomial(self) -> bool:
-        return len(self._terms) == 1
+        return len(self._num) == 1
 
     def num_terms(self) -> int:
-        return len(self._terms)
+        return len(self._num)
 
     def variables(self) -> set[VarId]:
-        return {VarId.from_key(k) for exps in self._terms for k, _ in exps}
+        slots = {s for k in self._num for s, e in enumerate(_digits(k)) if e}
+        return {VarId.from_key(_SLOT_KEYS[s]) for s in slots}
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial (raises if non-constant)."""
         if self.is_zero():
             return Fraction(0)
-        if list(self._terms) != [()]:
+        if list(self._num) != [0]:
             raise ValueError("polynomial is not constant")
-        return self._terms[()]
+        return Fraction(self._num[0], self._den)
+
+    def exponents_of(self, v: VarId) -> set[int]:
+        s = _SLOT_OF.get(v.key)
+        if s is None:
+            return {0} if self._num else set()
+        return {_digit(k, s) for k in self._num}
 
     def degree_in(self, v: VarId) -> int:
         """Largest exponent of ``v`` (0 if absent)."""
-        key = v.key
-        return max((dict(exps).get(key, 0) for exps in self._terms), default=0)
+        return max(self.exponents_of(v), default=0)
 
     def low_degree_in(self, v: VarId) -> int:
         """Smallest exponent of ``v`` (0 if absent)."""
-        key = v.key
-        return min((dict(exps).get(key, 0) for exps in self._terms), default=0)
-
-    def exponents_of(self, v: VarId) -> set[int]:
-        key = v.key
-        out = set()
-        for exps in self._terms:
-            out.add(dict(exps).get(key, 0))
-        return out
+        return min(self.exponents_of(v), default=0)
 
     def content(self) -> Fraction:
         """gcd of coefficient numerators over lcm of denominators, signed by
-        the canonically-first term.  content(0) == 0."""
-        if not self._terms:
+        the canonically-first term.  content(0) == 0.
+
+        With numerators over a shared denominator coprime to their gcd,
+        this is gcd(numerators) / den."""
+        if not self._num:
             return Fraction(0)
-        num = 0
-        den = 1
-        for c in self._terms.values():
-            num = math.gcd(num, c.numerator)
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        sign = 1 if self._terms[self.sorted_exps()[0]] > 0 else -1
-        return Fraction(sign * num, den)
+        first = min(self._num, key=lambda k: _glex(_decode(k)))
+        g = math.gcd(*self._num.values())
+        return Fraction(g if self._num[first] > 0 else -g, self._den)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -241,25 +363,36 @@ class LaurentPoly:
         o = self._coerced(other)
         if o is None:
             return NotImplemented
-        out = dict(self._terms)
-        for exps, c in o._terms.items():
-            s = out.get(exps, Fraction(0)) + c
+        if not o._num:
+            return self
+        if not self._num:
+            return o
+        a, b = self._num, o._num
+        da, db = self._den, o._den
+        if da == db:
+            den = da
+            if len(a) < len(b):
+                a, b = b, a
+            out = dict(a)
+        else:
+            g = math.gcd(da, db)
+            fa, fb = db // g, da // g
+            den = da * fa
+            out = {k: v * fa for k, v in a.items()}
+            b = {k: v * fb for k, v in b.items()}
+        get = out.get
+        for k, v in b.items():
+            s = get(k, 0) + v
             if s:
-                out[exps] = s
+                out[k] = s
             else:
-                out.pop(exps, None)
-        r = LaurentPoly.__new__(LaurentPoly)
-        r._terms = out
-        r._hash = None
-        return r
+                del out[k]
+        return _reduced(out, den, max(self._emax, o._emax))
 
     __radd__ = __add__
 
     def __neg__(self):
-        r = LaurentPoly.__new__(LaurentPoly)
-        r._terms = {e: -c for e, c in self._terms.items()}
-        r._hash = None
-        return r
+        return _make({k: -v for k, v in self._num.items()}, self._den, self._emax)
 
     def __sub__(self, other):
         o = self._coerced(other)
@@ -277,26 +410,29 @@ class LaurentPoly:
         o = self._coerced(other)
         if o is None:
             return NotImplemented
-        if not self._terms or not o._terms:
+        a, b = self._num, o._num
+        if not a or not b:
             return LaurentPoly.zero()
+        emax = self._emax + o._emax
+        if emax > EXP_LIMIT:
+            emax = _product_emax(self, o)
         # multiply the smaller term map into the larger one
-        a, b = self._terms, o._terms
         if len(a) > len(b):
             a, b = b, a
-        out: dict[ExpVec, Fraction] = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = _merge_exps(e1, e2)
-                s = out.get(e)
-                s = c1 * c2 if s is None else s + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        r = LaurentPoly.__new__(LaurentPoly)
-        r._terms = out
-        r._hash = None
-        return r
+        if len(a) == 1:
+            ((k1, c1),) = a.items()
+            out = {k1 + k2: c1 * c2 for k2, c2 in b.items()}
+        else:
+            out = {}
+            get = out.get
+            b_items = list(b.items())
+            for k1, c1 in a.items():
+                for k2, c2 in b_items:
+                    k = k1 + k2
+                    out[k] = get(k, 0) + c1 * c2
+            if 0 in out.values():
+                out = {k: v for k, v in out.items() if v}
+        return _reduced(out, self._den * o._den, emax)
 
     __rmul__ = __mul__
 
@@ -311,10 +447,9 @@ class LaurentPoly:
         return NotImplemented
 
     def _scaled(self, f: Fraction):
-        r = LaurentPoly.__new__(LaurentPoly)
-        r._terms = {e: c * f for e, c in self._terms.items()}
-        r._hash = None
-        return r
+        n = f.numerator
+        return _reduced({k: v * n for k, v in self._num.items()} if n else {},
+                        self._den * f.denominator, self._emax)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -323,6 +458,12 @@ class LaurentPoly:
             if self.is_monomial():
                 return self.monomial_inverse() ** (-n)
             raise ValueError("negative power of a non-monomial polynomial")
+        if n and self.is_monomial():
+            ((k, c),) = self._num.items()
+            emax = max(map(abs, _digits(k)), default=0) * n
+            if emax > EXP_LIMIT:
+                raise _overflow(emax)
+            return _make({k * n: c ** n}, self._den ** n, emax)
         result = LaurentPoly.one()
         base = self
         while n:
@@ -336,9 +477,9 @@ class LaurentPoly:
         """Inverse of a single-term polynomial."""
         if not self.is_monomial():
             raise ValueError("only monomials are invertible in the Laurent ring")
-        (exps, coeff), = self._terms.items()
-        inv = tuple((k, -e) for k, e in exps)
-        return LaurentPoly({inv: Fraction(1) / coeff})
+        ((k, c),) = self._num.items()
+        num, den = (self._den, c) if c > 0 else (-self._den, -c)
+        return _make({-k: num}, den, self._emax)
 
     def substitute(self, mapping: Mapping[VarId, "LaurentPoly | Fraction | int"]) -> "LaurentPoly":
         """Replace variables by monomials or rational constants.
@@ -355,7 +496,7 @@ class LaurentPoly:
                 raise ValueError("substitution targets must be monomials")
             keymap[v.key] = t
         out = LaurentPoly.zero()
-        for exps, coeff in self._terms.items():
+        for exps, coeff in self.items():
             term = LaurentPoly.rational(coeff)
             plain = []
             for k, e in exps:
@@ -374,14 +515,17 @@ class LaurentPoly:
         o = self._coerced(other)
         if o is None:
             return NotImplemented
-        return self._terms == o._terms
+        return self._den == o._den and self._num == o._num
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
+            self._hash = hash((self._den, frozenset(self._num.items())))
         return self._hash
 
     # -- canonical ordering and serialization ---------------------------
+
+    def _sorted_terms(self) -> list[tuple[ExpVec, Fraction]]:
+        return sorted(self.items(), key=lambda t: _glex(t[0]))
 
     def sorted_exps(self) -> list[ExpVec]:
         """Exponent vectors in canonical graded-lex order.
@@ -389,14 +533,13 @@ class LaurentPoly:
         Grading is by total degree; ties break lexicographically with
         variables ordered u < w < q, then by index.
         """
-        return sorted(self._terms, key=lambda e: (sum(x for _, x in e), e))
+        return [exps for exps, _ in self._sorted_terms()]
 
     def to_text(self) -> str:
-        if not self._terms:
+        if not self._num:
             return "0"
         parts = []
-        for exps in self.sorted_exps():
-            c = self._terms[exps]
+        for exps, c in self._sorted_terms():
             factors = [f"({c.numerator}/{c.denominator})"]
             for key, e in exps:
                 factors.append(f"{VarId.from_key(key).name}^{e}")
@@ -404,14 +547,13 @@ class LaurentPoly:
         return " + ".join(parts)
 
     def to_json_terms(self) -> list[dict]:
-        out = []
-        for exps in self.sorted_exps():
-            c = self._terms[exps]
-            out.append({
+        return [
+            {
                 "coeff": f"{c.numerator}/{c.denominator}",
                 "exps": {VarId.from_key(k).name: e for k, e in exps},
-            })
-        return out
+            }
+            for exps, c in self._sorted_terms()
+        ]
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_terms())
@@ -433,7 +575,6 @@ class LaurentPoly:
         return f"LaurentPoly({self.to_text()})"
 
     __str__ = __repr__
-
 
 # A scalar is either exact or a double-precision complex number.
 Scalar = Union[LaurentPoly, complex]
@@ -527,10 +668,11 @@ def poly_eval(p: LaurentPoly, assignment: Mapping[VarId, complex]) -> complex:
     """Evaluate at complex values.  Every occurring variable must be assigned;
     a zero value with a negative exponent is rejected."""
     table = {v.key: complex(val) for v, val in assignment.items()}
+    den = p._den
     total = 0j
-    for exps, coeff in p.items():
-        term = complex(coeff)
-        for key, e in exps:
+    for k, c in p._num.items():
+        term = complex(c / den)
+        for key, e in _decode(k):
             if key not in table:
                 raise UnassignedVariable(f"no value for {VarId.from_key(key).name}")
             base = table[key]
@@ -543,20 +685,18 @@ def poly_eval(p: LaurentPoly, assignment: Mapping[VarId, complex]) -> complex:
 
 def poly_derivative(p: LaurentPoly, v: VarId) -> LaurentPoly:
     """Term-wise d/dv with the Laurent rule d(v^n)/dv = n v^(n-1)."""
-    key = v.key
-    acc: dict[ExpVec, Fraction] = {}
-    for exps, coeff in p.items():
-        d = dict(exps)
-        e = d.get(key, 0)
-        if e == 0:
-            continue
-        if e == 1:
-            del d[key]
-        else:
-            d[key] = e - 1
-        vec = tuple(sorted(d.items()))
-        acc[vec] = acc.get(vec, Fraction(0)) + coeff * e
-    return LaurentPoly(acc)
+    s = _SLOT_OF.get(v.key)
+    if s is None:
+        return LaurentPoly.zero()
+    unit = 1 << (_DIGIT_BITS * s)
+    out: dict[int, int] = {}
+    for k, c in p._num.items():
+        e = _digit(k, s)
+        if e:
+            if e - 1 < -EXP_LIMIT:
+                raise _overflow(e - 1)
+            out[k - unit] = c * e
+    return _reduced(out, p._den, min(p._emax + 1, EXP_LIMIT))
 
 
 def leading_coeff(p: LaurentPoly, vars: list[VarId], degree: int) -> LaurentPoly:
@@ -565,20 +705,17 @@ def leading_coeff(p: LaurentPoly, vars: list[VarId], degree: int) -> LaurentPoly
     Raises DegreeExceeded if any listed variable occurs beyond ``degree``;
     returns the zero polynomial when the top monomial is absent.
     """
-    keys = [v.key for v in vars]
-    acc: dict[ExpVec, Fraction] = {}
-    for exps, coeff in p.items():
-        d = dict(exps)
-        es = [d.get(k, 0) for k in keys]
-        if any(e > degree for e in es):
-            offender = vars[[e > degree for e in es].index(True)]
-            raise DegreeExceeded(f"{offender.name} exceeds degree {degree}")
+    slots = [_SLOT_OF.get(v.key) for v in vars]
+    top = sum(degree << (_DIGIT_BITS * s) for s in set(slots) if s is not None)
+    out: dict[int, int] = {}
+    for k, c in p._num.items():
+        es = [0 if s is None else _digit(k, s) for s in slots]
+        for v, e in zip(vars, es):
+            if e > degree:
+                raise DegreeExceeded(f"{v.name} exceeds degree {degree}")
         if all(e == degree for e in es):
-            for k in keys:
-                d.pop(k, None)
-            vec = tuple(sorted(d.items()))
-            acc[vec] = acc.get(vec, Fraction(0)) + coeff
-    return LaurentPoly(acc)
+            out[k - top] = c
+    return _reduced(out, p._den, p._emax)
 
 
 # -- rational functions ----------------------------------------------
@@ -611,18 +748,10 @@ class RationalFunction:
         else:
             # pull the denominator's monomial unit (content and lowest
             # exponents) into the numerator
-            mins: dict = {}
-            first = True
-            for exps, _ in den.items():
-                seen = dict(exps)
-                if first:
-                    mins = dict(seen)
-                    first = False
-                    continue
-                for k in set(mins) | set(seen):
-                    mins[k] = min(mins.get(k, 0), seen.get(k, 0))
-            unit_exps = tuple((k, e) for k, e in sorted(mins.items()) if e)
-            unit = LaurentPoly({unit_exps: den.content()})
+            lows, _ = _digit_ranges(den._num)
+            key = sum(e << (_DIGIT_BITS * s) for s, e in enumerate(lows))
+            c = den.content()
+            unit = _make({key: c.numerator}, c.denominator, max(map(abs, lows)))
             inv = unit.monomial_inverse()
             num = num * inv
             den = den * inv
@@ -725,16 +854,18 @@ class RationalFunction:
 
 def _as_coeff_list(p: LaurentPoly, v: VarId) -> tuple[int, list[Fraction]]:
     """Dense coefficient list of a univariate polynomial: (offset, coeffs)."""
-    key = v.key
-    lo = p.low_degree_in(v)
-    hi = p.degree_in(v)
-    coeffs = [Fraction(0)] * (hi - lo + 1)
-    for exps, c in p.items():
-        d = dict(exps)
-        rest = {k: e for k, e in d.items() if k != key}
-        if rest:
+    s = _SLOT_OF.get(v.key)
+    shift = 0 if s is None else _DIGIT_BITS * s
+    by_exp: dict[int, int] = {}
+    for k, c in p._num.items():
+        e = 0 if s is None else _digit(k, s)
+        if k != e << shift:
             raise ValueError("polynomial is not univariate")
-        coeffs[d.get(key, 0) - lo] += c
+        by_exp[e] = c
+    lo = min(by_exp, default=0)
+    coeffs = [Fraction(0)] * (max(by_exp, default=0) - lo + 1)
+    for e, c in by_exp.items():
+        coeffs[e - lo] = Fraction(c, p._den)
     return lo, coeffs
 
 

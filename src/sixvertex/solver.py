@@ -40,8 +40,8 @@ from fractions import Fraction
 import numpy as np
 
 from .asymptotics import asymptotic_norm
-from .errors import NullspaceDimensionUnexpected, SizeLimitExceeded
-from .functional import FunctionalInput, functional_residual
+from .errors import ExponentOverflow, NullspaceDimensionUnexpected, SizeLimitExceeded
+from .functional import FunctionalInput, _bsign, functional_residual
 from .partition import z_algebraic
 from .sampling import sample_point, sample_spectral_set
 from .scalar import (
@@ -311,8 +311,9 @@ class _PackedWeights:
     """Doubled weight factors as packed two-term polynomials.
 
     A monomial is keyed by (sum(e_p * 64^p for points p)) * 64 + qexp with
-    all digits signed and balanced: key addition is exponent addition, and
-    digits stay far below 32 in magnitude so no carry ever occurs.
+    all digits signed and balanced: key addition is exponent addition as
+    long as every digit stays below 32 in magnitude, which
+    _assemble_constraints checks before it decodes any key.
     """
 
     def __init__(self, npoints: int):
@@ -360,17 +361,14 @@ class _PackedWeights:
         return self._mono(exps, 0)  # pure u-shift, no q component
 
 
-def _bsign(p: int, r: int) -> int:
-    return 1 if p < r else -1
-
-
 def _cleared_term_polys(L: int):
     """Packed coefficient polynomials of every term of the cleared equation.
 
-    Yields (packed poly, subset) pairs: the polynomial multiplies the
-    partition-function value on the listed point subset.  All denominators
-    have been multiplied out against the full pairwise b-product, and every
-    weight carries a factor 2, so coefficients are integers.
+    Yields (packed poly, factors, subset) triples: the polynomial multiplies
+    the partition-function value on the listed point subset and is a sum of
+    products of ``factors`` weight binomials.  All denominators have been
+    multiplied out against the full pairwise b-product, and every weight
+    carries a factor 2, so coefficients are integers.
     """
     n = L + 1
     pw = _PackedWeights(n + 1)
@@ -395,9 +393,10 @@ def _cleared_term_polys(L: int):
             return acc if sign > 0 else {k: -v for k, v in acc.items()}
 
         num = _pp_add(term(0, i), term(i, 0))
-        for pr in sorted(all_pairs - pairs):
+        cofactors = sorted(all_pairs - pairs)
+        for pr in cofactors:
             num = _pp_mul(num, pw.b_pair(*pr))
-        return num
+        return num, 1 + 2 * L + 2 * (n - 1) + len(cofactors)
 
     def substitution(j, i):
         pairs = {(0, i), (0, j), (i, j)} \
@@ -420,15 +419,16 @@ def _cleared_term_polys(L: int):
             return acc if sign > 0 else {k: -v for k, v in acc.items()}
 
         num = _pp_add(term(i, j), term(j, i))
-        for pr in sorted(all_pairs - pairs):
+        cofactors = sorted(all_pairs - pairs)
+        for pr in cofactors:
             num = _pp_mul(num, pw.b_pair(*pr))
-        return num
+        return num, 3 + 2 * L + 2 * (n - 2) + len(cofactors)
 
     for i in range(1, n + 1):
-        yield omission(i), tuple(k for k in range(1, n + 1) if k != i)
+        yield *omission(i), tuple(k for k in range(1, n + 1) if k != i)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            yield substitution(j, i), (0,) + tuple(
+            yield *substitution(j, i), (0,) + tuple(
                 k for k in range(1, n + 1) if k not in (i, j))
 
 
@@ -443,9 +443,16 @@ def _assemble_constraints(L: int):
     box = ansatz_box(L)
     ncols = len(box)
     pw = _PackedWeights(n + 1)
+    # every weight binomial moves any digit by at most 1, and the column
+    # shift by at most the largest |ansatz exponent|
+    top_shift = max(abs(e) for m in box for e in m)
     key_chunks = []
     val_chunks = []
-    for poly, subset in _cleared_term_polys(L):
+    for poly, factors, subset in _cleared_term_polys(L):
+        if factors + top_shift >= _FIELD // 2:
+            raise ExponentOverflow(
+                f"packed digits could reach {factors + top_shift}; "
+                f"base {_FIELD} holds less than {_FIELD // 2}")
         keys = np.fromiter(poly.keys(), dtype=np.int64, count=len(poly))
         vals = np.fromiter(poly.values(), dtype=np.int64, count=len(poly))
         # balanced split into the signed q digit and the u-part, then
@@ -553,19 +560,6 @@ def _select_independent_rows(rows: list, ncols: int, qval: int = 3):
 
 def _qp_normalize(pairs: dict[int, int]) -> tuple:
     return tuple(sorted(pairs.items()))
-
-
-def _qp_mul(a: tuple, b: tuple) -> tuple:
-    out: dict[int, int] = {}
-    for e1, v1 in a:
-        for e2, v2 in b:
-            e = e1 + e2
-            s = out.get(e, 0) + v1 * v2
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-    return _qp_normalize(out)
 
 
 def _qp_combine(a: tuple, fa: tuple, b: tuple, fb: tuple) -> tuple:

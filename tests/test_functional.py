@@ -261,6 +261,16 @@ def test_nilpotency_float_l5(rng):
     assert out.passed
 
 
+def test_nilpotency_float_l7_matrix_free(rng):
+    # beyond L = 6 the float monodromy is matrix-free; its B block for the
+    # scale is materialized from the basis vectors
+    L = 7
+    lams = sample_spectral_set(rng, L + 1)
+    mus = sample_spectral_set(rng, L)
+    out = check_b_nilpotency(L, lams, mus, sample_point(rng), tolerance=1e-10)
+    assert out.passed
+
+
 def test_functional_input_validation():
     with pytest.raises(ValueError):
         FunctionalInput(2, _sym_points(3), _sym_mus(2), Q)

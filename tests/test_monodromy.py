@@ -112,16 +112,25 @@ def test_apply_block_dimension_mismatch():
 
 
 def test_dense_vs_matrix_free_exact():
-    L = 2
     u = LaurentPoly.var(u_var(9))
-    mus = _sym_mus(L)
-    dense = build_monodromy(u, mus, Q, "dense")
-    free = build_monodromy(u, mus, Q, "matrix-free")
-    v = vacuum(L)
-    for name in ("A", "B", "C", "D"):
-        d = apply_block(dense, name, v)
-        f = apply_block(free, name, v)
-        assert all((d[k] - f[k]).is_zero() for k in range(len(v)))
+    for L in (1, 2, 3):
+        mus = _sym_mus(L)
+        dense = build_monodromy(u, mus, Q, "dense")
+        free = build_monodromy(u, mus, Q)
+        assert free.representation == "matrix-free"
+        dim = 2 ** L
+        basis = [vacuum(L)] + [np.array([LaurentPoly.one() if i == j else LaurentPoly.zero()
+                                         for i in range(dim)], dtype=object)
+                               for j in range(dim)]
+        for name in ("A", "B", "C", "D"):
+            want = dense.block(name)
+            got = free.block(name)
+            assert got.shape == (dim, dim)
+            assert all(got[r, c] == want[r, c] for r in range(dim) for c in range(dim))
+            for v in basis:
+                d = apply_block(dense, name, v)
+                f = apply_block(free, name, v)
+                assert all(d[k] == f[k] for k in range(dim))
 
 
 def test_dense_vs_matrix_free_float(rng):

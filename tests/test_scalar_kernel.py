@@ -1,0 +1,274 @@
+"""The packed LaurentPoly kernel against a naive tuple/Fraction reference.
+
+The reference keeps a polynomial as a dict from sorted exponent tuples
+((kind rank, index), exponent) to nonzero Fractions, merges exponent
+vectors one pair at a time and never packs anything, so it shares no code
+with the kernel beyond VarId's key convention.
+"""
+
+import math
+import sys
+import threading
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+from sixvertex.cli import main
+from sixvertex.errors import ExponentOverflow
+from sixvertex.scalar import (
+    EXP_LIMIT,
+    LaurentPoly,
+    RationalFunction,
+    VarId,
+    parse_poly,
+    poly_derivative,
+    q_var,
+    u_var,
+    w_var,
+)
+
+# -- the reference -----------------------------------------------------------
+
+
+def ref_merge(e1, e2):
+    d = dict(e1)
+    for k, e in e2:
+        d[k] = d.get(k, 0) + e
+    return tuple(sorted((k, e) for k, e in d.items() if e))
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = ref_merge(e1, e2)
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_pow(a, n):
+    out = {(): Fraction(1)}
+    for _ in range(n):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_json(a):
+    order = sorted(a, key=lambda e: (sum(x for _, x in e), e))
+    return [{"coeff": f"{a[e].numerator}/{a[e].denominator}",
+             "exps": {VarId.from_key(k).name: x for k, x in e}} for e in order]
+
+
+def ref_unit_den(den):
+    """The canonical denominator of RationalFunction: den divided by its
+    lowest exponent of each variable (absent counts 0) and its content
+    (gcd of numerators over lcm of denominators, signed by the graded-lex
+    first term)."""
+    keys = {k for e in den for k, _ in e}
+    low = {k: min(dict(e).get(k, 0) for e in den) for k in keys}
+    first = min(den, key=lambda e: (sum(x for _, x in e), e))
+    num_gcd = math.gcd(*(c.numerator for c in den.values()))
+    den_lcm = math.lcm(*(c.denominator for c in den.values()))
+    content = Fraction(num_gcd, den_lcm) * (1 if den[first] > 0 else -1)
+    shift = tuple(sorted((k, -e) for k, e in low.items() if e))
+    return {ref_merge(e, shift): c / content for e, c in den.items()}
+
+
+# -- strategies ---------------------------------------------------------------
+
+# high u indices, w and q mixed, so slots are not the variable indices
+_VARS = ([u_var(i) for i in (60, 61, 62, 63, 64, 97)] + [u_var(1), w_var(0), w_var(61)]
+         + [q_var()])
+_DENS = (1, 2, 3, 5, 7, 9, 11, 16, 25)
+
+
+@st.composite
+def ref_polys(draw, max_terms=5):
+    out = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        exps = {}
+        for v in draw(st.lists(st.sampled_from(_VARS), max_size=4)):
+            exps[v.key] = draw(st.integers(-6, 6))
+        e = tuple(sorted((k, x) for k, x in exps.items() if x))
+        c = Fraction(draw(st.integers(-9, 9)), draw(st.sampled_from(_DENS)))
+        out[e] = out.get(e, Fraction(0)) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _check(p: LaurentPoly, ref: dict):
+    assert dict(p.items()) == ref
+    assert p.to_json_terms() == ref_json(ref)
+    assert p.num_terms() == len(ref)
+    assert p == LaurentPoly(ref) and hash(p) == hash(LaurentPoly(ref))
+
+
+# -- properties ---------------------------------------------------------------
+
+
+@given(ref_polys(), ref_polys())
+def test_add_sub_neg_match_reference(a, b):
+    pa, pb = LaurentPoly(a), LaurentPoly(b)
+    _check(pa, a)
+    _check(pa + pb, ref_add(a, b))
+    _check(pa - pb, ref_add(a, {e: -c for e, c in b.items()}))
+    _check(-pa, {e: -c for e, c in a.items()})
+
+
+@given(ref_polys(), ref_polys())
+def test_mul_matches_reference(a, b):
+    _check(LaurentPoly(a) * LaurentPoly(b), ref_mul(a, b))
+
+
+@given(ref_polys(max_terms=3), st.integers(0, 4))
+def test_pow_matches_reference(a, n):
+    _check(LaurentPoly(a) ** n, ref_pow(a, n))
+
+
+@given(ref_polys(), ref_polys())
+def test_sums_that_cancel_are_zero(a, b):
+    pa, pb = LaurentPoly(a), LaurentPoly(b)
+    zero = (pa + pb) - pb - pa
+    assert zero.is_zero() and zero == LaurentPoly.zero() and zero == 0
+    assert hash(zero) == hash(LaurentPoly.zero())
+    assert zero.to_json_terms() == [] and zero.to_text() == "0"
+    # a product whose terms all cancel: (a + b)(a - b) - a^2 + b^2
+    diff = (pa + pb) * (pa - pb) - pa * pa + pb * pb
+    assert diff.is_zero() and hash(diff) == hash(LaurentPoly.zero())
+
+
+@given(ref_polys(), ref_polys(), ref_polys(), st.randoms(use_true_random=False))
+def test_equal_polys_built_in_different_orders(a, b, c, rnd):
+    pa, pb, pc = LaurentPoly(a), LaurentPoly(b), LaurentPoly(c)
+    want = ref_add(ref_mul(ref_mul(a, b), c), a)
+    forms = [pa * pb * pc + pa, pa + pc * (pb * pa), (pc * pa) * pb + pa]
+    terms = [LaurentPoly({e: x}) for e, x in want.items()]
+    for _ in range(3):
+        rnd.shuffle(terms)
+        total = LaurentPoly.zero()
+        for t in terms:
+            total = total + t
+        forms.append(total)
+    for f in forms:
+        _check(f, want)
+    assert len({hash(f) for f in forms}) == 1
+
+
+@given(ref_polys(max_terms=3), ref_polys(max_terms=3))
+def test_rational_function_canonical_denominator(a, b):
+    assume(a and len(b) >= 2)
+    r = RationalFunction(LaurentPoly(a), LaurentPoly(b))
+    assert dict(r.den.items()) == ref_unit_den(b)
+
+
+def test_equal_rationals_over_different_denominators():
+    u = LaurentPoly.var(u_var(61))
+    p = u * Fraction(1, 6) + Fraction(1, 10)
+    r = u * Fraction(5, 3) + 1
+    assert p * 10 == r and hash(p * 10) == hash(r)
+    assert p.content() == Fraction(1, 30)
+    assert (p - Fraction(1, 10)) * 6 == u
+
+
+# -- exponent range --------------------------------------------------------------
+
+
+def test_exponent_limit_boundary_construction():
+    u, w = u_var(60), w_var(60)
+    top = LaurentPoly.var(u, EXP_LIMIT)
+    assert top.degree_in(u) == EXP_LIMIT
+    assert LaurentPoly.var(u, -EXP_LIMIT).low_degree_in(u) == -EXP_LIMIT
+    for bad in (EXP_LIMIT + 1, -EXP_LIMIT - 1):
+        with pytest.raises(ExponentOverflow):
+            LaurentPoly.var(u, bad)
+        with pytest.raises(ExponentOverflow):
+            LaurentPoly.monomial(1, {u: 1, w: bad})
+    assert parse_poly(f"u60^{EXP_LIMIT}") == top
+    with pytest.raises(ExponentOverflow):
+        parse_poly(f"u60^{EXP_LIMIT + 1}")
+    with pytest.raises(ExponentOverflow):
+        parse_poly(f"u60^{EXP_LIMIT}*u60")
+    with pytest.raises(ExponentOverflow):
+        LaurentPoly.from_json_terms([{"coeff": "1/1", "exps": {"u60": -EXP_LIMIT - 1}}])
+
+
+def test_exponent_limit_boundary_arithmetic():
+    u, w = u_var(60), w_var(60)
+    U, W = LaurentPoly.var(u), LaurentPoly.var(w)
+    top = LaurentPoly.var(u, EXP_LIMIT)
+    # at the limit, and neighbouring digits at their own limits
+    assert (top * U ** -1) * U == top
+    both = top * LaurentPoly.var(w, -EXP_LIMIT)
+    assert dict(both.items()) == {((u.key, EXP_LIMIT), (w.key, -EXP_LIMIT)): 1}
+    assert (LaurentPoly.var(u, EXP_LIMIT - 1) + W) * U == top + W * U
+    assert top.monomial_inverse().low_degree_in(u) == -EXP_LIMIT
+    assert LaurentPoly.var(u, 2) ** (EXP_LIMIT // 2) == LaurentPoly.var(u, EXP_LIMIT - 1)
+    # one past it
+    with pytest.raises(ExponentOverflow):
+        top * U
+    with pytest.raises(ExponentOverflow):
+        (top + W) * (U + 1)
+    with pytest.raises(ExponentOverflow):
+        top.monomial_inverse() * U ** -1
+    with pytest.raises(ExponentOverflow):
+        LaurentPoly.var(u, 2) ** (EXP_LIMIT // 2 + 1)
+    with pytest.raises(ExponentOverflow):
+        (LaurentPoly.var(u, (EXP_LIMIT + 1) // 2) + 1) ** 2
+    with pytest.raises(ExponentOverflow):
+        poly_derivative(LaurentPoly.var(u, -EXP_LIMIT), u)
+
+
+def test_exponent_overflow_exit_code(capsys):
+    code = main(["compute", "--size", "1", "--lam", f"u1^{EXP_LIMIT + 1}",
+                 "--mu", "(1/1)", "--q", "q"])
+    assert code == 1
+    assert '"kind": "ExponentOverflow"' in capsys.readouterr().out
+
+
+def test_loose_exponent_bound_falls_back_to_exact_check():
+    # each product adds to the cheap exponent bound although the exponents
+    # cancel; past EXP_LIMIT the exact check must take over without raising
+    u = LaurentPoly.var(u_var(62))
+    base = 1 + u * Fraction(1, 3)
+    acc = base
+    for _ in range(400):
+        acc = acc * u ** 90 * u ** -90
+    assert acc == base and hash(acc) == hash(base)
+
+
+def test_slot_registry_under_threads():
+    # threads register fresh variables concurrently; a lost or doubled
+    # slot would make two variables share a digit and break the round trip
+    names = [[u_var(5000 + 10 * t + i) for i in range(10)] for t in range(4)]
+    results = {}
+
+    def work(t):
+        p = LaurentPoly.one()
+        for i, v in enumerate(names[t]):
+            p = p * LaurentPoly.var(v, i + 1) + LaurentPoly.var(v, -1)
+        results[t] = p
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    for t, p in results.items():
+        assert p.variables() == set(names[t])
+        assert parse_poly(p.to_text()) == p
+        assert LaurentPoly(dict(p.items())) == p
+    assert len(results) == 4

@@ -1,7 +1,8 @@
 import pytest
 
 from sixvertex.asymptotics import asymptotic_norm
-from sixvertex.errors import SizeLimitExceeded
+from sixvertex import solver
+from sixvertex.errors import ExponentOverflow, SizeLimitExceeded
 from sixvertex.scalar import (
     LaurentPoly,
     RationalFunction,
@@ -114,6 +115,20 @@ def test_solve_size_guards():
         solve_fz_exact(2, "bogus")
     with pytest.raises(SizeLimitExceeded):
         solve_fz_numeric(5, make_rng(0))
+
+
+def test_assembly_refuses_digits_that_could_carry(monkeypatch):
+    # at L = 2 every term is a product of 10 weight binomials and the ansatz
+    # shifts a point by at most 1, so digits can reach 11: base 24
+    # (|digit| < 12) still packs the same rows, base 22 (|digit| < 11) refuses
+    rows = solver._assemble_constraints(2)[0]
+    monkeypatch.setattr(solver, "_FIELD", 24)
+    monkeypatch.setattr(solver, "_Q_OFF", 12)
+    assert solver._assemble_constraints(2)[0] == rows
+    monkeypatch.setattr(solver, "_FIELD", 22)
+    monkeypatch.setattr(solver, "_Q_OFF", 11)
+    with pytest.raises(ExponentOverflow):
+        solver._assemble_constraints(2)
 
 
 def test_direct_l3_table_against_reference():
