@@ -2,7 +2,7 @@
 """Solve the coefficient tables exactly and print them.
 
 Sizes 1 and 2 are instant; size 3 assembles and eliminates a 125-unknown
-system over rational functions in q (about a minute).  Pass --size 4 for
+system over rational functions in q (about 8 s).  Pass --size 4 for
 the float backend at sampled anisotropies.
 """
 

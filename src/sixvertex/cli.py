@@ -20,7 +20,6 @@ from .sampling import PRNG_NAME, make_rng, sample_point, sample_spectral_set
 from .scalar import (
     CheckOutcome,
     LaurentPoly,
-    TolerancePolicy,
     parse_poly,
     q_var,
     u_var,
@@ -254,7 +253,6 @@ def _run_check(cfg: RunConfig) -> list[CheckOutcome]:
     rng = make_rng(cfg.seed)
     qsym = LaurentPoly.var(q_var())
     tol = cfg.tolerance
-    policy = TolerancePolicy()
     out: list[CheckOutcome] = []
 
     if check == "yb":

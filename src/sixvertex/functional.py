@@ -239,49 +239,62 @@ def _functional_residual_with_scale(inp: FunctionalInput, z_provider=None):
     n = inp.size + 1
     if z_provider is None:
         z_provider = algebraic_provider(mus, q)
-    exact = is_exact(points[0])
-    if exact:
-        all_pairs = {(x, y) for x in range(n + 1) for y in range(x + 1, n + 1)}
-        bvals = {p: _pair_b(p, points, q) for p in sorted(all_pairs)}
+    if is_exact(points[0]):
         total = LaurentPoly.zero()
-        for kind, idx in _term_index(n):
-            if kind == "omit":
-                num, pairs = _omission_parts(idx[0], points, mus, q)
-                subset = [points[k] for k in range(1, n + 1) if k != idx[0]]
-            else:
-                num, pairs = _substitution_parts(idx[0], idx[1], points, mus, q)
-                subset = [points[0]] + [
-                    points[k] for k in range(1, n + 1) if k not in idx
-                ]
-            cof = LaurentPoly.one()
-            for p in sorted(all_pairs - pairs):
-                cof = cof * bvals[p]
-            total = total + num * cof * _call_provider(z_provider, subset)
-        den = LaurentPoly.one()
-        for p in sorted(all_pairs):
-            den = den * bvals[p]
-        return RationalFunction(total, den), None
+        for cleared, subset in _cleared_terms(points, mus, q):
+            total = total + cleared * _call_provider(z_provider, [points[k] for k in subset])
+        return RationalFunction(total, _den_product(_all_pairs(n), points, q)), None
     total = 0j
     scale = 0.0
-    for kind, idx in _term_index(n):
+    for kind, idx, subset in _term_index(n):
         if kind == "omit":
             coeff = omission_coeff(idx[0], points, mus, q, inp.policy)
-            subset = [points[k] for k in range(1, n + 1) if k != idx[0]]
         else:
             coeff = substitution_coeff(idx[0], idx[1], points, mus, q, inp.policy)
-            subset = [points[0]] + [points[k] for k in range(1, n + 1) if k not in idx]
-        term = coeff * _call_provider(z_provider, subset)
+        term = coeff * _call_provider(z_provider, [points[k] for k in subset])
         total += term
         scale += abs(term)
     return total, scale
 
 
 def _term_index(n: int):
+    """(kind, indices, subset) of every term of the expansion over n
+    B-operators; subset lists the points, in order, whose B-operators the
+    term keeps (0 is the inserted B(lam_0))."""
     for i in range(1, n + 1):
-        yield "omit", (i,)
+        yield "omit", (i,), tuple(k for k in range(1, n + 1) if k != i)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            yield "subst", (j, i)
+            yield "subst", (j, i), (0,) + tuple(k for k in range(1, n + 1) if k not in (i, j))
+
+
+def _term_parts(kind: str, idx: tuple, points, mus, q):
+    if kind == "omit":
+        return _omission_parts(idx[0], points, mus, q)
+    return _substitution_parts(idx[0], idx[1], points, mus, q)
+
+
+def _all_pairs(n: int) -> set:
+    return {(x, y) for x in range(n + 1) for y in range(x + 1, n + 1)}
+
+
+def _cleared_terms(points, mus, q):
+    """Yield (cleared coefficient, subset) for every term of the expansion
+    over the B-operators at points[1:].
+
+    The cleared coefficient is the term's numerator times the b-weights of
+    every point pair outside its denominator, so all terms share the
+    denominator ``_den_product(_all_pairs(n), points, q)``.  Exact backend.
+    """
+    n = len(points) - 1
+    all_pairs = _all_pairs(n)
+    bvals = {p: _pair_b(p, points, q) for p in sorted(all_pairs)}
+    for kind, idx, subset in _term_index(n):
+        num, pairs = _term_parts(kind, idx, points, mus, q)
+        cof = LaurentPoly.one()
+        for p in sorted(all_pairs - pairs):
+            cof = cof * bvals[p]
+        yield num * cof, subset
 
 
 def check_fz(inp: FunctionalInput, z_provider=None,
@@ -297,15 +310,13 @@ def check_fz(inp: FunctionalInput, z_provider=None,
 # -- operator-level checks ---------------------------------------------
 
 
-def _b_product_vector(points, mus, q, skip=()):
-    """prod B(points[k]) |0> over k not in skip, applied right to left."""
+def _b_product_vector(points, mus, q):
+    """prod B(points[k]) |0>, applied right to left."""
     L = len(mus)
     exact = is_exact(q) or (points and is_exact(points[0]))
     v = vacuum(L, exact)
-    for k in reversed(range(len(points))):
-        if k in skip:
-            continue
-        v = build_monodromy(points[k], mus, q).apply("B", v)
+    for p in reversed(points):
+        v = build_monodromy(p, mus, q).apply("B", v)
     return v
 
 
@@ -316,42 +327,23 @@ def cbb_expansion_residual(n: int, points, mus, q,
 
     Returns (residual_vector, scale)."""
     _guard_poles(points, policy)
-    L = len(mus)
     exact = is_exact(points[0])
     lam0 = points[0]
     bs = points[1:]
     c_of_prod = build_monodromy(lam0, mus, q).apply("C", _b_product_vector(bs, mus, q))
     if exact:
-        all_pairs = {(x, y) for x in range(n + 1) for y in range(x + 1, n + 1)}
-        bvals = {p: _pair_b(p, points, q) for p in sorted(all_pairs)}
-        dfull = LaurentPoly.one()
-        for p in sorted(all_pairs):
-            dfull = dfull * bvals[p]
-        res = c_of_prod * dfull
-        for kind, idx in _term_index(n):
-            if kind == "omit":
-                num, pairs = _omission_parts(idx[0], points, mus, q)
-                vec = _b_product_vector(bs, mus, q, skip=(idx[0] - 1,))
-            else:
-                num, pairs = _substitution_parts(idx[0], idx[1], points, mus, q)
-                vec = build_monodromy(lam0, mus, q).apply(
-                    "B", _b_product_vector(bs, mus, q, skip=(idx[0] - 1, idx[1] - 1)))
-            cof = num
-            for p in sorted(all_pairs - pairs):
-                cof = cof * bvals[p]
-            res = res - vec * cof
+        res = c_of_prod * _den_product(_all_pairs(n), points, q)
+        for cleared, subset in _cleared_terms(points, mus, q):
+            res = res - _b_product_vector([points[k] for k in subset], mus, q) * cleared
         return res, None
     res = c_of_prod.astype(complex)
     scale = float(np.abs(res).sum())
-    for kind, idx in _term_index(n):
+    for kind, idx, subset in _term_index(n):
         if kind == "omit":
             coeff = omission_coeff(idx[0], points, mus, q, policy)
-            vec = _b_product_vector(bs, mus, q, skip=(idx[0] - 1,))
         else:
             coeff = substitution_coeff(idx[0], idx[1], points, mus, q, policy)
-            vec = build_monodromy(lam0, mus, q).apply(
-                "B", _b_product_vector(bs, mus, q, skip=(idx[0] - 1, idx[1] - 1)))
-        term = coeff * vec
+        term = coeff * _b_product_vector([points[k] for k in subset], mus, q)
         res = res - term
         scale += float(np.abs(term).sum())
     return res, scale

@@ -237,8 +237,8 @@ def rtt_residual(u, v, ws, q) -> tuple[np.ndarray, float]:
     return lhs - rhs, scale
 
 
-def check_rtt(u, v, ws, q, policy: TolerancePolicy = DEFAULT_POLICY,
-              tolerance: float = 1e-9, rng=None, probes: int = 8) -> CheckOutcome:
+def check_rtt(u, v, ws, q, tolerance: float = 1e-9, rng=None,
+              probes: int = 8) -> CheckOutcome:
     """Exchange-relation check.  The full 4*2^L matrix identity is formed for
     L <= 4 (or exact backend); larger float sizes probe random vectors."""
     L = len(ws)
@@ -401,8 +401,7 @@ def triangular_action_residuals(u, ws, q) -> dict[str, np.ndarray]:
     }
 
 
-def check_triangular(u, ws, q, policy: TolerancePolicy = DEFAULT_POLICY,
-                     tolerance: float = 1e-9) -> CheckOutcome:
+def check_triangular(u, ws, q, tolerance: float = 1e-9) -> CheckOutcome:
     exact = is_exact(u)
     res = triangular_action_residuals(u, ws, q)
     nonzero_keys = [k for k in res if "nonzero" in k]

@@ -10,16 +10,19 @@ table entries h.
 
 Exact pipeline (L <= 3):
 
-1. assemble the cleared equation with packed integer exponents (numpy
-   aggregation); every spectral monomial yields one linear constraint whose
-   entries are integer Laurent polynomials in q;
+1. assemble the cleared equation from the omission/substitution formulas
+   of :mod:`sixvertex.functional`, expanded exactly with symbolic points
+   and q; entries are grouped by spectral monomial with one int64 numpy key
+   each, and every monomial yields one linear constraint whose entries are
+   integer Laurent polynomials in q;
 2. select an independent subset of constraints by rank over the integers at
    a rational specialization of q (a specialization can only lower rank, so
    independence lifts to the generic field);
 3. fraction-free Gaussian elimination over Z[q] on the selected rows,
    back-substitution over rational functions in q;
 4. verify the candidate table by evaluating the full functional-equation
-   residual through the independent machinery in :mod:`sixvertex.functional`.
+   residual in :mod:`sixvertex.functional`, which shares the coefficient
+   formulas with step 1 but none of the grouping, selection or elimination.
 
 Step 2 bounding rank from below and step 4 exhibiting an exact solution
 together prove the nullspace is one-dimensional; any mismatch raises
@@ -40,8 +43,15 @@ from fractions import Fraction
 import numpy as np
 
 from .asymptotics import asymptotic_norm
-from .errors import ExponentOverflow, NullspaceDimensionUnexpected, SizeLimitExceeded
-from .functional import FunctionalInput, _bsign, functional_residual
+from .errors import NullspaceDimensionUnexpected, SizeLimitExceeded
+from .functional import (
+    FunctionalInput,
+    _cleared_terms,
+    _den_product,
+    _term_index,
+    _term_parts,
+    functional_residual,
+)
 from .partition import z_algebraic
 from .sampling import sample_point, sample_spectral_set
 from .scalar import (
@@ -57,6 +67,8 @@ from .scalar import (
 
 _EXACT_LIMIT = 3
 _NUMERIC_LIMIT = 4
+# relative disagreement allowed between the two batches of a numeric solve
+_CONSISTENCY_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------
@@ -275,161 +287,8 @@ def h_table_from_z(L: int) -> CoefficientTable:
 
 
 # ---------------------------------------------------------------------
-# exact constraint assembly (packed integer exponents)
+# exact constraint assembly
 # ---------------------------------------------------------------------
-
-_FIELD = 64          # u-exponent digits live in balanced base 64
-_COL_BITS = 8192     # column slot: 7 bits, q slot: 6 bits
-_Q_OFF = 32
-
-
-def _pp_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for k1, v1 in a.items():
-        for k2, v2 in b.items():
-            k = k1 + k2
-            s = out.get(k, 0) + v1 * v2
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-    return out
-
-
-def _pp_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        s = out.get(k, 0) + v
-        if s:
-            out[k] = s
-        else:
-            del out[k]
-    return out
-
-
-class _PackedWeights:
-    """Doubled weight factors as packed two-term polynomials.
-
-    A monomial is keyed by (sum(e_p * 64^p for points p)) * 64 + qexp with
-    all digits signed and balanced: key addition is exponent addition as
-    long as every digit stays below 32 in magnitude, which
-    _assemble_constraints checks before it decodes any key.
-    """
-
-    def __init__(self, npoints: int):
-        self.npoints = npoints
-
-    def _mono(self, exps: dict[int, int], qexp: int) -> int:
-        key = 0
-        for p in range(self.npoints - 1, -1, -1):
-            key = key * _FIELD + exps.get(p, 0)
-        return key * _FIELD + qexp
-
-    def a_pair(self, x: int, y: int) -> dict:
-        # 2 a(lam_x - lam_y) = u_x u_y^-1 q - u_x^-1 u_y q^-1
-        return {
-            self._mono({x: 1, y: -1}, 1): 1,
-            self._mono({x: -1, y: 1}, -1): -1,
-        }
-
-    def b_pair(self, x: int, y: int) -> dict:
-        return {
-            self._mono({x: 1, y: -1}, 0): 1,
-            self._mono({x: -1, y: 1}, 0): -1,
-        }
-
-    def a_zero(self, x: int) -> dict:
-        # 2 a(lam_x - mu) at mu = 0
-        return {
-            self._mono({x: 1}, 1): 1,
-            self._mono({x: -1}, -1): -1,
-        }
-
-    def b_zero(self, x: int) -> dict:
-        return {
-            self._mono({x: 1}, 0): 1,
-            self._mono({x: -1}, 0): -1,
-        }
-
-    def c_const(self) -> dict:
-        return {
-            self._mono({}, 1): 1,
-            self._mono({}, -1): -1,
-        }
-
-    def shift_key(self, exps: dict[int, int]) -> int:
-        return self._mono(exps, 0)  # pure u-shift, no q component
-
-
-def _cleared_term_polys(L: int):
-    """Packed coefficient polynomials of every term of the cleared equation.
-
-    Yields (packed poly, factors, subset) triples: the polynomial multiplies
-    the partition-function value on the listed point subset and is a sum of
-    products of ``factors`` weight binomials.  All denominators have been
-    multiplied out against the full pairwise b-product, and every weight
-    carries a factor 2, so coefficients are integers.
-    """
-    n = L + 1
-    pw = _PackedWeights(n + 1)
-    all_pairs = {(x, y) for x in range(n + 1) for y in range(x + 1, n + 1)}
-
-    def omission(i):
-        pairs = {(0, i)} | {(min(i, k), max(i, k)) for k in range(1, n + 1) if k != i} \
-            | {(0, k) for k in range(1, n + 1) if k != i}
-
-        def term(p, r):
-            sign = _bsign(r, p)
-            acc = pw.c_const()
-            for _ in range(L):
-                acc = _pp_mul(acc, pw.a_zero(p))
-                acc = _pp_mul(acc, pw.b_zero(r))
-            for k in range(1, n + 1):
-                if k == i:
-                    continue
-                sign *= _bsign(r, k) * _bsign(k, p)
-                acc = _pp_mul(acc, pw.a_pair(r, k))
-                acc = _pp_mul(acc, pw.a_pair(k, p))
-            return acc if sign > 0 else {k: -v for k, v in acc.items()}
-
-        num = _pp_add(term(0, i), term(i, 0))
-        cofactors = sorted(all_pairs - pairs)
-        for pr in cofactors:
-            num = _pp_mul(num, pw.b_pair(*pr))
-        return num, 1 + 2 * L + 2 * (n - 1) + len(cofactors)
-
-    def substitution(j, i):
-        pairs = {(0, i), (0, j), (i, j)} \
-            | {(min(i, m), max(i, m)) for m in range(1, n + 1) if m not in (i, j)} \
-            | {(min(j, m), max(j, m)) for m in range(1, n + 1) if m not in (i, j)}
-
-        def term(ii, jj):
-            sign = _bsign(0, jj) * _bsign(ii, 0) * _bsign(jj, ii)
-            acc = _pp_mul(pw.c_const(), pw.c_const())
-            acc = _pp_mul(acc, pw.a_pair(jj, ii))
-            for _ in range(L):
-                acc = _pp_mul(acc, pw.a_zero(ii))
-                acc = _pp_mul(acc, pw.b_zero(jj))
-            for m in range(1, n + 1):
-                if m in (i, j):
-                    continue
-                sign *= _bsign(jj, m) * _bsign(m, ii)
-                acc = _pp_mul(acc, pw.a_pair(jj, m))
-                acc = _pp_mul(acc, pw.a_pair(m, ii))
-            return acc if sign > 0 else {k: -v for k, v in acc.items()}
-
-        num = _pp_add(term(i, j), term(j, i))
-        cofactors = sorted(all_pairs - pairs)
-        for pr in cofactors:
-            num = _pp_mul(num, pw.b_pair(*pr))
-        return num, 3 + 2 * L + 2 * (n - 2) + len(cofactors)
-
-    for i in range(1, n + 1):
-        yield *omission(i), tuple(k for k in range(1, n + 1) if k != i)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            yield *substitution(j, i), (0,) + tuple(
-                k for k in range(1, n + 1) if k not in (i, j))
 
 
 def _assemble_constraints(L: int):
@@ -442,75 +301,98 @@ def _assemble_constraints(L: int):
     n = L + 1
     box = ansatz_box(L)
     ncols = len(box)
-    pw = _PackedWeights(n + 1)
-    # every weight binomial moves any digit by at most 1, and the column
-    # shift by at most the largest |ansatz exponent|
-    top_shift = max(abs(e) for m in box for e in m)
+    qv = q_var()
+    points = tuple(LaurentPoly.var(u_var(p)) for p in range(n + 1))
+    slot = {v.key: s for s, v in enumerate([*map(u_var, range(n + 1)), qv])}
+    mus = (LaurentPoly.one(),) * L
+    box_exps = np.array(box, dtype=np.int64)
+    terms = []
+    for cleared, subset in _cleared_terms(points, mus, LaurentPoly.var(qv)):
+        items = cleared.items()
+        exps = np.zeros((len(items), n + 2), dtype=np.int64)
+        for t, (vec, _) in enumerate(items):
+            for k, e in vec:
+                exps[t, slot[k]] = e
+        # the ansatz monomial of each column, spread onto the term's points
+        shift = np.zeros((ncols, n + 1), dtype=np.int64)
+        shift[:, list(subset)] = box_exps
+        terms.append((exps, [c for _, c in items], shift))
+    # one common scale makes every coefficient an integer and keeps their
+    # proportions, so the canonical rows do not depend on it
+    den = math.lcm(*(c.denominator for _, coeffs, _ in terms for c in coeffs))
+    # one int64 key per (u-exponents, column, q-exponent) entry, in a mixed
+    # radix measured before expansion: u digits, then column, then q, so
+    # sorted keys come grouped by spectral monomial and in row order
+    allexps = np.concatenate([e for e, _, _ in terms])
+    lo = allexps.min(axis=0)
+    hi = allexps.max(axis=0)
+    lo[:-1] += box_exps.min()
+    hi[:-1] += box_exps.max()
+    dims = tuple(hi[:-1] - lo[:-1] + 1) + (ncols, hi[-1] - lo[-1] + 1)
+    cols = np.arange(ncols)
     key_chunks = []
     val_chunks = []
-    for poly, factors, subset in _cleared_term_polys(L):
-        if factors + top_shift >= _FIELD // 2:
-            raise ExponentOverflow(
-                f"packed digits could reach {factors + top_shift}; "
-                f"base {_FIELD} holds less than {_FIELD // 2}")
-        keys = np.fromiter(poly.keys(), dtype=np.int64, count=len(poly))
-        vals = np.fromiter(poly.values(), dtype=np.int64, count=len(poly))
-        # balanced split into the signed q digit and the u-part, then
-        # re-pack with the column slot in between and the q digit offset
-        qd = keys % _FIELD
-        qd = np.where(qd >= _FIELD // 2, qd - _FIELD, qd)
-        upart = (keys - qd) // _FIELD
-        shifts = np.empty(ncols, dtype=np.int64)
-        for col, mvec in enumerate(box):
-            exps: dict[int, int] = {}
-            for pos, point in enumerate(subset):
-                exps[point] = exps.get(point, 0) + mvec[pos]
-            shifts[col] = pw.shift_key(exps) // _FIELD
-        cols = np.arange(ncols, dtype=np.int64)
-        combined = (upart[:, None] + shifts[None, :]) * (_COL_BITS * _FIELD) \
-            + (cols * _FIELD)[None, :] + (qd + _Q_OFF)[:, None]
-        key_chunks.append(combined.ravel())
-        val_chunks.append(np.broadcast_to(vals[:, None], combined.shape).ravel())
-    big_k = np.concatenate(key_chunks)
-    big_v = np.concatenate(val_chunks)
-    order = np.argsort(big_k, kind="stable")
-    big_k = big_k[order]
-    big_v = big_v[order]
-    starts = np.flatnonzero(np.r_[True, np.diff(big_k) != 0])
-    sums = np.add.reduceat(big_v, starts)
-    keys = big_k[starts]
-    nz = sums != 0
-    keys, sums = keys[nz], sums[nz]
+    for exps, coeffs, shift in terms:
+        digits = tuple(exps[:, p, None] + shift[None, :, p] - lo[p] for p in range(n + 1))
+        digits += (cols[None, :], exps[:, -1, None] - lo[-1])
+        keys = np.ravel_multi_index(digits, dims)
+        vals = np.array([c.numerator * (den // c.denominator) for c in coeffs], dtype=np.int64)
+        key_chunks.append(keys.ravel())
+        val_chunks.append(np.broadcast_to(vals[:, None], keys.shape).ravel())
+    keys = np.concatenate(key_chunks)
+    vals = np.concatenate(val_chunks)
+    del key_chunks, val_chunks
+    # numpy's int64 sums wrap silently: refuse values whose sums could
+    if int(np.abs(vals).max()) * len(vals) > np.iinfo(np.int64).max:
+        raise OverflowError("constraint sums could leave int64")
+    order = np.argsort(keys)
+    keys = keys[order]
+    vals = vals[order]
+    del order
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    keys = keys[starts]
+    vals = np.add.reduceat(vals, starts)
+    del starts
+    nz = vals != 0
+    keys, vals = keys[nz], vals[nz]
     if len(keys) == 0:
         # the whole cleared equation cancels identically (L = 1)
         return [], ncols, box
-    # group by spectral monomial (everything above the column/q slots)
-    ukeys = keys // (_COL_BITS * _FIELD)
-    cols = (keys % (_COL_BITS * _FIELD)) // _FIELD
-    qexps = keys % _FIELD - _Q_OFF
-    row_bounds = np.flatnonzero(np.r_[True, np.diff(ukeys) != 0])
-    rows = set()
-    for a, b in zip(row_bounds, np.r_[row_bounds[1:], len(keys)]):
-        per_col: dict[int, list] = {}
-        for c, e, v in zip(cols[a:b], qexps[a:b], sums[a:b]):
-            per_col.setdefault(int(c), []).append((int(e), int(v)))
-        rows.add(_canonical_row(per_col))
+    nq = dims[-1]
+    colq = keys % (ncols * nq)
+    groups = keys // nq
+    row_starts = np.flatnonzero(np.r_[True, np.diff(keys // (ncols * nq)) != 0])
+    del keys
+    lengths = np.diff(np.r_[row_starts, len(colq)])
+    # canonical rows: lowest q power 0, content 1, first entry positive
+    colq -= np.repeat(np.minimum.reduceat(colq % nq, row_starts), lengths)
+    scale = np.abs(np.gcd.reduceat(vals, row_starts))
+    scale[vals[row_starts] < 0] *= -1
+    vals //= np.repeat(scale, lengths)
+    # drop duplicate rows by their bytes, then build tuples for the rest
+    flat = np.stack([colq, vals], axis=1)
+    buf = flat.tobytes()
+    bounds = (np.r_[row_starts, len(colq)] * flat.strides[0]).tolist()
+    unique = {}
+    for r in range(len(row_starts)):
+        unique.setdefault(buf[bounds[r]:bounds[r + 1]], r)
+    del flat, buf
+    keep = np.zeros(len(row_starts), dtype=bool)
+    keep[list(unique.values())] = True
+    keep = np.repeat(keep, lengths)
+    colq, vals, groups = colq[keep], vals[keep], groups[keep]
+    row_starts = np.flatnonzero(np.r_[True, np.diff(groups // ncols) != 0])
+    col_starts = np.flatnonzero(np.r_[True, np.diff(groups) != 0])
+    col_of = (colq[col_starts] // nq).tolist()
+    pairs = list(zip((colq % nq).tolist(), vals.tolist()))
+    col_bounds = np.r_[col_starts, len(colq)].tolist()
+    first_col = np.searchsorted(col_starts, np.r_[row_starts, len(colq)]).tolist()
+    rows = [
+        tuple((col_of[g], tuple(pairs[col_bounds[g]:col_bounds[g + 1]]))
+              for g in range(first_col[r], first_col[r + 1]))
+        for r in range(len(row_starts))
+    ]
     return sorted(rows, key=lambda r: (len(r), r)), ncols, box
-
-
-def _canonical_row(per_col: dict[int, list]) -> tuple:
-    minq = min(e for pairs in per_col.values() for e, _ in pairs)
-    g = 0
-    for pairs in per_col.values():
-        for _, v in pairs:
-            g = math.gcd(g, v)
-    items = []
-    for c in sorted(per_col):
-        pairs = tuple(sorted((e - minq, v // g) for e, v in per_col[c]))
-        items.append((c, pairs))
-    if items[0][1][0][1] < 0:
-        items = [(c, tuple((e, -v) for e, v in pairs)) for c, pairs in items]
-    return tuple(items)
 
 
 # -- integer specialization: rank and row selection --------------------
@@ -558,51 +440,23 @@ def _select_independent_rows(rows: list, ncols: int, qval: int = 3):
 # -- exact elimination over Z[q] ---------------------------------------
 
 
-def _qp_normalize(pairs: dict[int, int]) -> tuple:
-    return tuple(sorted(pairs.items()))
-
-
-def _qp_combine(a: tuple, fa: tuple, b: tuple, fb: tuple) -> tuple:
-    """a * fa - b * fb."""
-    out: dict[int, int] = {}
-    for e1, v1 in a:
-        for e2, v2 in fa:
-            e = e1 + e2
-            s = out.get(e, 0) + v1 * v2
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-    for e1, v1 in b:
-        for e2, v2 in fb:
-            e = e1 + e2
-            s = out.get(e, 0) - v1 * v2
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-    return _qp_normalize(out)
-
-
-def _row_reduce_normalize(row: dict[int, tuple]) -> dict[int, tuple]:
+def _row_reduce_normalize(row: dict[int, LaurentPoly]) -> dict[int, LaurentPoly]:
+    """Divide a row by its lowest power of q and the gcd of its contents."""
     if not row:
         return row
-    minq = min(e for qp in row.values() for e, _ in qp)
-    g = 0
-    for qp in row.values():
-        for _, v in qp:
-            g = math.gcd(g, v)
-    return {
-        c: tuple((e - minq, v // g) for e, v in qp)
-        for c, qp in row.items()
-    }
+    qv = q_var()
+    minq = min(p.low_degree_in(qv) for p in row.values())
+    g = math.gcd(*(p.content().numerator for p in row.values()))
+    unit = LaurentPoly.monomial(Fraction(1, g), {qv: -minq})
+    return {c: p * unit for c, p in row.items()}
 
 
 def _exact_nullvector(rows: list, ncols: int) -> list[RationalFunction]:
     """Nullvector of a rank-(ncols-1) system with entries in Z[q]."""
-    basis: dict[int, dict[int, tuple]] = {}
+    qv = q_var()
+    basis: dict[int, dict[int, LaurentPoly]] = {}
     for row in rows:
-        v: dict[int, tuple] = {c: qp for c, qp in row}
+        v = {c: LaurentPoly({((qv.key, e),) if e else (): x for e, x in qp}) for c, qp in row}
         while v:
             lead = min(v)
             if lead not in basis:
@@ -610,36 +464,30 @@ def _exact_nullvector(rows: list, ncols: int) -> list[RationalFunction]:
                 break
             b = basis[lead]
             f1, f2 = b[lead], v[lead]
-            nv: dict[int, tuple] = {}
+            nv = {}
             for c in set(v) | set(b):
-                qp = _qp_combine(v.get(c, ()), f1, b.get(c, ()), f2)
-                if qp:
-                    nv[c] = qp
+                p = v.get(c, LaurentPoly.zero()) * f1 - b.get(c, LaurentPoly.zero()) * f2
+                if p:
+                    nv[c] = p
             v = _row_reduce_normalize(nv)
     if len(basis) != ncols - 1:
         raise NullspaceDimensionUnexpected(
             f"rank {len(basis)} over Z[q], expected {ncols - 1}")
     free = next(c for c in range(ncols) if c not in basis)
-    qv = q_var()
-
-    def qp_to_poly(qp: tuple) -> LaurentPoly:
-        return LaurentPoly({(((qv.key, e),) if e else ()): Fraction(v) for e, v in qp})
-
     values: dict[int, RationalFunction] = {free: RationalFunction(LaurentPoly.one())}
     for lead in sorted(basis, reverse=True):
         row = basis[lead]
         acc = RationalFunction(LaurentPoly.zero())
-        for c, qp in row.items():
-            if c == lead:
-                continue
-            acc = acc + RationalFunction(qp_to_poly(qp)) * values[c]
-        values[lead] = (-acc / RationalFunction(qp_to_poly(row[lead]))).reduced()
+        for c, p in row.items():
+            if c != lead:
+                acc = acc + RationalFunction(p) * values[c]
+        values[lead] = (-acc / RationalFunction(row[lead])).reduced()
     return [values[c] for c in range(ncols)]
 
 
 def _verify_candidate(L: int, box, values: list[RationalFunction]) -> None:
     """Exact check of the full functional equation for the candidate table,
-    through the independent coefficient machinery."""
+    through the functional-equation residual."""
     from .scalar import _exact_div_univariate, _gcd_univariate
 
     qv = q_var()
@@ -753,8 +601,6 @@ class NumericSolveResult:
 
 
 def _numeric_rows(L: int, q: complex, rng, count: int) -> np.ndarray:
-    from .functional import _omission_parts, _substitution_parts
-
     n = L + 1
     box_range = np.arange(-(L - 1), L)
     ncols = (2 * L - 1) ** L
@@ -762,33 +608,17 @@ def _numeric_rows(L: int, q: complex, rng, count: int) -> np.ndarray:
     for r in range(count):
         pts = sample_spectral_set(rng, n + 1)
         mus = [1.0 + 0j] * L
+        powers = [np.power(p, box_range) for p in pts]
         row = np.zeros(ncols, dtype=complex)
-        terms = []
-        for i in range(1, n + 1):
-            num, pairs = _omission_parts(i, pts, mus, q)
-            subset = tuple(k for k in range(1, n + 1) if k != i)
-            terms.append((num / _den(pairs, pts, q), subset))
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                num, pairs = _substitution_parts(j, i, pts, mus, q)
-                subset = (0,) + tuple(k for k in range(1, n + 1) if k not in (i, j))
-                terms.append((num / _den(pairs, pts, q), subset))
-        for coeff, subset in terms:
-            vecs = [np.power(pts[p], box_range) for p in subset]
-            contrib = vecs[0]
-            for v in vecs[1:]:
-                contrib = np.kron(contrib, v)
+        for kind, idx, subset in _term_index(n):
+            num, pairs = _term_parts(kind, idx, pts, mus, q)
+            coeff = num / _den_product(pairs, pts, q)
+            contrib = powers[subset[0]]
+            for p in subset[1:]:
+                contrib = np.multiply.outer(contrib, powers[p]).ravel()
             row += coeff * contrib
         rows[r] = row
     return rows
-
-
-def _den(pairs, pts, q):
-    d = 1 + 0j
-    for x, y in sorted(pairs):
-        z = pts[x] / pts[y]
-        d *= (z - 1 / z) / 2
-    return d
 
 
 def _nullvector_from_rows(A: np.ndarray) -> tuple[np.ndarray, float]:
@@ -801,13 +631,12 @@ def _nullvector_from_rows(A: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def solve_fz_numeric(L: int, rng, q_count: int = 8,
-                     normalization: str = "asymptotic",
-                     consistency_tol: float = 1e-6) -> NumericSolveResult:
+                     normalization: str = "asymptotic") -> NumericSolveResult:
     """Float-backend solve: at several random q, sample admissible spectral
     points, build the constraint matrix, and extract the nullvector.
 
     Each q is solved twice with independent point batches; disagreement of
-    the two ratio vectors beyond ``consistency_tol`` (a rank fluke) raises
+    the two ratio vectors beyond ``_CONSISTENCY_TOL`` (a rank fluke) raises
     NullspaceDimensionUnexpected.
     """
     if L > _NUMERIC_LIMIT:
@@ -831,7 +660,7 @@ def solve_fz_numeric(L: int, rng, q_count: int = 8,
             gaps.append(gap)
         diff = float(np.abs(ratio_pair[0] - ratio_pair[1]).max())
         scale = float(np.abs(ratio_pair[0]).max())
-        if diff > consistency_tol * scale:
+        if diff > _CONSISTENCY_TOL * scale:
             raise NullspaceDimensionUnexpected(
                 f"ratio vectors from independent batches disagree at q={q}")
         ratios = ratio_pair[0]

@@ -140,9 +140,7 @@ def yang_baxter_residual(u_lam, u_mu, u_nu, q) -> np.ndarray:
     return l12 @ l13 @ l23 - l23 @ l13 @ l12
 
 
-def check_yang_baxter(u_lam, u_mu, u_nu, q,
-                      policy: TolerancePolicy = DEFAULT_POLICY,
-                      tolerance: float = 1e-10) -> CheckOutcome:
+def check_yang_baxter(u_lam, u_mu, u_nu, q, tolerance: float = 1e-10) -> CheckOutcome:
     exact = is_exact(u_lam)
     res = yang_baxter_residual(u_lam, u_mu, u_nu, q)
     if exact:

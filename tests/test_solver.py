@@ -2,7 +2,7 @@ import pytest
 
 from sixvertex.asymptotics import asymptotic_norm
 from sixvertex import solver
-from sixvertex.errors import ExponentOverflow, SizeLimitExceeded
+from sixvertex.errors import NullspaceDimensionUnexpected, SizeLimitExceeded
 from sixvertex.scalar import (
     LaurentPoly,
     RationalFunction,
@@ -117,18 +117,74 @@ def test_solve_size_guards():
         solve_fz_numeric(5, make_rng(0))
 
 
-def test_assembly_refuses_digits_that_could_carry(monkeypatch):
-    # at L = 2 every term is a product of 10 weight binomials and the ansatz
-    # shifts a point by at most 1, so digits can reach 11: base 24
-    # (|digit| < 12) still packs the same rows, base 22 (|digit| < 11) refuses
-    rows = solver._assemble_constraints(2)[0]
-    monkeypatch.setattr(solver, "_FIELD", 24)
-    monkeypatch.setattr(solver, "_Q_OFF", 12)
-    assert solver._assemble_constraints(2)[0] == rows
-    monkeypatch.setattr(solver, "_FIELD", 22)
-    monkeypatch.setattr(solver, "_Q_OFF", 11)
-    with pytest.raises(ExponentOverflow):
+def _row_value(row, h):
+    """sum over the row's entries of qpoly(q) * h[column]."""
+    total = RationalFunction(LaurentPoly.zero())
+    for col, qpoly in row:
+        poly = LaurentPoly.zero()
+        for e, v in qpoly:
+            poly = poly + v * Q ** e
+        total = total + RationalFunction(poly) * h[col]
+    return total
+
+
+def _annihilates(rows, h):
+    return all(_row_value(row, h).is_zero() for row in rows)
+
+
+@pytest.mark.parametrize("L", [1, 2])
+def test_assembled_rows_annihilate_direct_table(L):
+    # h_table_from_z expands the operator product itself, an independent
+    # route to the table the assembled constraints must single out
+    rows, ncols, box = solver._assemble_constraints(L)
+    assert box == ansatz_box(L) and ncols == len(box)
+    h = [h_table_from_z(L).entries[idx] for idx in box]
+    assert _annihilates(rows, h)
+    if L == 1:
+        assert rows == []  # the cleared L = 1 equation cancels identically
+        return
+    assert solver._select_independent_rows(rows, ncols)[1] == ncols - 1
+    # the check sees an entry moved to the next column or the next q power
+    next_col = [tuple(((c + 1) % ncols, qp) for c, qp in row) for row in rows]
+    assert not _annihilates(next_col, h)
+    next_q = [((row[0][0], tuple((e + 1, v) for e, v in row[0][1])),) + row[1:]
+              for row in rows]
+    assert not _annihilates(next_q, h)
+
+
+def test_assembly_refuses_sums_that_could_wrap(monkeypatch):
+    cleared_terms = solver._cleared_terms
+
+    def scaled(*args):
+        for cleared, subset in cleared_terms(*args):
+            yield cleared * 2 ** 60, subset
+
+    monkeypatch.setattr(solver, "_cleared_terms", scaled)
+    with pytest.raises(OverflowError):
         solver._assemble_constraints(2)
+
+
+def _l2_system():
+    rows, ncols, box = solver._assemble_constraints(2)
+    selected, rank = solver._select_independent_rows(rows, ncols)
+    assert rank == ncols - 1
+    return [rows[i] for i in selected], ncols, box
+
+
+def test_exact_nullvector_rejects_too_few_rows():
+    selected, ncols, _ = _l2_system()
+    with pytest.raises(NullspaceDimensionUnexpected):
+        solver._exact_nullvector(selected[:-1], ncols)
+
+
+def test_verify_candidate_rejects_perturbed_solution():
+    selected, ncols, box = _l2_system()
+    values = solver._exact_nullvector(selected, ncols)
+    solver._verify_candidate(2, box, values)
+    k = box.index((1, -1))
+    values[k] = values[k] + RationalFunction(Q)
+    with pytest.raises(NullspaceDimensionUnexpected):
+        solver._verify_candidate(2, box, values)
 
 
 def test_direct_l3_table_against_reference():
