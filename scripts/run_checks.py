@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Run the full verification battery and print a one-line-per-check summary.
 
-Exact identities are checked symbolically up to the sizes where dense
-symbolic algebra is comfortable; the float backend sweeps seeded random
-points beyond that.  Exits nonzero if anything fails.
+Exact identities are checked symbolically at small sizes; the float
+backend sweeps seeded random points beyond that, up to L = 7.  Exits
+nonzero if anything fails.
 """
 
 import argparse
@@ -71,7 +71,7 @@ def main():
         inp = functional.FunctionalInput(L, tuple(sym_points(L + 2, 60)),
                                          tuple(sym_mus(L)), q)
         record(functional.check_fz(inp))
-    for L in (3, 4, 5):
+    for L in (3, 4, 5, 6, 7):
         for _ in range(max(2, args.trials // 4)):
             inp = functional.FunctionalInput.sample(L, rng)
             record(functional.check_fz(inp))

@@ -24,7 +24,7 @@ import itertools
 import numpy as np
 
 from .errors import SizeLimitExceeded
-from .monodromy import _obj_eye, build_monodromy
+from .monodromy import _eye, build_monodromy
 from .partition import standard_symbolic_params
 from .scalar import (
     CheckOutcome,
@@ -181,7 +181,7 @@ def b_top_coefficient(i: int, L: int) -> np.ndarray:
 def vacuum_sandwich_p_chain(L: int, q=None):
     """<0bar| P_1 P_2 ... P_L |0>, equal to q^(L(L-1)/2)."""
     dim = 2 ** L
-    prod = _obj_eye(dim) if q is None else np.eye(dim, dtype=complex)
+    prod = _eye(dim, q is None)
     for j in range(1, L + 1):
         prod = prod @ p_operator(j, L, q)
     val = prod[dim - 1, 0]
@@ -249,7 +249,7 @@ def check_ordering_sum(L: int, q=None) -> CheckOutcome:
     total = np.full((dim, dim), LaurentPoly.zero(), dtype=object) if exact \
         else np.zeros((dim, dim), dtype=complex)
     for perm in itertools.permutations(range(1, L + 1)):
-        prod = _obj_eye(dim) if exact else np.eye(dim, dtype=complex)
+        prod = _eye(dim, exact)
         for a in perm:
             prod = prod @ Ps[a]
         total = total + prod
@@ -260,7 +260,7 @@ def check_ordering_sum(L: int, q=None) -> CheckOutcome:
         for t in range(k):
             acc = acc + qm2 ** t
         pref = pref * acc
-    ordered = _obj_eye(dim) if exact else np.eye(dim, dtype=complex)
+    ordered = _eye(dim, exact)
     for a in range(1, L + 1):
         ordered = ordered @ Ps[a]
     res = total - ordered * pref
@@ -288,7 +288,7 @@ def check_norm_consistency(L: int) -> CheckOutcome:
     """asymptotic_norm against <0bar| prod f_top |0> by brute-force products."""
     _, mus, q = standard_symbolic_params(L)
     dim = 2 ** L
-    prod = _obj_eye(dim)
+    prod = _eye(dim, True)
     for i in range(1, L + 1):
         prod = prod @ f_top(i, mus, q, L)
     got = prod[dim - 1, 0]

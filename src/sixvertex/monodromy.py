@@ -6,12 +6,11 @@ Its four auxiliary blocks act on the 2^L quantum space:
 
     A = T[0,0]   B = T[0,1]   C = T[1,0]   D = T[1,1]
 
-The float backend materializes the blocks densely for L <= 6.  The exact
-backend, and the float backend beyond L = 6, apply them matrix-free as a
-sweep of sparse one-site factors, O(L 2^L) scalar operations per
-application instead of the dense product's O(L 8^L); ``Monodromy.block``
-materializes a matrix-free block on request by applying it to the basis
-vectors.
+Both backends apply a block matrix-free, as a right-to-left sweep of sparse
+one-site factors: O(L 2^L) scalar operations per vector.  The sweep takes a
+vector (2^L,) or a batch (2^L, k) of column vectors, so ``Monodromy.block``
+materializes a whole block as one sweep over the identity, for the
+identities that need a matrix.
 """
 
 from __future__ import annotations
@@ -30,10 +29,9 @@ from .scalar import (
     invert,
     is_exact,
 )
-from .vertex import matrix_abs_sum, matrix_is_zero, permutation_matrix, build_L
+from .vertex import matrix_abs_sum, matrix_is_zero, permutation_matrix, build_L, weights_of
 
 _BLOCKS = ("A", "B", "C", "D")
-_DENSE_LIMIT = 6
 
 
 def _zero(exact: bool):
@@ -58,33 +56,9 @@ def dual_vacuum(L: int, exact: bool = True) -> np.ndarray:
     return v
 
 
-def _site_weights(z, q):
-    """The weights a, b, c of one site at exponentiated argument z."""
-    zq = z * q
-    return (zq - invert(zq)) / 2, (z - invert(z)) / 2, (q - invert(q)) / 2
-
-
-def _site_blocks(z, q, exact: bool):
-    """The four aux blocks of the one-site L-matrix as local 2x2 matrices."""
-    a, b, c = _site_weights(z, q)
-    zero = _zero(exact)
-    dt = object if exact else complex
-    return {
-        "A": np.array([[a, zero], [zero, b]], dtype=dt),
-        "B": np.array([[zero, zero], [c, zero]], dtype=dt),
-        "C": np.array([[zero, c], [zero, zero]], dtype=dt),
-        "D": np.array([[b, zero], [zero, a]], dtype=dt),
-    }
-
-
-def _site_matrix(op2: np.ndarray, j: int, L: int) -> np.ndarray:
-    """Lift a local 2x2 operator at site j (1-based) to the full chain."""
-    pre = np.eye(2 ** (j - 1), dtype=op2.dtype) if op2.dtype != object else _obj_eye(2 ** (j - 1))
-    post = np.eye(2 ** (L - j), dtype=op2.dtype) if op2.dtype != object else _obj_eye(2 ** (L - j))
-    return np.kron(np.kron(pre, op2), post)
-
-
-def _obj_eye(n: int) -> np.ndarray:
+def _eye(n: int, exact: bool) -> np.ndarray:
+    if not exact:
+        return np.eye(n, dtype=complex)
     m = np.full((n, n), LaurentPoly.zero(), dtype=object)
     for i in range(n):
         m[i, i] = LaurentPoly.one()
@@ -100,115 +74,73 @@ class Monodromy:
     ws: tuple
     q: object
     exact: bool
-    representation: str  # "dense" or "matrix-free"
+    weights: tuple  # vertex.Weights of each site, at u / w_j
     _blocks: dict = field(default_factory=dict, repr=False)
+    # always the sweep; a constant because perfbench's traced run still reads it
+    representation = "matrix-free"
 
     def block(self, name: str) -> np.ndarray:
-        """The block as a 2^L x 2^L matrix; a matrix-free monodromy builds
-        it column by column from the basis vectors and keeps it."""
-        if name not in _BLOCKS:
-            raise KeyError(name)
+        """The block as a 2^L x 2^L matrix: one sweep over the identity, cached."""
         if name not in self._blocks:
-            dim = 2 ** self.size
-            cols = []
-            for j in range(dim):
-                e = np.full(dim, _zero(self.exact), dtype=object if self.exact else complex)
-                e[j] = _one(self.exact)
-                cols.append(apply_block(self, name, e))
-            self._blocks[name] = np.stack(cols, axis=1)
+            self._blocks[name] = apply_block(self, name, _eye(2 ** self.size, self.exact))
         return self._blocks[name]
 
     def apply(self, name: str, vec: np.ndarray) -> np.ndarray:
         return apply_block(self, name, vec)
 
 
-def build_monodromy(u, ws, q, representation: str = "auto") -> Monodromy:
+def build_monodromy(u, ws, q) -> Monodromy:
     """Ordered product L_A1(lam-mu_1) ... L_AL(lam-mu_L) over the aux space."""
     ws = tuple(ws)
-    L = len(ws)
-    exact = is_exact(u)
-    if representation == "auto":
-        representation = "dense" if (not exact and L <= _DENSE_LIMIT) else "matrix-free"
-    m = Monodromy(size=L, u=u, ws=ws, q=q, exact=exact, representation=representation)
-    if representation == "dense":
-        dim = 2 ** L
-        eye = _obj_eye(dim) if exact else np.eye(dim, dtype=complex)
-        zero = np.full((dim, dim), _zero(exact), dtype=object) if exact \
-            else np.zeros((dim, dim), dtype=complex)
-        T = {(0, 0): eye, (0, 1): zero.copy(), (1, 0): zero.copy(), (1, 1): eye.copy()}
-        for j, wv in enumerate(ws, start=1):
-            blk = _site_blocks(u * invert(wv), q, exact)
-            site = {
-                (0, 0): _site_matrix(blk["A"], j, L),
-                (0, 1): _site_matrix(blk["B"], j, L),
-                (1, 0): _site_matrix(blk["C"], j, L),
-                (1, 1): _site_matrix(blk["D"], j, L),
-            }
-            T = {
-                (r, c): T[(r, 0)] @ site[(0, c)] + T[(r, 1)] @ site[(1, c)]
-                for r in range(2) for c in range(2)
-            }
-        m._blocks = {"A": T[(0, 0)], "B": T[(0, 1)], "C": T[(1, 0)], "D": T[(1, 1)]}
-    return m
+    return Monodromy(size=len(ws), u=u, ws=ws, q=q, exact=is_exact(u),
+                     weights=tuple(weights_of(u * invert(wv), q) for wv in ws))
 
 
-def _apply_site(name: str, vec: np.ndarray, j: int, L: int, weights, exact: bool):
-    """Apply one aux block of the one-site L-matrix at site j (1-based)."""
-    a, b, c = weights
-    pre, post = 2 ** (j - 1), 2 ** (L - j)
-    v = vec.reshape(pre, 2, post)
-    out = np.full_like(vec, _zero(exact)).reshape(pre, 2, post)
-    if name == "A":
-        out[:, 0, :] = v[:, 0, :] * a
-        out[:, 1, :] = v[:, 1, :] * b
-    elif name == "D":
-        out[:, 0, :] = v[:, 0, :] * b
-        out[:, 1, :] = v[:, 1, :] * a
-    elif name == "B":  # c X^- : raises |0>_j to |1>_j
-        out[:, 1, :] = v[:, 0, :] * c
-    elif name == "C":  # c X^+
-        out[:, 0, :] = v[:, 1, :] * c
-    return out.reshape(vec.shape)
+def _apply_site(phi0: np.ndarray, phi1: np.ndarray, j: int, L: int, w):
+    """The one-site factor at site j (1-based) on the aux pair (phi0, phi1):
+    (A phi0 + B phi1, C phi0 + D phi1), with A = diag(a, b), D = diag(b, a),
+    B = c X^- (raises |0>_j to |1>_j) and C = c X^+ acting on site j."""
+    shape = (2 ** (j - 1), 2, 2 ** (L - j)) + phi0.shape[1:]
+    p0, p1 = phi0.reshape(shape), phi1.reshape(shape)
+    new0, new1 = np.empty_like(p0), np.empty_like(p1)
+    new0[:, 0] = p0[:, 0] * w.a
+    new0[:, 1] = p0[:, 1] * w.b + p1[:, 0] * w.c
+    new1[:, 0] = p0[:, 1] * w.c + p1[:, 0] * w.b
+    new1[:, 1] = p1[:, 1] * w.a
+    return new0.reshape(phi0.shape), new1.reshape(phi1.shape)
 
 
 def apply_block(m: Monodromy, name: str, vec: np.ndarray) -> np.ndarray:
-    """Apply block A/B/C/D to a state vector.
+    """Apply block A/B/C/D to a state vector (2^L,) or to each column of a
+    batch (2^L, k).
 
-    The matrix-free path propagates the pair of auxiliary components through
-    the one-site factors right to left, which agrees with the dense product.
+    The pair of auxiliary components is propagated through the one-site
+    factors right to left.
     """
     if name not in _BLOCKS:
         raise KeyError(name)
     if len(vec) != 2 ** m.size:
         raise DimensionMismatch(f"vector of length {len(vec)} for L={m.size}")
-    if m.representation == "dense":
-        return m._blocks[name] @ vec
     row, col = divmod(_BLOCKS.index(name), 2)
-    exact, L = m.exact, m.size
-    zero_vec = np.full_like(vec, _zero(exact))
-    phi = [zero_vec.copy(), zero_vec.copy()]
+    phi = [np.full_like(vec, _zero(m.exact)), np.full_like(vec, _zero(m.exact))]
     phi[col] = vec.copy()
-    for j in range(L, 0, -1):
-        w = _site_weights(m.u * invert(m.ws[j - 1]), m.q)
-        new0 = _apply_site("A", phi[0], j, L, w, exact) + _apply_site("B", phi[1], j, L, w, exact)
-        new1 = _apply_site("C", phi[0], j, L, w, exact) + _apply_site("D", phi[1], j, L, w, exact)
-        phi = [new0, new1]
+    for j in range(m.size, 0, -1):
+        phi = _apply_site(phi[0], phi[1], j, m.size, m.weights[j - 1])
     return phi[row]
 
 
-def _lift_aux(block_mats: dict, slot: int, dim: int) -> np.ndarray:
+def _lift_aux(m: Monodromy, slot: int) -> np.ndarray:
     """Embed a monodromy (2x2 aux of operators) into aux1 x aux2 x quantum."""
-    exact = block_mats["A"].dtype == object
+    dim = 2 ** m.size
     big = 4 * dim
-    out = np.full((big, big), _zero(exact), dtype=object) if exact \
+    out = np.full((big, big), _zero(m.exact), dtype=object) if m.exact \
         else np.zeros((big, big), dtype=complex)
     for r in range(2):
         for c in range(2):
             E = np.zeros((2, 2))
             E[r, c] = 1.0
             aux = np.kron(E, np.eye(2)) if slot == 0 else np.kron(np.eye(2), E)
-            name = _BLOCKS[2 * r + c]
-            blk = block_mats[name]
+            blk = m.block(_BLOCKS[2 * r + c])
             for ar in range(4):
                 for ac in range(4):
                     if aux[ar, ac]:
@@ -219,18 +151,16 @@ def _lift_aux(block_mats: dict, slot: int, dim: int) -> np.ndarray:
 def rtt_residual(u, v, ws, q) -> tuple[np.ndarray, float]:
     """R(lam-nu) T1(lam) T2(nu) - T1(nu) T2(lam) R(lam-nu) on aux x aux x 2^L,
     together with a float scale (0.0 in the exact backend)."""
-    L = len(ws)
-    dim = 2 ** L
+    dim = 2 ** len(ws)
     exact = is_exact(u)
-    Tu = build_monodromy(u, ws, q, "dense")._blocks
-    Tv = build_monodromy(v, ws, q, "dense")._blocks
-    T1u = _lift_aux(Tu, 0, dim)
-    T2v = _lift_aux(Tv, 1, dim)
-    T1v = _lift_aux(Tv, 0, dim)
-    T2u = _lift_aux(Tu, 1, dim)
+    Tu = build_monodromy(u, ws, q)
+    Tv = build_monodromy(v, ws, q)
+    T1u = _lift_aux(Tu, 0)
+    T2v = _lift_aux(Tv, 1)
+    T1v = _lift_aux(Tv, 0)
+    T2u = _lift_aux(Tu, 1)
     R4 = permutation_matrix(exact) @ build_L(u * invert(v), q)
-    eye = _obj_eye(dim) if exact else np.eye(dim, dtype=complex)
-    R = np.kron(R4, eye)
+    R = np.kron(R4, _eye(dim, exact))
     lhs = R @ (T1u @ T2v)
     rhs = (T1v @ T2u) @ R
     scale = 0.0 if exact else matrix_abs_sum(lhs) + matrix_abs_sum(rhs)
@@ -317,36 +247,28 @@ def commutation_residual(rule: str, lam, nu, ws, q) -> tuple[np.ndarray, float]:
     """
     if rule not in _COMM_RULES:
         raise KeyError(rule)
-    Tl = build_monodromy(lam, ws, q, "dense")._blocks
-    Tn = build_monodromy(nu, ws, q, "dense")._blocks
+    ml = build_monodromy(lam, ws, q)
+    mn = build_monodromy(nu, ws, q)
     exact = is_exact(lam)
-    c = (q - invert(q)) / 2
     if rule == "BB":
-        t1 = Tl["B"] @ Tn["B"]
-        t2 = Tn["B"] @ Tl["B"]
+        t1 = ml.block("B") @ mn.block("B")
+        t2 = mn.block("B") @ ml.block("B")
         scale = 0.0 if exact else matrix_abs_sum(t1) + matrix_abs_sum(t2)
         return t1 - t2, scale
     if rule == "AB":
-        z = nu * invert(lam)
-        zq = z * q
-        a_d = (zq - invert(zq)) / 2
-        b_d = (z - invert(z)) / 2
-        t1 = b_d * (Tl["A"] @ Tn["B"])
-        t2 = a_d * (Tn["B"] @ Tl["A"])
-        t3 = c * (Tl["B"] @ Tn["A"])
+        w = weights_of(nu * invert(lam), q)
+        t1 = w.b * (ml.block("A") @ mn.block("B"))
+        t2 = w.a * (mn.block("B") @ ml.block("A"))
+        t3 = w.c * (ml.block("B") @ mn.block("A"))
     elif rule == "DB":
-        z = lam * invert(nu)
-        zq = z * q
-        a_d = (zq - invert(zq)) / 2
-        b_d = (z - invert(z)) / 2
-        t1 = b_d * (Tl["D"] @ Tn["B"])
-        t2 = a_d * (Tn["B"] @ Tl["D"])
-        t3 = c * (Tl["B"] @ Tn["D"])
+        w = weights_of(lam * invert(nu), q)
+        t1 = w.b * (ml.block("D") @ mn.block("B"))
+        t2 = w.a * (mn.block("B") @ ml.block("D"))
+        t3 = w.c * (ml.block("B") @ mn.block("D"))
     else:  # CB
-        z = lam * invert(nu)
-        b_d = (z - invert(z)) / 2
-        t1 = b_d * (Tl["C"] @ Tn["B"] - Tn["B"] @ Tl["C"])
-        t2 = c * (Tn["A"] @ Tl["D"] - Tl["A"] @ Tn["D"])
+        w = weights_of(lam * invert(nu), q)
+        t1 = w.b * (ml.block("C") @ mn.block("B") - mn.block("B") @ ml.block("C"))
+        t2 = w.c * (mn.block("A") @ ml.block("D") - ml.block("A") @ mn.block("D"))
         scale = 0.0 if exact else matrix_abs_sum(t1) + matrix_abs_sum(t2)
         return t1 - t2, scale
     scale = 0.0 if exact else (matrix_abs_sum(t1) + matrix_abs_sum(t2) + matrix_abs_sum(t3))
@@ -379,16 +301,14 @@ def triangular_action_residuals(u, ws, q) -> dict[str, np.ndarray]:
     """
     L = len(ws)
     exact = is_exact(u)
-    m = build_monodromy(u, ws, q, "dense")
+    m = build_monodromy(u, ws, q)
     v0 = vacuum(L, exact)
     v1 = dual_vacuum(L, exact)
     prod_a = _one(exact)
     prod_b = _one(exact)
-    for wv in ws:
-        z = u * invert(wv)
-        zq = z * q
-        prod_a = prod_a * (zq - invert(zq)) / 2
-        prod_b = prod_b * (z - invert(z)) / 2
+    for w in m.weights:
+        prod_a = prod_a * w.a
+        prod_b = prod_b * w.b
     return {
         "A|0>": m.apply("A", v0) - v0 * prod_a,
         "D|0>": m.apply("D", v0) - v0 * prod_b,

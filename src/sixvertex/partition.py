@@ -80,7 +80,8 @@ class LatticeConfig:
 
 
 def _weight_tables(lams, mus, q):
-    return [[build_L(lam * invert(mu), q) for mu in mus] for lam in lams]
+    """Nested Python lists: indexing them is cheaper than numpy's [row, col]."""
+    return [[build_L(lam * invert(mu), q).tolist() for mu in mus] for lam in lams]
 
 
 @dataclass(frozen=True)
@@ -174,7 +175,7 @@ def _config_weight(cfg: LatticeConfig, tables):
         for j in range(L):
             row = 2 * cfg.alpha[i][j + 1] + cfg.beta[i + 1][j]
             col = 2 * cfg.alpha[i][j] + cfg.beta[i][j]
-            wv = tables[i][j][row, col]
+            wv = tables[i][j][row][col]
             acc = wv if acc is None else acc * wv
     return acc
 

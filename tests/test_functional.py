@@ -262,8 +262,8 @@ def test_nilpotency_float_l5(rng):
 
 
 def test_nilpotency_float_l7_matrix_free(rng):
-    # beyond L = 6 the float monodromy is matrix-free; its B block for the
-    # scale is materialized from the basis vectors
+    # the B block for the scale is materialized by one sweep over the
+    # 128 x 128 identity
     L = 7
     lams = sample_spectral_set(rng, L + 1)
     mus = sample_spectral_set(rng, L)

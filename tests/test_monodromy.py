@@ -111,41 +111,80 @@ def test_apply_block_dimension_mismatch():
         apply_block(m, "B", vacuum(3))
 
 
-def test_dense_vs_matrix_free_exact():
+def _agree(got, want, exact, rel=1e-14):
+    """Entry for entry in the exact backend, else to rel times the largest entry."""
+    if exact:
+        return got.shape == want.shape and all(x == y for x, y in zip(got.flat, want.flat))
+    return got.shape == want.shape and np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+def _kron_reference(u, ws, q):
+    """The four blocks as dense matrices, by the ordered product of one-site
+    factors lifted to the chain with np.kron: a route that shares nothing
+    with the sweep but the weights."""
+    exact = isinstance(u, LaurentPoly)
+    L = len(ws)
+    dt = object if exact else complex
+    zero = LaurentPoly.zero() if exact else 0j
+
+    def eye(n, one=LaurentPoly.one() if exact else 1 + 0j):
+        m = np.full((n, n), zero, dtype=dt)
+        for i in range(n):
+            m[i, i] = one
+        return m
+
+    T = {(0, 0): eye(2 ** L), (0, 1): eye(2 ** L, zero),
+         (1, 0): eye(2 ** L, zero), (1, 1): eye(2 ** L)}
+    for j, wv in enumerate(ws, start=1):
+        w = weights_of(u * invert(wv), q)
+        local = {(0, 0): [[w.a, zero], [zero, w.b]], (0, 1): [[zero, zero], [w.c, zero]],
+                 (1, 0): [[zero, w.c], [zero, zero]], (1, 1): [[w.b, zero], [zero, w.a]]}
+        site = {k: np.kron(np.kron(eye(2 ** (j - 1)), np.array(v, dtype=dt)), eye(2 ** (L - j)))
+                for k, v in local.items()}
+        T = {(r, c): T[(r, 0)] @ site[(0, c)] + T[(r, 1)] @ site[(1, c)]
+             for r in range(2) for c in range(2)}
+    return {"A": T[(0, 0)], "B": T[(0, 1)], "C": T[(1, 0)], "D": T[(1, 1)]}
+
+
+def test_sweep_vs_kron_reference_exact():
     u = LaurentPoly.var(u_var(9))
     for L in (1, 2, 3):
         mus = _sym_mus(L)
-        dense = build_monodromy(u, mus, Q, "dense")
-        free = build_monodromy(u, mus, Q)
-        assert free.representation == "matrix-free"
-        dim = 2 ** L
-        basis = [vacuum(L)] + [np.array([LaurentPoly.one() if i == j else LaurentPoly.zero()
-                                         for i in range(dim)], dtype=object)
-                               for j in range(dim)]
+        ref = _kron_reference(u, mus, Q)
+        m = build_monodromy(u, mus, Q)
+        assert m.representation == "matrix-free"
         for name in ("A", "B", "C", "D"):
-            want = dense.block(name)
-            got = free.block(name)
-            assert got.shape == (dim, dim)
-            assert all(got[r, c] == want[r, c] for r in range(dim) for c in range(dim))
-            for v in basis:
-                d = apply_block(dense, name, v)
-                f = apply_block(free, name, v)
-                assert all(d[k] == f[k] for k in range(dim))
+            assert _agree(m.block(name), ref[name], True)
+            assert _agree(apply_block(m, name, vacuum(L)), ref[name] @ vacuum(L), True)
 
 
-def test_dense_vs_matrix_free_float(rng):
-    L = 4
-    u = sample_point(rng)
-    mus = sample_spectral_set(rng, L)
-    q = sample_point(rng)
-    dense = build_monodromy(u, mus, q, "dense")
-    free = build_monodromy(u, mus, q, "matrix-free")
-    v = rng.standard_normal(2 ** L) + 1j * rng.standard_normal(2 ** L)
-    for name in ("A", "B", "C", "D"):
-        d = apply_block(dense, name, v)
-        f = apply_block(free, name, v)
-        scale = np.abs(d).sum()
-        assert np.abs(d - f).max() <= 1e-12 * scale
+def test_sweep_vs_kron_reference_float(rng):
+    for L in (4, 6):
+        u = sample_point(rng)
+        mus = sample_spectral_set(rng, L)
+        q = sample_point(rng)
+        ref = _kron_reference(u, mus, q)
+        m = build_monodromy(u, mus, q)
+        v = rng.standard_normal(2 ** L) + 1j * rng.standard_normal(2 ** L)
+        for name in ("A", "B", "C", "D"):
+            assert _agree(m.block(name), ref[name], False, rel=1e-12)
+            assert _agree(apply_block(m, name, v), ref[name] @ v, False, rel=1e-12)
+
+
+def test_block_and_batch_match_single_vectors(rng):
+    exact_m = build_monodromy(LaurentPoly.var(u_var(9)), _sym_mus(2), Q)
+    float_m = build_monodromy(sample_point(rng), sample_spectral_set(rng, 5), sample_point(rng))
+    cases = [(exact_m, [vacuum(2), dual_vacuum(2), vacuum(2) * Q + dual_vacuum(2)]),
+             (float_m, [rng.standard_normal(32) + 1j * rng.standard_normal(32)
+                        for _ in range(3)])]
+    for m, vecs in cases:
+        basis = [np.roll(vacuum(m.size, m.exact), j) for j in range(2 ** m.size)]
+        for name in ("A", "B", "C", "D"):
+            per_column = np.stack([apply_block(m, name, e) for e in basis], axis=1)
+            assert _agree(m.block(name), per_column, m.exact)
+            batch = apply_block(m, name, np.stack(vecs, axis=1))
+            singles = np.stack([apply_block(m, name, v) for v in vecs], axis=1)
+            assert _agree(batch, singles, m.exact)
 
 
 def test_rtt_exact_small():

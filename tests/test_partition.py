@@ -16,7 +16,7 @@ from sixvertex.partition import (
 )
 from sixvertex.scalar import invert
 from sixvertex.vertex import weights_of
-from sixvertex.sampling import sample_point, sample_spectral_set
+from sixvertex.sampling import make_rng, sample_point, sample_spectral_set
 
 
 def test_config_counts_pruned():
@@ -148,3 +148,15 @@ def test_convention_validation():
 def test_mismatched_lengths_rejected():
     with pytest.raises(ValueError):
         z_algebraic([1.0], [1.0, 2.0], 2.0)
+
+
+def test_oracle_equivalence_float_l6():
+    # L = 6 is the largest pruned-enumeration size and the benchmark's float size
+    for seed in (1, 2, 3):
+        rng = make_rng(seed)
+        lams = sample_spectral_set(rng, 6)
+        mus = sample_spectral_set(rng, 6)
+        q = sample_point(rng)
+        za = z_algebraic(lams, mus, q)
+        zp = z_enumerate(lams, mus, q, "pruned")
+        assert abs(za - zp) <= 1e-9 * abs(za)
