@@ -7,7 +7,6 @@ from .scalar import (
     CheckOutcome,
     LaurentPoly,
     RationalFunction,
-    TolerancePolicy,
     VarId,
     leading_coeff,
     parse_poly,

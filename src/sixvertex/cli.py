@@ -252,7 +252,8 @@ def _run_check(cfg: RunConfig) -> list[CheckOutcome]:
     exact = cfg.backend == "exact"
     rng = make_rng(cfg.seed)
     qsym = LaurentPoly.var(q_var())
-    tol = cfg.tolerance
+    # each check keeps its own default tolerance unless one is given
+    tol = {} if cfg.tolerance is None else {"tolerance": cfg.tolerance}
     out: list[CheckOutcome] = []
 
     if check == "yb":
@@ -263,8 +264,7 @@ def _run_check(cfg: RunConfig) -> list[CheckOutcome]:
             for _ in range(cfg.trials):
                 pts = sample_spectral_set(rng, 3)
                 out.append(vertex.check_yang_baxter(
-                    pts[0], pts[1], pts[2], sample_point(rng),
-                    tolerance=tol or 1e-10))
+                    pts[0], pts[1], pts[2], sample_point(rng), **tol))
     elif check == "rtt":
         if exact:
             if L > 2:
@@ -277,7 +277,7 @@ def _run_check(cfg: RunConfig) -> list[CheckOutcome]:
                 mus = sample_spectral_set(rng, L)
                 out.append(monodromy.check_rtt(
                     pts[0], pts[1], mus, sample_point(rng),
-                    tolerance=tol or 1e-9, rng=rng))
+                    rng=rng, **tol))
     elif check == "comm":
         rules = ("AB", "DB", "CB", "BB")
         if exact:
@@ -292,8 +292,7 @@ def _run_check(cfg: RunConfig) -> list[CheckOutcome]:
                     pts = sample_spectral_set(rng, 2)
                     mus = sample_spectral_set(rng, L)
                     out.append(monodromy.check_commutation(
-                        rule, pts[0], pts[1], mus, sample_point(rng),
-                        tolerance=tol or 1e-9))
+                        rule, pts[0], pts[1], mus, sample_point(rng), **tol))
     elif check == "triangular":
         if exact:
             out.append(monodromy.check_triangular(
@@ -303,7 +302,7 @@ def _run_check(cfg: RunConfig) -> list[CheckOutcome]:
                 pts = sample_spectral_set(rng, 1)
                 mus = sample_spectral_set(rng, L)
                 out.append(monodromy.check_triangular(
-                    pts[0], mus, sample_point(rng), tolerance=tol or 1e-9))
+                    pts[0], mus, sample_point(rng), **tol))
     elif check == "cbb":
         n = cfg.operators if cfg.operators is not None else L
         if exact:
@@ -314,7 +313,7 @@ def _run_check(cfg: RunConfig) -> list[CheckOutcome]:
                 pts = tuple(sample_spectral_set(rng, n + 1))
                 mus = tuple(sample_spectral_set(rng, L))
                 out.append(functional.check_cbb_expansion(
-                    n, pts, mus, sample_point(rng), tolerance=tol or 1e-9))
+                    n, pts, mus, sample_point(rng), **tol))
     elif check == "z0":
         if exact:
             out.append(functional.check_b_nilpotency(
@@ -324,7 +323,7 @@ def _run_check(cfg: RunConfig) -> list[CheckOutcome]:
                 lams = sample_spectral_set(rng, L + 1)
                 mus = sample_spectral_set(rng, L)
                 out.append(functional.check_b_nilpotency(
-                    L, lams, mus, sample_point(rng), tolerance=tol or 1e-10))
+                    L, lams, mus, sample_point(rng), **tol))
     elif check == "fz":
         if exact:
             pts = tuple(_sym_points(L + 2, start=60))
@@ -341,7 +340,7 @@ def _run_check(cfg: RunConfig) -> list[CheckOutcome]:
         else:
             for trial in range(cfg.trials):
                 inp = functional.FunctionalInput.sample(L, rng)
-                o = functional.check_fz(inp, tolerance=tol or 1e-9)
+                o = functional.check_fz(inp, **tol)
                 o.details = {
                     "trial": trial,
                     "points": [_scalar_json(p) for p in inp.points],
@@ -375,6 +374,8 @@ def run(cfg: RunConfig) -> tuple[int, dict]:
     }
     if cfg.command not in handlers:
         raise ConfigError(f"unknown command {cfg.command!r}")
+    if cfg.tolerance is not None and not cfg.tolerance >= 0:
+        raise ConfigError(f"--tolerance must be a non-negative number, got {cfg.tolerance}")
     return handlers[cfg.command](cfg)
 
 

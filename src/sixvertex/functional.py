@@ -9,12 +9,16 @@ n = L+1 onto the dual vacuum kills the left-hand side, which leaves a linear
 relation among partition-function values on (L+1)-subsets of the L+2
 spectral points: the functional-equation residual computed here.
 
-Symbolic strategy: each coefficient is a ratio whose denominator is a
-product of b-weights over a known set of point pairs.  Sums are assembled
-over the common denominator ``prod b(lam_x - lam_y)`` for all pairs, keeping
-every intermediate a genuine Laurent polynomial; the final numerator is
-tested for exact zero.  Premature expansion into cleared single fractions
-is avoided.
+One term source: every coefficient is a product of the vertex weights
+a, b, c of ``vertex.weights_of``, computed once per input for each ordered
+point pair and each point-mu pair (``_WeightTable``).  ``_terms`` yields
+each term's numerator, the point pairs whose b-weights form its
+denominator, and the points whose B-operators it keeps.  The float backend
+divides each numerator by its denominator.  The exact backend clears every
+term to the common denominator ``prod b(lam_x - lam_y)`` over all pairs,
+keeping every intermediate a genuine Laurent polynomial; the final
+numerator is tested for exact zero.  Float points closer than
+``sampling.MIN_POLE_DISTANCE`` to a pole are refused once per input.
 """
 
 from __future__ import annotations
@@ -25,37 +29,29 @@ import numpy as np
 
 from .errors import PoleAtCoincidingPoints, ProviderFailure
 from .monodromy import build_monodromy, vacuum
-from .sampling import pole_distance, sample_spectral_set
-from .scalar import (
-    CheckOutcome,
-    DEFAULT_POLICY,
-    LaurentPoly,
-    RationalFunction,
-    TolerancePolicy,
-    invert,
-    is_exact,
-)
-from .vertex import matrix_is_zero
-
-
-def _wa(x, y, q):
-    """a(lam_x - lam_y) from exponentiated points."""
-    z = x * invert(y) * q
-    return (z - invert(z)) / 2
-
-
-def _wb(x, y, q):
-    z = x * invert(y)
-    return (z - invert(z)) / 2
-
-
-def _wc(q):
-    return (q - invert(q)) / 2
+from .sampling import MIN_POLE_DISTANCE, pole_distance, sample_point, sample_spectral_set
+from .scalar import CheckOutcome, LaurentPoly, RationalFunction, invert, is_exact
+from .vertex import matrix_is_zero, weights_of
 
 
 def _bsign(p: int, r: int) -> int:
     """b(lam_p - lam_r) = sign * b_canonical(min, max); b is odd."""
     return 1 if p < r else -1
+
+
+def _guard_poles(points):
+    """Refuse float points whose differences come within MIN_POLE_DISTANCE
+    of a zero of b, where the coefficients have their poles."""
+    if is_exact(points[0]):
+        return
+    bad = [
+        (x, y)
+        for x in range(len(points))
+        for y in range(x + 1, len(points))
+        if pole_distance(points[x], points[y]) < MIN_POLE_DISTANCE
+    ]
+    if bad:
+        raise PoleAtCoincidingPoints(f"point pairs too close: {bad}")
 
 
 @dataclass(frozen=True)
@@ -67,36 +63,61 @@ class FunctionalInput:
     points: tuple
     mus: tuple
     q: object
-    policy: TolerancePolicy = DEFAULT_POLICY
 
     def __post_init__(self):
         if len(self.points) != self.size + 2:
             raise ValueError(f"need L+2 spectral points, got {len(self.points)}")
         if len(self.mus) != self.size:
             raise ValueError(f"need L inhomogeneities, got {len(self.mus)}")
-        if not is_exact(self.points[0]):
-            bad = [
-                (i, j)
-                for i in range(len(self.points))
-                for j in range(i + 1, len(self.points))
-                if pole_distance(self.points[i], self.points[j]) < self.policy.min_pole_distance
-            ]
-            if bad:
-                raise PoleAtCoincidingPoints(f"point pairs too close: {bad}")
+        _guard_poles(self.points)
 
     @classmethod
-    def sample(cls, L: int, rng, q=None, policy: TolerancePolicy = DEFAULT_POLICY):
-        pts = sample_spectral_set(rng, L + 2, policy.min_pole_distance)
-        mus = sample_spectral_set(rng, L, policy.min_pole_distance)
+    def sample(cls, L: int, rng, q=None):
+        pts = sample_spectral_set(rng, L + 2)
+        mus = sample_spectral_set(rng, L)
         if q is None:
-            from .sampling import sample_point
             q = sample_point(rng)
-        return cls(L, tuple(pts), tuple(mus), q, policy)
+        return cls(L, tuple(pts), tuple(mus), q)
 
 
-def _omission_parts(i: int, points, mus, q):
+class _WeightTable:
+    """``weights_of`` for every ordered pair of points (``pt[x, y]`` for
+    lam_x - lam_y) and every point-mu pair (``mu[x][k]`` for lam_x - mu_k)
+    of one input."""
+
+    def __init__(self, points, mus, q):
+        self.exact = is_exact(points[0])
+        self.n = len(points) - 1
+        self.every = {(x, y) for x in range(self.n + 1) for y in range(x + 1, self.n + 1)}
+        self.pt = {(x, y): weights_of(px * invert(py), q)
+                   for x, px in enumerate(points)
+                   for y, py in enumerate(points) if x != y}
+        self.mu = [[weights_of(p * invert(m), q) for m in mus] for p in points]
+        # c does not depend on the spectral difference
+        self.c = self.pt[0, 1].c if self.n else None
+
+    def den(self, pairs):
+        """prod b(lam_x - lam_y) over the pairs, in sorted order."""
+        den = LaurentPoly.one() if self.exact else 1 + 0j
+        for pair in sorted(pairs):
+            den = den * self.pt[pair].b
+        return den
+
+    def coefficient(self, num, pairs):
+        """A term's coefficient: exact ratio or float quotient."""
+        den = self.den(pairs)
+        return RationalFunction(num, den) if self.exact else num / den
+
+    def cleared(self, num, pairs):
+        """A term's numerator times the b-weights of every point pair
+        outside its denominator, so that all terms share the denominator
+        ``den(every)``."""
+        return num * self.den(self.every - pairs)
+
+
+def _omission_parts(i: int, w: _WeightTable):
     """Numerator and denominator pair set of the i-th omission coefficient."""
-    n = len(points) - 1
+    n = w.n
     pairs = {(0, i)}
     for k in range(1, n + 1):
         if k != i:
@@ -106,24 +127,24 @@ def _omission_parts(i: int, points, mus, q):
     def term(p: int, r: int):
         # the formula with lam_0 -> points[p], lam_i -> points[r]
         sign = _bsign(r, p)
-        acc = _wc(q)
-        for mu in mus:
-            acc = acc * _wa(points[p], mu, q) * _wb(points[r], mu, q)
+        acc = w.c
+        for mp, mr in zip(w.mu[p], w.mu[r]):
+            acc = acc * mp.a * mr.b
         for k in range(1, n + 1):
             if k == i:
                 continue
             sign *= _bsign(r, k) * _bsign(k, p)
-            acc = acc * _wa(points[r], points[k], q) * _wa(points[k], points[p], q)
+            acc = acc * w.pt[r, k].a * w.pt[k, p].a
         return acc if sign > 0 else -acc
 
     return term(0, i) + term(i, 0), pairs
 
 
-def _substitution_parts(j: int, i: int, points, mus, q):
+def _substitution_parts(j: int, i: int, w: _WeightTable):
     """Numerator and pair set of the (j, i) pair-substitution coefficient."""
     if not i < j:
         raise ValueError("substitution coefficient requires i < j")
-    n = len(points) - 1
+    n = w.n
     pairs = {(0, i), (0, j), (i, j)}
     for m in range(1, n + 1):
         if m not in (i, j):
@@ -132,59 +153,52 @@ def _substitution_parts(j: int, i: int, points, mus, q):
 
     def term(ii: int, jj: int):
         sign = _bsign(0, jj) * _bsign(ii, 0) * _bsign(jj, ii)
-        acc = _wc(q) * _wc(q) * _wa(points[jj], points[ii], q)
-        for mu in mus:
-            acc = acc * _wa(points[ii], mu, q) * _wb(points[jj], mu, q)
+        acc = w.c * w.c * w.pt[jj, ii].a
+        for mi, mj in zip(w.mu[ii], w.mu[jj]):
+            acc = acc * mi.a * mj.b
         for m in range(1, n + 1):
             if m in (i, j):
                 continue
             sign *= _bsign(jj, m) * _bsign(m, ii)
-            acc = acc * _wa(points[jj], points[m], q) * _wa(points[m], points[ii], q)
+            acc = acc * w.pt[jj, m].a * w.pt[m, ii].a
         return acc if sign > 0 else -acc
 
     return term(i, j) + term(j, i), pairs
 
 
-def _pair_b(pair, points, q):
-    return _wb(points[pair[0]], points[pair[1]], q)
+def _terms(w: _WeightTable):
+    """(numerator, denominator pair set, subset) of every term of the
+    expansion over the B-operators at points[1:]; subset lists the points,
+    in order, whose B-operators the term keeps (0 is the inserted
+    B(lam_0))."""
+    n = w.n
+    for i in range(1, n + 1):
+        yield (*_omission_parts(i, w), tuple(k for k in range(1, n + 1) if k != i))
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            yield (*_substitution_parts(j, i, w),
+                   (0,) + tuple(k for k in range(1, n + 1) if k not in (i, j)))
 
 
-def _guard_poles(points, policy: TolerancePolicy):
-    if is_exact(points[0]):
-        return
-    for x in range(len(points)):
-        for y in range(x + 1, len(points)):
-            if pole_distance(points[x], points[y]) < policy.min_pole_distance:
-                raise PoleAtCoincidingPoints(f"points {x} and {y} coincide")
+def _cleared_terms(points, mus, q):
+    """Yield (cleared coefficient, subset) for every term.  Exact backend."""
+    w = _WeightTable(points, mus, q)
+    for num, pairs, subset in _terms(w):
+        yield w.cleared(num, pairs), subset
 
 
-def omission_coeff(i: int, points, mus, q, policy: TolerancePolicy = DEFAULT_POLICY):
+def omission_coeff(i: int, points, mus, q):
     """Coefficient of the term omitting B(lam_i); i in 1..n."""
-    _guard_poles(points, policy)
-    num, pairs = _omission_parts(i, points, mus, q)
-    den = _den_product(pairs, points, q)
-    if is_exact(num):
-        return RationalFunction(num, den)
-    return num / den
+    _guard_poles(points)
+    w = _WeightTable(points, mus, q)
+    return w.coefficient(*_omission_parts(i, w))
 
 
-def substitution_coeff(j: int, i: int, points, mus, q,
-                       policy: TolerancePolicy = DEFAULT_POLICY):
+def substitution_coeff(j: int, i: int, points, mus, q):
     """Coefficient of the term replacing B(lam_i), B(lam_j) by B(lam_0)."""
-    _guard_poles(points, policy)
-    num, pairs = _substitution_parts(j, i, points, mus, q)
-    den = _den_product(pairs, points, q)
-    if is_exact(num):
-        return RationalFunction(num, den)
-    return num / den
-
-
-def _den_product(pairs, points, q):
-    exact = is_exact(points[0])
-    den = LaurentPoly.one() if exact else 1 + 0j
-    for pair in sorted(pairs):
-        den = den * _pair_b(pair, points, q)
-    return den
+    _guard_poles(points)
+    w = _WeightTable(points, mus, q)
+    return w.coefficient(*_substitution_parts(j, i, w))
 
 
 @dataclass
@@ -195,11 +209,12 @@ class ExpansionCoeffs:
     subst: dict
 
 
-def expansion_coeffs(n: int, points, mus, q,
-                     policy: TolerancePolicy = DEFAULT_POLICY) -> ExpansionCoeffs:
-    omit = [omission_coeff(i, points, mus, q, policy) for i in range(1, n + 1)]
+def expansion_coeffs(n: int, points, mus, q) -> ExpansionCoeffs:
+    _guard_poles(points)
+    w = _WeightTable(points, mus, q)
+    omit = [w.coefficient(*_omission_parts(i, w)) for i in range(1, n + 1)]
     subst = {
-        (j, i): substitution_coeff(j, i, points, mus, q, policy)
+        (j, i): w.coefficient(*_substitution_parts(j, i, w))
         for i in range(1, n + 1)
         for j in range(i + 1, n + 1)
     }
@@ -236,65 +251,22 @@ def _call_provider(provider, subset):
 
 def _functional_residual_with_scale(inp: FunctionalInput, z_provider=None):
     points, mus, q = inp.points, inp.mus, inp.q
-    n = inp.size + 1
     if z_provider is None:
         z_provider = algebraic_provider(mus, q)
-    if is_exact(points[0]):
+    w = _WeightTable(points, mus, q)
+    if w.exact:
         total = LaurentPoly.zero()
-        for cleared, subset in _cleared_terms(points, mus, q):
-            total = total + cleared * _call_provider(z_provider, [points[k] for k in subset])
-        return RationalFunction(total, _den_product(_all_pairs(n), points, q)), None
+        for num, pairs, subset in _terms(w):
+            z = _call_provider(z_provider, [points[k] for k in subset])
+            total = total + w.cleared(num, pairs) * z
+        return RationalFunction(total, w.den(w.every)), None
     total = 0j
     scale = 0.0
-    for kind, idx, subset in _term_index(n):
-        if kind == "omit":
-            coeff = omission_coeff(idx[0], points, mus, q, inp.policy)
-        else:
-            coeff = substitution_coeff(idx[0], idx[1], points, mus, q, inp.policy)
-        term = coeff * _call_provider(z_provider, [points[k] for k in subset])
+    for num, pairs, subset in _terms(w):
+        term = w.coefficient(num, pairs) * _call_provider(z_provider, [points[k] for k in subset])
         total += term
         scale += abs(term)
     return total, scale
-
-
-def _term_index(n: int):
-    """(kind, indices, subset) of every term of the expansion over n
-    B-operators; subset lists the points, in order, whose B-operators the
-    term keeps (0 is the inserted B(lam_0))."""
-    for i in range(1, n + 1):
-        yield "omit", (i,), tuple(k for k in range(1, n + 1) if k != i)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            yield "subst", (j, i), (0,) + tuple(k for k in range(1, n + 1) if k not in (i, j))
-
-
-def _term_parts(kind: str, idx: tuple, points, mus, q):
-    if kind == "omit":
-        return _omission_parts(idx[0], points, mus, q)
-    return _substitution_parts(idx[0], idx[1], points, mus, q)
-
-
-def _all_pairs(n: int) -> set:
-    return {(x, y) for x in range(n + 1) for y in range(x + 1, n + 1)}
-
-
-def _cleared_terms(points, mus, q):
-    """Yield (cleared coefficient, subset) for every term of the expansion
-    over the B-operators at points[1:].
-
-    The cleared coefficient is the term's numerator times the b-weights of
-    every point pair outside its denominator, so all terms share the
-    denominator ``_den_product(_all_pairs(n), points, q)``.  Exact backend.
-    """
-    n = len(points) - 1
-    all_pairs = _all_pairs(n)
-    bvals = {p: _pair_b(p, points, q) for p in sorted(all_pairs)}
-    for kind, idx, subset in _term_index(n):
-        num, pairs = _term_parts(kind, idx, points, mus, q)
-        cof = LaurentPoly.one()
-        for p in sorted(all_pairs - pairs):
-            cof = cof * bvals[p]
-        yield num * cof, subset
 
 
 def check_fz(inp: FunctionalInput, z_provider=None,
@@ -320,39 +292,36 @@ def _b_product_vector(points, mus, q):
     return v
 
 
-def cbb_expansion_residual(n: int, points, mus, q,
-                           policy: TolerancePolicy = DEFAULT_POLICY):
+def cbb_expansion_residual(n: int, points, mus, q):
     """Residual vector of the C(lam_0)-expansion over n B-operators, on the
     full 2^L space (not projected).  Exact backend: denominators cleared.
 
     Returns (residual_vector, scale)."""
-    _guard_poles(points, policy)
-    exact = is_exact(points[0])
+    if len(points) != n + 1:
+        raise ValueError("need n+1 spectral points")
+    _guard_poles(points)
     lam0 = points[0]
     bs = points[1:]
     c_of_prod = build_monodromy(lam0, mus, q).apply("C", _b_product_vector(bs, mus, q))
-    if exact:
-        res = c_of_prod * _den_product(_all_pairs(n), points, q)
-        for cleared, subset in _cleared_terms(points, mus, q):
-            res = res - _b_product_vector([points[k] for k in subset], mus, q) * cleared
+    w = _WeightTable(points, mus, q)
+    if w.exact:
+        res = c_of_prod * w.den(w.every)
+        for num, pairs, subset in _terms(w):
+            res = res - _b_product_vector([points[k] for k in subset], mus, q) \
+                * w.cleared(num, pairs)
         return res, None
     res = c_of_prod.astype(complex)
     scale = float(np.abs(res).sum())
-    for kind, idx, subset in _term_index(n):
-        if kind == "omit":
-            coeff = omission_coeff(idx[0], points, mus, q, policy)
-        else:
-            coeff = substitution_coeff(idx[0], idx[1], points, mus, q, policy)
-        term = coeff * _b_product_vector([points[k] for k in subset], mus, q)
+    for num, pairs, subset in _terms(w):
+        term = w.coefficient(num, pairs) * _b_product_vector([points[k] for k in subset], mus, q)
         res = res - term
         scale += float(np.abs(term).sum())
     return res, scale
 
 
 def check_cbb_expansion(n: int, points, mus, q,
-                        policy: TolerancePolicy = DEFAULT_POLICY,
                         tolerance: float = 1e-9) -> CheckOutcome:
-    res, scale = cbb_expansion_residual(n, points, mus, q, policy)
+    res, scale = cbb_expansion_residual(n, points, mus, q)
     if scale is None:
         return CheckOutcome("cbb-expansion", matrix_is_zero(res), exact=True)
     r = float(np.abs(res).max())

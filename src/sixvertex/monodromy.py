@@ -20,15 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CoincidingSpectralPoints, DimensionMismatch
-from .sampling import pole_distance
-from .scalar import (
-    CheckOutcome,
-    DEFAULT_POLICY,
-    LaurentPoly,
-    TolerancePolicy,
-    invert,
-    is_exact,
-)
+from .sampling import MIN_POLE_DISTANCE, pole_distance
+from .scalar import CheckOutcome, LaurentPoly, invert, is_exact
 from .vertex import matrix_abs_sum, matrix_is_zero, permutation_matrix, build_L, weights_of
 
 _BLOCKS = ("A", "B", "C", "D")
@@ -276,11 +269,10 @@ def commutation_residual(rule: str, lam, nu, ws, q) -> tuple[np.ndarray, float]:
 
 
 def check_commutation(rule: str, lam, nu, ws, q,
-                      policy: TolerancePolicy = DEFAULT_POLICY,
                       tolerance: float = 1e-9) -> CheckOutcome:
     exact = is_exact(lam)
     if not exact and rule in ("AB", "DB", "CB"):
-        if pole_distance(lam, nu) < policy.min_pole_distance:
+        if pole_distance(lam, nu) < MIN_POLE_DISTANCE:
             raise CoincidingSpectralPoints(
                 f"lam and nu too close for rule {rule}: b(lam-nu) ~ 0")
     res, scale = commutation_residual(rule, lam, nu, ws, q)

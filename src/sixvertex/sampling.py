@@ -16,15 +16,19 @@ import math
 import numpy as np
 
 PRNG_NAME = "numpy.random.PCG64"
+# smallest distance of a sampled or checked difference lambda_i - lambda_j
+# from the zeros of b
+MIN_POLE_DISTANCE = 1e-2
+_MODULUS_RANGE = (0.5, 2.0)
+_MAX_TRIES = 10_000
 
 
 def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def sample_point(rng: np.random.Generator,
-                 modulus_range: tuple[float, float] = (0.5, 2.0)) -> complex:
-    lo, hi = modulus_range
+def sample_point(rng: np.random.Generator) -> complex:
+    lo, hi = _MODULUS_RANGE
     mod = math.exp(rng.uniform(math.log(lo), math.log(hi)))
     phase = rng.uniform(-math.pi, math.pi)
     return mod * cmath.exp(1j * phase)
@@ -37,20 +41,17 @@ def pole_distance(x: complex, y: complex) -> float:
     return math.hypot(d.real, im)
 
 
-def sample_spectral_set(rng: np.random.Generator, count: int,
-                        min_pole_distance: float = 1e-2,
-                        modulus_range: tuple[float, float] = (0.5, 2.0),
-                        max_tries: int = 10_000) -> list[complex]:
+def sample_spectral_set(rng: np.random.Generator, count: int) -> list[complex]:
     """A pole-guarded set of exponentiated spectral points."""
-    for _ in range(max_tries):
-        pts = [sample_point(rng, modulus_range) for _ in range(count)]
+    for _ in range(_MAX_TRIES):
+        pts = [sample_point(rng) for _ in range(count)]
         ok = all(
-            pole_distance(pts[i], pts[j]) >= min_pole_distance
+            pole_distance(pts[i], pts[j]) >= MIN_POLE_DISTANCE
             for i in range(count) for j in range(i + 1, count)
         )
         if ok:
             return pts
-    raise RuntimeError("rejection sampling failed; loosen min_pole_distance")
+    raise RuntimeError(f"rejection sampling failed for {count} points")
 
 
 def pairwise_sum(values):

@@ -16,8 +16,10 @@ Two interchangeable scalar backends are used throughout:
   are integer numerators over one shared denominator, reduced once per
   operation.  Digit slots come from a process-wide, append-only registry
   that is safe to use from several threads.
-* plain ``complex`` -- double precision, paired with a caller-supplied scale
-  for every zero test (see :class:`TolerancePolicy`).
+* plain ``complex`` -- double precision.  A float zero test is relative:
+  each check compares its residual with ``tolerance`` times a scale it
+  computes from the same terms, never with an absolute bound, because the
+  weights grow exponentially in |lambda|.
 
 Ratios of polynomials (expansion coefficients, solved coefficient tables)
 are represented by :class:`RationalFunction`, whose equality is defined by
@@ -923,30 +925,6 @@ def _exact_div_univariate(p: LaurentPoly, g: LaurentPoly, v: VarId) -> LaurentPo
     if any(r):
         raise ValueError("division is not exact")
     return _from_coeff_list(lo - glo, q, v)
-
-
-# -- float-backend tolerance policy -----------------------------------
-
-
-@dataclass(frozen=True)
-class TolerancePolicy:
-    """Relative zero test for the float backend.
-
-    A residual is accepted as zero only against a caller-supplied scale;
-    absolute comparisons are never used because the weights grow
-    exponentially in |lambda|.
-    """
-
-    rel_eps: float = 1e-9
-    min_pole_distance: float = 1e-2
-
-    def is_zero(self, value, scale: float) -> bool:
-        if scale == 0.0:
-            return abs(value) == 0.0
-        return abs(value) <= self.rel_eps * scale
-
-
-DEFAULT_POLICY = TolerancePolicy()
 
 
 @dataclass

@@ -44,14 +44,7 @@ import numpy as np
 
 from .asymptotics import asymptotic_norm
 from .errors import NullspaceDimensionUnexpected, SizeLimitExceeded
-from .functional import (
-    FunctionalInput,
-    _cleared_terms,
-    _den_product,
-    _term_index,
-    _term_parts,
-    functional_residual,
-)
+from .functional import FunctionalInput, _cleared_terms, functional_residual
 from .partition import z_algebraic
 from .sampling import sample_point, sample_spectral_set
 from .scalar import (
@@ -601,23 +594,23 @@ class NumericSolveResult:
 
 
 def _numeric_rows(L: int, q: complex, rng, count: int) -> np.ndarray:
-    n = L + 1
+    """One constraint row per sampled point set: the float functional-
+    equation residual of a provider that returns, for each subset, the
+    column vector of the ansatz monomials at its points."""
     box_range = np.arange(-(L - 1), L)
-    ncols = (2 * L - 1) ** L
-    rows = np.empty((count, ncols), dtype=complex)
+    mus = (1.0 + 0j,) * L
+    rows = np.empty((count, (2 * L - 1) ** L), dtype=complex)
     for r in range(count):
-        pts = sample_spectral_set(rng, n + 1)
-        mus = [1.0 + 0j] * L
-        powers = [np.power(p, box_range) for p in pts]
-        row = np.zeros(ncols, dtype=complex)
-        for kind, idx, subset in _term_index(n):
-            num, pairs = _term_parts(kind, idx, pts, mus, q)
-            coeff = num / _den_product(pairs, pts, q)
-            contrib = powers[subset[0]]
+        pts = tuple(sample_spectral_set(rng, L + 2))
+        powers = {p: np.power(p, box_range) for p in pts}
+
+        def provider(subset):
+            column = powers[subset[0]]
             for p in subset[1:]:
-                contrib = np.multiply.outer(contrib, powers[p]).ravel()
-            row += coeff * contrib
-        rows[r] = row
+                column = np.multiply.outer(column, powers[p]).ravel()
+            return column
+
+        rows[r] = functional_residual(FunctionalInput(L, pts, mus, q), provider)
     return rows
 
 

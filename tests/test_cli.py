@@ -170,3 +170,30 @@ def test_console_script_runs():
 def test_run_config_dispatch():
     code, doc = run(RunConfig(command="enumerate", size=4, count_only=True))
     assert code == 0 and doc["count"] == 42
+
+
+def test_tolerance_is_passed_through_as_given(capsys):
+    argv = ["verify", "--check", "fz", "--size", "3", "--backend", "float",
+            "--seed", "1", "--trials", "1"]
+    code, out = _capture(capsys, argv)
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["provenance"]["tolerance"] is None
+    assert doc["results"][0]["tolerance"] == 1e-9  # check_fz's own default
+    # zero is a tolerance like any other, not a request for the default
+    code, out = _capture(capsys, argv + ["--tolerance", "0"])
+    doc = json.loads(out)
+    assert doc["provenance"]["tolerance"] == 0.0
+    res = doc["results"][0]
+    assert res["tolerance"] == 0.0
+    assert res["passed"] is (res["residual"] == 0.0)
+    assert code == (0 if res["passed"] else 1)
+
+
+def test_negative_or_nan_tolerance_is_a_config_error(capsys):
+    for bad in ("-1", "-1e-9", "nan"):
+        code, out = _capture(capsys, ["verify", "--check", "fz", "--size", "2",
+                                      "--backend", "float", "--trials", "1",
+                                      f"--tolerance={bad}"])
+        assert code == 2, bad
+        assert json.loads(out)["kind"] == "config"

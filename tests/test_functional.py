@@ -16,7 +16,7 @@ from sixvertex.functional import (
 )
 from sixvertex.partition import z_algebraic
 from sixvertex.scalar import LaurentPoly, RationalFunction, invert, q_var, u_var, w_var
-from sixvertex.sampling import sample_point, sample_spectral_set
+from sixvertex.sampling import MIN_POLE_DISTANCE, sample_point, sample_spectral_set
 
 Q = LaurentPoly.var(q_var())
 
@@ -216,6 +216,28 @@ def test_fz_pole_guard(rng):
     with pytest.raises(PoleAtCoincidingPoints):
         FunctionalInput(2, tuple(pts), tuple(sample_spectral_set(rng, 2)),
                         sample_point(rng))
+
+
+def test_coefficients_pole_guard(rng):
+    # every public entry point refuses float points within the pole distance
+    n, L = 2, 2
+    pts = list(sample_spectral_set(rng, n + 1))
+    pts[2] = pts[1] * cmath.exp(0.5 * MIN_POLE_DISTANCE)
+    pts = tuple(pts)
+    mus = tuple(sample_spectral_set(rng, L))
+    q = sample_point(rng)
+    calls = (
+        lambda: omission_coeff(1, pts, mus, q),
+        lambda: substitution_coeff(2, 1, pts, mus, q),
+        lambda: expansion_coeffs(n, pts, mus, q),
+        lambda: check_cbb_expansion(n, pts, mus, q),
+    )
+    for call in calls:
+        with pytest.raises(PoleAtCoincidingPoints):
+            call()
+    # the same call one pole distance further apart passes the guard
+    far = (pts[0], pts[1], pts[1] * cmath.exp(2 * MIN_POLE_DISTANCE))
+    assert check_cbb_expansion(n, far, mus, q).passed
 
 
 def test_provider_failure_wrapped():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from sixvertex.asymptotics import asymptotic_norm
@@ -24,7 +25,8 @@ from sixvertex.solver import (
     solve_fz_numeric,
     verify_h_table,
 )
-from sixvertex.sampling import make_rng
+from sixvertex.functional import FunctionalInput, check_fz
+from sixvertex.sampling import make_rng, sample_point, sample_spectral_set
 
 Q = LaurentPoly.var(q_var())
 
@@ -238,6 +240,39 @@ def test_numeric_solver_matches_exact_l2():
         for idx, val in s.ratios.items():
             want = exact.entries[idx].eval({q_var(): s.q})
             assert abs(val - want) <= 1e-8 * abs(want)
+
+
+@pytest.mark.parametrize("L", [2, 3])
+def test_numeric_rows_annihilate_direct_table(L):
+    # each row is the float functional equation at one sampled point set;
+    # the directly expanded table, evaluated at the row's q, must satisfy
+    # every row to within 1e-9 of that equation's term scale
+    q = sample_point(make_rng(70 + L))
+    count = 5
+    rows = solver._numeric_rows(L, q, make_rng(80 + L), count)
+    box = ansatz_box(L)
+    table = h_table_from_z(L)
+    h = np.array([complex(table.entries[idx].eval({q_var(): q})) for idx in box])
+
+    def z_of_table(subset):
+        return sum(hk * np.prod([p ** e for p, e in zip(subset, idx)])
+                   for hk, idx in zip(h, box))
+
+    # the same point sets, drawn again, give each row's term scale
+    rng = make_rng(80 + L)
+    scales = []
+    for _ in range(count):
+        pts = tuple(sample_spectral_set(rng, L + 2))
+        out = check_fz(FunctionalInput(L, pts, (1.0 + 0j,) * L, q), z_of_table)
+        scales.append(out.scale)
+    for row, scale in zip(rows, scales):
+        assert abs(row @ h) <= 1e-9 * scale
+    # the check sees the top entry moved to a neighbouring index
+    top = box.index((L - 1,) * L)
+    moved = h.copy()
+    moved[top - 1], moved[top] = h[top], 0
+    for row, scale in zip(rows, scales):
+        assert abs(row @ moved) > 1e-9 * scale
 
 
 def test_solve_dispatch():
