@@ -2,8 +2,14 @@
 """Run the full verification battery and print a one-line-per-check summary.
 
 Exact identities are checked symbolically at small sizes; the float
-backend sweeps seeded random points beyond that, up to L = 7.  Exits
-nonzero if anything fails.
+backend sweeps seeded random points beyond that: the exchange relation up
+to L = 5 (the full matrix identity to L = 4, eight random probe columns at
+L = 5) and the functional equation up to L = 7.  The string-operator and
+asymptotic checks run exactly at L = 2, 3 and 4 (those that go through Z
+or the monodromy's top coefficient at L <= 3).  Exits nonzero if
+anything fails.
+
+    PYTHONPATH=src python scripts/run_checks.py [--seed N] [--trials N]
 """
 
 import argparse
@@ -56,7 +62,7 @@ def main():
         for rule in ("AB", "DB", "CB", "BB"):
             record(monodromy.check_commutation(rule, pts[0], pts[1], sym_mus(L), q))
         record(monodromy.check_triangular(pts[0], sym_mus(L), q))
-    for L in (3, 4):
+    for L in (3, 4, 5):
         u, v = sample_spectral_set(rng, 2)
         record(monodromy.check_rtt(u, v, sample_spectral_set(rng, L),
                                    sample_point(rng), rng=rng))
@@ -77,7 +83,7 @@ def main():
             record(functional.check_fz(inp))
 
     print("== string operators and asymptotic structure ==")
-    for L in (2, 3):
+    for L in (2, 3, 4):
         for outcome in asymptotics.run_asymptotic_checks(L):
             record(outcome)
 

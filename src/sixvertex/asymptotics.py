@@ -10,6 +10,11 @@ the pieces yields the closed-form normalization
 
 that pins the overall scale of the partition function.
 
+Each P_j acts matrix-free (``apply_p``): a slice move for the lowering
+generator at site j times one diagonal phase for the K strings, on a vector
+or a batch of columns.  The operator identities apply products of P's to
+the identity batch; ``p_operator`` is the same route on the identity.
+
 Half-integer q-powers (the K generator carries q^(1/2)) are kept exact by
 working internally in s = q^(1/2): the stored q-exponents simply count
 powers of s.  All externally visible results are even in s, which is
@@ -24,7 +29,7 @@ import itertools
 import numpy as np
 
 from .errors import SizeLimitExceeded
-from .monodromy import _eye, build_monodromy
+from .monodromy import build_monodromy, vacuum
 from .partition import standard_symbolic_params
 from .scalar import (
     CheckOutcome,
@@ -36,7 +41,7 @@ from .scalar import (
     u_var,
     w_var,
 )
-from .vertex import matrix_is_zero
+from .vertex import _eye, matrix_is_zero
 
 
 def to_half_exponents(p: LaurentPoly) -> LaurentPoly:
@@ -90,19 +95,32 @@ def _local_generators(q=None):
     return K, Ki, Xp, Xm
 
 
-def _kron_chain(mats):
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
+def apply_p(j: int, L: int, x: np.ndarray, q=None) -> np.ndarray:
+    """The string operator K x ... x K x X- x K^-1 x ... x K^-1, with the
+    lowering generator at site j (1-based), applied to a vector (2^L,) or
+    each column of a batch (2^L, k).
+
+    X- moves the site-j slice |0> to |1>; the K and K^-1 factors on the
+    other sites multiply by one diagonal phase s^e, e counting their sites
+    in |0> less those in |1> (sign flipped right of j).
+    """
+    if q is None:
+        power, zero, dt = _s_poly, LaurentPoly.zero(), object
+    else:
+        s = cmath.sqrt(q)
+        power, zero, dt = (lambda e: s ** e), 0j, complex
+    left = [j - 1 - 2 * bin(k).count("1") for k in range(2 ** (j - 1))]
+    right = [2 * bin(k).count("1") - (L - j) for k in range(2 ** (L - j))]
+    phase = np.array([[power(a + b) for b in right] for a in left], dtype=dt)
+    t = x.reshape((len(left), 2, len(right)) + x.shape[1:])
+    out = np.full_like(t, zero)
+    out[:, 1] = t[:, 0] * phase.reshape(phase.shape + (1,) * (x.ndim - 1))
+    return out.reshape(x.shape)
 
 
 def p_operator(j: int, L: int, q=None) -> np.ndarray:
-    """The string operator K x ... x K x X- x K^-1 x ... x K^-1 with the
-    lowering generator at site j (1-based)."""
-    K, Ki, _, Xm = _local_generators(q)
-    mats = [K] * (j - 1) + [Xm] + [Ki] * (L - j)
-    return _kron_chain(mats)
+    """P_j as a dense 2^L matrix: apply_p on the identity."""
+    return apply_p(j, L, _eye(2 ** L, q is None), q)
 
 
 def q_factorial(L: int, q):
@@ -178,13 +196,16 @@ def b_top_coefficient(i: int, L: int) -> np.ndarray:
     return out
 
 
+def _apply_product(js, L: int, x: np.ndarray, q=None) -> np.ndarray:
+    """P_{js[0]} ... P_{js[-1]} applied to x, the rightmost factor first."""
+    for j in reversed(js):
+        x = apply_p(j, L, x, q)
+    return x
+
+
 def vacuum_sandwich_p_chain(L: int, q=None):
     """<0bar| P_1 P_2 ... P_L |0>, equal to q^(L(L-1)/2)."""
-    dim = 2 ** L
-    prod = _eye(dim, q is None)
-    for j in range(1, L + 1):
-        prod = prod @ p_operator(j, L, q)
-    val = prod[dim - 1, 0]
+    val = _apply_product(range(1, L + 1), L, vacuum(L, q is None), q)[-1]
     if q is None:
         return from_half_exponents(val)
     return val
@@ -198,16 +219,13 @@ def check_p_relations(L: int, q=None) -> CheckOutcome:
     s4 = _s_poly(4) if exact else q * q
     problems = []
     Ps = {j: p_operator(j, L, q) for j in range(1, L + 1)}
-    zero2 = np.full((2, 2), LaurentPoly.zero(), dtype=object) if exact \
-        else np.zeros((2, 2), dtype=complex)
-    zeroL = np.full_like(Ps[1], LaurentPoly.zero()) if exact \
-        else np.zeros_like(Ps[1])
+    zeroL = np.full_like(Ps[1], LaurentPoly.zero() if exact else 0j)
     for i in range(1, L + 1):
         for j in range(i + 1, L + 1):
-            if not _sides_agree(Ps[i] @ Ps[j], (Ps[j] @ Ps[i]) * s4, exact):
+            if not _sides_agree(apply_p(i, L, Ps[j], q), apply_p(j, L, Ps[i], q) * s4, exact):
                 problems.append(f"exchange ({i},{j})")
     for i in range(1, L + 1):
-        if not _sides_agree(Ps[i] @ Ps[i], zeroL, exact):
+        if not _sides_agree(apply_p(i, L, Ps[i], q), zeroL, exact):
             problems.append(f"square ({i})")
     qq = _s_poly(2) if exact else q
     if not _sides_agree(K @ Xp @ Ki, Xp * qq, exact):
@@ -244,15 +262,10 @@ def check_ordering_sum(L: int, q=None) -> CheckOutcome:
     if L > 5:
         raise SizeLimitExceeded("ordering sum enumerates L! <= 120 products")
     exact = q is None
-    dim = 2 ** L
-    Ps = {j: p_operator(j, L, q) for j in range(1, L + 1)}
-    total = np.full((dim, dim), LaurentPoly.zero(), dtype=object) if exact \
-        else np.zeros((dim, dim), dtype=complex)
+    ident = _eye(2 ** L, exact)
+    total = np.full_like(ident, LaurentPoly.zero() if exact else 0j)
     for perm in itertools.permutations(range(1, L + 1)):
-        prod = _eye(dim, exact)
-        for a in perm:
-            prod = prod @ Ps[a]
-        total = total + prod
+        total = total + _apply_product(perm, L, ident, q)
     pref = LaurentPoly.one() if exact else 1 + 0j
     qm2 = _s_poly(-4) if exact else 1 / (q * q)
     for k in range(1, L + 1):
@@ -260,9 +273,7 @@ def check_ordering_sum(L: int, q=None) -> CheckOutcome:
         for t in range(k):
             acc = acc + qm2 ** t
         pref = pref * acc
-    ordered = _eye(dim, exact)
-    for a in range(1, L + 1):
-        ordered = ordered @ Ps[a]
+    ordered = _apply_product(range(1, L + 1), L, ident, q)
     res = total - ordered * pref
     if exact:
         return CheckOutcome("ordering-sum", matrix_is_zero(res), exact=True)

@@ -50,8 +50,16 @@ class RunConfig:
     out: str | None = None
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ConfigError, so that it too is one JSON
+    document on stdout (subcommand parsers inherit this class)."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _parse_args(argv) -> RunConfig:
-    top = argparse.ArgumentParser(prog="sixvertex", description=__doc__)
+    top = _Parser(prog="sixvertex", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -382,10 +390,9 @@ def run(cfg: RunConfig) -> tuple[int, dict]:
 def main(argv=None) -> int:
     try:
         cfg = _parse_args(sys.argv[1:] if argv is None else argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
         code, doc = run(cfg)
+    except SystemExit as exc:  # --help prints and exits 0
+        return int(exc.code or 0)
     except ConfigError as exc:
         print(json.dumps({"error": str(exc), "kind": "config"}, sort_keys=True))
         return 2

@@ -11,6 +11,12 @@ one-site factors: O(L 2^L) scalar operations per vector.  The sweep takes a
 vector (2^L,) or a batch (2^L, k) of column vectors, so ``Monodromy.block``
 materializes a whole block as one sweep over the identity, for the
 identities that need a matrix.
+
+The exchange relation R T1 T2 = T1 T2 R lives on aux1 x aux2 x 2^L, and is
+checked in the same style: ``_apply_T`` applies T on one aux factor through
+the block sweeps, R acts on the two aux factors through
+``vertex.apply_two_site``, and both sides are applied to one batch, the
+identity for the full matrix identity or a few random probe columns.
 """
 
 from __future__ import annotations
@@ -22,9 +28,17 @@ import numpy as np
 from .errors import CoincidingSpectralPoints, DimensionMismatch
 from .sampling import MIN_POLE_DISTANCE, pole_distance
 from .scalar import CheckOutcome, LaurentPoly, invert, is_exact
-from .vertex import matrix_abs_sum, matrix_is_zero, permutation_matrix, build_L, weights_of
+from .vertex import (
+    _eye,
+    apply_two_site,
+    build_R,
+    matrix_abs_sum,
+    matrix_is_zero,
+    weights_of,
+)
 
 _BLOCKS = ("A", "B", "C", "D")
+_RTT_PROBES = 8  # random columns probed by the float RTT check above L = 4
 
 
 def _zero(exact: bool):
@@ -47,15 +61,6 @@ def dual_vacuum(L: int, exact: bool = True) -> np.ndarray:
     v = np.full(2 ** L, _zero(exact), dtype=object if exact else complex)
     v[-1] = _one(exact)
     return v
-
-
-def _eye(n: int, exact: bool) -> np.ndarray:
-    if not exact:
-        return np.eye(n, dtype=complex)
-    m = np.full((n, n), LaurentPoly.zero(), dtype=object)
-    for i in range(n):
-        m[i, i] = LaurentPoly.one()
-    return m
 
 
 @dataclass
@@ -122,109 +127,54 @@ def apply_block(m: Monodromy, name: str, vec: np.ndarray) -> np.ndarray:
     return phi[row]
 
 
-def _lift_aux(m: Monodromy, slot: int) -> np.ndarray:
-    """Embed a monodromy (2x2 aux of operators) into aux1 x aux2 x quantum."""
+def _apply_T(m: Monodromy, slot: int, x: np.ndarray) -> np.ndarray:
+    """T on auxiliary factor ``slot`` (0 or 1) of aux1 x aux2 x 2^L, applied to
+    a vector (4 2^L,) or each column of a batch (4 2^L, k)."""
     dim = 2 ** m.size
-    big = 4 * dim
-    out = np.full((big, big), _zero(m.exact), dtype=object) if m.exact \
-        else np.zeros((big, big), dtype=complex)
-    for r in range(2):
-        for c in range(2):
-            E = np.zeros((2, 2))
-            E[r, c] = 1.0
-            aux = np.kron(E, np.eye(2)) if slot == 0 else np.kron(np.eye(2), E)
-            blk = m.block(_BLOCKS[2 * r + c])
-            for ar in range(4):
-                for ac in range(4):
-                    if aux[ar, ac]:
-                        out[ar * dim:(ar + 1) * dim, ac * dim:(ac + 1) * dim] += blk
-    return out
+    # (aux in this slot, aux in the other slot, quantum, columns)
+    t = np.moveaxis(x.reshape((2, 2, dim) + x.shape[1:]), slot, 0)
+    cols = [np.moveaxis(t[c], 1, 0).reshape(dim, -1) for c in range(2)]
+    rows = [m.apply(_BLOCKS[2 * r], cols[0]) + m.apply(_BLOCKS[2 * r + 1], cols[1])
+            for r in range(2)]
+    out = np.stack([np.moveaxis(y.reshape((dim, 2) + x.shape[1:]), 0, 1) for y in rows])
+    return np.moveaxis(out, 0, slot).reshape(x.shape)
 
 
-def rtt_residual(u, v, ws, q) -> tuple[np.ndarray, float]:
-    """R(lam-nu) T1(lam) T2(nu) - T1(nu) T2(lam) R(lam-nu) on aux x aux x 2^L,
-    together with a float scale (0.0 in the exact backend)."""
-    dim = 2 ** len(ws)
-    exact = is_exact(u)
+def rtt_residual(u, v, ws, q, x: np.ndarray) -> tuple[np.ndarray, float]:
+    """(R(lam-nu) T1(lam) T2(nu) - T1(nu) T2(lam) R(lam-nu)) x on
+    aux1 x aux2 x 2^L, for a vector or a batch x, together with a float scale
+    (0.0 in the exact backend).  On the identity it is the full matrix
+    identity."""
+    n = len(ws) + 2
     Tu = build_monodromy(u, ws, q)
     Tv = build_monodromy(v, ws, q)
-    T1u = _lift_aux(Tu, 0)
-    T2v = _lift_aux(Tv, 1)
-    T1v = _lift_aux(Tv, 0)
-    T2u = _lift_aux(Tu, 1)
-    R4 = permutation_matrix(exact) @ build_L(u * invert(v), q)
-    R = np.kron(R4, _eye(dim, exact))
-    lhs = R @ (T1u @ T2v)
-    rhs = (T1v @ T2u) @ R
-    scale = 0.0 if exact else matrix_abs_sum(lhs) + matrix_abs_sum(rhs)
+    R = build_R(u * invert(v), q)
+    lhs = apply_two_site(R, 0, 1, n, _apply_T(Tu, 0, _apply_T(Tv, 1, x)))
+    rhs = _apply_T(Tv, 0, _apply_T(Tu, 1, apply_two_site(R, 0, 1, n, x)))
+    scale = 0.0 if is_exact(u) else matrix_abs_sum(lhs) + matrix_abs_sum(rhs)
     return lhs - rhs, scale
 
 
-def check_rtt(u, v, ws, q, tolerance: float = 1e-9, rng=None,
-              probes: int = 8) -> CheckOutcome:
+def check_rtt(u, v, ws, q, tolerance: float = 1e-9, rng=None) -> CheckOutcome:
     """Exchange-relation check.  The full 4*2^L matrix identity is formed for
-    L <= 4 (or exact backend); larger float sizes probe random vectors."""
+    L <= 4 (or exact backend); larger float sizes probe _RTT_PROBES random
+    columns drawn from rng."""
     L = len(ws)
     exact = is_exact(u)
+    dim = 4 * 2 ** L
     if exact or L <= 4:
-        res, scale = rtt_residual(u, v, ws, q)
-        if exact:
-            return CheckOutcome("rtt", matrix_is_zero(res), exact=True)
-        r = float(np.abs(res).max())
-        return CheckOutcome("rtt", r <= tolerance * scale, exact=False,
-                            residual=r, scale=scale, tolerance=tolerance)
-    if rng is None:
+        x = _eye(dim, exact)
+    elif rng is None:
         raise ValueError("probing RTT for L > 4 requires an rng")
-    dim = 2 ** L
-    mu_ = build_monodromy(u, ws, q)
-    mv_ = build_monodromy(v, ws, q)
-    R4 = permutation_matrix(False) @ build_L(u / v, q)
-    worst_r, worst_s = 0.0, 0.0
-    for _ in range(probes):
-        vec = rng.standard_normal(4 * dim) + 1j * rng.standard_normal(4 * dim)
-        lhs = _rtt_apply(R4, mu_, mv_, vec, r_first=True)
-        rhs = _rtt_apply(R4, mv_, mu_, vec, r_first=False)
-        worst_r = max(worst_r, float(np.abs(lhs - rhs).max()))
-        worst_s += float(np.abs(lhs).sum() + np.abs(rhs).sum())
-    return CheckOutcome("rtt", worst_r <= tolerance * worst_s, exact=False,
-                        residual=worst_r, scale=worst_s, tolerance=tolerance)
-
-
-def _rtt_apply(R4, m1: Monodromy, m2: Monodromy, vec, r_first: bool):
-    """Apply R T1 T2 (or T1 T2 R) matrix-free on aux1 x aux2 x quantum."""
-    dim = 2 ** m1.size
-    comps = [vec[k * dim:(k + 1) * dim].copy() for k in range(4)]
-
-    def apply_R(cs):
-        out = [np.zeros(dim, dtype=complex) for _ in range(4)]
-        for r in range(4):
-            for c in range(4):
-                if R4[r, c] != 0:
-                    out[r] += R4[r, c] * cs[c]
-        return out
-
-    def apply_T(cs, m: Monodromy, slot: int):
-        out = []
-        for k in range(4):
-            a1, a2 = divmod(k, 2)
-            row = a1 if slot == 0 else a2
-            acc = np.zeros(dim, dtype=complex)
-            for colbit in range(2):
-                src = (colbit * 2 + a2) if slot == 0 else (a1 * 2 + colbit)
-                name = _BLOCKS[2 * row + colbit]
-                acc += apply_block(m, name, cs[src])
-            out.append(acc)
-        return out
-
-    if r_first:
-        comps = apply_T(comps, m2, 1)
-        comps = apply_T(comps, m1, 0)
-        comps = apply_R(comps)
     else:
-        comps = apply_R(comps)
-        comps = apply_T(comps, m2, 1)
-        comps = apply_T(comps, m1, 0)
-    return np.concatenate(comps)
+        x = np.stack([rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+                      for _ in range(_RTT_PROBES)], axis=1)
+    res, scale = rtt_residual(u, v, ws, q, x)
+    if exact:
+        return CheckOutcome("rtt", matrix_is_zero(res), exact=True)
+    r = float(np.abs(res).max())
+    return CheckOutcome("rtt", r <= tolerance * scale, exact=False,
+                        residual=r, scale=scale, tolerance=tolerance)
 
 
 _COMM_RULES = ("AB", "DB", "CB", "BB")

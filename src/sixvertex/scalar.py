@@ -760,12 +760,6 @@ class RationalFunction:
         self.num = num
         self.den = den
 
-    @classmethod
-    def from_scalar(cls, x) -> "RationalFunction":
-        if isinstance(x, RationalFunction):
-            return x
-        return cls(x)
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 

@@ -85,10 +85,6 @@ class UniPoly:
             elif v != 0:
                 self.coeffs[k] = v
 
-    @classmethod
-    def x_power(cls, k: int, coeff) -> "UniPoly":
-        return cls({k: coeff})
-
     def __add__(self, other):
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():

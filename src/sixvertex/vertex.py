@@ -84,29 +84,23 @@ def delta_residual(z, q):
     return wts.a * wts.a + wts.b * wts.b - wts.c * wts.c - wts.a * wts.b * (q + invert(q))
 
 
-def embed_two_site(m4: np.ndarray, i: int, j: int, n: int) -> np.ndarray:
-    """Lift a 4x4 two-site matrix to act on factors i, j of (C^2)^n (0-based)."""
-    exact = m4.dtype == object
-    dim = 2 ** n
-    zero = LaurentPoly.zero() if exact else 0j
-    out = np.full((dim, dim), zero, dtype=m4.dtype)
-    for r in range(dim):
-        bits = [(r >> (n - 1 - k)) & 1 for k in range(n)]
-        for si in range(2):
-            for sj in range(2):
-                entry = m4[2 * bits[i] + bits[j], 2 * si + sj]
-                if isinstance(entry, LaurentPoly):
-                    if entry.is_zero():
-                        continue
-                elif entry == 0:
-                    continue
-                cb = list(bits)
-                cb[i], cb[j] = si, sj
-                col = 0
-                for k, v in enumerate(cb):
-                    col |= v << (n - 1 - k)
-                out[r, col] = out[r, col] + entry
-    return out
+def _eye(n: int, exact: bool) -> np.ndarray:
+    """The n x n identity, of LaurentPoly (exact) or complex entries."""
+    if not exact:
+        return np.eye(n, dtype=complex)
+    m = np.full((n, n), LaurentPoly.zero(), dtype=object)
+    for i in range(n):
+        m[i, i] = LaurentPoly.one()
+    return m
+
+
+def apply_two_site(m4: np.ndarray, i: int, j: int, n: int, x: np.ndarray) -> np.ndarray:
+    """Apply a 4x4 two-site matrix on factors i, j of (C^2)^n (0-based, factor 0
+    the most significant bit) to a vector (2^n,) or each column of a batch
+    (2^n, k)."""
+    t = x.reshape((2,) * n + x.shape[1:])
+    out = np.tensordot(m4.reshape(2, 2, 2, 2), t, axes=([2, 3], [i, j]))
+    return np.moveaxis(out, [0, 1], [i, j]).reshape(x.shape)
 
 
 def matrix_is_zero(m: np.ndarray) -> bool:
@@ -128,11 +122,14 @@ def yang_baxter_residual(u_lam, u_mu, u_nu, q) -> tuple[np.ndarray, float]:
     """L12(lam-mu) L13(lam-nu) L23(mu-nu) minus the reversed product, on
     the triple tensor space, together with a float scale (0.0 in the exact
     backend).  Arguments are the exponentiated points."""
-    l12 = embed_two_site(build_L(u_lam * invert(u_mu), q), 0, 1, 3)
-    l13 = embed_two_site(build_L(u_lam * invert(u_nu), q), 0, 2, 3)
-    l23 = embed_two_site(build_L(u_mu * invert(u_nu), q), 1, 2, 3)
-    lhs = l12 @ l13 @ l23
-    rhs = l23 @ l13 @ l12
+    l12 = build_L(u_lam * invert(u_mu), q)
+    l13 = build_L(u_lam * invert(u_nu), q)
+    l23 = build_L(u_mu * invert(u_nu), q)
+    lhs = rhs = _eye(8, l12.dtype == object)
+    for m4, i, j in ((l23, 1, 2), (l13, 0, 2), (l12, 0, 1)):
+        lhs = apply_two_site(m4, i, j, 3, lhs)
+    for m4, i, j in ((l12, 0, 1), (l13, 0, 2), (l23, 1, 2)):
+        rhs = apply_two_site(m4, i, j, 3, rhs)
     scale = 0.0 if is_exact(u_lam) else matrix_abs_sum(lhs) + matrix_abs_sum(rhs)
     return lhs - rhs, scale
 

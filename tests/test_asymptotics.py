@@ -1,8 +1,10 @@
 import cmath
 
+import numpy as np
 import pytest
 
 from sixvertex.asymptotics import (
+    apply_p,
     asymptotic_norm,
     b_top_coefficient,
     check_f_top_matches_b,
@@ -159,3 +161,42 @@ def test_asymptotic_law_float(rng):
     assert d3 <= 1e-1           # already close at t = 10^3
     assert d9 <= 1e-6           # and within 1e-6 once t beats the 1/t rate
     assert d9 <= d3 * 1e-4      # the decay really is ~1/t
+
+
+def _kron_p(j, L, q=None):
+    """P_j = K x ... x K x X- x K^-1 x ... x K^-1 by an np.kron chain of the
+    2x2 generators: a route that shares nothing with apply_p.  Exact entries
+    are in the half-exponent ring (q = s^2), like p_operator's."""
+    if q is None:
+        s, si = LaurentPoly.var(q_var(), 1), LaurentPoly.var(q_var(), -1)
+        zero, one, dt = LaurentPoly.zero(), LaurentPoly.one(), object
+    else:
+        s = cmath.sqrt(q)
+        si, zero, one, dt = 1 / s, 0j, 1 + 0j, complex
+    K = np.array([[s, zero], [zero, si]], dtype=dt)
+    Ki = np.array([[si, zero], [zero, s]], dtype=dt)
+    Xm = np.array([[zero, zero], [one, zero]], dtype=dt)
+    out = np.array([[one]], dtype=dt)
+    for m in [K] * (j - 1) + [Xm] + [Ki] * (L - j):
+        out = np.kron(out, m)
+    return out
+
+
+def test_p_operator_vs_kron_chain_exact():
+    for L in (1, 2, 3, 4):
+        for j in range(1, L + 1):
+            got, want = p_operator(j, L), _kron_p(j, L)
+            assert got.shape == want.shape
+            assert all(x == y for x, y in zip(got.flat, want.flat)), (L, j)
+
+
+def test_p_operator_vs_kron_chain_float(rng):
+    q = 1.3 - 0.4j
+    for L in (1, 2, 3, 4, 5):
+        for j in range(1, L + 1):
+            want = _kron_p(j, L, q)
+            assert np.abs(p_operator(j, L, q) - want).max() <= 1e-14 * np.abs(want).max()
+            batch = rng.standard_normal((2 ** L, 3)) + 1j * rng.standard_normal((2 ** L, 3))
+            for x in (batch, batch[:, 0]):
+                ref = want @ x
+                assert np.abs(apply_p(j, L, x, q) - ref).max() <= 1e-14 * np.abs(ref).max()

@@ -197,3 +197,35 @@ def test_negative_or_nan_tolerance_is_a_config_error(capsys):
                                       f"--tolerance={bad}"])
         assert code == 2, bad
         assert json.loads(out)["kind"] == "config"
+
+
+def test_usage_error_is_one_config_document(capsys):
+    cases = [
+        # a space-separated exponent-form negative reads as an option to argparse
+        ["verify", "--check", "fz", "--size", "2", "--backend", "float",
+         "--trials", "1", "--tolerance", "-1e-9"],
+        ["verify", "--check", "nope", "--size", "2"],
+    ]
+    for argv in cases:
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        doc = json.loads(captured.out)
+        assert doc["kind"] == "config" and set(doc) == {"error", "kind"}
+        assert captured.err == ""
+    assert "--tolerance" in json.loads(_capture(capsys, cases[0])[1])["error"]
+    assert "nope" in json.loads(_capture(capsys, cases[1])[1])["error"]
+
+
+def test_usage_error_console_script():
+    proc = subprocess.run(
+        [sys.executable, "-m", "sixvertex.cli", "verify", "--check", "fz",
+         "--size", "2", "--backend", "float", "--trials", "1", "--tolerance", "-1e-9"],
+        capture_output=True, text=True, check=False)
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["kind"] == "config"
+
+
+def test_help_still_exits_zero(capsys):
+    assert main(["verify", "--help"]) == 0
+    assert "--check" in capsys.readouterr().out

@@ -5,17 +5,19 @@ import pytest
 
 from sixvertex.errors import CoincidingSpectralPoints, DimensionMismatch
 from sixvertex.monodromy import (
+    _apply_T,
     apply_block,
     build_monodromy,
     check_commutation,
     check_rtt,
     check_triangular,
     dual_vacuum,
+    rtt_residual,
     triangular_action_residuals,
     vacuum,
 )
 from sixvertex.scalar import LaurentPoly, invert, q_var, u_var, w_var
-from sixvertex.vertex import matrix_is_zero, weights_of
+from sixvertex.vertex import _eye, build_R, matrix_is_zero, weights_of
 from sixvertex.sampling import sample_point, sample_spectral_set
 
 Q = LaurentPoly.var(q_var())
@@ -205,9 +207,71 @@ def test_rtt_numeric_l4(rng):
 def test_rtt_probe_path_l5(rng):
     pts = sample_spectral_set(rng, 2)
     mus = sample_spectral_set(rng, 5)
-    out = check_rtt(pts[0], pts[1], mus, sample_point(rng),
-                    tolerance=1e-9, rng=rng, probes=4)
+    out = check_rtt(pts[0], pts[1], mus, sample_point(rng), tolerance=1e-9, rng=rng)
     assert out.passed
+
+
+def _lift_reference(blocks, slot, exact):
+    """The 2x2 aux matrix of blocks as a dense operator on aux1 x aux2 x 2^L,
+    acting on aux factor ``slot``: aux index 2 a1 + a2, most significant."""
+    dim = blocks["A"].shape[0]
+    out = np.full((4 * dim, 4 * dim), LaurentPoly.zero() if exact else 0j,
+                  dtype=object if exact else complex)
+    for r in range(2):
+        for c in range(2):
+            E = np.zeros((2, 2))
+            E[r, c] = 1.0
+            aux = np.kron(E, np.eye(2)) if slot == 0 else np.kron(np.eye(2), E)
+            for ar, ac in zip(*np.nonzero(aux)):
+                out[ar * dim:(ar + 1) * dim, ac * dim:(ac + 1) * dim] = blocks["ABCD"[2 * r + c]]
+    return out
+
+
+def _rtt_reference(u, v, ws, q):
+    """R T1(u) T2(v) and T1(v) T2(u) R as dense matrices, from the kron-built
+    blocks, the dense lift and R x 1 by np.kron."""
+    exact = isinstance(u, LaurentPoly)
+    Tu, Tv = _kron_reference(u, ws, q), _kron_reference(v, ws, q)
+    R = np.kron(build_R(u * invert(v), q), _eye(2 ** len(ws), exact))
+    lhs = R @ (_lift_reference(Tu, 0, exact) @ _lift_reference(Tv, 1, exact))
+    rhs = (_lift_reference(Tv, 0, exact) @ _lift_reference(Tu, 1, exact)) @ R
+    return lhs, rhs
+
+
+def test_rtt_batch_route_vs_dense_lift_exact():
+    u, v = LaurentPoly.var(u_var(90)), LaurentPoly.var(u_var(91))
+    for L in (1, 2):
+        mus = _sym_mus(L)
+        ident = _eye(4 * 2 ** L, True)
+        for w in (u, v):
+            ref = _kron_reference(w, mus, Q)
+            for slot in (0, 1):
+                got = _apply_T(build_monodromy(w, mus, Q), slot, ident)
+                assert _agree(got, _lift_reference(ref, slot, True), True), (L, slot)
+        lhs, rhs = _rtt_reference(u, v, mus, Q)
+        res, scale = rtt_residual(u, v, mus, Q, ident)
+        assert scale == 0.0 and _agree(res, lhs - rhs, True)
+        assert matrix_is_zero(res)
+
+
+def test_rtt_batch_route_vs_dense_lift_float(rng):
+    L = 3
+    u, v = sample_spectral_set(rng, 2)
+    mus = sample_spectral_set(rng, L)
+    q = sample_point(rng)
+    ident = _eye(4 * 2 ** L, False)
+    for w in (u, v):
+        ref = _kron_reference(w, mus, q)
+        for slot in (0, 1):
+            got = _apply_T(build_monodromy(w, mus, q), slot, ident)
+            assert _agree(got, _lift_reference(ref, slot, False), False, rel=1e-12)
+    lhs, rhs = _rtt_reference(u, v, mus, q)
+    probes = rng.standard_normal((4 * 2 ** L, 8)) + 1j * rng.standard_normal((4 * 2 ** L, 8))
+    for x in (ident, probes, probes[:, 0]):
+        res, scale = rtt_residual(u, v, mus, q, x)
+        want = float(np.abs(lhs @ x).sum() + np.abs(rhs @ x).sum())
+        assert abs(scale - want) <= 1e-12 * want
+        assert np.abs(res - (lhs - rhs) @ x).max() <= 1e-12 * scale
 
 
 def test_commutation_exact_l2():

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,8 @@ import numpy as np
 from sixvertex.scalar import LaurentPoly, q_var, u_var, w_var
 from sixvertex.vertex import (
     Weights,
+    _eye,
+    apply_two_site,
     build_L,
     build_R,
     check_delta,
@@ -124,3 +127,48 @@ def test_matrix_is_zero_helper():
     assert matrix_is_zero(zero)
     zero[0, 1] = Q
     assert not matrix_is_zero(zero)
+
+
+def _embed_reference(m4, i, j, n):
+    """The 4x4 matrix lifted to factors i, j of (C^2)^n as a dense matrix, row
+    by row from the bits of each basis index (factor 0 the most significant)."""
+    dim = 2 ** n
+    out = np.full((dim, dim), LaurentPoly.zero() if m4.dtype == object else 0j, dtype=m4.dtype)
+    for r in range(dim):
+        bits = [(r >> (n - 1 - k)) & 1 for k in range(n)]
+        for si in range(2):
+            for sj in range(2):
+                cb = list(bits)
+                cb[i], cb[j] = si, sj
+                col = sum(v << (n - 1 - k) for k, v in enumerate(cb))
+                out[r, col] = out[r, col] + m4[2 * bits[i] + bits[j], 2 * si + sj]
+    return out
+
+
+def test_apply_two_site_vs_dense_embedding_exact():
+    # sixteen distinct symbols, so a transposed or misplaced entry shows
+    m4 = np.array([[LaurentPoly.var(u_var(4 * r + c + 1)) for c in range(4)]
+                   for r in range(4)], dtype=object)
+    for n in (3, 4):
+        vec = np.array([LaurentPoly.var(w_var(k + 1)) for k in range(2 ** n)], dtype=object)
+        for i, j in itertools.permutations(range(n), 2):
+            ref = _embed_reference(m4, i, j, n)
+            got = apply_two_site(m4, i, j, n, _eye(2 ** n, True))
+            assert all(x == y for x, y in zip(got.flat, ref.flat)), (n, i, j)
+            got = apply_two_site(m4, i, j, n, vec)
+            assert all(x == y for x, y in zip(got, ref @ vec)), (n, i, j)
+
+
+def test_apply_two_site_vs_dense_embedding_float():
+    rng = make_rng(11)
+    m4 = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    for n in (3, 4):
+        batch = rng.standard_normal((2 ** n, 3)) + 1j * rng.standard_normal((2 ** n, 3))
+        for i, j in itertools.permutations(range(n), 2):
+            ref = _embed_reference(m4, i, j, n)
+            got = apply_two_site(m4, i, j, n, _eye(2 ** n, False))
+            assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max(), (n, i, j)
+            for x in (batch, batch[:, 1]):
+                want = ref @ x
+                got = apply_two_site(m4, i, j, n, x)
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), (n, i, j)
