@@ -6,8 +6,9 @@ backend sweeps seeded random points beyond that: the exchange relation up
 to L = 5 (the full matrix identity to L = 4, eight random probe columns at
 L = 5) and the functional equation up to L = 7.  The string-operator and
 asymptotic checks run exactly at L = 2, 3 and 4 (those that go through Z
-or the monodromy's top coefficient at L <= 3).  Exits nonzero if
-anything fails.
+or the monodromy's top coefficient at L <= 3), and the homogeneous-limit
+differential relations exactly at L = 1 and 2.  Exits nonzero if anything
+fails.
 
     PYTHONPATH=src python scripts/run_checks.py [--seed N] [--trials N]
 """
@@ -16,8 +17,8 @@ import argparse
 import sys
 import time
 
-from sixvertex import asymptotics, functional, monodromy, vertex
-from sixvertex.scalar import LaurentPoly, q_var, u_var, w_var
+from sixvertex import asymptotics, functional, monodromy, solver, vertex
+from sixvertex.scalar import CheckOutcome, LaurentPoly, q_var, u_var, w_var
 from sixvertex.sampling import make_rng, sample_point, sample_spectral_set
 
 
@@ -86,6 +87,11 @@ def main():
     for L in (2, 3, 4):
         for outcome in asymptotics.run_asymptotic_checks(L):
             record(outcome)
+
+    print("== homogeneous limit ==")
+    for L in (1, 2):
+        res = solver.homogeneous_ode_residual(L)
+        record(CheckOutcome(f"homogeneous-ode-L{L}", res.is_zero(), exact=True))
 
     ok = all(r.passed for r in results)
     print(f"\n{len(results)} checks, "

@@ -51,7 +51,6 @@ from .functional import (
 from .asymptotics import asymptotic_norm, f_top, p_operator, q_factorial
 from .solver import (
     CoefficientTable,
-    UniPoly,
     h_table_from_z,
     homogeneous_ode_residual,
     homogeneous_partition_polynomial,

@@ -34,6 +34,7 @@ from .partition import standard_symbolic_params
 from .scalar import (
     CheckOutcome,
     LaurentPoly,
+    divide_exponents,
     invert,
     is_exact,
     leading_coeff,
@@ -44,32 +45,10 @@ from .scalar import (
 from .vertex import _eye, matrix_is_zero
 
 
-def to_half_exponents(p: LaurentPoly) -> LaurentPoly:
-    """Embed a genuine-q polynomial into the s-ring (q = s^2)."""
-    acc = {}
-    qk = q_var().key
-    for exps, coeff in p.items():
-        vec = tuple((k, 2 * e if k == qk else e) for k, e in exps)
-        acc[vec] = coeff
-    return LaurentPoly(acc)
-
-
 def from_half_exponents(p: LaurentPoly) -> LaurentPoly:
     """Map an s-ring polynomial back to integer q-powers; the exponents must
     all be even (this evenness is itself a checked invariant)."""
-    acc = {}
-    qk = q_var().key
-    for exps, coeff in p.items():
-        vec = []
-        for k, e in exps:
-            if k == qk:
-                if e % 2:
-                    raise ValueError(f"odd power of q^(1/2): {e}")
-                e //= 2
-            if e:
-                vec.append((k, e))
-        acc[tuple(vec)] = coeff
-    return LaurentPoly(acc)
+    return divide_exponents(p, q_var(), 2)
 
 
 def _s_poly(exp: int) -> LaurentPoly:
@@ -163,12 +142,7 @@ def f_top(i: int, ws, q, L: int) -> np.ndarray:
         acc = np.full((dim, dim), LaurentPoly.zero(), dtype=object)
         for j in range(1, L + 1):
             acc = acc + p_operator(j, L) * wpolys[j - 1]
-        out = acc * (pref * wfac)
-        conv = np.empty_like(out)
-        for r in range(dim):
-            for c in range(dim):
-                conv[r, c] = from_half_exponents(out[r, c])
-        return conv
+        return np.frompyfunc(from_half_exponents, 1, 1)(acc * (pref * wfac))
     s = cmath.sqrt(q)
     pref = 2 ** (-L) * s ** (L - 3) * (q * q - 1)
     wfac = ws[i - 1] ** (L - 1)

@@ -13,8 +13,8 @@ materializes a whole block as one sweep over the identity, for the
 identities that need a matrix.
 
 The exchange relation R T1 T2 = T1 T2 R lives on aux1 x aux2 x 2^L, and is
-checked in the same style: ``_apply_T`` applies T on one aux factor through
-the block sweeps, R acts on the two aux factors through
+checked in the same style: ``_apply_T`` applies T on one aux factor as one
+sweep over both aux components, R acts on the two aux factors through
 ``vertex.apply_two_site``, and both sides are applied to one batch, the
 identity for the full matrix identity or a few random probe columns.
 """
@@ -108,12 +108,18 @@ def _apply_site(phi0: np.ndarray, phi1: np.ndarray, j: int, L: int, w):
     return new0.reshape(phi0.shape), new1.reshape(phi1.shape)
 
 
+def _sweep(m: Monodromy, phi0: np.ndarray, phi1: np.ndarray):
+    """The whole monodromy on an aux pair: the one-site factors applied
+    right to left to (phi0, phi1), giving (A phi0 + B phi1, C phi0 + D phi1)."""
+    for j in range(m.size, 0, -1):
+        phi0, phi1 = _apply_site(phi0, phi1, j, m.size, m.weights[j - 1])
+    return phi0, phi1
+
+
 def apply_block(m: Monodromy, name: str, vec: np.ndarray) -> np.ndarray:
     """Apply block A/B/C/D to a state vector (2^L,) or to each column of a
-    batch (2^L, k).
-
-    The pair of auxiliary components is propagated through the one-site
-    factors right to left.
+    batch (2^L, k): one sweep with ``vec`` in the block's aux column and
+    zero in the other.
     """
     if name not in _BLOCKS:
         raise KeyError(name)
@@ -122,20 +128,18 @@ def apply_block(m: Monodromy, name: str, vec: np.ndarray) -> np.ndarray:
     row, col = divmod(_BLOCKS.index(name), 2)
     phi = [np.full_like(vec, _zero(m.exact)), np.full_like(vec, _zero(m.exact))]
     phi[col] = vec.copy()
-    for j in range(m.size, 0, -1):
-        phi = _apply_site(phi[0], phi[1], j, m.size, m.weights[j - 1])
-    return phi[row]
+    return _sweep(m, *phi)[row]
 
 
 def _apply_T(m: Monodromy, slot: int, x: np.ndarray) -> np.ndarray:
     """T on auxiliary factor ``slot`` (0 or 1) of aux1 x aux2 x 2^L, applied to
-    a vector (4 2^L,) or each column of a batch (4 2^L, k)."""
+    a vector (4 2^L,) or each column of a batch (4 2^L, k): one sweep over
+    both aux components."""
     dim = 2 ** m.size
     # (aux in this slot, aux in the other slot, quantum, columns)
     t = np.moveaxis(x.reshape((2, 2, dim) + x.shape[1:]), slot, 0)
     cols = [np.moveaxis(t[c], 1, 0).reshape(dim, -1) for c in range(2)]
-    rows = [m.apply(_BLOCKS[2 * r], cols[0]) + m.apply(_BLOCKS[2 * r + 1], cols[1])
-            for r in range(2)]
+    rows = _sweep(m, cols[0], cols[1])
     out = np.stack([np.moveaxis(y.reshape((dim, 2) + x.shape[1:]), 0, 1) for y in rows])
     return np.moveaxis(out, 0, slot).reshape(x.shape)
 

@@ -29,7 +29,6 @@ cross-multiplication.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import re
 import threading
@@ -318,14 +317,6 @@ class LaurentPoly:
         slots = {s for k in self._num for s, e in enumerate(_digits(k)) if e}
         return {VarId.from_key(_SLOT_KEYS[s]) for s in slots}
 
-    def constant_value(self) -> Fraction:
-        """The value of a constant polynomial (raises if non-constant)."""
-        if self.is_zero():
-            return Fraction(0)
-        if list(self._num) != [0]:
-            raise ValueError("polynomial is not constant")
-        return Fraction(self._num[0], self._den)
-
     def exponents_of(self, v: VarId) -> set[int]:
         s = _SLOT_OF.get(v.key)
         if s is None:
@@ -557,9 +548,6 @@ class LaurentPoly:
             for exps, c in self._sorted_terms()
         ]
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_terms())
-
     @classmethod
     def from_json_terms(cls, terms: list[dict]) -> "LaurentPoly":
         acc: dict[ExpVec, Fraction] = {}
@@ -568,10 +556,6 @@ class LaurentPoly:
             vec = tuple(sorted((_parse_var(nm).key, int(e)) for nm, e in t["exps"].items() if int(e)))
             acc[vec] = acc.get(vec, Fraction(0)) + coeff
         return cls(acc)
-
-    @classmethod
-    def from_text(cls, text: str) -> "LaurentPoly":
-        return parse_poly(text)
 
     def __repr__(self):
         return f"LaurentPoly({self.to_text()})"
@@ -701,23 +685,52 @@ def poly_derivative(p: LaurentPoly, v: VarId) -> LaurentPoly:
     return _reduced(out, p._den, min(p._emax + 1, EXP_LIMIT))
 
 
+def coefficients_in(p: LaurentPoly, vars: list[VarId]) -> dict[tuple[int, ...], LaurentPoly]:
+    """Split p by its exponents in the listed variables.
+
+    Maps each exponent tuple e (one entry per listed variable) that occurs
+    to its cofactor, free of those variables, so that p is the sum of
+    cofactor * prod v^e.  The zero polynomial has no cofactors.
+    """
+    slots = [_SLOT_OF.get(v.key) for v in vars]
+    groups: dict[tuple[int, ...], dict[int, int]] = {}
+    for k, c in p._num.items():
+        digits = {s: _digit(k, s) for s in slots if s is not None}
+        mono = sum(e << (_DIGIT_BITS * s) for s, e in digits.items())
+        es = tuple(0 if s is None else digits[s] for s in slots)
+        groups.setdefault(es, {})[k - mono] = c
+    return {es: _reduced(num, p._den, p._emax) for es, num in groups.items()}
+
+
 def leading_coeff(p: LaurentPoly, vars: list[VarId], degree: int) -> LaurentPoly:
     """Coefficient of ``prod v^degree`` over the listed variables.
 
     Raises DegreeExceeded if any listed variable occurs beyond ``degree``;
     returns the zero polynomial when the top monomial is absent.
     """
-    slots = [_SLOT_OF.get(v.key) for v in vars]
-    top = sum(degree << (_DIGIT_BITS * s) for s in set(slots) if s is not None)
-    out: dict[int, int] = {}
-    for k, c in p._num.items():
-        es = [0 if s is None else _digit(k, s) for s in slots]
+    parts = coefficients_in(p, vars)
+    for es in parts:
         for v, e in zip(vars, es):
             if e > degree:
                 raise DegreeExceeded(f"{v.name} exceeds degree {degree}")
-        if all(e == degree for e in es):
-            out[k - top] = c
-    return _reduced(out, p._den, p._emax)
+    return parts.get((degree,) * len(vars), LaurentPoly.zero())
+
+
+def divide_exponents(p: LaurentPoly, v: VarId, k: int) -> LaurentPoly:
+    """Divide every exponent of ``v`` by ``k``: p(v^(1/k)), which must stay
+    in the Laurent ring.  Raises ValueError if an exponent of ``v`` is not
+    a multiple of ``k``."""
+    s = _SLOT_OF.get(v.key)
+    if s is None:
+        return p
+    unit = 1 << (_DIGIT_BITS * s)
+    out: dict[int, int] = {}
+    for key, c in p._num.items():
+        e = _digit(key, s)
+        if e % k:
+            raise ValueError(f"exponent {e} of {v.name} is not a multiple of {k}")
+        out[key - (e - e // k) * unit] = c
+    return _make(out, p._den, p._emax)
 
 
 # -- rational functions ----------------------------------------------

@@ -28,9 +28,11 @@ Step 2 bounding rank from below and step 4 exhibiting an exact solution
 together prove the nullspace is one-dimensional; any mismatch raises
 NullspaceDimensionUnexpected rather than being repaired silently.
 
-The homogeneous-limit differential checks live here too: the single-variable
-partition polynomial, the hard-coded second-order operator coefficients and
-their residuals.
+The homogeneous-limit differential checks live here too: the partition
+polynomial in the one variable x = e^{2(lambda-mu)}, the hard-coded
+second-order operator coefficients and their residuals.  All three are
+LaurentPolys in x and q, with x written as the variable u0 (``X``), and
+differentiated with ``scalar.poly_derivative``.
 """
 
 from __future__ import annotations
@@ -50,12 +52,13 @@ from .sampling import sample_point, sample_spectral_set
 from .scalar import (
     LaurentPoly,
     RationalFunction,
+    coefficients_in,
+    divide_exponents,
     invert,
-    is_exact,
     parse_poly,
+    poly_derivative,
     q_var,
     u_var,
-    w_var,
 )
 
 _EXACT_LIMIT = 3
@@ -65,139 +68,58 @@ _CONSISTENCY_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------
-# univariate polynomials in the homogeneous variable x = e^{2(lambda-mu)}
+# homogeneous limit, in one variable x = e^{2(lambda-mu)}
 # ---------------------------------------------------------------------
 
-
-class UniPoly:
-    """Polynomial in one formal variable with scalar coefficients.
-
-    Coefficients are LaurentPoly in q (exact) or complex (float); only the
-    operations needed by the differential checks are provided.
-    """
-
-    def __init__(self, coeffs: dict | None = None):
-        self.coeffs = {}
-        for k, v in (coeffs or {}).items():
-            if isinstance(v, LaurentPoly):
-                if not v.is_zero():
-                    self.coeffs[k] = v
-            elif v != 0:
-                self.coeffs[k] = v
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) + v
-        return UniPoly(out)
-
-    def __sub__(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) - v
-        return UniPoly(out)
-
-    def __mul__(self, other):
-        if not isinstance(other, UniPoly):
-            return UniPoly({k: v * other for k, v in self.coeffs.items()})
-        out: dict = {}
-        for k1, v1 in self.coeffs.items():
-            for k2, v2 in other.coeffs.items():
-                out[k1 + k2] = out.get(k1 + k2, 0) + v1 * v2
-        return UniPoly(out)
-
-    __rmul__ = __mul__
-
-    def derivative(self) -> "UniPoly":
-        return UniPoly({k - 1: v * k for k, v in self.coeffs.items() if k})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return isinstance(other, UniPoly) and (self - other).is_zero()
-
-    def degree(self) -> int:
-        return max(self.coeffs, default=0)
-
-    def coeff(self, k: int):
-        return self.coeffs.get(k, 0)
-
-    def __repr__(self):
-        inner = ", ".join(f"x^{k}: {v!r}" for k, v in sorted(self.coeffs.items()))
-        return f"UniPoly({{{inner}}})"
+# The homogeneous variable x, written as u0: homogeneous polynomials are
+# LaurentPolys in X and q.
+X = u_var(0)
 
 
-def phi_polynomials(q=None) -> tuple[UniPoly, UniPoly, UniPoly]:
+def phi_polynomials() -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
     """The three x-polynomial coefficients of the homogeneous second-order
     relation for L = 2, exactly as they stand."""
-    if q is None:
-        q = LaurentPoly.var(q_var())
-    one = LaurentPoly.one() if is_exact(q) else 1 + 0j
+    q = LaurentPoly.var(q_var())
+    x = LaurentPoly.var(X)
     q2, q4, q6 = q ** 2, q ** 4, q ** 6
-    phi0 = UniPoly({
-        0: -4 * q2 * (one + q2 + q4),
-        1: 6 * q4 * (one + q2),
-        2: 12 * q6,
-        3: -6 * q6 * (one + q2),
-    })
-    phi1 = UniPoly({
-        0: -(one + 2 * q2 + 2 * q4 + q6),
-        1: 4 * q2 * (one + q2 + q4),
-        3: -12 * q6,
-        4: q4 * (-one + 4 * q2 + 4 * q4 - q6),
-    })
-    phi2 = UniPoly({
-        1: one - q2 - q4 + q6,
-        2: -2 * q2 * (one - 2 * q2 + q4),
-        4: -2 * q4 * (one - 2 * q2 + q4),
-        5: q4 * (one - q2 - q4 + q6),
-    })
+    phi0 = (-4 * q2 * (1 + q2 + q4) + 6 * q4 * (1 + q2) * x + 12 * q6 * x ** 2
+            - 6 * q6 * (1 + q2) * x ** 3)
+    phi1 = (-(1 + 2 * q2 + 2 * q4 + q6) + 4 * q2 * (1 + q2 + q4) * x - 12 * q6 * x ** 3
+            + q4 * (-1 + 4 * q2 + 4 * q4 - q6) * x ** 4)
+    phi2 = ((1 - q2 - q4 + q6) * x - 2 * q2 * (1 - 2 * q2 + q4) * x ** 2
+            - 2 * q4 * (1 - 2 * q2 + q4) * x ** 4 + q4 * (1 - q2 - q4 + q6) * x ** 5)
     return phi0, phi1, phi2
 
 
-def homogeneous_partition_polynomial(L: int) -> UniPoly:
-    """The homogeneous-limit polynomial: all lambdas equal, all mus equal,
-    times x^{L(L-1)/2}.  Obtained by direct substitution into the exact
-    multivariate polynomial; no limits of singular coefficients are needed.
+def homogeneous_partition_polynomial(L: int) -> LaurentPoly:
+    """The homogeneous-limit polynomial in x and q: all lambdas equal to
+    lambda, all mus zero, times x^{L(L-1)/2}.  Obtained by direct
+    substitution into the exact multivariate polynomial; no limits of
+    singular coefficients are needed.  Z depends on lambda - mu only, so
+    u0 = e^lambda carries every exponent, and x = u0^2.
     """
-    u = LaurentPoly.var(u_var(0))
-    w = LaurentPoly.var(w_var(0))
-    q = LaurentPoly.var(q_var())
-    z = z_algebraic([u] * L, [w] * L, q)
-    shifted = z * LaurentPoly.monomial(1, {u_var(0): L * (L - 1), w_var(0): -L * (L - 1)})
-    coeffs: dict[int, dict] = {}
-    uk, wk, qk = u_var(0).key, w_var(0).key, q_var().key
-    for exps, coeff in shifted.items():
-        d = dict(exps)
-        eu = d.pop(uk, 0)
-        ew = d.pop(wk, 0)
-        if eu % 2 or ew != -eu:
-            raise ValueError("homogeneous polynomial is not a function of x")
-        qpart = tuple(sorted(d.items()))
-        slot = coeffs.setdefault(eu // 2, {})
-        slot[qpart] = slot.get(qpart, Fraction(0)) + coeff
-    return UniPoly({k: LaurentPoly(v) for k, v in coeffs.items()})
+    u = LaurentPoly.var(X)
+    z = z_algebraic([u] * L, [LaurentPoly.one()] * L, LaurentPoly.var(q_var()))
+    return divide_exponents(z * u ** (L * (L - 1)), X, 2)
 
 
-def homogeneous_ode_residual(L: int, zbar: UniPoly | None = None) -> UniPoly:
+def homogeneous_ode_residual(L: int, zbar: LaurentPoly | None = None) -> LaurentPoly:
     """Residual of the homogeneous differential relation, denominators
     cleared; identically zero for the computed partition polynomial."""
     if L not in (1, 2):
         raise ValueError("homogeneous differential checks exist for L = 1, 2")
     q = LaurentPoly.var(q_var())
+    x = LaurentPoly.var(X)
     if zbar is None:
         zbar = homogeneous_partition_polynomial(L)
-    d1 = zbar.derivative()
-    d2 = d1.derivative()
+    d1 = poly_derivative(zbar, X)
+    d2 = poly_derivative(d1, X)
     if L == 1:
         # [1 - 2qx/(q+q^-1)] Z' + (x/2)[1 - 4qx/(q+q^-1) + q^2 x^2] Z'',
         # multiplied through by 2 (q + q^-1)
         qpq = q + invert(q)
-        t1 = UniPoly({0: 2 * qpq, 1: -4 * q})
-        t2 = UniPoly({1: qpq, 2: -4 * q, 3: q ** 2 * qpq})
-        return t1 * d1 + t2 * d2
-    phi0, phi1, phi2 = phi_polynomials(q)
+        return (2 * qpq - 4 * q * x) * d1 + (qpq * x - 4 * q * x ** 2 + q ** 2 * qpq * x ** 3) * d2
+    phi0, phi1, phi2 = phi_polynomials()
     return phi0 * zbar + phi1 * d1 + phi2 * d2
 
 
@@ -254,24 +176,14 @@ class CoefficientTable:
 def h_table_from_z(L: int) -> CoefficientTable:
     """Expansion coefficients of the operator-product partition function at
     zero inhomogeneities; the direct counterpart of the solved table."""
-    q = LaurentPoly.var(q_var())
-    lams = [LaurentPoly.var(u_var(i)) for i in range(1, L + 1)]
-    z = z_algebraic(lams, [LaurentPoly.one()] * L, q)
-    ukeys = [u_var(i).key for i in range(1, L + 1)]
-    qk = q_var().key
-    acc: dict[tuple, dict] = {}
-    for exps, coeff in z.items():
-        d = dict(exps)
-        idx = tuple(d.pop(k, 0) for k in ukeys)
-        qpart = tuple(sorted(d.items()))
-        if any(k != qk for k, _ in qpart):
-            raise ValueError("unexpected variable in the expansion")
-        slot = acc.setdefault(idx, {})
-        slot[qpart] = slot.get(qpart, Fraction(0)) + coeff
-    entries = {}
-    for idx in ansatz_box(L):
-        poly = LaurentPoly(acc.get(idx, {}))
-        entries[idx] = RationalFunction(poly)
+    us = [u_var(i) for i in range(1, L + 1)]
+    z = z_algebraic([LaurentPoly.var(v) for v in us], [LaurentPoly.one()] * L,
+                    LaurentPoly.var(q_var()))
+    parts = coefficients_in(z, us)
+    if any(v != q_var() for p in parts.values() for v in p.variables()):
+        raise ValueError("unexpected variable in the expansion")
+    zero = LaurentPoly.zero()
+    entries = {idx: RationalFunction(parts.get(idx, zero)) for idx in ansatz_box(L)}
     return CoefficientTable(L, "asymptotic", entries)
 
 

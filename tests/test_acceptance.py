@@ -140,12 +140,16 @@ def test_criterion_4_l1_closed_form():
 
 
 def test_criterion_5_homogeneous_l2():
+    from sixvertex.scalar import coefficients_in, leading_coeff
+    from sixvertex.solver import X
+
     zbar = homogeneous_partition_polynomial(2)
     k2 = (Q - invert(Q)) ** 2 * (1 + Q ** 2) / 16
-    ok = zbar.coeff(2) == k2
-    ok = ok and RationalFunction(zbar.coeff(1)) == RationalFunction(-4 * k2, 1 + Q ** 2)
-    ok = ok and RationalFunction(zbar.coeff(0)) == RationalFunction(k2, Q ** 2)
-    ok = ok and zbar.degree() == 2
+    coeff = coefficients_in(zbar, [X])
+    ok = leading_coeff(zbar, [X], 2) == k2
+    ok = ok and RationalFunction(coeff[(1,)]) == RationalFunction(-4 * k2, 1 + Q ** 2)
+    ok = ok and RationalFunction(coeff[(0,)]) == RationalFunction(k2, Q ** 2)
+    ok = ok and zbar.degree_in(X) == 2
     ok = ok and homogeneous_ode_residual(1).is_zero()
     ok = ok and homogeneous_ode_residual(2).is_zero()
     assert _report(5, "homogeneous size-2 polynomial and differential checks", ok)

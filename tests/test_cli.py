@@ -148,11 +148,10 @@ def test_verify_fz_float_reports_sampled_points(capsys):
 
 def test_failing_check_forces_exit_one(capsys, monkeypatch):
     from sixvertex import solver as solver_mod
-    from sixvertex.solver import UniPoly
     from sixvertex.scalar import LaurentPoly
 
     monkeypatch.setattr(solver_mod, "homogeneous_ode_residual",
-                        lambda L: UniPoly({0: LaurentPoly.one()}))
+                        lambda L: LaurentPoly.one())
     code, out = _capture(capsys, ["ode", "--size", "1"])
     assert code == 1
     assert json.loads(out)["residual_zero"] is False

@@ -22,6 +22,8 @@ from sixvertex.scalar import (
     LaurentPoly,
     RationalFunction,
     VarId,
+    coefficients_in,
+    divide_exponents,
     parse_poly,
     poly_derivative,
     q_var,
@@ -272,3 +274,45 @@ def test_slot_registry_under_threads():
         assert parse_poly(p.to_text()) == p
         assert LaurentPoly(dict(p.items())) == p
     assert len(results) == 4
+
+
+# -- exponent bookkeeping: coefficients_in and divide_exponents ---------------
+
+
+@given(ref_polys(), st.lists(st.sampled_from(_VARS), max_size=3, unique=True))
+def test_coefficients_in_adds_back_up(a, vars):
+    p = LaurentPoly(a)
+    parts = coefficients_in(p, vars)
+    total = LaurentPoly.zero()
+    for es, cofactor in parts.items():
+        assert not cofactor.is_zero()
+        assert not cofactor.variables() & set(vars)
+        total = total + cofactor * LaurentPoly.monomial(1, dict(zip(vars, es)))
+    assert total == p
+
+
+@given(ref_polys(), st.sampled_from(_VARS), st.integers(1, 3))
+def test_divide_exponents_inverts_the_power_substitution(a, v, k):
+    base = LaurentPoly(a)
+    p = base.substitute({v: LaurentPoly.var(v, k)})
+    got = divide_exponents(p, v, k)
+    assert got == base
+    assert got.substitute({v: LaurentPoly.var(v, k)}) == p
+
+
+def test_divide_exponents_rejects_a_non_multiple():
+    u = LaurentPoly.var(u_var(61))
+    with pytest.raises(ValueError):
+        divide_exponents(u ** 4 + u ** 3, u_var(61), 2)
+
+
+def test_divide_exponents_leaves_other_variables():
+    u, w, q = (LaurentPoly.var(v) for v in (u_var(61), w_var(61), q_var()))
+    p = u ** 4 * w ** 3 * q ** -5 + Fraction(2, 3) * u ** -2 * q
+    assert divide_exponents(p, u_var(61), 2) == u ** 2 * w ** 3 * q ** -5 + Fraction(2, 3) * q / u
+
+
+def test_kernel_operations_on_zero():
+    zero = LaurentPoly.zero()
+    assert divide_exponents(zero, u_var(61), 2).is_zero()
+    assert coefficients_in(zero, [u_var(61), q_var()]) == {}
