@@ -42,7 +42,7 @@ from .scalar import (
     u_var,
     w_var,
 )
-from .vertex import _eye, matrix_is_zero
+from .vertex import _eye, matrix_is_zero, verdict
 
 
 def from_half_exponents(p: LaurentPoly) -> LaurentPoly:
@@ -210,24 +210,17 @@ def check_p_relations(L: int, q=None) -> CheckOutcome:
     if not _sides_agree((Xp @ Xm - Xm @ Xp) * (qq - invert(qq)),
                         K @ K - Ki @ Ki, exact):
         problems.append("[X+, X-]")
-    want = _s_poly(L * (L - 1)) if exact else cmath.sqrt(q) ** (L * (L - 1))
-    got = vacuum_sandwich_p_chain(L, q)
-    if exact:
-        if got != from_half_exponents(want):
-            problems.append("vacuum sandwich")
-    elif abs(got - want) > 1e-9 * abs(want):
+    want = from_half_exponents(_s_poly(L * (L - 1))) if exact else cmath.sqrt(q) ** (L * (L - 1))
+    scale = None if exact else abs(want)
+    if not verdict("", vacuum_sandwich_p_chain(L, q) - want, scale, 1e-9).passed:
         problems.append("vacuum sandwich")
     return CheckOutcome("string-operator-relations", not problems, exact=exact,
                         details={"failed": problems} if problems else {})
 
 
 def _sides_agree(lhs, rhs, exact: bool, tol: float = 1e-12) -> bool:
-    if exact:
-        return matrix_is_zero(lhs - rhs)
-    scale = float(np.abs(lhs).sum() + np.abs(rhs).sum())
-    if scale == 0.0:
-        return bool(np.abs(lhs - rhs).max() == 0.0)
-    return bool(np.abs(lhs - rhs).max() <= tol * scale)
+    scale = None if exact else float(np.abs(lhs).sum() + np.abs(rhs).sum())
+    return verdict("", lhs - rhs, scale, tol).passed
 
 
 def check_ordering_sum(L: int, q=None) -> CheckOutcome:
@@ -248,13 +241,8 @@ def check_ordering_sum(L: int, q=None) -> CheckOutcome:
             acc = acc + qm2 ** t
         pref = pref * acc
     ordered = _apply_product(range(1, L + 1), L, ident, q)
-    res = total - ordered * pref
-    if exact:
-        return CheckOutcome("ordering-sum", matrix_is_zero(res), exact=True)
-    scale = float(np.abs(total).sum() + np.abs(ordered * pref).sum())
-    r = float(np.abs(res).max())
-    return CheckOutcome("ordering-sum", r <= 1e-9 * scale, exact=False,
-                        residual=r, scale=scale, tolerance=1e-9)
+    scale = None if exact else float(np.abs(total).sum() + np.abs(ordered * pref).sum())
+    return verdict("ordering-sum", total - ordered * pref, scale, 1e-9)
 
 
 def check_f_top_matches_b(L: int) -> CheckOutcome:

@@ -384,6 +384,10 @@ def run(cfg: RunConfig) -> tuple[int, dict]:
         raise ConfigError(f"unknown command {cfg.command!r}")
     if cfg.tolerance is not None and not cfg.tolerance >= 0:
         raise ConfigError(f"--tolerance must be a non-negative number, got {cfg.tolerance}")
+    for flag, value, least in (("size", cfg.size, 1), ("trials", cfg.trials, 1),
+                               ("operators", cfg.operators, 0)):
+        if value is not None and value < least:
+            raise ConfigError(f"--{flag} must be at least {least}, got {value}")
     return handlers[cfg.command](cfg)
 
 

@@ -31,7 +31,7 @@ from .errors import PoleAtCoincidingPoints, ProviderFailure
 from .monodromy import build_monodromy, vacuum
 from .sampling import MIN_POLE_DISTANCE, pole_distance, sample_point, sample_spectral_set
 from .scalar import CheckOutcome, LaurentPoly, RationalFunction, invert, is_exact
-from .vertex import matrix_is_zero, weights_of
+from .vertex import verdict, weights_of
 
 
 def _bsign(p: int, r: int) -> int:
@@ -273,10 +273,8 @@ def check_fz(inp: FunctionalInput, z_provider=None,
              tolerance: float = 1e-9) -> CheckOutcome:
     res, scale = _functional_residual_with_scale(inp, z_provider)
     if isinstance(res, RationalFunction):
-        return CheckOutcome("functional-equation", res.is_zero(), exact=True)
-    r = abs(res)
-    return CheckOutcome("functional-equation", r <= tolerance * scale, exact=False,
-                        residual=r, scale=scale, tolerance=tolerance)
+        res = res.num
+    return verdict("functional-equation", res, scale, tolerance)
 
 
 # -- operator-level checks ---------------------------------------------
@@ -321,12 +319,7 @@ def cbb_expansion_residual(n: int, points, mus, q):
 
 def check_cbb_expansion(n: int, points, mus, q,
                         tolerance: float = 1e-9) -> CheckOutcome:
-    res, scale = cbb_expansion_residual(n, points, mus, q)
-    if scale is None:
-        return CheckOutcome("cbb-expansion", matrix_is_zero(res), exact=True)
-    r = float(np.abs(res).max())
-    return CheckOutcome("cbb-expansion", r <= tolerance * scale, exact=False,
-                        residual=r, scale=scale, tolerance=tolerance)
+    return verdict("cbb-expansion", *cbb_expansion_residual(n, points, mus, q), tolerance)
 
 
 def b_nilpotency_residual(L: int, lams, mus, q) -> np.ndarray:
@@ -339,13 +332,11 @@ def b_nilpotency_residual(L: int, lams, mus, q) -> np.ndarray:
 def check_b_nilpotency(L: int, lams, mus, q,
                        tolerance: float = 1e-10) -> CheckOutcome:
     res = b_nilpotency_residual(L, lams, mus, q)
-    if is_exact(q):
-        return CheckOutcome("b-nilpotency", matrix_is_zero(res), exact=True)
-    # scale: the largest intermediate product of L B-applications
-    inter = _b_product_vector(list(lams)[:-1], list(mus), q)
-    scale = float(np.abs(inter).sum()) * float(
-        np.abs(np.asarray(
-            build_monodromy(lams[-1], list(mus), q).block("B"), dtype=complex)).max())
-    r = float(np.abs(res).max())
-    return CheckOutcome("b-nilpotency", r <= tolerance * max(scale, 1e-300), exact=False,
-                        residual=r, scale=scale, tolerance=tolerance)
+    scale = None
+    if not is_exact(q):
+        # scale: the largest intermediate product of L B-applications
+        inter = _b_product_vector(list(lams)[:-1], list(mus), q)
+        scale = float(np.abs(inter).sum()) * float(
+            np.abs(np.asarray(
+                build_monodromy(lams[-1], list(mus), q).block("B"), dtype=complex)).max())
+    return verdict("b-nilpotency", res, scale, tolerance)

@@ -33,7 +33,7 @@ from .vertex import (
     apply_two_site,
     build_R,
     matrix_abs_sum,
-    matrix_is_zero,
+    verdict,
     weights_of,
 )
 
@@ -173,12 +173,7 @@ def check_rtt(u, v, ws, q, tolerance: float = 1e-9, rng=None) -> CheckOutcome:
     else:
         x = np.stack([rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
                       for _ in range(_RTT_PROBES)], axis=1)
-    res, scale = rtt_residual(u, v, ws, q, x)
-    if exact:
-        return CheckOutcome("rtt", matrix_is_zero(res), exact=True)
-    r = float(np.abs(res).max())
-    return CheckOutcome("rtt", r <= tolerance * scale, exact=False,
-                        residual=r, scale=scale, tolerance=tolerance)
+    return verdict("rtt", *rtt_residual(u, v, ws, q, x), tolerance)
 
 
 _COMM_RULES = ("AB", "DB", "CB", "BB")
@@ -224,18 +219,11 @@ def commutation_residual(rule: str, lam, nu, ws, q) -> tuple[np.ndarray, float]:
 
 def check_commutation(rule: str, lam, nu, ws, q,
                       tolerance: float = 1e-9) -> CheckOutcome:
-    exact = is_exact(lam)
-    if not exact and rule in ("AB", "DB", "CB"):
+    if not is_exact(lam) and rule in ("AB", "DB", "CB"):
         if pole_distance(lam, nu) < MIN_POLE_DISTANCE:
             raise CoincidingSpectralPoints(
                 f"lam and nu too close for rule {rule}: b(lam-nu) ~ 0")
-    res, scale = commutation_residual(rule, lam, nu, ws, q)
-    name = f"commutation-{rule}"
-    if exact:
-        return CheckOutcome(name, matrix_is_zero(res), exact=True)
-    r = float(np.abs(res).max())
-    return CheckOutcome(name, r <= tolerance * scale, exact=False,
-                        residual=r, scale=scale, tolerance=tolerance)
+    return verdict(f"commutation-{rule}", *commutation_residual(rule, lam, nu, ws, q), tolerance)
 
 
 def triangular_action_residuals(u, ws, q) -> dict[str, np.ndarray]:
@@ -268,17 +256,15 @@ def triangular_action_residuals(u, ws, q) -> dict[str, np.ndarray]:
 
 
 def check_triangular(u, ws, q, tolerance: float = 1e-9) -> CheckOutcome:
+    """The six vanishing actions as one residual; B|0> and C|0bar> must fail
+    that same verdict."""
     exact = is_exact(u)
     res = triangular_action_residuals(u, ws, q)
-    nonzero_keys = [k for k in res if "nonzero" in k]
-    zero_keys = [k for k in res if "nonzero" not in k]
-    if exact:
-        ok_zero = all(matrix_is_zero(res[k]) for k in zero_keys)
-        ok_nonzero = all(not matrix_is_zero(res[k]) for k in nonzero_keys)
-        return CheckOutcome("triangular-actions", ok_zero and ok_nonzero, exact=True,
-                            details={"nonzero_actions_present": ok_nonzero})
-    scale = sum(float(np.abs(v).sum()) for v in res.values())
-    worst = max(float(np.abs(res[k]).max()) for k in zero_keys)
-    ok_nonzero = all(float(np.abs(res[k]).max()) > tolerance * scale for k in nonzero_keys)
-    return CheckOutcome("triangular-actions", worst <= tolerance * scale and ok_nonzero,
-                        exact=False, residual=worst, scale=scale, tolerance=tolerance)
+    scale = None if exact else sum(float(np.abs(v).sum()) for v in res.values())
+    present = all(not verdict("", v, scale, tolerance).passed
+                  for k, v in res.items() if "nonzero" in k)
+    out = verdict("triangular-actions",
+                  np.concatenate([v for k, v in res.items() if "nonzero" not in k]),
+                  scale, tolerance, {"nonzero_actions_present": present} if exact else None)
+    out.passed = out.passed and present
+    return out

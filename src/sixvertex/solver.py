@@ -60,6 +60,7 @@ from .scalar import (
     q_var,
     u_var,
 )
+from .vertex import verdict
 
 _EXACT_LIMIT = 3
 _NUMERIC_LIMIT = 4
@@ -308,6 +309,32 @@ def _row_at_q(row: tuple, qval: int) -> dict[int, int]:
     return out
 
 
+def _reduce_into(basis: dict, v: dict, normalize) -> bool:
+    """Fraction-free reduction of row v (column -> entry) against the basis,
+    keyed by leading (lowest) column.  A nonzero remainder joins the basis,
+    normalized; returns whether it did."""
+    while v:
+        lead = min(v)
+        if lead not in basis:
+            basis[lead] = normalize(v)
+            return True
+        b = basis[lead]
+        f1, f2 = b[lead], v[lead]
+        zero = type(f1)()  # 0, or LaurentPoly.zero()
+        nv = {}
+        for c in set(v) | set(b):
+            x = v.get(c, zero) * f1 - b.get(c, zero) * f2
+            if x:
+                nv[c] = x
+        v = normalize(nv)
+    return False
+
+
+def _gcd_normalize(row: dict[int, int]) -> dict[int, int]:
+    g = math.gcd(*row.values())
+    return {c: x // g for c, x in row.items()}
+
+
 def _select_independent_rows(rows: list, ncols: int, qval: int = 3):
     """Greedy selection of rows independent over the integers at q = qval."""
     basis: dict[int, dict[int, int]] = {}
@@ -316,25 +343,8 @@ def _select_independent_rows(rows: list, ncols: int, qval: int = 3):
     for ridx, row in enumerate(rows):
         if len(selected) >= target:
             break
-        v = _row_at_q(row, qval)
-        while v:
-            lead = min(v)
-            if lead not in basis:
-                g = math.gcd(*v.values()) if len(v) > 1 else abs(next(iter(v.values())))
-                basis[lead] = {c: x // g for c, x in v.items()}
-                selected.append(ridx)
-                break
-            b = basis[lead]
-            f1, f2 = b[lead], v[lead]
-            nv = {}
-            for c in set(v) | set(b):
-                x = v.get(c, 0) * f1 - b.get(c, 0) * f2
-                if x:
-                    nv[c] = x
-            if nv:
-                g = math.gcd(*nv.values()) if len(nv) > 1 else abs(next(iter(nv.values())))
-                nv = {c: x // g for c, x in nv.items()}
-            v = nv
+        if _reduce_into(basis, _row_at_q(row, qval), _gcd_normalize):
+            selected.append(ridx)
     return selected, len(selected)
 
 
@@ -358,19 +368,7 @@ def _exact_nullvector(rows: list, ncols: int) -> list[RationalFunction]:
     basis: dict[int, dict[int, LaurentPoly]] = {}
     for row in rows:
         v = {c: LaurentPoly({((qv.key, e),) if e else (): x for e, x in qp}) for c, qp in row}
-        while v:
-            lead = min(v)
-            if lead not in basis:
-                basis[lead] = _row_reduce_normalize(v)
-                break
-            b = basis[lead]
-            f1, f2 = b[lead], v[lead]
-            nv = {}
-            for c in set(v) | set(b):
-                p = v.get(c, LaurentPoly.zero()) * f1 - b.get(c, LaurentPoly.zero()) * f2
-                if p:
-                    nv[c] = p
-            v = _row_reduce_normalize(nv)
+        _reduce_into(basis, v, _row_reduce_normalize)
     if len(basis) != ncols - 1:
         raise NullspaceDimensionUnexpected(
             f"rank {len(basis)} over Z[q], expected {ncols - 1}")
@@ -559,9 +557,9 @@ def solve_fz_numeric(L: int, rng, q_count: int = 8,
                     f"no clear one-dimensional nullspace at q={q}: gap {gap}")
             ratio_pair.append(v / v[top])
             gaps.append(gap)
-        diff = float(np.abs(ratio_pair[0] - ratio_pair[1]).max())
         scale = float(np.abs(ratio_pair[0]).max())
-        if diff > _CONSISTENCY_TOL * scale:
+        agree = verdict("batch-consistency", ratio_pair[0] - ratio_pair[1], scale, _CONSISTENCY_TOL)
+        if not agree.passed:
             raise NullspaceDimensionUnexpected(
                 f"ratio vectors from independent batches disagree at q={q}")
         ratios = ratio_pair[0]
@@ -572,7 +570,7 @@ def solve_fz_numeric(L: int, rng, q_count: int = 8,
             for k, idx in enumerate(box)
             if abs(ratios[k]) > 1e-8 * float(np.abs(ratios).max())
         }
-        samples.append(NumericSolveSample(q, entries, max(gaps), diff / max(scale, 1e-300)))
+        samples.append(NumericSolveSample(q, entries, max(gaps), agree.residual / scale))
     return NumericSolveResult(L, normalization, samples)
 
 

@@ -103,9 +103,9 @@ def apply_two_site(m4: np.ndarray, i: int, j: int, n: int, x: np.ndarray) -> np.
     return np.moveaxis(out, [0, 1], [i, j]).reshape(x.shape)
 
 
-def matrix_is_zero(m: np.ndarray) -> bool:
-    """Exact zero test, entry-wise (exact backend only)."""
-    for entry in m.flat:
+def matrix_is_zero(m) -> bool:
+    """Exact zero test, entry-wise, of an object array or one exact scalar."""
+    for entry in m.flat if isinstance(m, np.ndarray) else (m,):
         if isinstance(entry, LaurentPoly):
             if not entry.is_zero():
                 return False
@@ -116,6 +116,21 @@ def matrix_is_zero(m: np.ndarray) -> bool:
 
 def matrix_abs_sum(m: np.ndarray) -> float:
     return float(np.abs(np.asarray(m, dtype=complex)).sum())
+
+
+def verdict(name: str, residual, scale, tolerance: float, details=None) -> CheckOutcome:
+    """The one pass/fail rule of every identity check.
+
+    An exact residual (a LaurentPoly, an int or Fraction, or an object
+    array) passes when every entry is exactly zero; scale is ignored.  A
+    float residual passes when its largest absolute entry r satisfies
+    r <= tolerance * scale."""
+    details = details or {}
+    if is_exact(residual) or getattr(residual, "dtype", None) == object:
+        return CheckOutcome(name, matrix_is_zero(residual), exact=True, details=details)
+    r = float(np.abs(residual).max()) if isinstance(residual, np.ndarray) else abs(residual)
+    return CheckOutcome(name, r <= tolerance * scale, exact=False, residual=r,
+                        scale=scale, tolerance=tolerance, details=details)
 
 
 def yang_baxter_residual(u_lam, u_mu, u_nu, q) -> tuple[np.ndarray, float]:
@@ -135,20 +150,13 @@ def yang_baxter_residual(u_lam, u_mu, u_nu, q) -> tuple[np.ndarray, float]:
 
 
 def check_yang_baxter(u_lam, u_mu, u_nu, q, tolerance: float = 1e-10) -> CheckOutcome:
-    res, scale = yang_baxter_residual(u_lam, u_mu, u_nu, q)
-    if is_exact(u_lam):
-        return CheckOutcome("yang-baxter", matrix_is_zero(res), exact=True)
-    r = float(np.abs(res).max())
-    return CheckOutcome("yang-baxter", r <= tolerance * scale, exact=False,
-                        residual=r, scale=scale, tolerance=tolerance)
+    return verdict("yang-baxter", *yang_baxter_residual(u_lam, u_mu, u_nu, q), tolerance)
 
 
 def check_delta(z, q, tolerance: float = 1e-9) -> CheckOutcome:
     res = delta_residual(z, q)
-    if is_exact(res):
-        return CheckOutcome("delta-invariant", res.is_zero(), exact=True)
-    wts = weights_of(z, q)
-    scale = abs(wts.a) ** 2 + abs(wts.b) ** 2 + abs(wts.c) ** 2 + abs(wts.a * wts.b * (q + 1 / q))
-    r = abs(res)
-    return CheckOutcome("delta-invariant", r <= tolerance * scale, exact=False,
-                        residual=r, scale=scale, tolerance=tolerance)
+    scale = None
+    if not is_exact(res):
+        wts = weights_of(z, q)
+        scale = abs(wts.a) ** 2 + abs(wts.b) ** 2 + abs(wts.c) ** 2 + abs(wts.a * wts.b * (q + 1 / q))
+    return verdict("delta-invariant", res, scale, tolerance)

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from sixvertex.cli import RunConfig, main, run
 
 
@@ -228,3 +230,20 @@ def test_usage_error_console_script():
 def test_help_still_exits_zero(capsys):
     assert main(["verify", "--help"]) == 0
     assert "--check" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--size", "0"],
+    ["solve", "--size", "0"],
+    ["verify", "--check", "appendix-a", "--size", "0"],
+    ["verify", "--check", "cbb", "--operators", "-1"],
+    ["verify", "--check", "fz", "--size", "0"],
+    ["verify", "--check", "fz", "--size", "2", "--backend", "float", "--trials", "0"],
+    ["verify", "--check", "fz", "--size", "2", "--backend", "float", "--trials", "-3"],
+])
+def test_out_of_range_counts_are_config_errors(capsys, argv):
+    code, out = _capture(capsys, argv)
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["kind"] == "config"
+    assert argv[-2] in doc["error"]

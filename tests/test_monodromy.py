@@ -68,6 +68,18 @@ def test_triangular_exact_all_sizes():
         assert out.passed
 
 
+def test_triangular_float_fails_when_nonzero_actions_fall_under_tolerance(rng):
+    # with tolerance 1 every action lies under tolerance * scale (the scale is
+    # the sum of all eight action norms), so B|0> and C|0bar> no longer count
+    # as present and the check must fail although the vanishing part passes
+    u = sample_spectral_set(rng, 1)[0]
+    mus, q = sample_spectral_set(rng, 3), sample_point(rng)
+    assert check_triangular(u, mus, q).passed
+    out = check_triangular(u, mus, q, tolerance=1.0)
+    assert not out.exact and out.residual <= out.scale
+    assert not out.passed
+
+
 def test_dual_actions_corrected_target():
     # A|0bar> and D|0bar> are proportional to |0bar> itself
     L = 3

@@ -1,10 +1,11 @@
 import cmath
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
-from sixvertex.scalar import LaurentPoly, q_var, u_var, w_var
+from sixvertex.scalar import LaurentPoly, RationalFunction, q_var, u_var, w_var
 from sixvertex.vertex import (
     Weights,
     _eye,
@@ -17,6 +18,7 @@ from sixvertex.vertex import (
     l_matrix_from_weights,
     matrix_is_zero,
     permutation_matrix,
+    verdict,
     weights_of,
 )
 from sixvertex.sampling import make_rng, sample_point
@@ -127,6 +129,63 @@ def test_matrix_is_zero_helper():
     assert matrix_is_zero(zero)
     zero[0, 1] = Q
     assert not matrix_is_zero(zero)
+
+
+def test_verdict_exact_scalars():
+    for zero in (LaurentPoly.zero(), Q - Q, 0, Fraction(0)):
+        out = verdict("t", zero, None, 1e-9)
+        assert out.passed and out.exact and out.residual is None
+    for nonzero in (Q, LaurentPoly.one(), 1, Fraction(1, 3)):
+        out = verdict("t", nonzero, None, 1e-9)
+        assert not out.passed and out.exact
+
+
+def test_verdict_exact_object_array_ignores_scale():
+    m = np.full((2, 3), LaurentPoly.zero(), dtype=object)
+    # the exact backend reports scale 0.0 for some checks and None for others
+    for scale in (None, 0.0):
+        assert verdict("t", m, scale, 1e-9).passed
+    m[1, 2] = Q * Q
+    assert not verdict("t", m, 0.0, 1.0).passed
+    out = verdict("t", m, None, 1e-9, {"k": 1})
+    assert out.exact and out.details == {"k": 1}
+
+
+def test_verdict_rational_function_numerator():
+    den = Q + LaurentPoly.one()
+    assert verdict("t", RationalFunction(Q * Q - Q * Q, den).num, None, 1e-9).passed
+    assert not verdict("t", RationalFunction(Q, den).num, None, 1e-9).passed
+
+
+def test_verdict_float_scalar_residual_is_python_abs():
+    # a value whose complex modulus differs in the last bit between numpy and
+    # Python; the reported residual must be Python's abs, as it always was
+    x = -0.5442589828573099 - 0.31630015636915454j
+    assert float(np.abs(x)) != abs(x)
+    out = verdict("t", x, 1.0, 1.0)
+    assert not out.exact and out.passed
+    assert out.residual.hex() == abs(x).hex()
+    assert (out.scale, out.tolerance) == (1.0, 1.0)
+
+
+def test_verdict_float_array_uses_largest_entry():
+    res = np.array([1e-12 + 0j, -3e-12j, 2e-12 + 0j])
+    out = verdict("t", res, 1.0, 3e-12)
+    assert out.residual == 3e-12 and out.passed
+    assert not verdict("t", res, 1.0, 2.9e-12).passed
+
+
+def test_verdict_zero_scale_passes_only_exact_zero():
+    assert verdict("t", 0j, 0.0, 1e-9).passed
+    assert verdict("t", np.zeros(4, dtype=complex), 0.0, 1e-9).passed
+    assert not verdict("t", 1e-300 + 0j, 0.0, 1e-9).passed
+    assert not verdict("t", np.array([0j, 5e-324 + 0j]), 0.0, 1e9).passed
+
+
+def test_verdict_zero_tolerance():
+    assert verdict("t", np.zeros(3, dtype=complex), 1e6, 0.0).passed
+    assert not verdict("t", np.array([1e-30 + 0j]), 1e6, 0.0).passed
+    assert not verdict("t", float("nan"), 1.0, 1.0).passed
 
 
 def _embed_reference(m4, i, j, n):
