@@ -8,8 +8,11 @@ sizes; the float backend sweeps seeded random points beyond that: the
 exchange relation up to L = 5 (the full matrix identity to L = 4, eight
 random probe columns at L = 5) and the functional equation up to L = 7.  The string-operator and
 asymptotic checks run exactly at L = 2, 3 and 4 (those that go through Z
-or the monodromy's top coefficient at L <= 3), and the homogeneous-limit
-differential relations exactly at L = 1 and 2.  Every outcome, the
+or the monodromy's top coefficient at L <= 3).  The partition function's
+two routes, the operator product and the pruned configuration sum, must
+agree exactly at symbolic L = 1..3 and, at --trials seeded float points for
+each L = 1..6, within 1e-9 of the larger |Z|.  The homogeneous-limit
+differential relations are checked exactly at L = 1 and 2.  Every outcome, the
 homogeneous-limit residuals included, is decided by ``vertex.verdict``.
 Exits nonzero if anything fails.
 
@@ -20,7 +23,7 @@ import argparse
 import sys
 import time
 
-from sixvertex import asymptotics, functional, monodromy, solver, vertex
+from sixvertex import asymptotics, functional, monodromy, partition, solver, vertex
 from sixvertex.scalar import LaurentPoly, q_var, u_var, w_var
 from sixvertex.sampling import make_rng, sample_point, sample_spectral_set
 
@@ -95,6 +98,20 @@ def main():
     for L in (2, 3, 4):
         for outcome in asymptotics.run_asymptotic_checks(L):
             record(outcome)
+
+    print("== partition function: operator product vs configuration sum ==")
+    for L in (1, 2, 3):
+        lams, mus, _ = partition.standard_symbolic_params(L)
+        record(vertex.verdict(f"z-routes-L{L}", partition.z_enumerate(lams, mus, q, "pruned")
+                              - partition.z_algebraic(lams, mus, q), None, 0.0))
+    for L in range(1, 7):
+        for _ in range(args.trials):
+            lams = sample_spectral_set(rng, L)
+            mus = sample_spectral_set(rng, L)
+            qf = sample_point(rng)
+            za = partition.z_algebraic(lams, mus, qf)
+            ze = partition.z_enumerate(lams, mus, qf, "pruned")
+            record(vertex.verdict(f"z-routes-L{L}", ze - za, max(abs(za), abs(ze)), 1e-9))
 
     print("== homogeneous limit ==")
     for L in (1, 2):

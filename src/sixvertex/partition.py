@@ -22,11 +22,11 @@ from dataclasses import dataclass
 
 from .errors import SizeLimitExceeded
 from .monodromy import build_monodromy, vacuum
+from .sampling import pairwise_sum
 from .scalar import LaurentPoly, invert, is_exact, q_var, u_var, w_var
 from .vertex import build_L
 
-_NAIVE_LIMIT = 4
-_PRUNED_LIMIT = 6
+_SIZE_LIMITS = {"pruned": 6, "naive": 4}
 
 
 @dataclass(frozen=True)
@@ -123,49 +123,74 @@ def z_algebraic(lams, mus, q):
     return v[-1]
 
 
-def iter_dwbc_configs(L: int, conv: EdgeConvention = DEFAULT_CONVENTION):
-    """Depth-first generator of all valid configurations (pruned search).
+def _check_size(L: int, mode: str):
+    if mode not in _SIZE_LIMITS:
+        raise ValueError(f"unknown mode {mode!r}")
+    if L > _SIZE_LIMITS[mode]:
+        raise SizeLimitExceeded(f"{mode} enumeration supports L <= {_SIZE_LIMITS[mode]}")
 
-    Vertices are fixed row by row; at each vertex only outgoing pairs that
-    conserve the bit sum survive, and boundary bits are enforced as soon as
-    they are reached.  No transfer-matrix or operator structure is used.
+
+def _dwbc_walk(L: int, conv: EdgeConvention, tables=None, snapshot=None) -> list:
+    """The pruned search: the weights of all valid configurations, in order.
+
+    One depth-first walk fixes the vertices row-major; at each vertex only
+    outgoing pairs that conserve the bit sum survive, and boundary bits are
+    enforced as soon as they are reached.  No transfer-matrix or operator
+    structure is used.  The walk carries the running product of the weights
+    tables[i][j][out][in] (1 when ``tables`` is None), so each weight is
+    ``_config_weight``'s left-to-right product with shared prefixes
+    multiplied once.  ``snapshot(alpha, beta)``, if given, sees each
+    configuration's flat edge lists (row i at i*(L+1) and at i*L).
     """
-    if L > _PRUNED_LIMIT:
-        raise SizeLimitExceeded(f"pruned enumeration supports L <= {_PRUNED_LIMIT}")
-    alpha = [[None] * (L + 1) for _ in range(L)]
-    beta = [[None] * L for _ in range(L + 1)]
-    for i in range(L):
-        alpha[i][0] = conv.right
-    for j in range(L):
-        beta[0][j] = conv.down
+    n = L * L
+    alpha = [None] * (L * (L + 1))
+    alpha[::L + 1] = [conv.right] * L
+    beta = [conv.down] * L + [None] * n
 
-    def rec(i, j):
-        if i == L:
-            yield LatticeConfig(
-                alpha=tuple(tuple(r) for r in alpha),
-                beta=tuple(tuple(r) for r in beta),
-            )
-            return
-        a_in = alpha[i][j]
-        b_in = beta[i][j]
+    def surviving(i, j, a_in, b_in):
+        out = []
         for a_out in (0, 1):
             b_out = a_in + b_in - a_out
-            if b_out not in (0, 1):
+            if (b_out not in (0, 1) or (j == L - 1 and a_out != conv.left)
+                    or (i == L - 1 and b_out != conv.up)):
                 continue
-            if j == L - 1 and a_out != conv.left:
-                continue
-            if i == L - 1 and b_out != conv.up:
-                continue
-            alpha[i][j + 1] = a_out
-            beta[i + 1][j] = b_out
-            if j == L - 1:
-                yield from rec(i + 1, 0)
-            else:
-                yield from rec(i, j + 1)
-        alpha[i][j + 1] = None
-        beta[i + 1][j] = None
+            w = 1 if tables is None else tables[i][j][2 * a_out + b_out][2 * a_in + b_in]
+            out.append((a_out, b_out, w))
+        return out
 
-    yield from rec(0, 0)
+    # moves[k][a_in][b_in] at vertex k = i*L + j
+    moves = [[[surviving(i, j, a, b) for b in (0, 1)] for a in (0, 1)]
+             for i in range(L) for j in range(L)]
+    weights = []
+
+    def rec(k, acc):
+        if k == n:
+            weights.append(acc)
+            if snapshot:
+                snapshot(alpha, beta)
+            return
+        h = k + k // L
+        for a_out, b_out, w in moves[k][alpha[h]][beta[k]]:
+            alpha[h + 1] = a_out
+            beta[k + L] = b_out
+            rec(k + 1, w if acc is None else acc * w)
+
+    rec(0, None)
+    # rec's closure holds rec: clearing it frees the walk's state now, not
+    # at some later cyclic garbage collection
+    del rec
+    return weights
+
+
+def iter_dwbc_configs(L: int, conv: EdgeConvention = DEFAULT_CONVENTION):
+    """All valid configurations, in the pruned search's order."""
+    _check_size(L, "pruned")
+    configs = []
+    _dwbc_walk(L, conv, snapshot=lambda alpha, beta: configs.append(LatticeConfig(
+        alpha=tuple(tuple(alpha[i * (L + 1):(i + 1) * (L + 1)]) for i in range(L)),
+        beta=tuple(tuple(beta[i * L:(i + 1) * L]) for i in range(L + 1)),
+    )))
+    yield from configs
 
 
 def _config_weight(cfg: LatticeConfig, tables):
@@ -188,56 +213,27 @@ def z_enumerate(lams, mus, q, mode: str = "pruned",
     L = len(lams)
     if len(mus) != L:
         raise ValueError("need as many spectral points as inhomogeneities")
-    exact = is_exact(lams[0])
+    _check_size(L, mode)
     tables = _weight_tables(lams, mus, q)
-    zero = LaurentPoly.zero() if exact else 0j
     if mode == "pruned":
-        terms = [_config_weight(cfg, tables) for cfg in iter_dwbc_configs(L, conv)]
-        if not terms:
-            return zero
-        if exact:
-            total = terms[0]
-            for t in terms[1:]:
-                total = total + t
-            return total
-        # deterministic pairwise reduction in configuration order
-        from .sampling import pairwise_sum
-        return pairwise_sum(terms)
-    if mode == "naive":
-        if L > _NAIVE_LIMIT:
-            raise SizeLimitExceeded(f"naive enumeration supports L <= {_NAIVE_LIMIT}")
-        total = zero
-        for cfg in _iter_configs_naive(L, conv):
-            wt = _config_weight(cfg, tables)
-            total = total + wt
-        return total
-    raise ValueError(f"unknown mode {mode!r}")
+        terms = _dwbc_walk(L, conv, tables)
+    else:
+        terms = [_config_weight(cfg, tables) for cfg in _iter_configs_naive(L, conv)]
+    if is_exact(lams[0]):
+        return sum(terms, LaurentPoly.zero())
+    # deterministic pairwise reduction in configuration order
+    return pairwise_sum(terms) if terms else 0j
 
 
 def _iter_configs_naive(L: int, conv: EdgeConvention):
     """All interior edge assignments, filtered by the ice rule afterwards."""
-    n_h = L * (L - 1)
-    n_v = (L - 1) * L
-    for bits in itertools.product((0, 1), repeat=n_h + n_v):
-        alpha = [[0] * (L + 1) for _ in range(L)]
-        beta = [[0] * L for _ in range(L + 1)]
-        k = 0
-        for i in range(L):
-            alpha[i][0] = conv.right
-            alpha[i][L] = conv.left
-            for j in range(1, L):
-                alpha[i][j] = bits[k]
-                k += 1
-        for j in range(L):
-            beta[0][j] = conv.down
-            beta[L][j] = conv.up
-        for i in range(1, L):
-            for j in range(L):
-                beta[i][j] = bits[k]
-                k += 1
+    n = L * (L - 1)
+    for bits in itertools.product((0, 1), repeat=2 * n):
         cfg = LatticeConfig(
-            alpha=tuple(tuple(r) for r in alpha),
-            beta=tuple(tuple(r) for r in beta),
+            alpha=tuple((conv.right, *bits[i * (L - 1):(i + 1) * (L - 1)], conv.left)
+                        for i in range(L)),
+            beta=((conv.down,) * L, *(bits[n + i * L:n + (i + 1) * L] for i in range(L - 1)),
+                  (conv.up,) * L),
         )
         if cfg.satisfies_ice_rule():
             yield cfg
@@ -245,13 +241,10 @@ def _iter_configs_naive(L: int, conv: EdgeConvention):
 
 def count_configs(L: int, mode: str = "pruned") -> int:
     """Number of ice-rule-valid DWBC configurations."""
-    if mode == "pruned":
-        return sum(1 for _ in iter_dwbc_configs(L))
+    _check_size(L, mode)
     if mode == "naive":
-        if L > _NAIVE_LIMIT:
-            raise SizeLimitExceeded(f"naive enumeration supports L <= {_NAIVE_LIMIT}")
         return sum(1 for _ in _iter_configs_naive(L, DEFAULT_CONVENTION))
-    raise ValueError(f"unknown mode {mode!r}")
+    return len(_dwbc_walk(L, DEFAULT_CONVENTION))
 
 
 # -- symbolic helpers ---------------------------------------------------

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -166,6 +168,16 @@ def test_console_script_runs():
         capture_output=True, text=True, check=False)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == 2
+
+
+def test_package_runs_as_module_from_checkout():
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "sixvertex", "enumerate", "--size", "3", "--count-only"],
+        capture_output=True, text=True, check=False,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["count"] == 7
 
 
 def test_run_config_dispatch():

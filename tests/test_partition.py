@@ -1,4 +1,5 @@
 import cmath
+import gc
 import itertools
 import math
 
@@ -15,12 +16,12 @@ from sixvertex.partition import (
     z_enumerate,
 )
 from sixvertex.scalar import invert
-from sixvertex.vertex import weights_of
-from sixvertex.sampling import make_rng, sample_point, sample_spectral_set
+from sixvertex.vertex import build_L, weights_of
+from sixvertex.sampling import make_rng, pairwise_sum, sample_point, sample_spectral_set
 
 
 def test_config_counts_pruned():
-    assert [count_configs(L) for L in (1, 2, 3, 4, 5)] == [1, 2, 7, 42, 429]
+    assert [count_configs(L) for L in (1, 2, 3, 4, 5, 6)] == [1, 2, 7, 42, 429, 7436]
 
 
 def test_config_counts_naive_small():
@@ -36,12 +37,69 @@ def test_size_limits():
         count_configs(5, "naive")
     with pytest.raises(SizeLimitExceeded):
         z_enumerate([1.0] * 5, [1.0] * 5, 2.0, "naive")
+    # the limit is checked before any weight is built from the inputs
+    junk = [object()] * 7
+    with pytest.raises(SizeLimitExceeded):
+        z_enumerate(junk, junk, None, "pruned")
+    with pytest.raises(SizeLimitExceeded):
+        z_enumerate(junk[:5], junk[:5], None, "naive")
 
 
 def test_configs_satisfy_invariants():
-    for cfg in iter_dwbc_configs(3):
-        assert cfg.satisfies_dwbc()
-        assert cfg.satisfies_ice_rule()
+    for L in (3, 4):
+        configs = list(iter_dwbc_configs(L))
+        assert len(set(configs)) == len(configs) == count_configs(L)
+        for cfg in configs:
+            assert cfg.size == L
+            assert cfg.satisfies_dwbc()
+            assert cfg.satisfies_ice_rule()
+
+
+def test_enumeration_leaves_no_reference_cycles():
+    # a cycle keeps each call's list of weights alive until the cyclic collector runs
+    rng = make_rng(1)
+    lams = sample_spectral_set(rng, 4)
+    mus = sample_spectral_set(rng, 4)
+    q = sample_point(rng)
+    z_enumerate(lams, mus, q)
+    gc.collect()
+    gc.disable()
+    try:
+        z_enumerate(lams, mus, q)
+        count_configs(4)
+        list(iter_dwbc_configs(3))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _row_major_sum(configs, lams, mus, q):
+    """Reference float Z: each configuration's weight multiplied vertex by
+    vertex in row-major order, then one pairwise sum in configuration order."""
+    tables = [[build_L(lam * invert(mu), q).tolist() for mu in mus] for lam in lams]
+    terms = []
+    for cfg in configs:
+        acc = None
+        for i in range(cfg.size):
+            for j in range(cfg.size):
+                w = tables[i][j][2 * cfg.alpha[i][j + 1] + cfg.beta[i + 1][j]][
+                    2 * cfg.alpha[i][j] + cfg.beta[i][j]]
+                acc = w if acc is None else acc * w
+        terms.append(acc)
+    return pairwise_sum(terms)
+
+
+def test_pruned_sum_is_bitwise_the_per_configuration_sum():
+    for L in (1, 2, 3, 4, 5, 6):
+        configs = list(iter_dwbc_configs(L))
+        for seed in (1, 2) if L == 6 else (1, 2, 3):
+            rng = make_rng(100 * L + seed)
+            lams = sample_spectral_set(rng, L)
+            mus = sample_spectral_set(rng, L)
+            q = sample_point(rng)
+            want = _row_major_sum(configs, lams, mus, q)
+            got = z_enumerate(lams, mus, q, "pruned")
+            assert got == want and repr(got) == repr(want)
 
 
 def test_forcing_identity_l1():
