@@ -12,8 +12,11 @@ or the monodromy's top coefficient at L <= 3).  The partition function's
 two routes, the operator product and the pruned configuration sum, must
 agree exactly at symbolic L = 1..3 and, at --trials seeded float points for
 each L = 1..6, within 1e-9 of the larger |Z|.  The homogeneous-limit
-differential relations are checked exactly at L = 1 and 2.  Every outcome, the
-homogeneous-limit residuals included, is decided by ``vertex.verdict``.
+differential relations are checked exactly at L = 1 and 2.  The coefficient
+solver must reproduce the known L = 2 table exactly, and its numeric L = 3
+solve, at one q drawn from --seed, the known L = 3 ratios within 1e-8 of the
+largest ratio.  Every outcome, the homogeneous-limit residuals and the solved
+tables included, is decided by ``vertex.verdict``.
 Exits nonzero if anything fails.
 
     PYTHONPATH=src python scripts/run_checks.py [--seed N] [--trials N]
@@ -22,6 +25,8 @@ Exits nonzero if anything fails.
 import argparse
 import sys
 import time
+
+import numpy as np
 
 from sixvertex import asymptotics, functional, monodromy, partition, solver, vertex
 from sixvertex.scalar import LaurentPoly, q_var, u_var, w_var
@@ -117,6 +122,21 @@ def main():
     for L in (1, 2):
         record(vertex.verdict(f"homogeneous-ode-L{L}", solver.homogeneous_ode_residual(L),
                               None, 0.0))
+
+    print("== coefficient solver ==")
+    want = solver.expected_l2_table().entries
+    got = solver.solve_fz(2).entries
+    record(vertex.verdict("solve-exact-L2", np.array(
+        [(got[idx] - want[idx]).num for idx in want], dtype=object), None, 0.0))
+    sample = solver.solve_fz(3, "top-one", "float", rng=make_rng(args.seed), q_count=1).samples[0]
+    ref = solver.reference_l3_ratios()
+    top = (2, 2, 2)
+    want = {idx: 1.0 if idx == top else
+            complex(ref[idx].eval({q_var(): sample.q})) if idx in ref else 0.0
+            for idx in solver.ansatz_box(3)}
+    record(vertex.verdict("solve-float-L3", np.array(
+        [sample.ratios.get(idx, 0.0) - v for idx, v in want.items()]),
+        max(abs(v) for v in want.values()), 1e-8))
 
     ok = all(r.passed for r in results)
     print(f"\n{len(results)} checks, "

@@ -19,10 +19,18 @@ term to the common denominator ``prod b(lam_x - lam_y)`` over all pairs,
 keeping every intermediate a genuine Laurent polynomial; the final
 numerator is tested for exact zero.  Float points closer than
 ``sampling.MIN_POLE_DISTANCE`` to a pole are refused once per input.
+
+A float input may hold a batch of k point sets, each point a complex
+array of shape (k,) with set j at index j; the weight table, the terms and
+the residual then run elementwise.  A batch provider returns values whose
+trailing axis is the batch, as in ``vertex.apply_two_site``: (k,) for Z
+values, (ncols, k) for column vectors; the residual has the same shape.
+The default operator-product provider and ``check_fz`` take one set.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,25 +47,31 @@ def _bsign(p: int, r: int) -> int:
     return 1 if p < r else -1
 
 
+def _is_batch(points) -> bool:
+    return np.ndim(points[0]) > 0
+
+
 def _guard_poles(points):
     """Refuse float points whose differences come within MIN_POLE_DISTANCE
-    of a zero of b, where the coefficients have their poles."""
+    of a zero of b, where the coefficients have their poles; a batch is
+    checked set by set."""
     if is_exact(points[0]):
         return
-    bad = [
-        (x, y)
-        for x in range(len(points))
-        for y in range(x + 1, len(points))
-        if pole_distance(points[x], points[y]) < MIN_POLE_DISTANCE
-    ]
-    if bad:
-        raise PoleAtCoincidingPoints(f"point pairs too close: {bad}")
+    batch = _is_batch(points)
+    for j, pts in enumerate(zip(*(np.asarray(p).tolist() for p in points)) if batch else [points]):
+        bad = [(x, y) for x, y in itertools.combinations(range(len(pts)), 2)
+               if pole_distance(pts[x], pts[y]) < MIN_POLE_DISTANCE]
+        if bad:
+            where = f"set {j}: " if batch else ""
+            raise PoleAtCoincidingPoints(f"{where}point pairs too close: {bad}")
 
 
 @dataclass(frozen=True)
 class FunctionalInput:
     """The L+2 spectral points, inhomogeneities and anisotropy of one
-    functional-equation instance.  points[0] is the distinguished point."""
+    functional-equation instance, or of a batch of them (float points
+    only: each point an array of shape (k,)).  points[0] is the
+    distinguished point."""
 
     size: int
     points: tuple
@@ -69,6 +83,8 @@ class FunctionalInput:
             raise ValueError(f"need L+2 spectral points, got {len(self.points)}")
         if len(self.mus) != self.size:
             raise ValueError(f"need L inhomogeneities, got {len(self.mus)}")
+        if len({np.shape(p) for p in self.points}) != 1 or np.ndim(self.points[0]) > 1:
+            raise ValueError("points must be scalars, or arrays of one shape (k,)")
         _guard_poles(self.points)
 
     @classmethod
@@ -235,8 +251,9 @@ def functional_residual(inp: FunctionalInput, z_provider=None):
     """Residual of the linear relation among partition-function values.
 
     Returns an exact RationalFunction (zero iff its numerator vanishes) in
-    the exact backend, or a complex residual in the float backend; use
-    check_fz for the toleranced verdict with its scale.
+    the exact backend, or a complex residual in the float backend (an
+    array with the provider's shape for a batch); use check_fz for the
+    toleranced verdict with its scale.
     """
     res, _ = _functional_residual_with_scale(inp, z_provider)
     return res
@@ -252,6 +269,8 @@ def _call_provider(provider, subset):
 def _functional_residual_with_scale(inp: FunctionalInput, z_provider=None):
     points, mus, q = inp.points, inp.mus, inp.q
     if z_provider is None:
+        if _is_batch(points):
+            raise ValueError("a batch of point sets needs a batched provider")
         z_provider = algebraic_provider(mus, q)
     w = _WeightTable(points, mus, q)
     if w.exact:
@@ -271,6 +290,8 @@ def _functional_residual_with_scale(inp: FunctionalInput, z_provider=None):
 
 def check_fz(inp: FunctionalInput, z_provider=None,
              tolerance: float = 1e-9) -> CheckOutcome:
+    if _is_batch(inp.points):
+        raise ValueError("check_fz takes one point set, not a batch")
     res, scale = _functional_residual_with_scale(inp, z_provider)
     if isinstance(res, RationalFunction):
         res = res.num

@@ -36,6 +36,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Union
 
+import numpy as np
+
 from .errors import (
     DegreeExceeded,
     ExponentOverflow,
@@ -700,6 +702,27 @@ def coefficients_in(p: LaurentPoly, vars: list[VarId]) -> dict[tuple[int, ...], 
         es = tuple(0 if s is None else digits[s] for s in slots)
         groups.setdefault(es, {})[k - mono] = c
     return {es: _reduced(num, p._den, p._emax) for es, num in groups.items()}
+
+
+def exponent_array(p: LaurentPoly, vars: list[VarId]) -> tuple[np.ndarray, list[int], int]:
+    """p's terms as arrays: (exps, nums, den) with p the sum over terms t of
+    nums[t] / den * prod_i vars[i]^exps[t, i].  exps is int64 with one row
+    per term and one column per listed variable; nums are p's integer
+    numerators and den its shared denominator.  Raises ValueError if p
+    has a variable outside the list."""
+    # one digit column per slot, and a last one, always zero, that stands
+    # for variables without a slot; biasing every digit to be non-negative
+    # makes each key's bytes its digits
+    width = len(_SLOT_KEYS) + 1
+    bias = _DIGIT_HALF * (((1 << (_DIGIT_BITS * width)) - 1) // _DIGIT_MASK)
+    nbytes = _DIGIT_BITS // 8
+    raw = b"".join((k + bias).to_bytes(nbytes * width, "little") for k in p._num)
+    digits = np.frombuffer(raw, dtype=f"<u{nbytes}").reshape(len(p._num), width).astype(np.int64)
+    digits -= _DIGIT_HALF
+    slots = [_SLOT_OF.get(v.key, width - 1) for v in vars]
+    if np.delete(digits, slots, axis=1).any():
+        raise ValueError("the polynomial has a variable outside the list")
+    return digits[:, slots], list(p._num.values()), p._den
 
 
 def leading_coeff(p: LaurentPoly, vars: list[VarId], degree: int) -> LaurentPoly:

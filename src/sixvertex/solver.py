@@ -54,6 +54,7 @@ from .scalar import (
     RationalFunction,
     coefficients_in,
     divide_exponents,
+    exponent_array,
     invert,
     parse_poly,
     poly_derivative,
@@ -204,28 +205,24 @@ def _assemble_constraints(L: int):
     box = ansatz_box(L)
     ncols = len(box)
     qv = q_var()
-    points = tuple(LaurentPoly.var(u_var(p)) for p in range(n + 1))
-    slot = {v.key: s for s, v in enumerate([*map(u_var, range(n + 1)), qv])}
+    variables = [*map(u_var, range(n + 1)), qv]
+    points = tuple(LaurentPoly.var(v) for v in variables[:-1])
     mus = (LaurentPoly.one(),) * L
     box_exps = np.array(box, dtype=np.int64)
     terms = []
     for cleared, subset in _cleared_terms(points, mus, LaurentPoly.var(qv)):
-        items = cleared.items()
-        exps = np.zeros((len(items), n + 2), dtype=np.int64)
-        for t, (vec, _) in enumerate(items):
-            for k, e in vec:
-                exps[t, slot[k]] = e
+        exps, nums, den = exponent_array(cleared, variables)
         # the ansatz monomial of each column, spread onto the term's points
         shift = np.zeros((ncols, n + 1), dtype=np.int64)
         shift[:, list(subset)] = box_exps
-        terms.append((exps, [c for _, c in items], shift))
+        terms.append((exps, nums, den, shift))
     # one common scale makes every coefficient an integer and keeps their
     # proportions, so the canonical rows do not depend on it
-    den = math.lcm(*(c.denominator for _, coeffs, _ in terms for c in coeffs))
+    common = math.lcm(*(den for _, _, den, _ in terms))
     # one int64 key per (u-exponents, column, q-exponent) entry, in a mixed
     # radix measured before expansion: u digits, then column, then q, so
     # sorted keys come grouped by spectral monomial and in row order
-    allexps = np.concatenate([e for e, _, _ in terms])
+    allexps = np.concatenate([t[0] for t in terms])
     lo = allexps.min(axis=0)
     hi = allexps.max(axis=0)
     lo[:-1] += box_exps.min()
@@ -234,11 +231,11 @@ def _assemble_constraints(L: int):
     cols = np.arange(ncols)
     key_chunks = []
     val_chunks = []
-    for exps, coeffs, shift in terms:
+    for exps, nums, den, shift in terms:
         digits = tuple(exps[:, p, None] + shift[None, :, p] - lo[p] for p in range(n + 1))
         digits += (cols[None, :], exps[:, -1, None] - lo[-1])
         keys = np.ravel_multi_index(digits, dims)
-        vals = np.array([c.numerator * (den // c.denominator) for c in coeffs], dtype=np.int64)
+        vals = np.array([c * (common // den) for c in nums], dtype=np.int64)
         key_chunks.append(keys.ravel())
         val_chunks.append(np.broadcast_to(vals[:, None], keys.shape).ravel())
     keys = np.concatenate(key_chunks)
@@ -499,25 +496,28 @@ class NumericSolveResult:
         }
 
 
+def _monomial_provider(L: int):
+    """A batched provider of the ansatz monomials: for a subset of L points,
+    each an array of shape (k,), the columns prod_m p_m^idx_m over
+    ``ansatz_box(L)``, shape (ncols, k)."""
+    box_range = np.arange(-(L - 1), L)[:, None]
+
+    def provider(subset):
+        column = subset[0] ** box_range
+        for p in subset[1:]:
+            column = (column[:, None, :] * p ** box_range).reshape(-1, p.size)
+        return column
+
+    return provider
+
+
 def _numeric_rows(L: int, q: complex, rng, count: int) -> np.ndarray:
     """One constraint row per sampled point set: the float functional-
-    equation residual of a provider that returns, for each subset, the
-    column vector of the ansatz monomials at its points."""
-    box_range = np.arange(-(L - 1), L)
-    mus = (1.0 + 0j,) * L
-    rows = np.empty((count, (2 * L - 1) ** L), dtype=complex)
-    for r in range(count):
-        pts = tuple(sample_spectral_set(rng, L + 2))
-        powers = {p: np.power(p, box_range) for p in pts}
-
-        def provider(subset):
-            column = powers[subset[0]]
-            for p in subset[1:]:
-                column = np.multiply.outer(column, powers[p]).ravel()
-            return column
-
-        rows[r] = functional_residual(FunctionalInput(L, pts, mus, q), provider)
-    return rows
+    equation residual of the monomial provider.  The sets are drawn first,
+    in order, then solved as one batch."""
+    sets = np.array([sample_spectral_set(rng, L + 2) for _ in range(count)])
+    inp = FunctionalInput(L, tuple(sets.T), (1.0 + 0j,) * L, q)
+    return functional_residual(inp, _monomial_provider(L)).T
 
 
 def _nullvector_from_rows(A: np.ndarray) -> tuple[np.ndarray, float]:

@@ -1,7 +1,9 @@
 import cmath
 
+import numpy as np
 import pytest
 
+from sixvertex import functional
 from sixvertex.errors import PoleAtCoincidingPoints, ProviderFailure
 from sixvertex.functional import (
     FunctionalInput,
@@ -16,7 +18,8 @@ from sixvertex.functional import (
 )
 from sixvertex.partition import z_algebraic
 from sixvertex.scalar import LaurentPoly, RationalFunction, invert, q_var, u_var, w_var
-from sixvertex.sampling import MIN_POLE_DISTANCE, sample_point, sample_spectral_set
+from sixvertex.sampling import MIN_POLE_DISTANCE, make_rng, sample_point, sample_spectral_set
+from sixvertex.solver import _monomial_provider, ansatz_box, h_table_from_z
 
 Q = LaurentPoly.var(q_var())
 
@@ -319,3 +322,99 @@ def test_fz_matches_projected_cbb(rng):
         subset = [pts[0]] + [pts[k] for k in range(1, n + 1) if k not in (i, j)]
         acc += cval * z_algebraic(subset, mus, q)
     assert abs(res - acc) <= 1e-12 * max(abs(acc), 1e-30)
+
+
+# -- batches of point sets ---------------------------------------------
+
+
+def _batch(L, seed, count=12):
+    """count seeded point sets as one batch (each point an array over the
+    sets), the sets one by one, and a sampled q."""
+    rng = make_rng(seed)
+    q = sample_point(rng)
+    sets = [tuple(sample_spectral_set(rng, L + 2)) for _ in range(count)]
+    return tuple(np.array(sets).T), sets, q
+
+
+def _table_provider(L, q):
+    """Z from the directly expanded coefficient table, evaluated at q; works
+    on one point set or elementwise on a batch."""
+    table = h_table_from_z(L)
+    terms = [(complex(table.entries[idx].eval({q_var(): q})), idx) for idx in ansatz_box(L)]
+
+    def provider(subset):
+        total = 0j
+        for h, idx in terms:
+            for p, e in zip(subset, idx):
+                h = h * p ** e
+            total = total + h
+        return total
+
+    return provider
+
+
+def _scalar_monomial_provider(L):
+    """The per-set reference for the batched monomial provider."""
+    box_range = np.arange(-(L - 1), L)
+
+    def provider(subset):
+        column = np.power(subset[0], box_range)
+        for p in subset[1:]:
+            column = np.multiply.outer(column, np.power(p, box_range)).ravel()
+        return column
+
+    return provider
+
+
+@pytest.mark.parametrize("L", [2, 3])
+def test_batched_fz_matches_per_set_z_provider(L):
+    # each set of the batch against its own scalar call, within 1e-12 of
+    # that set's check_fz scale
+    # that set's check_fz scale; the table solves the equation, and times
+    # its first point it does not, so the second comparison sees O(scale)
+    pts, sets, q = _batch(L, 40 + L)
+    mus = (1.0 + 0j,) * L
+    table = _table_provider(L, q)
+    for provider, solves in ((table, True), (lambda s: table(s) * s[0], False)):
+        res = functional_residual(FunctionalInput(L, pts, mus, q), provider)
+        assert res.shape == (len(sets),)
+        for j, one in enumerate(sets):
+            inp = FunctionalInput(L, one, mus, q)
+            out = check_fz(inp, provider)
+            assert out.passed == solves
+            assert abs(res[j] - functional_residual(inp, provider)) <= 1e-12 * out.scale
+
+
+@pytest.mark.parametrize("L", [2, 3])
+def test_batched_fz_matches_per_set_monomial_provider(L):
+    # the solver's batched columns against the per-set loop, column by
+    # column; a column's scale is check_fz's scale for that one monomial
+    pts, sets, q = _batch(L, 50 + L)
+    mus = (1.0 + 0j,) * L
+    res = functional_residual(FunctionalInput(L, pts, mus, q), _monomial_provider(L))
+    assert res.shape == ((2 * L - 1) ** L, len(sets))
+    for j, one in enumerate(sets):
+        row, scale = functional._functional_residual_with_scale(
+            FunctionalInput(L, one, mus, q), _scalar_monomial_provider(L))
+        assert np.all(np.abs(res[:, j] - row) <= 1e-12 * scale)
+
+
+def test_batch_pole_guard_names_the_set():
+    L = 2
+    pts, sets, q = _batch(L, 60)
+    near = [p.copy() for p in pts]
+    near[2][3] = near[1][3] * cmath.exp(0.5 * MIN_POLE_DISTANCE)
+    with pytest.raises(PoleAtCoincidingPoints, match=r"set 3: .*\(1, 2\)"):
+        FunctionalInput(L, tuple(near), (1.0 + 0j,) * L, q)
+    FunctionalInput(L, pts, (1.0 + 0j,) * L, q)  # the unmoved batch passes
+
+
+def test_batch_input_validation():
+    pts, _, q = _batch(2, 61)
+    inp = FunctionalInput(2, pts, (1.0 + 0j,) * 2, q)
+    with pytest.raises(ValueError):
+        check_fz(inp, _table_provider(2, q))
+    with pytest.raises(ValueError):
+        functional_residual(inp)  # the operator-product provider takes one set
+    with pytest.raises(ValueError):
+        FunctionalInput(2, pts[:-1] + (pts[-1][:-1],), (1.0 + 0j,) * 2, q)

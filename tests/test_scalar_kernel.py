@@ -24,6 +24,7 @@ from sixvertex.scalar import (
     VarId,
     coefficients_in,
     divide_exponents,
+    exponent_array,
     parse_poly,
     poly_derivative,
     q_var,
@@ -276,7 +277,7 @@ def test_slot_registry_under_threads():
     assert len(results) == 4
 
 
-# -- exponent bookkeeping: coefficients_in and divide_exponents ---------------
+# -- exponent bookkeeping: coefficients_in, divide_exponents, exponent_array --
 
 
 @given(ref_polys(), st.lists(st.sampled_from(_VARS), max_size=3, unique=True))
@@ -289,6 +290,24 @@ def test_coefficients_in_adds_back_up(a, vars):
         assert not cofactor.variables() & set(vars)
         total = total + cofactor * LaurentPoly.monomial(1, dict(zip(vars, es)))
     assert total == p
+
+
+@given(ref_polys(), st.lists(st.sampled_from(_VARS + [u_var(98)]), min_size=1, max_size=4,
+                             unique=True))
+def test_exponent_array_matches_reference(a, vars):
+    # u98 is never used elsewhere, so it may have no slot at all
+    p = LaurentPoly(a)
+    outside = {k for e in a for k, _ in e} - {v.key for v in vars}
+    if outside:
+        with pytest.raises(ValueError):
+            exponent_array(p, vars)
+        return
+    exps, nums, den = exponent_array(p, vars)
+    assert exps.dtype == "int64" and exps.shape == (len(a), len(vars))
+    got = {tuple(sorted((v.key, int(x)) for v, x in zip(vars, row) if x)): Fraction(c, den)
+           for row, c in zip(exps, nums)}
+    assert got == a
+    assert math.gcd(den, *nums) == 1
 
 
 @given(ref_polys(), st.sampled_from(_VARS), st.integers(1, 3))
@@ -316,3 +335,5 @@ def test_kernel_operations_on_zero():
     zero = LaurentPoly.zero()
     assert divide_exponents(zero, u_var(61), 2).is_zero()
     assert coefficients_in(zero, [u_var(61), q_var()]) == {}
+    exps, nums, den = exponent_array(zero, [u_var(61), q_var()])
+    assert exps.shape == (0, 2) and nums == [] and den == 1

@@ -26,7 +26,7 @@ from sixvertex.solver import (
     solve_fz_numeric,
     verify_h_table,
 )
-from sixvertex.functional import FunctionalInput, check_fz
+from sixvertex.functional import FunctionalInput, check_fz, functional_residual
 from sixvertex.sampling import make_rng, sample_point, sample_spectral_set
 
 Q = LaurentPoly.var(q_var())
@@ -269,6 +269,25 @@ def test_numeric_rows_annihilate_direct_table(L):
     moved[top - 1], moved[top] = h[top], 0
     for row, scale in zip(rows, scales):
         assert abs(row @ moved) > 1e-9 * scale
+
+
+@pytest.mark.parametrize("L", [2, 3])
+def test_numeric_rows_draw_the_sets_in_order(L):
+    # the rows consume the generator exactly as count successive set draws
+    # do, so a seeded float solve keeps its sampled points, and row r is
+    # the equation at the r-th set
+    count = 7
+    q = sample_point(make_rng(1))
+    rng = make_rng(90 + L)
+    rows = solver._numeric_rows(L, q, rng, count)
+    assert rows.shape == (count, (2 * L - 1) ** L)
+    ref = make_rng(90 + L)
+    for row in rows:
+        pts = tuple(np.array([[p] for p in sample_spectral_set(ref, L + 2)]))
+        one = functional_residual(FunctionalInput(L, pts, (1.0 + 0j,) * L, q),
+                                  solver._monomial_provider(L))[:, 0]
+        assert np.abs(row - one).max() <= 1e-12 * np.abs(one).max()
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_solve_dispatch():
