@@ -6,7 +6,10 @@ weights is checked at a symbolic z and q, then at --trials seeded float
 points.  The other exact identities are checked symbolically at small
 sizes; the float backend sweeps seeded random points beyond that: the
 exchange relation up to L = 5 (the full matrix identity to L = 4, eight
-random probe columns at L = 5) and the functional equation up to L = 7.  The string-operator and
+random probe columns at L = 5) and the functional equation up to L = 7.
+The functional equation is also checked exactly at L = 3 with symbolic
+spectral points and rational inhomogeneities and q, the shape of the
+benchmark's exact-fz workload.  The string-operator and
 asymptotic checks run exactly at L = 2, 3 and 4 (those that go through Z
 or the monodromy's top coefficient at L <= 3).  The partition function's
 two routes, the operator product and the pruned configuration sum, must
@@ -25,6 +28,7 @@ Exits nonzero if anything fails.
 import argparse
 import sys
 import time
+from fractions import Fraction
 
 import numpy as np
 
@@ -94,6 +98,11 @@ def main():
         inp = functional.FunctionalInput(L, tuple(sym_points(L + 2, 60)),
                                          tuple(sym_mus(L)), q)
         record(functional.check_fz(inp))
+    inp = functional.FunctionalInput(
+        3, tuple(sym_points(5, 60)),
+        tuple(LaurentPoly.rational(Fraction(m)) for m in ("2/3", "5/4", "7/2")),
+        LaurentPoly.rational(Fraction(-3, 5)))
+    record(functional.check_fz(inp))
     for L in (3, 4, 5, 6, 7):
         for _ in range(max(2, args.trials // 4)):
             inp = functional.FunctionalInput.sample(L, rng)

@@ -129,7 +129,8 @@ def _parse_scalar(text: str, backend: str):
 
 def _scalar_json(x):
     if isinstance(x, LaurentPoly):
-        return {"type": "exact", "text": x.to_text(), "terms": x.to_json_terms()}
+        text, terms = x.text_and_json_terms()
+        return {"type": "exact", "text": text, "terms": terms}
     if hasattr(x, "to_text"):
         return {"type": "exact-ratio", "text": x.reduced().to_text()}
     x = complex(x)

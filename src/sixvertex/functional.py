@@ -16,9 +16,12 @@ each term's numerator, the point pairs whose b-weights form its
 denominator, and the points whose B-operators it keeps.  The float backend
 divides each numerator by its denominator.  The exact backend clears every
 term to the common denominator ``prod b(lam_x - lam_y)`` over all pairs,
-keeping every intermediate a genuine Laurent polynomial; the final
-numerator is tested for exact zero.  Float points closer than
-``sampling.MIN_POLE_DISTANCE`` to a pole are refused once per input.
+keeping every intermediate a genuine Laurent polynomial, and adds the
+cleared terms times their Z values (ten products at L = 3) in one
+``scalar.sum_of_products`` call (residues modulo word-size primes, then
+CRT); the final numerator is tested for exact zero.  Float points closer than
+``sampling.MIN_POLE_DISTANCE`` to a pole are refused once per input, each
+point pair checked over a whole batch at once.
 
 A float input may hold a batch of k point sets, each point a complex
 array of shape (k,) with set j at index j; the weight table, the terms and
@@ -30,15 +33,16 @@ The default operator-product provider and ``check_fz`` take one set.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PoleAtCoincidingPoints, ProviderFailure
 from .monodromy import build_monodromy, vacuum
-from .sampling import MIN_POLE_DISTANCE, pole_distance, sample_point, sample_spectral_set
-from .scalar import CheckOutcome, LaurentPoly, RationalFunction, invert, is_exact
+from .sampling import (MIN_POLE_DISTANCE, pair_index, pole_distance, sample_point,
+                       sample_spectral_set)
+from .scalar import (CheckOutcome, LaurentPoly, RationalFunction, invert, is_exact,
+                     sum_of_products)
 from .vertex import verdict, weights_of
 
 
@@ -54,16 +58,19 @@ def _is_batch(points) -> bool:
 def _guard_poles(points):
     """Refuse float points whose differences come within MIN_POLE_DISTANCE
     of a zero of b, where the coefficients have their poles; a batch is
-    checked set by set."""
+    checked pair by pair over all its sets at once, and the first set with
+    a close pair is named."""
     if is_exact(points[0]):
         return
-    batch = _is_batch(points)
-    for j, pts in enumerate(zip(*(np.asarray(p).tolist() for p in points)) if batch else [points]):
-        bad = [(x, y) for x, y in itertools.combinations(range(len(pts)), 2)
-               if pole_distance(pts[x], pts[y]) < MIN_POLE_DISTANCE]
-        if bad:
-            where = f"set {j}: " if batch else ""
-            raise PoleAtCoincidingPoints(f"{where}point pairs too close: {bad}")
+    x, y = pair_index(len(points))
+    pts = np.array(points, dtype=complex)
+    near = (pole_distance(pts[x], pts[y]) < MIN_POLE_DISTANCE).reshape(len(x), -1)
+    sets = np.flatnonzero(near.any(axis=0))
+    if sets.size:
+        j = int(sets[0])
+        where = f"set {j}: " if _is_batch(points) else ""
+        bad = [(int(x[p]), int(y[p])) for p in np.flatnonzero(near[:, j])]
+        raise PoleAtCoincidingPoints(f"{where}point pairs too close: {bad}")
 
 
 @dataclass(frozen=True)
@@ -274,10 +281,9 @@ def _functional_residual_with_scale(inp: FunctionalInput, z_provider=None):
         z_provider = algebraic_provider(mus, q)
     w = _WeightTable(points, mus, q)
     if w.exact:
-        total = LaurentPoly.zero()
-        for num, pairs, subset in _terms(w):
-            z = _call_provider(z_provider, [points[k] for k in subset])
-            total = total + w.cleared(num, pairs) * z
+        total = sum_of_products(
+            (w.cleared(num, pairs), _call_provider(z_provider, [points[k] for k in subset]))
+            for num, pairs, subset in _terms(w))
         return RationalFunction(total, w.den(w.every)), None
     total = 0j
     scale = 0.0

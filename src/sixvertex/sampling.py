@@ -11,6 +11,7 @@ denominators well conditioned.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -34,22 +35,29 @@ def sample_point(rng: np.random.Generator) -> complex:
     return mod * cmath.exp(1j * phase)
 
 
-def pole_distance(x: complex, y: complex) -> float:
-    """Distance of lambda_x - lambda_y from the zero set of b, i pi Z."""
-    d = cmath.log(x / y)
-    im = math.remainder(d.imag, math.pi)
-    return math.hypot(d.real, im)
+@functools.lru_cache(maxsize=None)
+def pair_index(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j) of the pairs i < j of count points, in
+    lexicographic order; shared, so never written to."""
+    return np.triu_indices(count, 1)
+
+
+def pole_distance(x, y):
+    """Distance of lambda_x - lambda_y from the zero set of b, i pi Z;
+    elementwise on arrays."""
+    d = np.log(np.asarray(x, dtype=complex) / y)
+    # |remainder(imag, pi)|: fmod is exact, and so is pi - r for r >= pi/2
+    r = np.abs(np.fmod(d.imag, np.pi))
+    return np.hypot(d.real, np.minimum(r, np.pi - r))
 
 
 def sample_spectral_set(rng: np.random.Generator, count: int) -> list[complex]:
     """A pole-guarded set of exponentiated spectral points."""
+    i, j = pair_index(count)
     for _ in range(_MAX_TRIES):
         pts = [sample_point(rng) for _ in range(count)]
-        ok = all(
-            pole_distance(pts[i], pts[j]) >= MIN_POLE_DISTANCE
-            for i in range(count) for j in range(i + 1, count)
-        )
-        if ok:
+        arr = np.array(pts)
+        if (pole_distance(arr[i], arr[j]) >= MIN_POLE_DISTANCE).all():
             return pts
     raise RuntimeError(f"rejection sampling failed for {count} points")
 

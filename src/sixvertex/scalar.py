@@ -15,7 +15,15 @@ Two interchangeable scalar backends are used throughout:
   32767; anything beyond raises ExponentOverflow), and the coefficients
   are integer numerators over one shared denominator, reduced once per
   operation.  Digit slots come from a process-wide, append-only registry
-  that is safe to use from several threads.
+  that is safe to use from several threads.  ``sum_of_products`` adds many
+  products a_t * b_t in one pass, never forming a product: over one common
+  denominator each numerator of the sum is an integer of size at most B =
+  sum_t f_t * max|a_t| * max|b_t| * min(n_t, m_t) (n_t, m_t the term
+  counts), so its residues modulo just enough 31-bit primes (product M
+  past 2B) are accumulated in int64 on mixed-radix monomial keys, and
+  Garner's CRT rebuilds, in (-M/2, M/2), the numerators whose residues are
+  not all zero.  A key box past int64, or a B past the prime table, falls
+  back to adding the products one by one.
 * plain ``complex`` -- double precision.  A float zero test is relative:
   each check compares its residual with ``tolerance`` times a scale it
   computes from the same terms, never with an absolute bound, because the
@@ -531,24 +539,15 @@ class LaurentPoly:
         return [exps for exps, _ in self._sorted_terms()]
 
     def to_text(self) -> str:
-        if not self._num:
-            return "0"
-        parts = []
-        for exps, c in self._sorted_terms():
-            factors = [f"({c.numerator}/{c.denominator})"]
-            for key, e in exps:
-                factors.append(f"{VarId.from_key(key).name}^{e}")
-            parts.append("*".join(factors))
-        return " + ".join(parts)
+        return _terms_text(self._sorted_terms())
 
     def to_json_terms(self) -> list[dict]:
-        return [
-            {
-                "coeff": f"{c.numerator}/{c.denominator}",
-                "exps": {VarId.from_key(k).name: e for k, e in exps},
-            }
-            for exps, c in self._sorted_terms()
-        ]
+        return _json_terms(self._sorted_terms())
+
+    def text_and_json_terms(self) -> tuple[str, list[dict]]:
+        """``to_text()`` and ``to_json_terms()`` from one sort of the terms."""
+        terms = self._sorted_terms()
+        return _terms_text(terms), _json_terms(terms)
 
     @classmethod
     def from_json_terms(cls, terms: list[dict]) -> "LaurentPoly":
@@ -563,6 +562,27 @@ class LaurentPoly:
         return f"LaurentPoly({self.to_text()})"
 
     __str__ = __repr__
+
+
+def _terms_text(terms: list[tuple[ExpVec, Fraction]]) -> str:
+    parts = []
+    for exps, c in terms:
+        factors = [f"({c.numerator}/{c.denominator})"]
+        for key, e in exps:
+            factors.append(f"{VarId.from_key(key).name}^{e}")
+        parts.append("*".join(factors))
+    return " + ".join(parts) if parts else "0"
+
+
+def _json_terms(terms: list[tuple[ExpVec, Fraction]]) -> list[dict]:
+    return [
+        {
+            "coeff": f"{c.numerator}/{c.denominator}",
+            "exps": {VarId.from_key(k).name: e for k, e in exps},
+        }
+        for exps, c in terms
+    ]
+
 
 # A scalar is either exact or a double-precision complex number.
 Scalar = Union[LaurentPoly, complex]
@@ -704,6 +724,23 @@ def coefficients_in(p: LaurentPoly, vars: list[VarId]) -> dict[tuple[int, ...], 
     return {es: _reduced(num, p._den, p._emax) for es, num in groups.items()}
 
 
+def _key_bias(width: int) -> int:
+    """Adding this to a packed key of ``width`` slots makes every digit
+    non-negative, so that the key's bytes are its digits."""
+    return _DIGIT_HALF * (((1 << (_DIGIT_BITS * width)) - 1) // _DIGIT_MASK)
+
+
+def _digit_array(keys, width: int) -> np.ndarray:
+    """Balanced digits of packed keys: int64, one row per key and one
+    column per slot (``width`` of them), read from the biased keys' bytes."""
+    bias = _key_bias(width)
+    nbytes = _DIGIT_BITS // 8
+    raw = b"".join((k + bias).to_bytes(nbytes * width, "little") for k in keys)
+    digits = np.frombuffer(raw, dtype=f"<u{nbytes}").reshape(-1, width).astype(np.int64)
+    digits -= _DIGIT_HALF
+    return digits
+
+
 def exponent_array(p: LaurentPoly, vars: list[VarId]) -> tuple[np.ndarray, list[int], int]:
     """p's terms as arrays: (exps, nums, den) with p the sum over terms t of
     nums[t] / den * prod_i vars[i]^exps[t, i].  exps is int64 with one row
@@ -711,18 +748,177 @@ def exponent_array(p: LaurentPoly, vars: list[VarId]) -> tuple[np.ndarray, list[
     numerators and den its shared denominator.  Raises ValueError if p
     has a variable outside the list."""
     # one digit column per slot, and a last one, always zero, that stands
-    # for variables without a slot; biasing every digit to be non-negative
-    # makes each key's bytes its digits
+    # for variables without a slot
     width = len(_SLOT_KEYS) + 1
-    bias = _DIGIT_HALF * (((1 << (_DIGIT_BITS * width)) - 1) // _DIGIT_MASK)
-    nbytes = _DIGIT_BITS // 8
-    raw = b"".join((k + bias).to_bytes(nbytes * width, "little") for k in p._num)
-    digits = np.frombuffer(raw, dtype=f"<u{nbytes}").reshape(len(p._num), width).astype(np.int64)
-    digits -= _DIGIT_HALF
+    digits = _digit_array(p._num, width)
     slots = [_SLOT_OF.get(v.key, width - 1) for v in vars]
     if np.delete(digits, slots, axis=1).any():
         raise ValueError("the polynomial has a variable outside the list")
     return digits[:, slots], list(p._num.values()), p._den
+
+
+# -- sums of products ---------------------------------------------------------
+#
+# sum_of_products, as the module docstring says.  With D the common
+# denominator and f_t = D / (den a_t * den b_t), B bounds every numerator
+# over D because a monomial of one product gathers at most min(n_t, m_t)
+# term pairs.  A product term's mixed-radix key is the sum of its factors'
+# keys.  No int64 step wraps: residues stay below 2^31, so their products
+# stay below 2^62, and each key adds fewer than 2^32 of those.
+
+# the 24 largest primes below 2^31; M reaches 2^743
+_PRIMES = (
+    2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549,
+    2147483543, 2147483497, 2147483489, 2147483477, 2147483423, 2147483399,
+    2147483353, 2147483323, 2147483269, 2147483249, 2147483237, 2147483179,
+    2147483171, 2147483137, 2147483123, 2147483077, 2147483069, 2147483059,
+)
+_CHUNK = 4096  # term pairs per temporary array
+_MAX_PAIRS = 1 << 32
+_MAX_KEYS = 1 << 63
+
+
+def _as_poly(x) -> LaurentPoly:
+    return x if isinstance(x, LaurentPoly) else LaurentPoly.rational(x)
+
+
+def _packed_keys(digits: np.ndarray) -> list[int]:
+    """Packed keys of the rows of an int64 digit array (_digit_array's
+    inverse)."""
+    nbytes = _DIGIT_BITS // 8
+    step = nbytes * digits.shape[1]
+    bias = _key_bias(digits.shape[1])
+    raw = (digits + _DIGIT_HALF).astype(f"<u{nbytes}").tobytes()
+    return [int.from_bytes(raw[i:i + step], "little") - bias for i in range(0, len(raw), step)]
+
+
+def _residues(nums, factor: int, primes) -> np.ndarray:
+    """factor * nums modulo each prime: int64, one row per prime.  Each
+    numerator is read as 16-bit limbs from its two's-complement bytes, the
+    top limb signed; a limb times a residue stays below 2^47, and a
+    numerator below the primes' product 2^743 has at most 47 limbs."""
+    nums = list(nums)
+    nbytes = 2 * (max(map(abs, nums)).bit_length() // 16 + 1)
+    raw = b"".join(n.to_bytes(nbytes, "little", signed=True) for n in nums)
+    limbs = np.frombuffer(raw, dtype="<u2").reshape(len(nums), -1).astype(np.int64)
+    limbs[:, -1] -= (limbs[:, -1] >> 15) << 16
+    weights = np.array([[(factor << (16 * k)) % p for p in primes]
+                        for k in range(limbs.shape[1])], dtype=np.int64)
+    return weights.T @ limbs.T % np.array(primes, dtype=np.int64)[:, None]
+
+
+def _symmetric_crt(res: np.ndarray, primes) -> list[int]:
+    """The integers in (-M/2, M/2), M = prod(primes), with the given
+    residues (one row per prime), by Garner's algorithm."""
+    mixed = []
+    for i, p in enumerate(primes):
+        t = res[i]
+        for pj, v in zip(primes, mixed):
+            t = (t - v) % p * pow(pj, -1, p) % p
+        mixed.append(t)
+    total = np.zeros(res.shape[1], dtype=object)
+    modulus = 1
+    for p, v in zip(primes, mixed):
+        total = total + v.astype(object) * modulus
+        modulus *= p
+    half = modulus // 2
+    return [x - modulus if x > half else x for x in total.tolist()]
+
+
+def _blocks(n: int, m: int):
+    """Row and column slices that tile an n x m grid in at most _CHUNK
+    cells each."""
+    cols = min(m, _CHUNK)
+    rows = max(1, _CHUNK // cols)
+    for i in range(0, n, rows):
+        for j in range(0, m, cols):
+            yield slice(i, i + rows), slice(j, j + cols)
+
+
+def _sorted_union(parts) -> np.ndarray:
+    """The distinct keys of the arrays in parts, in increasing order."""
+    keys = np.sort(np.concatenate(parts), kind="stable")
+    keep = np.empty(len(keys), dtype=bool)
+    keep[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
+def sum_of_products(pairs) -> LaurentPoly:
+    """The sum of a * b over the (a, b) pairs, ints and Fractions taken as
+    constants: the polynomial, and the ExponentOverflow, that adding the
+    products one by one gives, without forming any product (see above)."""
+    pairs = [(a, b) for a, b in ((_as_poly(a), _as_poly(b)) for a, b in pairs)
+             if a._num and b._num]
+    emax = 0
+    for a, b in pairs:
+        e = a._emax + b._emax
+        emax = max(emax, _product_emax(a, b) if e > EXP_LIMIT else e)
+    if not pairs:
+        return LaurentPoly.zero()
+    dens = [a._den * b._den for a, b in pairs]
+    den = math.lcm(*dens)
+    factors = [den // d for d in dens]
+    bound = sum(f * max(map(abs, a._num.values())) * max(map(abs, b._num.values()))
+                * min(len(a._num), len(b._num)) for f, (a, b) in zip(factors, pairs))
+    nprimes = next((i + 1 for i in range(len(_PRIMES))
+                    if math.prod(_PRIMES[:i + 1]) > 2 * bound), None)
+    width = len(_SLOT_KEYS) + 1
+    digits = [(_digit_array(a._num, width), _digit_array(b._num, width)) for a, b in pairs]
+    lo = np.min([da.min(0) + db.min(0) for da, db in digits], axis=0)
+    radices = (np.max([da.max(0) + db.max(0) for da, db in digits], axis=0) - lo + 1).tolist()
+    if (nprimes is None or math.prod(radices) >= _MAX_KEYS
+            or sum(len(a._num) * len(b._num) for a, b in pairs) >= _MAX_PAIRS):
+        total = LaurentPoly.zero()
+        for a, b in pairs:
+            total = total + a * b
+        return total
+    primes = _PRIMES[:nprimes]
+    strides = np.array([math.prod(radices[:s]) for s in range(width)], dtype=np.int64)
+    # the short operand's digits shifted to start at 0 and the long one's
+    # by the rest of lo, so that each product term's shifted digits lie in
+    # [0, radix); the long one's keys sorted, so that every row of a block
+    # is an increasing run
+    operands = []
+    for (a, b), f, (da, db) in zip(pairs, factors, digits):
+        if len(a._num) > len(b._num):
+            a, b, da, db = b, a, db, da
+        low = da.min(0)
+        kb = (db - (lo - low)) @ strides
+        order = np.argsort(kb, kind="stable")
+        operands.append(((da - low) @ strides, kb[order],
+                         _residues(a._num.values(), f, primes),
+                         _residues(b._num.values(), 1, primes)[:, order]))
+    del digits
+    # the union of every product's keys, merged whenever the keys waiting
+    # outnumber it
+    union = np.empty(0, dtype=np.int64)
+    waiting = []
+    count = 0
+    for ka, kb, _, _ in operands:
+        for ra, rb in _blocks(len(ka), len(kb)):
+            waiting.append((ka[ra, None] + kb[rb]).ravel())
+            count += waiting[-1].size
+            if count >= len(union):
+                union = _sorted_union([union, *waiting])
+                waiting, count = [], 0
+    union = _sorted_union([union, *waiting])
+    del waiting
+    acc = np.zeros((nprimes, len(union)), dtype=np.int64)
+    for ka, kb, resa, resb in operands:
+        for ra, rb in _blocks(len(ka), len(kb)):
+            pos = np.searchsorted(union, (ka[ra, None] + kb[rb]).ravel())
+            for row, p, x, y in zip(acc, primes, resa[:, ra], resb[:, rb]):
+                prods = np.multiply.outer(x, y)
+                prods %= p
+                np.add.at(row, pos, prods.ravel())
+    acc %= np.array(primes, dtype=np.int64)[:, None]
+    nonzero = np.flatnonzero(acc.any(axis=0))
+    if not nonzero.size:
+        return LaurentPoly.zero()
+    mono = union[nonzero, None] // strides % np.array(radices, dtype=np.int64) + lo
+    num = dict(zip(_packed_keys(mono), _symmetric_crt(acc[:, nonzero], primes)))
+    return _reduced(num, den, emax)
 
 
 def leading_coeff(p: LaurentPoly, vars: list[VarId], degree: int) -> LaurentPoly:

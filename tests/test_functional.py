@@ -1,4 +1,5 @@
 import cmath
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -211,6 +212,28 @@ def test_fz_residual_scales_exactly_with_provider():
     omega = LaurentPoly.rational(5) * Q
     res2 = functional_residual(inp, lambda s: omega * bad(s))
     assert res2 == RationalFunction(omega) * res1
+
+
+def test_fz_exact_l3_perturbed_z_matches_the_pairwise_sum(monkeypatch):
+    # a negative control for the kernel's sum: one wrong Z value among the
+    # ten makes the residual nonzero, and equal to adding the cleared
+    # products one by one
+    mus = tuple(LaurentPoly.rational(Fraction(n, d)) for n, d in ((2, 3), (5, 4), (7, 2)))
+    q = LaurentPoly.rational(Fraction(-3, 5))
+    pts = _sym_points(5)
+    inp = FunctionalInput(3, pts, mus, q)
+    z = algebraic_provider(mus, q)
+    wrong = (pts[1], pts[2], pts[3])
+
+    def provider(subset):
+        return z(subset) * Fraction(4, 3) + pts[1] if subset == wrong else z(subset)
+
+    res = functional_residual(inp, provider)
+    monkeypatch.setattr(functional, "sum_of_products",
+                        lambda pairs: sum((a * b for a, b in pairs), LaurentPoly.zero()))
+    want = functional_residual(inp, provider)
+    assert res.num.num_terms() > 5000
+    assert res.num == want.num and res.den == want.den
 
 
 def test_fz_pole_guard(rng):

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from sixvertex import scalar
 from sixvertex.cli import main
 from sixvertex.errors import ExponentOverflow
 from sixvertex.scalar import (
@@ -28,6 +29,7 @@ from sixvertex.scalar import (
     parse_poly,
     poly_derivative,
     q_var,
+    sum_of_products,
     u_var,
     w_var,
 )
@@ -110,6 +112,7 @@ def ref_polys(draw, max_terms=5):
 def _check(p: LaurentPoly, ref: dict):
     assert dict(p.items()) == ref
     assert p.to_json_terms() == ref_json(ref)
+    assert p.text_and_json_terms() == (p.to_text(), p.to_json_terms())
     assert p.num_terms() == len(ref)
     assert p == LaurentPoly(ref) and hash(p) == hash(LaurentPoly(ref))
 
@@ -337,3 +340,119 @@ def test_kernel_operations_on_zero():
     assert coefficients_in(zero, [u_var(61), q_var()]) == {}
     exps, nums, den = exponent_array(zero, [u_var(61), q_var()])
     assert exps.shape == (0, 2) and nums == [] and den == 1
+
+
+# -- sum_of_products ------------------------------------------------------------
+
+
+def ref_sum_of_products(pairs):
+    out = {}
+    for a, b in pairs:
+        out = ref_add(out, ref_mul(a, b))
+    return out
+
+
+# 2^70 and 3^50 scale the numerators past one and two primes
+_SCALES = (1, -1, 2 ** 70, -(3 ** 50))
+
+
+@given(st.lists(st.tuples(ref_polys(), ref_polys(), st.sampled_from(_SCALES)), max_size=4))
+def test_sum_of_products_matches_reference(drawn):
+    pairs = [({e: c * s for e, c in a.items()}, b) for a, b, s in drawn]
+    _check(sum_of_products((LaurentPoly(a), LaurentPoly(b)) for a, b in pairs),
+           ref_sum_of_products(pairs))
+
+
+@given(st.lists(st.tuples(ref_polys(), ref_polys(), st.sampled_from(_SCALES)), max_size=3))
+def test_sum_of_products_that_cancels_is_zero(drawn):
+    # every product appears once as a * b and once as (-a) * b or a * (-b)
+    pairs = []
+    for a, b, s in drawn:
+        pa, pb = LaurentPoly(a) * s, LaurentPoly(b)
+        pairs += [(pa, pb), (pa, -pb) if s > 0 else (-pa, pb)]
+    total = sum_of_products(pairs)
+    assert total.is_zero() and total == LaurentPoly.zero()
+    assert hash(total) == hash(LaurentPoly.zero())
+
+
+def test_sum_of_products_empty_zero_and_constant_operands():
+    u = LaurentPoly.var(u_var(61))
+    assert sum_of_products([]) == LaurentPoly.zero()
+    assert sum_of_products([(LaurentPoly.zero(), u), (u, 0)]).is_zero()
+    assert sum_of_products([(u, Fraction(2, 3)), (3, u)]) == u * Fraction(11, 3)
+
+
+def test_sum_of_products_needs_three_primes():
+    u, w = LaurentPoly.var(u_var(61)), LaurentPoly.var(w_var(61))
+    a = (u + w) * (2 ** 61 - 1) + u * w * Fraction(-(3 ** 40), 7)
+    b = (u - 1) * (5 ** 27) + w * Fraction(2 ** 63, 11)
+    c = u ** 2 * Fraction(-(7 ** 30), 9) + 1
+    pairs = [(a, b), (b, c), (c, a)]
+    bound = sum(max(abs(x) for x in p._num.values()) * max(abs(x) for x in r._num.values())
+                * math.lcm(*(s._den * t._den for s, t in pairs)) // (p._den * r._den)
+                * min(p.num_terms(), r.num_terms()) for p, r in pairs)
+    assert 2 * bound > scalar._PRIMES[0] * scalar._PRIMES[1]
+    want = a * b + b * c + c * a
+    assert not want.is_zero()
+    assert sum_of_products(pairs) == want
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_sum_of_products_at_its_coefficient_bound(k, sign):
+    # monomial products reach the coefficient bound B = 6c exactly, and B
+    # lies between M/2 and M for M the product of the first k primes: k
+    # primes fix B modulo M, but not its sign
+    u, w = LaurentPoly.var(u_var(61)), LaurentPoly.var(w_var(61))
+    c = math.prod(scalar._PRIMES[:k]) // 8 + 1
+    a, b = u * (sign * c), w * Fraction(1, 3)
+    assert sum_of_products([(a, w), (b, u * (3 * sign * c))]) == 2 * a * w
+
+
+def test_prime_table():
+    primes = scalar._PRIMES
+    assert len(set(primes)) == len(primes) and max(primes) < 1 << 31
+    # Miller-Rabin with the bases 2, 3, 5, 7 decides primality below 3.2e9
+    for n in primes:
+        d, s = n - 1, 0
+        while d % 2 == 0:
+            d, s = d // 2, s + 1
+        for a in (2, 3, 5, 7):
+            x = pow(a, d, n)
+            assert x in (1, n - 1) or any(pow(x, 2 ** r, n) == n - 1 for r in range(1, s))
+
+
+def test_sum_of_products_exponent_boundary():
+    u, w = u_var(60), w_var(60)
+    U, W = LaurentPoly.var(u), LaurentPoly.var(w)
+    top = LaurentPoly.var(u, EXP_LIMIT)
+    bottom = LaurentPoly.var(w, -EXP_LIMIT)
+    # every digit at its limit, with a loose bound the exact check clears
+    pairs = [(top + W, U ** -1 + 1), (bottom + U, W + 1), (top, bottom)]
+    assert sum_of_products(pairs) == (top + W) * (U ** -1 + 1) + (bottom + U) * (W + 1) + top * bottom
+    for bad in ((top + W, U + 1), (bottom, W ** -1)):
+        with pytest.raises(ExponentOverflow) as direct:
+            bad[0] * bad[1]
+        with pytest.raises(ExponentOverflow) as summed:
+            sum_of_products([(U, W), bad])
+        assert str(summed.value) == str(direct.value)
+
+
+@pytest.mark.parametrize("case", ["key box", "primes"])
+def test_sum_of_products_falls_back_to_pairwise(case, monkeypatch):
+    xs = [LaurentPoly.var(u_var(i)) for i in (60, 61, 62, 63)]
+    if case == "key box":
+        # four digits spanning nearly 2^16 each: the keys leave int64
+        hi = xs[0] ** 16383 * xs[1] ** 16383 * xs[2] ** 16383 * xs[3] ** 16383
+        a = hi + hi.monomial_inverse()
+        b = a - xs[0] * 3
+    else:
+        # numerators past the product of every prime in the table
+        a, b = xs[0] * 2 ** 400 + xs[1] * 3, xs[2] * 5 ** 200 - 1
+    want = a * b + b * b
+
+    def refuse(*args):
+        raise AssertionError("the residue path ran")
+
+    monkeypatch.setattr(scalar, "_residues", refuse)
+    assert sum_of_products([(a, b), (b, b)]) == want
