@@ -34,6 +34,7 @@ from .partition import standard_symbolic_params
 from .scalar import (
     CheckOutcome,
     LaurentPoly,
+    _as_poly,
     divide_exponents,
     invert,
     is_exact,
@@ -131,28 +132,18 @@ def f_top(i: int, ws, q, L: int) -> np.ndarray:
     """
     exact = is_exact(q)
     if exact:
-        # w-monomials carry no q-power, so they need no s-ring conversion
-        pref = _s_poly(L - 3) * (_s_poly(4) - 1) / 2 ** L
-        wpolys = [wv if isinstance(wv, LaurentPoly) else LaurentPoly.rational(wv)
-                  for wv in ws]
-        wfac = wpolys[i - 1] ** (L - 1)
-        for wv in wpolys:
-            wfac = wfac * wv ** (-1)
-        dim = 2 ** L
-        acc = np.full((dim, dim), LaurentPoly.zero(), dtype=object)
-        for j in range(1, L + 1):
-            acc = acc + p_operator(j, L) * wpolys[j - 1]
-        return np.frompyfunc(from_half_exponents, 1, 1)(acc * (pref * wfac))
-    s = cmath.sqrt(q)
-    pref = 2 ** (-L) * s ** (L - 3) * (q * q - 1)
+        s = _s_poly(1)
+        ws = [_as_poly(wv) for wv in ws]
+    else:
+        s = cmath.sqrt(q)
+    pref = s ** (L - 3) * (s ** 4 - 1) / 2 ** L
     wfac = ws[i - 1] ** (L - 1)
     for wv in ws:
-        wfac /= wv
-    dim = 2 ** L
-    acc = np.zeros((dim, dim), dtype=complex)
-    for j in range(1, L + 1):
-        acc += ws[j - 1] * p_operator(j, L, q)
-    return pref * wfac * acc
+        wfac = wfac * invert(wv)
+    acc = sum(p_operator(j, L, None if exact else q) * ws[j - 1] for j in range(1, L + 1))
+    out = acc * (pref * wfac)
+    # w-monomials carry no q-power, so only the s-ring result needs converting
+    return np.frompyfunc(from_half_exponents, 1, 1)(out) if exact else out
 
 
 def b_top_coefficient(i: int, L: int) -> np.ndarray:
@@ -233,13 +224,7 @@ def check_ordering_sum(L: int, q=None) -> CheckOutcome:
     total = np.full_like(ident, LaurentPoly.zero() if exact else 0j)
     for perm in itertools.permutations(range(1, L + 1)):
         total = total + _apply_product(perm, L, ident, q)
-    pref = LaurentPoly.one() if exact else 1 + 0j
-    qm2 = _s_poly(-4) if exact else 1 / (q * q)
-    for k in range(1, L + 1):
-        acc = pref - pref  # zero
-        for t in range(k):
-            acc = acc + qm2 ** t
-        pref = pref * acc
+    pref = q_factorial(L, _s_poly(-2) if exact else 1 / q)
     ordered = _apply_product(range(1, L + 1), L, ident, q)
     scale = None if exact else float(np.abs(total).sum() + np.abs(ordered * pref).sum())
     return verdict("ordering-sum", total - ordered * pref, scale, 1e-9)

@@ -31,7 +31,8 @@ Two interchangeable scalar backends are used throughout:
 
 Ratios of polynomials (expansion coefficients, solved coefficient tables)
 are represented by :class:`RationalFunction`, whose equality is defined by
-cross-multiplication.
+cross-multiplication; ``RationalFunction.reduced`` runs Euclid's algorithm
+on the same packed LaurentPoly terms.
 """
 
 from __future__ import annotations
@@ -980,13 +981,8 @@ class RationalFunction:
             num = num * den.monomial_inverse()
             den = LaurentPoly.one()
         else:
-            # pull the denominator's monomial unit (content and lowest
-            # exponents) into the numerator
-            lows, _ = _digit_ranges(den._num)
-            key = sum(e << (_DIGIT_BITS * s) for s, e in enumerate(lows))
-            c = den.content()
-            unit = _make({key: c.numerator}, c.denominator, max(map(abs, lows)))
-            inv = unit.monomial_inverse()
+            # pull the denominator's unit into the numerator
+            inv = _unit(den).monomial_inverse()
             num = num * inv
             den = den * inv
         self.num = num
@@ -1080,77 +1076,58 @@ class RationalFunction:
         return f"RationalFunction({self.to_text()})"
 
 
-def _as_coeff_list(p: LaurentPoly, v: VarId) -> tuple[int, list[Fraction]]:
-    """Dense coefficient list of a univariate polynomial: (offset, coeffs)."""
-    s = _SLOT_OF.get(v.key)
-    shift = 0 if s is None else _DIGIT_BITS * s
-    by_exp: dict[int, int] = {}
-    for k, c in p._num.items():
-        e = 0 if s is None else _digit(k, s)
-        if k != e << shift:
-            raise ValueError("polynomial is not univariate")
-        by_exp[e] = c
-    lo = min(by_exp, default=0)
-    coeffs = [Fraction(0)] * (max(by_exp, default=0) - lo + 1)
-    for e, c in by_exp.items():
-        coeffs[e - lo] = Fraction(c, p._den)
-    return lo, coeffs
+def _unit(p: LaurentPoly) -> LaurentPoly:
+    """The monomial of p's content times its lowest power of each variable,
+    so that p / _unit(p) has no negative exponent and no monomial factor.
+    p must be nonzero."""
+    lows, _ = _digit_ranges(p._num)
+    key = sum(e << (_DIGIT_BITS * s) for s, e in enumerate(lows))
+    c = p.content()
+    return _make({key: c.numerator}, c.denominator, max(map(abs, lows), default=0))
 
 
-def _from_coeff_list(offset: int, coeffs: list[Fraction], v: VarId) -> LaurentPoly:
-    acc = {}
-    for i, c in enumerate(coeffs):
-        if c:
-            e = offset + i
-            vec = ((v.key, e),) if e else ()
-            acc[vec] = c
-    return LaurentPoly(acc)
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b) and any(a):
-        while a and not a[-1]:
-            a.pop()
-        if len(a) < len(b):
+def _divmod_univariate(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
+    """Quotient and remainder of a by a nonzero b, both polynomials (no
+    negative exponent) in one variable.  A univariate key is e << 16*slot,
+    so each leading term is the one with the largest key."""
+    kb = max(b._num)
+    lead_b = Fraction(b._num[kb], b._den)
+    quot = LaurentPoly.zero()
+    while a._num:
+        ka = max(a._num)
+        if ka < kb:
             break
-        f = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        q[shift] = f
-        for i, bc in enumerate(b):
-            a[shift + i] -= f * bc
-        a.pop()
-    while a and not a[-1]:
-        a.pop()
-    return q, a
+        f = Fraction(a._num[ka], a._den) / lead_b
+        k = ka - kb
+        t = _make({k: f.numerator}, f.denominator, max(map(abs, _digits(k)), default=0))
+        quot = quot + t
+        a = a - t * b
+    return quot, a
 
 
 def _gcd_univariate(p1: LaurentPoly, p2: LaurentPoly, v: VarId) -> LaurentPoly | None:
-    try:
-        _, c1 = _as_coeff_list(p1, v)
-        _, c2 = _as_coeff_list(p2, v)
-    except ValueError:
+    """Monic gcd of nonzero p1 and p2 in v alone, each taken without its
+    unit, so the gcd has a nonzero constant term; None if either has
+    another variable."""
+    if not (p1.variables() | p2.variables()) <= {v}:
         return None
-    a, b = c1, c2
-    while any(b):
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if not any(a):
-        return None
-    # make monic
-    lead = a[-1]
-    a = [c / lead for c in a]
-    return _from_coeff_list(0, a, v)
+    a, b = p1 / _unit(p1), p2 / _unit(p2)
+    while b:
+        a, b = b, _divmod_univariate(a, b)[1]
+    return a / Fraction(a._num[max(a._num)], a._den)
 
 
 def _exact_div_univariate(p: LaurentPoly, g: LaurentPoly, v: VarId) -> LaurentPoly:
-    lo, c = _as_coeff_list(p, v)
-    glo, gc = _as_coeff_list(g, v)
-    q, r = _poly_divmod(c, gc)
-    if any(r):
+    """p / g for nonzero Laurent polynomials in v alone; ValueError unless
+    g divides p.  Both are shifted by their units first, so negative
+    exponents work."""
+    if not (p.variables() | g.variables()) <= {v}:
+        raise ValueError("polynomial is not univariate")
+    up, ug = _unit(p), _unit(g)
+    quot, rem = _divmod_univariate(p / up, g / ug)
+    if rem:
         raise ValueError("division is not exact")
-    return _from_coeff_list(lo - glo, q, v)
+    return quot * (up / ug)
 
 
 @dataclass

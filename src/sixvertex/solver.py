@@ -52,6 +52,8 @@ from .sampling import sample_point, sample_spectral_set
 from .scalar import (
     LaurentPoly,
     RationalFunction,
+    _exact_div_univariate,
+    _gcd_univariate,
     coefficients_in,
     divide_exponents,
     exponent_array,
@@ -384,8 +386,6 @@ def _exact_nullvector(rows: list, ncols: int) -> list[RationalFunction]:
 def _verify_candidate(L: int, box, values: list[RationalFunction]) -> None:
     """Exact check of the full functional equation for the candidate table,
     through the functional-equation residual."""
-    from .scalar import _exact_div_univariate, _gcd_univariate
-
     qv = q_var()
     one = LaurentPoly.one()
     den = one

@@ -36,9 +36,16 @@ def test_solve_l2_table(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["zero_indices"] == 5
-    by_index = {tuple(e["index"]): e for e in doc["entries"]}
-    assert by_index[(-1, -1)]["ratio_to_top"] == "(1/1)*q^-2"
-    assert by_index[(1, 1)]["value"] == doc["h_top"]
+    by_index = {tuple(e["index"]): (e["ratio_to_top"], e["value"]) for e in doc["entries"]}
+    mixed = ("((-2/1)) / ((1/1) + (1/1)*q^2)", "(-1/8)*q^-2 + (1/4) + (-1/8)*q^2")
+    h_top = "(1/16)*q^-2 + (-1/16) + (-1/16)*q^2 + (1/16)*q^4"
+    assert by_index == {
+        (-1, -1): ("(1/1)*q^-2", "(1/16)*q^-4 + (-1/16)*q^-2 + (-1/16) + (1/16)*q^2"),
+        (-1, 1): mixed,
+        (1, -1): mixed,
+        (1, 1): ("(1/1)", h_top),
+    }
+    assert doc["h_top"] == h_top
 
 
 def test_compute_exact_symbolic(capsys):

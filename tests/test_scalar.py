@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from sixvertex.errors import (
@@ -12,6 +12,8 @@ from sixvertex.errors import (
 from sixvertex.scalar import (
     LaurentPoly,
     RationalFunction,
+    _exact_div_univariate,
+    _gcd_univariate,
     leading_coeff,
     parse_poly,
     poly_derivative,
@@ -175,6 +177,26 @@ def test_rational_function_equivalence(a, b, c):
 def test_rational_function_reduced(a, b):
     r = RationalFunction(a, b)
     assert r.reduced() == r
+
+
+@given(q_polys(), q_polys(nonzero=True), q_polys(nonzero=True))
+def test_rational_function_reduced_is_canonical(a, b, c):
+    # a common factor with two or more terms is divided out, so both
+    # fractions reduce to the same stored numerator and denominator
+    assume(c.num_terms() >= 2)
+    r1 = RationalFunction(a * c, b * c).reduced()
+    r2 = RationalFunction(a, b).reduced()
+    assert r1.num == r2.num and r1.den == r2.den
+
+
+def test_univariate_division_and_gcd():
+    qv = q_var()
+    p = (Q ** -2 + 1) * (Q + 3)
+    assert _exact_div_univariate(p, Q ** 2 + 1, qv) == Q ** -2 * (Q + 3)
+    with pytest.raises(ValueError):
+        _exact_div_univariate(p, Q + 1, qv)
+    assert _gcd_univariate(p, Q ** 4 - 1, qv) == Q ** 2 + 1
+    assert _gcd_univariate(Q + U1, Q + 1, qv) is None
 
 
 def test_rational_function_arithmetic():
