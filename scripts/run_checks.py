@@ -14,7 +14,10 @@ asymptotic checks run exactly at L = 2, 3 and 4 (those that go through Z
 or the monodromy's top coefficient at L <= 3).  The partition function's
 two routes, the operator product and the pruned configuration sum, must
 agree exactly at symbolic L = 1..3 and, at --trials seeded float points for
-each L = 1..6, within 1e-9 of the larger |Z|.  The homogeneous-limit
+each L = 1..6, within 1e-9 of the larger |Z|.  The brute-force
+configuration table must hold the pruned search's configurations and count
+at L = 1..4, and its float Z agree with the pruned one within 1e-12 of the
+larger |Z|.  The homogeneous-limit
 differential relations are checked exactly at L = 1 and 2.  The coefficient
 solver must reproduce the known L = 2 table exactly, and its numeric L = 3
 solve, at one q drawn from --seed, the known L = 3 ratios within 1e-8 of the
@@ -126,6 +129,20 @@ def main():
             za = partition.z_algebraic(lams, mus, qf)
             ze = partition.z_enumerate(lams, mus, qf, "pruned")
             record(vertex.verdict(f"z-routes-L{L}", ze - za, max(abs(za), abs(ze)), 1e-9))
+
+    print("== configuration sum: brute force vs pruned search ==")
+    for L in range(1, 5):
+        naive = set(partition.iter_dwbc_configs(L, mode="naive"))
+        pruned = set(partition.iter_dwbc_configs(L))
+        # configurations only one route finds, and the difference of the counts
+        record(vertex.verdict(f"naive-configs-L{L}", len(naive ^ pruned) + abs(
+            partition.count_configs(L, "naive") - partition.count_configs(L)), None, 0))
+        lams = sample_spectral_set(rng, L)
+        mus = sample_spectral_set(rng, L)
+        qf = sample_point(rng)
+        zn = partition.z_enumerate(lams, mus, qf, "naive")
+        zp = partition.z_enumerate(lams, mus, qf, "pruned")
+        record(vertex.verdict(f"naive-z-L{L}", zn - zp, max(abs(zn), abs(zp)), 1e-12))
 
     print("== homogeneous limit ==")
     for L in (1, 2):

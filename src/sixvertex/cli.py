@@ -10,6 +10,7 @@ serialize in canonical term order.  Exit codes: 0 all checks passed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -58,7 +59,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
-def _parse_args(argv) -> RunConfig:
+@functools.cache
+def _parser() -> _Parser:
+    """The argument parser, built on first use and shared by every call."""
     top = _Parser(prog="sixvertex", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -99,8 +102,11 @@ def _parse_args(argv) -> RunConfig:
 
     p = sub.add_parser("ode", help="homogeneous differential residuals")
     common(p)
+    return top
 
-    ns = top.parse_args(argv)
+
+def _parse_args(argv) -> RunConfig:
+    ns = _parser().parse_args(argv)
     cfg = RunConfig(command=ns.command)
     for name in ("size", "backend", "seed", "trials", "tolerance", "out"):
         setattr(cfg, name, getattr(ns, name))
@@ -110,8 +116,9 @@ def _parse_args(argv) -> RunConfig:
     if hasattr(ns, "count_only"):
         cfg.count_only = ns.count_only
     if hasattr(ns, "lam"):
-        cfg.lams = ns.lam
-        cfg.mus = ns.mu
+        # copies: without --lam, argparse hands over the shared parser's default list
+        cfg.lams = list(ns.lam)
+        cfg.mus = list(ns.mu)
     return cfg
 
 

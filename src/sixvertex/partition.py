@@ -3,10 +3,20 @@
 * ``z_algebraic`` evaluates the operator product <0bar| B(lam_1)...B(lam_L) |0>
   through the monodromy matrix.
 * ``z_enumerate`` sums the weight product over all ice-rule-valid lattice
-  configurations with domain-wall boundary edges, by brute force over the
-  interior edges (naive) or by a row-by-row depth-first sweep that abandons a
-  branch at the first ice-rule violation (pruned).  Neither shares any
+  configurations with domain-wall boundary edges.  Neither shares any
   algebra with the monodromy route, so agreement is a genuine cross-check.
+
+The valid configurations (the alternating-sign matrices) do not depend on
+the spectral parameters, so they are found once per size and edge
+convention and kept as a read-only configuration table: entry [k, c] is the
+flat index 4*out + in of vertex k = i*L + j of configuration c in that
+vertex's 4x4 ``build_L`` table.  The pruned table comes from a search that
+fills the lattice row by row and drops a branch at its first ice-rule or
+boundary violation; its columns are in the depth-first order of that
+search.  The naive table tests every assignment of the interior edges, in
+int64 bit masks, and keeps the same configurations.  Both are weighed by
+one loop that gathers each vertex's weights for all configurations at
+once and multiplies them into a running product, left to right.
 
 Vertex (i, j) carries the spectral argument lambda_i - mu_j.  Edge states
 are bits; the arrow encoding is configurable and the shipped default is
@@ -17,13 +27,15 @@ flipping only one of them breaks the forcing identity.
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import SizeLimitExceeded
 from .monodromy import build_monodromy, vacuum
 from .sampling import pairwise_sum
-from .scalar import LaurentPoly, invert, is_exact, q_var, u_var, w_var
+from .scalar import LaurentPoly, invert, is_exact, q_var, sum_of_products, u_var, w_var
 from .vertex import build_L
 
 _SIZE_LIMITS = {"pruned": 6, "naive": 4}
@@ -79,11 +91,6 @@ class LatticeConfig:
         return True
 
 
-def _weight_tables(lams, mus, q):
-    """Nested Python lists: indexing them is cheaper than numpy's [row, col]."""
-    return [[build_L(lam * invert(mu), q).tolist() for mu in mus] for lam in lams]
-
-
 @dataclass(frozen=True)
 class PartitionValue:
     """A computed partition-function value with its provenance."""
@@ -130,79 +137,151 @@ def _check_size(L: int, mode: str):
         raise SizeLimitExceeded(f"{mode} enumeration supports L <= {_SIZE_LIMITS[mode]}")
 
 
-def _dwbc_walk(L: int, conv: EdgeConvention, tables=None, snapshot=None) -> list:
-    """The pruned search: the weights of all valid configurations, in order.
+def _kind(a_in, b_in, a_out, b_out):
+    """Flat index 4*out + in of a vertex's entry in its 4x4 ``build_L`` table."""
+    return 4 * (2 * a_out + b_out) + 2 * a_in + b_in
 
-    One depth-first walk fixes the vertices row-major; at each vertex only
-    outgoing pairs that conserve the bit sum survive, and boundary bits are
-    enforced as soon as they are reached.  No transfer-matrix or operator
-    structure is used.  The walk carries the running product of the weights
-    tables[i][j][out][in] (1 when ``tables`` is None), so each weight is
-    ``_config_weight``'s left-to-right product with shared prefixes
-    multiplied once.  ``snapshot(alpha, beta)``, if given, sees each
-    configuration's flat edge lists (row i at i*(L+1) and at i*L).
+
+def _row_moves(L: int, conv: EdgeConvention, last: bool):
+    """Every valid filling of one row, from each of the 2^L patterns of
+    incoming vertical edges (bit j for column j): (src, kinds, dst), the
+    incoming pattern, (L, count) kinds and outgoing pattern of each filling.
+
+    The vertices are fixed left to right for all partial fillings at once,
+    each keeping the outgoing pairs that conserve the bit sum, a_out = 0
+    before 1, so the fillings are sorted by src and each source's fillings
+    are in depth-first order.  Boundary bits (the right one, and the bottom
+    ones in the last row) are enforced at their vertex.
     """
-    n = L * L
-    alpha = [None] * (L * (L + 1))
-    alpha[::L + 1] = [conv.right] * L
-    beta = [conv.down] * L + [None] * n
-
-    def surviving(i, j, a_in, b_in):
-        out = []
-        for a_out in (0, 1):
-            b_out = a_in + b_in - a_out
-            if (b_out not in (0, 1) or (j == L - 1 and a_out != conv.left)
-                    or (i == L - 1 and b_out != conv.up)):
-                continue
-            w = 1 if tables is None else tables[i][j][2 * a_out + b_out][2 * a_in + b_in]
-            out.append((a_out, b_out, w))
-        return out
-
-    # moves[k][a_in][b_in] at vertex k = i*L + j
-    moves = [[[surviving(i, j, a, b) for b in (0, 1)] for a in (0, 1)]
-             for i in range(L) for j in range(L)]
-    weights = []
-
-    def rec(k, acc):
-        if k == n:
-            weights.append(acc)
-            if snapshot:
-                snapshot(alpha, beta)
-            return
-        h = k + k // L
-        for a_out, b_out, w in moves[k][alpha[h]][beta[k]]:
-            alpha[h + 1] = a_out
-            beta[k + L] = b_out
-            rec(k + 1, w if acc is None else acc * w)
-
-    rec(0, None)
-    # rec's closure holds rec: clearing it frees the walk's state now, not
-    # at some later cyclic garbage collection
-    del rec
-    return weights
+    src = np.arange(1 << L)
+    vert = src.copy()
+    horiz = np.full(1 << L, conv.right)
+    a_out = np.array([0, 1])
+    kinds = np.empty((0, 1 << L), dtype=np.uint8)
+    for j in range(L):
+        b_in = vert >> j & 1
+        b_out = (horiz + b_in)[:, None] - a_out
+        ok = (b_out == 0) | (b_out == 1)
+        if j == L - 1:
+            ok &= a_out == conv.left
+        if last:
+            ok &= b_out == conv.up
+        parent, a = np.nonzero(ok)
+        b = b_out[parent, a]
+        kinds = np.concatenate([kinds[:, parent], [_kind(horiz[parent], b_in[parent], a, b)]])
+        src, vert, horiz = src[parent], vert[parent] & ~(1 << j) | b << j, a
+    return src, kinds.astype(np.uint8), vert.astype(np.uint8)
 
 
-def iter_dwbc_configs(L: int, conv: EdgeConvention = DEFAULT_CONVENTION):
-    """All valid configurations, in the pruned search's order."""
-    _check_size(L, "pruned")
-    configs = []
-    _dwbc_walk(L, conv, snapshot=lambda alpha, beta: configs.append(LatticeConfig(
-        alpha=tuple(tuple(alpha[i * (L + 1):(i + 1) * (L + 1)]) for i in range(L)),
-        beta=tuple(tuple(beta[i * L:(i + 1) * L]) for i in range(L + 1)),
-    )))
-    yield from configs
+@functools.lru_cache(maxsize=None)
+def _dwbc_kinds(L: int, conv: EdgeConvention) -> np.ndarray:
+    """The pruned search's configuration table, read-only, shape (L*L, count):
+    entry [k, c] is the ``_kind`` of vertex k = i*L + j of configuration c.
 
-
-def _config_weight(cfg: LatticeConfig, tables):
-    L = cfg.size
-    acc = None
+    Row by row, every partial configuration is followed by the
+    ``_row_moves`` fillings from its pattern of vertical edges, in order,
+    so the columns are in the depth-first order of a vertex-by-vertex search
+    that abandons a branch at its first violation.
+    """
+    moves = [_row_moves(L, conv, last) for last in (False, True)]
+    # one partial configuration, with no vertex fixed yet
+    table = np.empty((0, 1), dtype=np.uint8)
+    pattern = np.array([conv.down * ((1 << L) - 1)])
     for i in range(L):
-        for j in range(L):
-            row = 2 * cfg.alpha[i][j + 1] + cfg.beta[i + 1][j]
-            col = 2 * cfg.alpha[i][j] + cfg.beta[i][j]
-            wv = tables[i][j][row][col]
-            acc = wv if acc is None else acc * wv
-    return acc
+        src, kinds, dst = moves[i == L - 1]
+        # partial configuration p is followed by moves first[p] .. first[p] + count[p] - 1
+        first = np.searchsorted(src, pattern)
+        count = np.searchsorted(src, pattern, side="right") - first
+        parent = np.repeat(np.arange(len(pattern), dtype=np.int32), count)
+        move = np.repeat((first - np.cumsum(count) + count).astype(np.int32), count)
+        move += np.arange(len(move), dtype=np.int32)
+        # in-range indices; mode="clip" writes into out without a buffered copy
+        grown = np.empty((L * (i + 1), len(move)), dtype=np.uint8)
+        table.take(parent, axis=1, out=grown[:L * i], mode="clip")
+        kinds.take(move, axis=1, out=grown[L * i:], mode="clip")
+        table, pattern = grown, dst[move]
+    table.flags.writeable = False
+    return table
+
+
+_NAIVE_CHUNK = 1 << 20
+
+
+@functools.lru_cache(maxsize=None)
+def _naive_kinds(L: int, conv: EdgeConvention) -> np.ndarray:
+    """The brute-force configuration table, in ``_dwbc_kinds``'s format:
+    every assignment of the 2L(L-1) interior edges, in itertools.product
+    order (interior alpha row-major, then interior beta), that conserves the
+    bit sum at every vertex.  A valid configuration's interior alpha edges
+    fix its beta edges, so this order is the depth-first one too.
+
+    An assignment is an int64 word: the interior edges from its most
+    significant interior bit down, the 4L boundary edges above them as
+    constants.  Words are tested in chunks, vertex by vertex, each test
+    dropping the words that fail it.
+    """
+    n = 2 * L * (L - 1)
+    interior = iter(range(n - 1, -1, -1))
+    boundary = iter(range(n, n + 4 * L))
+    # bit position of each edge in a word, indexed like LatticeConfig
+    alpha = [[next(boundary), *(next(interior) for _ in range(L - 1)), next(boundary)]
+             for _ in range(L)]
+    beta = [[next(boundary) for _ in range(L)],
+            *([next(interior) for _ in range(L)] for _ in range(L - 1)),
+            [next(boundary) for _ in range(L)]]
+    fixed = (sum(conv.right << row[0] | conv.left << row[L] for row in alpha)
+             + sum(conv.down << p for p in beta[0]) + sum(conv.up << p for p in beta[L]))
+    vertices = [(alpha[i][j], beta[i][j], alpha[i][j + 1], beta[i + 1][j])
+                for i in range(L) for j in range(L)]
+    kept = []
+    for start in range(0, 1 << n, _NAIVE_CHUNK):
+        words = np.arange(start, min(start + _NAIVE_CHUNK, 1 << n), dtype=np.int64) | fixed
+        for a_in, b_in, a_out, b_out in vertices:
+            words = words[(words >> a_in & 1) + (words >> b_in & 1)
+                          == (words >> a_out & 1) + (words >> b_out & 1)]
+        kept.append(words)
+    words = np.concatenate(kept)
+    table = np.array([_kind(*(words >> p & 1 for p in v)) for v in vertices], dtype=np.uint8)
+    table.flags.writeable = False
+    return table
+
+
+def _config_table(L: int, mode: str, conv: EdgeConvention) -> np.ndarray:
+    _check_size(L, mode)
+    return (_dwbc_kinds if mode == "pruned" else _naive_kinds)(L, conv)
+
+
+def iter_dwbc_configs(L: int, conv: EdgeConvention = DEFAULT_CONVENTION,
+                      mode: str = "pruned"):
+    """All valid configurations, in the configuration table's order."""
+    table = _config_table(L, mode, conv)
+    kinds = table.reshape(L, L, table.shape[1]).transpose(2, 0, 1)
+    for a_out, b_out in zip((kinds >> 3).tolist(), (kinds >> 2 & 1).tolist()):
+        yield LatticeConfig(alpha=tuple((conv.right, *row) for row in a_out),
+                            beta=((conv.down,) * L, *map(tuple, b_out)))
+
+
+def _config_weight(kinds: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The configuration weight of every column: the product of
+    weights[k][kinds[k]] over the vertices k, multiplied left to right for
+    all columns at once.  A float product is carried as real and imaginary
+    arrays and formed as Python's complex product forms it, so every weight
+    is bit-identical to a per-configuration loop over Python complex
+    numbers."""
+    if weights.dtype == object:
+        acc = weights[0][kinds[0]]
+        for k in range(1, len(kinds)):
+            acc = acc * weights[k][kinds[k]]
+        return acc
+    re, im = weights.real, weights.imag
+    ar, ai = re[0][kinds[0]], im[0][kinds[0]]
+    for k in range(1, len(kinds)):
+        kind = kinds[k].astype(np.intp)  # an intp index gathers faster than a uint8 one
+        br, bi = re[k][kind], im[k][kind]
+        ar, ai = ar * br - ai * bi, ar * bi + ai * br
+    out = np.empty(len(ar), dtype=complex)
+    out.real, out.imag = ar, ai
+    return out
 
 
 def z_enumerate(lams, mus, q, mode: str = "pruned",
@@ -213,38 +292,20 @@ def z_enumerate(lams, mus, q, mode: str = "pruned",
     L = len(lams)
     if len(mus) != L:
         raise ValueError("need as many spectral points as inhomogeneities")
-    _check_size(L, mode)
-    tables = _weight_tables(lams, mus, q)
-    if mode == "pruned":
-        terms = _dwbc_walk(L, conv, tables)
-    else:
-        terms = [_config_weight(cfg, tables) for cfg in _iter_configs_naive(L, conv)]
+    kinds = _config_table(L, mode, conv)
+    weights = np.array([build_L(lam * invert(mu), q).ravel() for lam in lams for mu in mus])
     if is_exact(lams[0]):
-        return sum(terms, LaurentPoly.zero())
+        # the last vertex's products go to the sum-of-products kernel unformed
+        prefix = _config_weight(kinds[:-1], weights[:-1]) if L > 1 else [1] * kinds.shape[1]
+        return sum_of_products(zip(prefix, weights[-1][kinds[-1]]))
+    terms = _config_weight(kinds, weights)
     # deterministic pairwise reduction in configuration order
-    return pairwise_sum(terms) if terms else 0j
-
-
-def _iter_configs_naive(L: int, conv: EdgeConvention):
-    """All interior edge assignments, filtered by the ice rule afterwards."""
-    n = L * (L - 1)
-    for bits in itertools.product((0, 1), repeat=2 * n):
-        cfg = LatticeConfig(
-            alpha=tuple((conv.right, *bits[i * (L - 1):(i + 1) * (L - 1)], conv.left)
-                        for i in range(L)),
-            beta=((conv.down,) * L, *(bits[n + i * L:n + (i + 1) * L] for i in range(L - 1)),
-                  (conv.up,) * L),
-        )
-        if cfg.satisfies_ice_rule():
-            yield cfg
+    return pairwise_sum(terms) if len(terms) else 0j
 
 
 def count_configs(L: int, mode: str = "pruned") -> int:
     """Number of ice-rule-valid DWBC configurations."""
-    _check_size(L, mode)
-    if mode == "naive":
-        return sum(1 for _ in _iter_configs_naive(L, DEFAULT_CONVENTION))
-    return len(_dwbc_walk(L, DEFAULT_CONVENTION))
+    return _config_table(L, mode, DEFAULT_CONVENTION).shape[1]
 
 
 # -- symbolic helpers ---------------------------------------------------

@@ -63,13 +63,13 @@ def sample_spectral_set(rng: np.random.Generator, count: int) -> list[complex]:
 
 
 def pairwise_sum(values):
-    """Deterministic pairwise summation in index order."""
-    vals = list(values)
-    if not vals:
+    """Deterministic pairwise summation in index order: neighbours (0, 1),
+    (2, 3), ... are added, an odd last value carries over, and the halving
+    repeats until one value is left."""
+    vals = np.asarray(values)
+    if not len(vals):
         return 0.0
     while len(vals) > 1:
-        nxt = [vals[i] + vals[i + 1] for i in range(0, len(vals) - 1, 2)]
-        if len(vals) % 2:
-            nxt.append(vals[-1])
-        vals = nxt
-    return vals[0]
+        even = len(vals) - len(vals) % 2
+        vals = np.concatenate([vals[0:even:2] + vals[1:even:2], vals[even:]])
+    return vals[0].item()

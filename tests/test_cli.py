@@ -266,3 +266,48 @@ def test_out_of_range_counts_are_config_errors(capsys, argv):
     doc = json.loads(out)
     assert doc["kind"] == "config"
     assert argv[-2] in doc["error"]
+
+
+def test_the_shared_parser_parses_each_run_afresh(capsys):
+    from sixvertex import cli
+
+    argvs = [
+        ["compute", "--size", "2", "--backend", "float", "--lam", "1.5", "--lam", "0.5+1j",
+         "--mu", "1", "--mu", "2j", "--q", "1.2"],
+        ["enumerate", "--size", "3", "--count-only"],
+        ["compute", "--size", "2", "--backend", "float", "--bogus"],
+        ["compute", "--size", "2", "--backend", "float", "--lam", "2", "--lam", "3",
+         "--mu", "1", "--mu", "1.5", "--q", "0.7"],
+        # no --lam: the append defaults must be empty again, not the last run's
+        ["compute", "--size", "2", "--backend", "float", "--seed", "4"],
+        ["verify", "--check", "yb", "--backend", "float", "--trials", "2"],
+        ["ode", "--size", "1"],
+    ]
+    fresh = []
+    for argv in argvs:
+        cli._parser.cache_clear()
+        fresh.append(_capture(capsys, argv))
+    cli._parser.cache_clear()
+    shared = [_capture(capsys, argv) for argv in argvs]
+    assert cli._parser.cache_info().misses == 1
+    assert shared == fresh
+    assert [code for code, _ in shared] == [0, 0, 2, 0, 0, 0, 0]
+    assert "--bogus" in json.loads(shared[2][1])["error"]
+    assert cli._parse_args(argvs[4]).lams == []
+
+
+# stdout of these runs at the commit before the configuration table replaced
+# the recursive walk; float Z must stay bit-identical
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["compute", "--size", "6", "--backend", "float", "--seed", "7",
+      "--method", "enumerate-pruned"], "compute_size6_float_seed7_pruned.json"),
+    (["enumerate", "--size", "5", "--backend", "float", "--seed", "3"],
+     "enumerate_size5_float_seed3.json"),
+])
+def test_enumeration_stdout_is_pinned(capsys, argv, name):
+    code, out = _capture(capsys, argv)
+    assert code == 0
+    assert out == (DATA / name).read_text(encoding="utf-8")

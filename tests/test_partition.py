@@ -3,11 +3,16 @@ import gc
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from sixvertex.errors import SizeLimitExceeded
 from sixvertex.partition import (
+    DEFAULT_CONVENTION,
     EdgeConvention,
+    LatticeConfig,
+    _dwbc_kinds,
+    _naive_kinds,
     count_configs,
     iter_dwbc_configs,
     polynomial_structure_report,
@@ -28,6 +33,60 @@ def test_config_counts_naive_small():
     assert count_configs(1, "naive") == 1
     assert count_configs(2, "naive") == 2
     assert count_configs(3, "naive") == 7
+    assert count_configs(4, "naive") == 42
+
+
+def _dfs_configs(L, conv):
+    """Reference order: vertices fixed row-major, a_out = 0 tried before 1, a
+    branch abandoned at its first ice-rule or boundary violation."""
+    alpha = [[conv.right] + [None] * L for _ in range(L)]
+    beta = [[conv.down] * L] + [[None] * L for _ in range(L)]
+    found = []
+
+    def rec(k):
+        if k == L * L:
+            found.append(LatticeConfig(tuple(map(tuple, alpha)), tuple(map(tuple, beta))))
+            return
+        i, j = divmod(k, L)
+        for a_out in (0, 1):
+            b_out = alpha[i][j] + beta[i][j] - a_out
+            if b_out in (0, 1) and (j < L - 1 or a_out == conv.left) and (
+                    i < L - 1 or b_out == conv.up):
+                alpha[i][j + 1], beta[i + 1][j] = a_out, b_out
+                rec(k + 1)
+
+    rec(0)
+    return found
+
+
+def test_table_order_is_the_recursive_depth_first_order():
+    for conv in (DEFAULT_CONVENTION, EdgeConvention(right=0, left=1, down=1, up=0)):
+        for L in (1, 2, 3, 4):
+            want = _dfs_configs(L, conv)
+            assert list(iter_dwbc_configs(L, conv)) == want
+            assert len(want) == [1, 2, 7, 42][L - 1]
+    # flipping only the vertical encoding leaves no valid configuration
+    assert list(iter_dwbc_configs(1, EdgeConvention(right=1, left=0, down=1, up=0))) == []
+
+
+def test_naive_table_holds_the_pruned_configurations():
+    for L in (1, 2, 3, 4):
+        naive = list(iter_dwbc_configs(L, mode="naive"))
+        assert len(set(naive)) == len(naive) == count_configs(L, "naive") == count_configs(L)
+        # the same configurations, and in the same order
+        assert naive == list(iter_dwbc_configs(L))
+    rng = make_rng(44)
+    lams, mus, q = sample_spectral_set(rng, 4), sample_spectral_set(rng, 4), sample_point(rng)
+    zp = z_enumerate(lams, mus, q)
+    assert z_enumerate(lams, mus, q, "naive") == zp
+
+
+def test_configuration_tables_are_read_only():
+    for table in (_dwbc_kinds(4, DEFAULT_CONVENTION), _naive_kinds(3, DEFAULT_CONVENTION)):
+        assert table.dtype == np.uint8 and not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0
+    assert _dwbc_kinds(6, DEFAULT_CONVENTION).shape == (36, 7436)
 
 
 def test_size_limits():
@@ -87,6 +146,25 @@ def _row_major_sum(configs, lams, mus, q):
                 acc = w if acc is None else acc * w
         terms.append(acc)
     return pairwise_sum(terms)
+
+
+def test_pairwise_sum_pairs_like_the_list_loop():
+    def reference(vals):
+        vals = list(vals)
+        while len(vals) > 1:
+            nxt = [vals[i] + vals[i + 1] for i in range(0, len(vals) - 1, 2)]
+            if len(vals) % 2:
+                nxt.append(vals[-1])
+            vals = nxt
+        return vals[0]
+
+    rng = make_rng(5)
+    for n in (1, 2, 3, 7, 42, 429, 1000):
+        vals = [complex(x, y) * 10.0 ** e for x, y, e in zip(
+            rng.standard_normal(n), rng.standard_normal(n), rng.integers(-8, 8, n))]
+        got = pairwise_sum(vals)
+        assert type(got) is complex and repr(got) == repr(reference(vals))
+    assert pairwise_sum([]) == 0.0
 
 
 def test_pruned_sum_is_bitwise_the_per_configuration_sum():
