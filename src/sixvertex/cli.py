@@ -10,6 +10,7 @@ serialize in canonical term order.  Exit codes: 0 all checks passed,
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import json
 import sys
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 
 from . import asymptotics, functional, monodromy, partition, solver, vertex
 from .errors import ConfigError, SixVertexError
-from .sampling import PRNG_NAME, make_rng, sample_point, sample_spectral_set
+from .sampling import PRNG_NAME, make_rng, sample_spectral_set
 from .scalar import (
     CheckOutcome,
     LaurentPoly,
@@ -110,11 +111,10 @@ def _parse_args(argv) -> RunConfig:
     cfg = RunConfig(command=ns.command)
     for name in ("size", "backend", "seed", "trials", "tolerance", "out"):
         setattr(cfg, name, getattr(ns, name))
-    for name in ("check", "method", "mode", "normalize", "operators", "source", "q"):
+    for name in ("check", "method", "mode", "normalize", "operators", "source", "q",
+                 "count_only"):
         if hasattr(ns, name):
             setattr(cfg, name, getattr(ns, name))
-    if hasattr(ns, "count_only"):
-        cfg.count_only = ns.count_only
     if hasattr(ns, "lam"):
         # copies: without --lam, argparse hands over the shared parser's default list
         cfg.lams = list(ns.lam)
@@ -123,23 +123,24 @@ def _parse_args(argv) -> RunConfig:
 
 
 def _parse_scalar(text: str, backend: str):
-    if backend == "float":
-        try:
-            return complex(text)
-        except ValueError as exc:
-            raise ConfigError(f"bad complex literal {text!r}") from exc
+    """A given parameter.  Every weight inverts its argument, so it must be
+    a nonzero monomial (exact) or a nonzero finite complex number (float)."""
+    exact = backend == "exact"
     try:
-        return parse_poly(text)
-    except ValueError as exc:
-        raise ConfigError(f"bad monomial expression {text!r}") from exc
+        x = parse_poly(text) if exact else complex(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        kind = "monomial expression" if exact else "complex literal"
+        raise ConfigError(f"bad {kind} {text!r}") from exc
+    if not (x.is_monomial() if exact else x != 0 and cmath.isfinite(x)):
+        want = "a nonzero monomial" if exact else "a nonzero finite complex number"
+        raise ConfigError(f"parameter {text!r} is not {want}")
+    return x
 
 
 def _scalar_json(x):
     if isinstance(x, LaurentPoly):
         text, terms = x.text_and_json_terms()
         return {"type": "exact", "text": text, "terms": terms}
-    if hasattr(x, "to_text"):
-        return {"type": "exact-ratio", "text": x.reduced().to_text()}
     x = complex(x)
     return {"type": "complex", "re": x.real, "im": x.imag}
 
@@ -154,50 +155,32 @@ def _provenance(cfg: RunConfig, tolerance: float | None) -> dict:
     }
 
 
-def _resolve_params(cfg: RunConfig):
-    """Spectral parameters for compute/enumerate: explicit, or canonical
-    symbolic monomials (exact), or seeded samples (float)."""
-    L = cfg.size
+def _draw(texts, names, cfg: RunConfig, rng) -> list:
+    """The given texts, or the symbols ``names`` (exact), or a pole-guarded
+    sample of len(names) points (float; one point is one ``sample_point``)."""
+    if texts:
+        return [_parse_scalar(t, cfg.backend) for t in texts]
     if cfg.backend == "exact":
-        lams = [_parse_scalar(t, "exact") for t in cfg.lams] if cfg.lams else \
-            [LaurentPoly.var(u_var(i)) for i in range(1, L + 1)]
-        mus = [_parse_scalar(t, "exact") for t in cfg.mus] if cfg.mus else \
-            [LaurentPoly.var(w_var(i)) for i in range(1, L + 1)]
-        q = _parse_scalar(cfg.q, "exact") if cfg.q else LaurentPoly.var(q_var())
-    else:
-        rng = make_rng(cfg.seed)
-        lams = [_parse_scalar(t, "float") for t in cfg.lams] if cfg.lams else \
-            sample_spectral_set(rng, L)
-        mus = [_parse_scalar(t, "float") for t in cfg.mus] if cfg.mus else \
-            sample_spectral_set(rng, L)
-        q = _parse_scalar(cfg.q, "float") if cfg.q else sample_point(rng)
-    if len(lams) != L or len(mus) != L:
-        raise ConfigError("parameter counts must match --size")
-    return lams, mus, q
+        return [LaurentPoly.var(v) for v in names]
+    return sample_spectral_set(rng, len(names))
 
 
-def _params_json(lams, mus, q) -> dict:
-    return {
-        "lambdas": [_scalar_json(x) for x in lams],
-        "mus": [_scalar_json(x) for x in mus],
-        "q": _scalar_json(q),
-    }
+def _runs(cfg: RunConfig, rng, points: int, mus: int):
+    """(points, mus, q) of each run: one symbolic set u1.., w1.., q in the
+    exact backend; --trials seeded sets in the float backend, each drawn as
+    the points, then the mus, then q.  --lam, --mu and --q replace their
+    draw."""
+    for _ in range(1 if cfg.backend == "exact" else cfg.trials):
+        lams = _draw(cfg.lams, [u_var(i) for i in range(1, points + 1)], cfg, rng)
+        ws = _draw(cfg.mus, [w_var(i) for i in range(1, mus + 1)], cfg, rng)
+        (q,) = _draw([cfg.q] if cfg.q else [], [q_var()], cfg, rng)
+        if len(lams) != points or len(ws) != mus:
+            raise ConfigError("parameter counts must match --size")
+        yield lams, ws, q
 
 
 def _cmd_compute(cfg: RunConfig) -> tuple[int, dict]:
-    lams, mus, q = _resolve_params(cfg)
-    pv = partition.compute_partition(lams, mus, q, cfg.method)
-    doc = {
-        "L": pv.size,
-        "method": pv.method,
-        "value": _scalar_json(pv.value),
-        "params": _params_json(pv.lams, pv.mus, pv.q),
-        "provenance": _provenance(cfg, None),
-    }
-    return 0, doc
-
-
-def _cmd_enumerate(cfg: RunConfig) -> tuple[int, dict]:
+    """compute, and enumerate (the configuration sum as a compute method)."""
     if cfg.count_only:
         doc = {
             "L": cfg.size,
@@ -205,26 +188,26 @@ def _cmd_enumerate(cfg: RunConfig) -> tuple[int, dict]:
             "provenance": _provenance(cfg, None),
         }
         return 0, doc
-    lams, mus, q = _resolve_params(cfg)
-    value = partition.z_enumerate(lams, mus, q, cfg.mode)
+    method = f"enumerate-{cfg.mode}" if cfg.command == "enumerate" else cfg.method
+    lams, mus, q = next(_runs(cfg, make_rng(cfg.seed), cfg.size, cfg.size))
+    pv = partition.compute_partition(lams, mus, q, method)
     doc = {
-        "L": cfg.size,
-        "method": f"enumerate-{cfg.mode}",
-        "value": _scalar_json(value),
-        "params": _params_json(lams, mus, q),
+        "L": pv.size,
+        "method": pv.method,
+        "value": _scalar_json(pv.value),
+        "params": {
+            "lambdas": [_scalar_json(x) for x in pv.lams],
+            "mus": [_scalar_json(x) for x in pv.mus],
+            "q": _scalar_json(pv.q),
+        },
         "provenance": _provenance(cfg, None),
     }
     return 0, doc
 
 
 def _cmd_solve(cfg: RunConfig) -> tuple[int, dict]:
-    if cfg.backend == "exact":
-        table = solver.solve_fz(cfg.size, cfg.normalize, "exact")
-        body = table.to_json_obj()
-    else:
-        rng = make_rng(cfg.seed)
-        result = solver.solve_fz(cfg.size, cfg.normalize, "float", rng=rng)
-        body = result.to_json_obj()
+    result = solver.solve_fz(cfg.size, cfg.normalize, cfg.backend, rng=make_rng(cfg.seed))
+    body = result.to_json_obj()
     body["provenance"] = _provenance(cfg, None)
     return 0, body
 
@@ -242,14 +225,6 @@ def _cmd_ode(cfg: RunConfig) -> tuple[int, dict]:
     return (0 if ok else 1), doc
 
 
-def _sym_points(count: int, start: int = 1):
-    return [LaurentPoly.var(u_var(start + i)) for i in range(count)]
-
-
-def _sym_mus(L: int):
-    return [LaurentPoly.var(w_var(i)) for i in range(1, L + 1)]
-
-
 def _cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
     outcomes = _run_check(cfg)
     doc = {
@@ -262,108 +237,62 @@ def _cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
     return (0 if doc["passed"] else 1), doc
 
 
+# exact checks whose symbolic cost outgrows the desk: largest size, message
+_EXACT_LIMITS = {
+    "rtt": (2, "exact rtt materializes symbols; use --size <= 2"),
+    "comm": (2, "exact comm materializes symbols; use --size <= 2"),
+    "fz": (3, "exact fz supports --size <= 3"),
+}
+
+
 def _run_check(cfg: RunConfig) -> list[CheckOutcome]:
     L = cfg.size
     check = cfg.check
     exact = cfg.backend == "exact"
     rng = make_rng(cfg.seed)
-    qsym = LaurentPoly.var(q_var())
     # each check keeps its own default tolerance unless one is given
     tol = {} if cfg.tolerance is None else {"tolerance": cfg.tolerance}
+    limit, message = _EXACT_LIMITS.get(check, (L, ""))
+    if exact and L > limit:
+        raise ConfigError(message)
     out: list[CheckOutcome] = []
 
     if check == "yb":
-        if exact:
-            pts = _sym_points(3)
-            out.append(vertex.check_yang_baxter(pts[0], pts[1], pts[2], qsym))
-        else:
-            for _ in range(cfg.trials):
-                pts = sample_spectral_set(rng, 3)
-                out.append(vertex.check_yang_baxter(
-                    pts[0], pts[1], pts[2], sample_point(rng), **tol))
+        for (lam, mu, nu), _, q in _runs(cfg, rng, 3, 0):
+            out.append(vertex.check_yang_baxter(lam, mu, nu, q, **tol))
     elif check == "rtt":
-        if exact:
-            if L > 2:
-                raise ConfigError("exact rtt materializes symbols; use --size <= 2")
-            pts = _sym_points(2, start=90)
-            out.append(monodromy.check_rtt(pts[0], pts[1], _sym_mus(L), qsym))
-        else:
-            for _ in range(cfg.trials):
-                pts = sample_spectral_set(rng, 2)
-                mus = sample_spectral_set(rng, L)
-                out.append(monodromy.check_rtt(
-                    pts[0], pts[1], mus, sample_point(rng),
-                    rng=rng, **tol))
+        for (u, v), mus, q in _runs(cfg, rng, 2, L):
+            out.append(monodromy.check_rtt(u, v, mus, q, rng=rng, **tol))
     elif check == "comm":
-        rules = ("AB", "DB", "CB", "BB")
-        if exact:
-            if L > 2:
-                raise ConfigError("exact comm materializes symbols; use --size <= 2")
-            pts = _sym_points(2, start=90)
-            for rule in rules:
-                out.append(monodromy.check_commutation(rule, pts[0], pts[1], _sym_mus(L), qsym))
-        else:
-            for rule in rules:
-                for _ in range(cfg.trials):
-                    pts = sample_spectral_set(rng, 2)
-                    mus = sample_spectral_set(rng, L)
-                    out.append(monodromy.check_commutation(
-                        rule, pts[0], pts[1], mus, sample_point(rng), **tol))
+        for rule in ("AB", "DB", "CB", "BB"):
+            for (lam, nu), mus, q in _runs(cfg, rng, 2, L):
+                out.append(monodromy.check_commutation(rule, lam, nu, mus, q, **tol))
     elif check == "triangular":
-        if exact:
-            out.append(monodromy.check_triangular(
-                LaurentPoly.var(u_var(99)), _sym_mus(L), qsym))
-        else:
-            for _ in range(cfg.trials):
-                pts = sample_spectral_set(rng, 1)
-                mus = sample_spectral_set(rng, L)
-                out.append(monodromy.check_triangular(
-                    pts[0], mus, sample_point(rng), **tol))
+        for (u,), mus, q in _runs(cfg, rng, 1, L):
+            out.append(monodromy.check_triangular(u, mus, q, **tol))
     elif check == "cbb":
         n = cfg.operators if cfg.operators is not None else L
-        if exact:
-            pts = tuple(_sym_points(n + 1, start=70))
-            out.append(functional.check_cbb_expansion(n, pts, _sym_mus(L), qsym))
-        else:
-            for _ in range(cfg.trials):
-                pts = tuple(sample_spectral_set(rng, n + 1))
-                mus = tuple(sample_spectral_set(rng, L))
-                out.append(functional.check_cbb_expansion(
-                    n, pts, mus, sample_point(rng), **tol))
+        for pts, mus, q in _runs(cfg, rng, n + 1, L):
+            out.append(functional.check_cbb_expansion(n, tuple(pts), tuple(mus), q, **tol))
     elif check == "z0":
-        if exact:
-            out.append(functional.check_b_nilpotency(
-                L, _sym_points(L + 1, start=80), _sym_mus(L), qsym))
-        else:
-            for _ in range(cfg.trials):
-                lams = sample_spectral_set(rng, L + 1)
-                mus = sample_spectral_set(rng, L)
-                out.append(functional.check_b_nilpotency(
-                    L, lams, mus, sample_point(rng), **tol))
+        for lams, mus, q in _runs(cfg, rng, L + 1, L):
+            out.append(functional.check_b_nilpotency(L, lams, mus, q, **tol))
     elif check == "fz":
-        if exact:
-            pts = tuple(_sym_points(L + 2, start=60))
-            if L <= 2:
-                mus = tuple(_sym_mus(L))
-            elif L == 3:
+        for trial, (pts, mus, q) in enumerate(_runs(cfg, rng, L + 2, L)):
+            if exact and L == 3:
                 # rational inhomogeneities keep the L=3 identity exact at
                 # desk-scale cost; the lambdas and q stay fully symbolic
-                mus = tuple(LaurentPoly.rational(v) for v in (2, 3, 5))
-            else:
-                raise ConfigError("exact fz supports --size <= 3")
-            inp = functional.FunctionalInput(L, pts, mus, qsym)
-            out.append(functional.check_fz(inp))
-        else:
-            for trial in range(cfg.trials):
-                inp = functional.FunctionalInput.sample(L, rng)
-                o = functional.check_fz(inp, **tol)
+                mus = [LaurentPoly.rational(v) for v in (2, 3, 5)]
+            o = functional.check_fz(functional.FunctionalInput(L, tuple(pts), tuple(mus), q),
+                                    **tol)
+            if not exact:
                 o.details = {
                     "trial": trial,
-                    "points": [_scalar_json(p) for p in inp.points],
-                    "mus": [_scalar_json(m) for m in inp.mus],
-                    "q": _scalar_json(inp.q),
+                    "points": [_scalar_json(p) for p in pts],
+                    "mus": [_scalar_json(m) for m in mus],
+                    "q": _scalar_json(q),
                 }
-                out.append(o)
+            out.append(o)
     elif check == "appendix-a":
         out.extend(asymptotics.run_asymptotic_checks(L))
     elif check == "h-table":
@@ -385,7 +314,7 @@ def run(cfg: RunConfig) -> tuple[int, dict]:
         "compute": _cmd_compute,
         "verify": _cmd_verify,
         "solve": _cmd_solve,
-        "enumerate": _cmd_enumerate,
+        "enumerate": _cmd_compute,
         "ode": _cmd_ode,
     }
     if cfg.command not in handlers:

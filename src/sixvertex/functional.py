@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PoleAtCoincidingPoints, ProviderFailure
-from .monodromy import build_monodromy, vacuum
+from .monodromy import b_product, build_monodromy
 from .sampling import (MIN_POLE_DISTANCE, pair_index, pole_distance, sample_point,
                        sample_spectral_set)
 from .scalar import (CheckOutcome, LaurentPoly, RationalFunction, invert, is_exact,
@@ -60,7 +60,7 @@ def _guard_poles(points):
     of a zero of b, where the coefficients have their poles; a batch is
     checked pair by pair over all its sets at once, and the first set with
     a close pair is named."""
-    if is_exact(points[0]):
+    if len(points) < 2 or is_exact(points[0]):
         return
     x, y = pair_index(len(points))
     pts = np.array(points, dtype=complex)
@@ -307,16 +307,6 @@ def check_fz(inp: FunctionalInput, z_provider=None,
 # -- operator-level checks ---------------------------------------------
 
 
-def _b_product_vector(points, mus, q):
-    """prod B(points[k]) |0>, applied right to left."""
-    L = len(mus)
-    exact = is_exact(q) or (points and is_exact(points[0]))
-    v = vacuum(L, exact)
-    for p in reversed(points):
-        v = build_monodromy(p, mus, q).apply("B", v)
-    return v
-
-
 def cbb_expansion_residual(n: int, points, mus, q):
     """Residual vector of the C(lam_0)-expansion over n B-operators, on the
     full 2^L space (not projected).  Exact backend: denominators cleared.
@@ -327,18 +317,18 @@ def cbb_expansion_residual(n: int, points, mus, q):
     _guard_poles(points)
     lam0 = points[0]
     bs = points[1:]
-    c_of_prod = build_monodromy(lam0, mus, q).apply("C", _b_product_vector(bs, mus, q))
+    c_of_prod = build_monodromy(lam0, mus, q).apply("C", b_product(bs, mus, q))
     w = _WeightTable(points, mus, q)
     if w.exact:
         res = c_of_prod * w.den(w.every)
         for num, pairs, subset in _terms(w):
-            res = res - _b_product_vector([points[k] for k in subset], mus, q) \
+            res = res - b_product([points[k] for k in subset], mus, q) \
                 * w.cleared(num, pairs)
         return res, None
     res = c_of_prod.astype(complex)
     scale = float(np.abs(res).sum())
     for num, pairs, subset in _terms(w):
-        term = w.coefficient(num, pairs) * _b_product_vector([points[k] for k in subset], mus, q)
+        term = w.coefficient(num, pairs) * b_product([points[k] for k in subset], mus, q)
         res = res - term
         scale += float(np.abs(term).sum())
     return res, scale
@@ -353,7 +343,7 @@ def b_nilpotency_residual(L: int, lams, mus, q) -> np.ndarray:
     """prod_{j=1}^{L+1} B(lam_j) |0>, which must vanish identically."""
     if len(lams) != L + 1:
         raise ValueError("need L+1 spectral points")
-    return _b_product_vector(list(lams), list(mus), q)
+    return b_product(list(lams), list(mus), q)
 
 
 def check_b_nilpotency(L: int, lams, mus, q,
@@ -362,7 +352,7 @@ def check_b_nilpotency(L: int, lams, mus, q,
     scale = None
     if not is_exact(q):
         # scale: the largest intermediate product of L B-applications
-        inter = _b_product_vector(list(lams)[:-1], list(mus), q)
+        inter = b_product(list(lams)[:-1], list(mus), q)
         scale = float(np.abs(inter).sum()) * float(
             np.abs(np.asarray(
                 build_monodromy(lams[-1], list(mus), q).block("B"), dtype=complex)).max())

@@ -94,6 +94,15 @@ def build_monodromy(u, ws, q) -> Monodromy:
                      weights=tuple(weights_of(u * invert(wv), q) for wv in ws))
 
 
+def b_product(points, mus, q) -> np.ndarray:
+    """prod B(points[k]) |0>, applied right to left; |0> itself in q's
+    backend when there are no points."""
+    v = vacuum(len(mus), is_exact(points[0] if len(points) else q))
+    for p in reversed(points):
+        v = build_monodromy(p, mus, q).apply("B", v)
+    return v
+
+
 def _apply_site(phi0: np.ndarray, phi1: np.ndarray, j: int, L: int, w):
     """The one-site factor at site j (1-based) on the aux pair (phi0, phi1):
     (A phi0 + B phi1, C phi0 + D phi1), with A = diag(a, b), D = diag(b, a),

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeLimitExceeded
-from .monodromy import build_monodromy, vacuum
+from .monodromy import b_product
 from .sampling import pairwise_sum
 from .scalar import LaurentPoly, invert, is_exact, q_var, sum_of_products, u_var, w_var
 from .vertex import build_L
@@ -122,12 +122,7 @@ def z_algebraic(lams, mus, q):
     mus = list(mus)
     if len(lams) != len(mus):
         raise ValueError("need as many spectral points as inhomogeneities")
-    L = len(lams)
-    exact = is_exact(lams[0])
-    v = vacuum(L, exact)
-    for lam in reversed(lams):
-        v = build_monodromy(lam, mus, q).apply("B", v)
-    return v[-1]
+    return b_product(lams, mus, q)[-1]
 
 
 def _check_size(L: int, mode: str):

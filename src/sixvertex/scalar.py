@@ -188,7 +188,8 @@ def _decode(key: int) -> ExpVec:
 
 
 def _glex(vec: ExpVec):
-    """Graded-lex sort key of a decoded exponent vector."""
+    """Graded-lex sort key of a decoded exponent vector: total degree, then
+    lexicographic with variables ordered u < w < q, then by index."""
     return (sum(e for _, e in vec), vec)
 
 
@@ -530,14 +531,6 @@ class LaurentPoly:
 
     def _sorted_terms(self) -> list[tuple[ExpVec, Fraction]]:
         return sorted(self.items(), key=lambda t: _glex(t[0]))
-
-    def sorted_exps(self) -> list[ExpVec]:
-        """Exponent vectors in canonical graded-lex order.
-
-        Grading is by total degree; ties break lexicographically with
-        variables ordered u < w < q, then by index.
-        """
-        return [exps for exps, _ in self._sorted_terms()]
 
     def to_text(self) -> str:
         return _terms_text(self._sorted_terms())

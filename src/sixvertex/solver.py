@@ -144,7 +144,6 @@ class CoefficientTable:
     size: int
     normalization: str
     entries: dict = field(repr=False)
-    h_top: RationalFunction | None = None
 
     @property
     def top_index(self) -> tuple[int, ...]:
@@ -454,8 +453,7 @@ def solve_fz_exact(L: int, normalization: str = "asymptotic") -> CoefficientTabl
             entries[idx] = (ratio * norm).reduced()
         else:
             entries[idx] = ratio
-    h_top = entries[(L - 1,) * L]
-    return CoefficientTable(L, normalization, entries, h_top=h_top)
+    return CoefficientTable(L, normalization, entries)
 
 
 # ---------------------------------------------------------------------
@@ -634,7 +632,7 @@ def expected_l2_table() -> CoefficientTable:
     entries[(-1, -1)] = h11 / RationalFunction(q ** 2)
     entries[(-1, 1)] = h11 * RationalFunction(LaurentPoly.rational(-2), 1 + q ** 2)
     entries[(1, -1)] = entries[(-1, 1)]
-    return CoefficientTable(2, "asymptotic", entries, h_top=h11)
+    return CoefficientTable(2, "asymptotic", entries)
 
 
 @dataclass

@@ -311,3 +311,38 @@ def test_enumeration_stdout_is_pinned(capsys, argv, name):
     code, out = _capture(capsys, argv)
     assert code == 0
     assert out == (DATA / name).read_text(encoding="utf-8")
+
+
+# stdout and exit code of one command per check and backend, the size-limit
+# and count errors and explicit parameters, as the commands printed them
+# before the checks drew their parameters through one generator
+BATTERY = json.loads((DATA / "cli_battery.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", BATTERY, ids=[" ".join(c["argv"]) for c in BATTERY])
+def test_cli_battery_is_pinned(capsys, case):
+    assert _capture(capsys, case["argv"]) == (case["code"], case["stdout"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--size", "1", "--q", "0"],
+    ["compute", "--size", "1", "--lam", "0"],
+    ["compute", "--size", "1", "--lam", "u1+u2"],
+    ["compute", "--size", "1", "--backend", "float", "--mu", "0"],
+    ["compute", "--size", "1", "--backend", "float", "--q", "nan"],
+    ["compute", "--size", "1", "--q", "(1/0)"],
+])
+def test_zero_or_non_monomial_parameter_is_a_config_error(capsys, argv):
+    # every weight inverts its argument
+    code, out = _capture(capsys, argv)
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["kind"] == "config"
+    assert repr(argv[-1]) in doc["error"]
+
+
+def test_cbb_with_no_b_operators_float_passes(capsys):
+    code, out = _capture(capsys, ["verify", "--check", "cbb", "--operators", "0", "--size", "2",
+                                  "--backend", "float", "--trials", "1"])
+    assert code == 0
+    assert json.loads(out)["passed"]

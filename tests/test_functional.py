@@ -294,6 +294,15 @@ def test_cbb_numeric(rng):
         assert out.passed
 
 
+def test_cbb_with_no_b_operators_float(rng):
+    # one point and no pair to guard: C(lam_0)|0> = 0 on both backends
+    mus = tuple(sample_spectral_set(rng, 2))
+    out = check_cbb_expansion(0, (sample_point(rng),), mus, sample_point(rng))
+    assert out.passed and not out.exact
+    assert out.residual == 0.0
+    assert check_cbb_expansion(0, _sym_points(1), _sym_mus(2), Q).passed
+
+
 def test_nilpotency_exact():
     for L in (1, 2, 3):
         lams = _sym_points(L + 1, start=80)
