@@ -7,6 +7,9 @@ points.  The other exact identities are checked symbolically at small
 sizes; the float backend sweeps seeded random points beyond that: the
 exchange relation up to L = 5 (the full matrix identity to L = 4, eight
 random probe columns at L = 5) and the functional equation up to L = 7.
+At L = 2..6 the float functional-equation residual and scale from the
+batched operator product must equal, bit for bit, those from the
+per-subset provider.
 The functional equation is also checked exactly at L = 3 with symbolic
 spectral points and rational inhomogeneities and q, the shape of the
 benchmark's exact-fz workload.  The string-operator and
@@ -110,6 +113,15 @@ def main():
         for _ in range(max(2, args.trials // 4)):
             inp = functional.FunctionalInput.sample(L, rng)
             record(functional.check_fz(inp))
+    for L in range(2, 7):
+        # the batched default provider against the per-subset one: residual
+        # and scale must be the same floats
+        inp = functional.FunctionalInput.sample(L, rng)
+        batched = functional._functional_residual_with_scale(inp)
+        per_subset = functional._functional_residual_with_scale(
+            inp, functional.algebraic_provider(inp.mus, inp.q))
+        record(vertex.verdict(f"fz-batched-L{L}", sum(
+            int(x != y) for x, y in zip(batched, per_subset)), None, 0))
 
     print("== string operators and asymptotic structure ==")
     for L in (2, 3, 4):

@@ -28,7 +28,16 @@ array of shape (k,) with set j at index j; the weight table, the terms and
 the residual then run elementwise.  A batch provider returns values whose
 trailing axis is the batch, as in ``vertex.apply_two_site``: (k,) for Z
 values, (ncols, k) for column vectors; the residual has the same shape.
-The default operator-product provider and ``check_fz`` take one set.
+``check_fz`` takes one set.
+
+The default operator-product provider evaluates every Z of one float input
+in one call: the terms' point subsets are the columns of one batch, each
+B operator one ``monodromy.b_products`` sweep over all of them, with the
+weights gathered from the ``_WeightTable`` point-mu entries (the same
+Python-complex values ``build_monodromy`` computes, so Z is bit-identical
+to ``z_algebraic`` on each subset).  The float C(lam_0) expansion gets its
+term vectors the same way.  An explicit provider, and the exact backend,
+go subset by subset.
 """
 
 from __future__ import annotations
@@ -38,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PoleAtCoincidingPoints, ProviderFailure
-from .monodromy import b_product, build_monodromy
+from .monodromy import b_product, b_products, batch_monodromy, build_monodromy, vacuum
 from .sampling import (MIN_POLE_DISTANCE, pair_index, pole_distance, sample_point,
                        sample_spectral_set)
 from .scalar import (CheckOutcome, LaurentPoly, RationalFunction, invert, is_exact,
@@ -130,6 +139,14 @@ class _WeightTable:
         """A term's coefficient: exact ratio or float quotient."""
         den = self.den(pairs)
         return RationalFunction(num, den) if self.exact else num / den
+
+    def b_products(self, subsets) -> np.ndarray:
+        """prod B |0> over the points of each subset, one column per subset
+        (float, subsets of one length): each B operator is one batch sweep."""
+        ms = [batch_monodromy([self.mu[s[r]] for s in subsets])
+              for r in range(len(subsets[0]))]
+        v = vacuum(len(self.mu[0]), exact=False)
+        return b_products(ms, np.repeat(v[:, None], len(subsets), axis=1))
 
     def cleared(self, num, pairs):
         """A term's numerator times the b-weights of every point pair
@@ -275,20 +292,31 @@ def _call_provider(provider, subset):
 
 def _functional_residual_with_scale(inp: FunctionalInput, z_provider=None):
     points, mus, q = inp.points, inp.mus, inp.q
-    if z_provider is None:
-        if _is_batch(points):
-            raise ValueError("a batch of point sets needs a batched provider")
-        z_provider = algebraic_provider(mus, q)
+    if z_provider is None and _is_batch(points):
+        raise ValueError("a batch of point sets needs a batched provider")
     w = _WeightTable(points, mus, q)
     if w.exact:
+        if z_provider is None:
+            z_provider = algebraic_provider(mus, q)
         total = sum_of_products(
             (w.cleared(num, pairs), _call_provider(z_provider, [points[k] for k in subset]))
             for num, pairs, subset in _terms(w))
         return RationalFunction(total, w.den(w.every)), None
+    if z_provider is None:
+        terms = list(_terms(w))
+        subsets = [subset for *_, subset in terms]
+        z_of = dict(zip(subsets, _call_provider(lambda s: w.b_products(s)[-1],
+                                                subsets))).__getitem__
+    else:
+        # term by term, so that one provider value, (ncols, k) for a batch, is alive at a time
+        terms = _terms(w)
+
+        def z_of(subset):
+            return _call_provider(z_provider, [points[k] for k in subset])
     total = 0j
     scale = 0.0
-    for num, pairs, subset in _terms(w):
-        term = w.coefficient(num, pairs) * _call_provider(z_provider, [points[k] for k in subset])
+    for num, pairs, subset in terms:
+        term = w.coefficient(num, pairs) * z_of(subset)
         total += term
         scale += abs(term)
     return total, scale
@@ -327,8 +355,10 @@ def cbb_expansion_residual(n: int, points, mus, q):
         return res, None
     res = c_of_prod.astype(complex)
     scale = float(np.abs(res).sum())
-    for num, pairs, subset in _terms(w):
-        term = w.coefficient(num, pairs) * b_product([points[k] for k in subset], mus, q)
+    terms = list(_terms(w))
+    vecs = w.b_products([subset for *_, subset in terms]) if terms else None
+    for t, (num, pairs, _) in enumerate(terms):
+        term = w.coefficient(num, pairs) * vecs[:, t]
         res = res - term
         scale += float(np.abs(term).sum())
     return res, scale

@@ -12,6 +12,12 @@ vector (2^L,) or a batch (2^L, k) of column vectors, so ``Monodromy.block``
 materializes a whole block as one sweep over the identity, for the
 identities that need a matrix.
 
+A float monodromy may also carry a batch of k spectral points: each site's
+weights a, b, c are then (k,) arrays, and column i of a (2^L, k) batch is
+acted on by the operator of entry i.  ``b_products`` applies a sequence of
+such B operators to the vacuum, so the B products of k point sets are one
+sweep per operator; ``b_product`` is its one-set case.
+
 The exchange relation R T1 T2 = T1 T2 R lives on aux1 x aux2 x 2^L, and is
 checked in the same style: ``_apply_T`` applies T on one aux factor as one
 sweep over both aux components, R acts on the two aux factors through
@@ -29,6 +35,7 @@ from .errors import CoincidingSpectralPoints, DimensionMismatch
 from .sampling import MIN_POLE_DISTANCE, pole_distance
 from .scalar import CheckOutcome, LaurentPoly, invert, is_exact
 from .vertex import (
+    Weights,
     _eye,
     apply_two_site,
     build_R,
@@ -65,17 +72,19 @@ def dual_vacuum(L: int, exact: bool = True) -> np.ndarray:
 
 @dataclass
 class Monodromy:
-    """Monodromy matrix data for one spectral point u over inhomogeneities ws."""
+    """The monodromy matrix of one row, as the vertex weights of each site
+    (``vertex.Weights`` at u / w_j): scalars for one spectral point u, or
+    (k,) float arrays for a batch of k points."""
 
-    size: int
-    u: object
-    ws: tuple
-    q: object
+    weights: tuple
     exact: bool
-    weights: tuple  # vertex.Weights of each site, at u / w_j
     _blocks: dict = field(default_factory=dict, repr=False)
     # always the sweep; a constant because perfbench's traced run still reads it
     representation = "matrix-free"
+
+    @property
+    def size(self) -> int:
+        return len(self.weights)
 
     def block(self, name: str) -> np.ndarray:
         """The block as a 2^L x 2^L matrix: one sweep over the identity, cached."""
@@ -89,18 +98,31 @@ class Monodromy:
 
 def build_monodromy(u, ws, q) -> Monodromy:
     """Ordered product L_A1(lam-mu_1) ... L_AL(lam-mu_L) over the aux space."""
-    ws = tuple(ws)
-    return Monodromy(size=len(ws), u=u, ws=ws, q=q, exact=is_exact(u),
-                     weights=tuple(weights_of(u * invert(wv), q) for wv in ws))
+    return Monodromy(tuple(weights_of(u * invert(wv), q) for wv in ws), is_exact(u))
+
+
+def batch_monodromy(rows) -> Monodromy:
+    """The float monodromies of k spectral points as one batch: rows[i] holds
+    the per-site Weights of point i (``Monodromy.weights``), and site j of the
+    batch carries their a, b, c as (k,) arrays."""
+    return Monodromy(tuple(Weights(*np.array([(w.a, w.b, w.c) for w in site]).T)
+                           for site in zip(*rows)), exact=False)
+
+
+def b_products(ms, v: np.ndarray) -> np.ndarray:
+    """B(ms[0]) ... B(ms[-1]) v, applied right to left: one sweep per
+    operator, over a vector (2^L,) or a batch (2^L, k) for batch
+    monodromies."""
+    for m in reversed(ms):
+        v = apply_block(m, "B", v)
+    return v
 
 
 def b_product(points, mus, q) -> np.ndarray:
     """prod B(points[k]) |0>, applied right to left; |0> itself in q's
-    backend when there are no points."""
+    backend when there are no points.  The one-set case of ``b_products``."""
     v = vacuum(len(mus), is_exact(points[0] if len(points) else q))
-    for p in reversed(points):
-        v = build_monodromy(p, mus, q).apply("B", v)
-    return v
+    return b_products([build_monodromy(p, mus, q) for p in points], v)
 
 
 def _apply_site(phi0: np.ndarray, phi1: np.ndarray, j: int, L: int, w):

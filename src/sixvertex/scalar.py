@@ -623,14 +623,16 @@ def _split_terms(text: str) -> list[str]:
         else:
             cur.append(ch)
     parts.append("".join(cur))
-    return [p.strip() for p in parts if p.strip()]
+    return [p.strip() for p in parts]
 
 
 def parse_poly(text: str) -> LaurentPoly:
     """Parse the canonical text form, e.g. ``(-1/2)*q^-1 + (1/2)*q``.
 
     Also accepts bare coefficients (``3``, ``3/4``) and factors without an
-    explicit coefficient (``u1^2*w1^-1``).
+    explicit coefficient (``u1^2*w1^-1``).  An empty term or factor (a
+    dangling ``+`` or ``*``, or ``**``) or an exponent that is not a plain
+    integer (``u1^2_0``) raises ValueError.
     """
     text = text.strip()
     if text == "0":
@@ -642,7 +644,7 @@ def parse_poly(text: str) -> LaurentPoly:
         for factor in term.split("*"):
             factor = factor.strip()
             if not factor:
-                continue
+                raise ValueError(f"empty term or factor in {text!r}")
             if factor.startswith("(") and factor.endswith(")"):
                 coeff *= Fraction(factor[1:-1].strip())
                 continue
@@ -652,6 +654,8 @@ def parse_poly(text: str) -> LaurentPoly:
             if "^" in factor:
                 nm, _, ex = factor.partition("^")
                 v = _parse_var(nm.strip())
+                if not re.fullmatch(r"\s*-?\d+\s*", ex):
+                    raise ValueError(f"bad exponent {ex!r} in {text!r}")
                 e = int(ex)
             else:
                 v = _parse_var(factor)

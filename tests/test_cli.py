@@ -268,6 +268,14 @@ def test_out_of_range_counts_are_config_errors(capsys, argv):
     assert argv[-2] in doc["error"]
 
 
+@pytest.mark.parametrize("text", ["u1**2", "u1+", "*"])
+def test_malformed_exact_parameter_is_a_config_error(capsys, text):
+    code, out = _capture(capsys, ["compute", "--size", "1", "--lam", text])
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["kind"] == "config" and repr(text) in doc["error"]
+
+
 def test_the_shared_parser_parses_each_run_afresh(capsys):
     from sixvertex import cli
 

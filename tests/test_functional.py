@@ -17,6 +17,7 @@ from sixvertex.functional import (
     omission_coeff,
     substitution_coeff,
 )
+from sixvertex.monodromy import b_product, build_monodromy
 from sixvertex.partition import z_algebraic
 from sixvertex.scalar import LaurentPoly, RationalFunction, invert, q_var, u_var, w_var
 from sixvertex.sampling import MIN_POLE_DISTANCE, make_rng, sample_point, sample_spectral_set
@@ -450,3 +451,45 @@ def test_batch_input_validation():
         functional_residual(inp)  # the operator-product provider takes one set
     with pytest.raises(ValueError):
         FunctionalInput(2, pts[:-1] + (pts[-1][:-1],), (1.0 + 0j,) * 2, q)
+
+
+@pytest.mark.parametrize("L", range(1, 7))
+def test_default_float_fz_is_bitwise_the_per_subset_provider(L):
+    # the batched operator product gathers the weight table's own weights,
+    # so residual and scale are the same floats as z_algebraic per subset
+    for seed in range(6):
+        inp = FunctionalInput.sample(L, make_rng(100 * L + seed))
+        batched = functional._functional_residual_with_scale(inp)
+        per_subset = functional._functional_residual_with_scale(
+            inp, algebraic_provider(inp.mus, inp.q))
+        assert batched == per_subset
+
+
+def test_default_float_fz_failure_is_a_provider_failure(monkeypatch, rng):
+    inp = FunctionalInput.sample(2, rng)
+
+    def broken(rows):
+        raise RuntimeError("batch exploded")
+
+    monkeypatch.setattr(functional, "batch_monodromy", broken)
+    with pytest.raises(ProviderFailure, match="batch exploded"):
+        check_fz(inp)
+
+
+@pytest.mark.parametrize("n, L", [(1, 1), (2, 2), (3, 2), (3, 3), (4, 4), (5, 4)])
+def test_float_cbb_is_bitwise_the_per_subset_sum(n, L):
+    # the term vectors come from one batch; subtracting them column by
+    # column in term order gives the per-subset loop's floats
+    rng = make_rng(40 + 10 * n + L)
+    pts = tuple(sample_spectral_set(rng, n + 1))
+    mus = tuple(sample_spectral_set(rng, L))
+    q = sample_point(rng)
+    w = functional._WeightTable(pts, mus, q)
+    want = build_monodromy(pts[0], mus, q).apply("C", b_product(pts[1:], mus, q)).astype(complex)
+    scale = float(np.abs(want).sum())
+    for num, pairs, subset in functional._terms(w):
+        term = w.coefficient(num, pairs) * b_product([pts[k] for k in subset], mus, q)
+        want = want - term
+        scale += float(np.abs(term).sum())
+    res, got_scale = functional.cbb_expansion_residual(n, pts, mus, q)
+    assert res.tobytes() == want.tobytes() and got_scale == scale

@@ -7,6 +7,9 @@ from sixvertex.errors import CoincidingSpectralPoints, DimensionMismatch
 from sixvertex.monodromy import (
     _apply_T,
     apply_block,
+    b_product,
+    b_products,
+    batch_monodromy,
     build_monodromy,
     check_commutation,
     check_rtt,
@@ -325,3 +328,20 @@ def test_b_sandwich_permutation_invariant():
     base = sandwich(lams)
     for perm in itertools.permutations(lams):
         assert sandwich(list(perm)) == base
+
+
+@pytest.mark.parametrize("L", range(1, 7))
+def test_batched_b_products_are_bitwise_the_per_set_product(L):
+    # one sweep per operator over a batch of point sets gives each column
+    # byte for byte as the one-set product; k = 1 is a batch too
+    rng = np.random.default_rng(L)
+    mus = sample_spectral_set(rng, L)
+    q = sample_point(rng)
+    for m, k in ((L, 9), (L - 1, 4), (L, 1)):
+        sets = [sample_spectral_set(rng, m) for _ in range(k)]
+        ms = [batch_monodromy([build_monodromy(s[r], mus, q).weights for s in sets])
+              for r in range(m)]
+        got = b_products(ms, np.repeat(vacuum(L, exact=False)[:, None], k, axis=1))
+        assert got.shape == (2 ** L, k)
+        for i, s in enumerate(sets):
+            assert got[:, i].tobytes() == b_product(s, mus, q).tobytes()

@@ -142,6 +142,13 @@ def test_text_golden():
     assert LaurentPoly.zero().to_text() == "0"
 
 
+@pytest.mark.parametrize("text", ["u1+", "*", "u1**2", "+u1", "u1 + + u2", "u1*", "",
+                                  "u1^2_0", "u1^", "u1^2^3"])
+def test_parse_rejects_empty_terms_and_factors(text):
+    with pytest.raises(ValueError):
+        parse_poly(text)
+
+
 @given(small_polys())
 def test_serialization_round_trips(p):
     assert parse_poly(p.to_text()) == p
