@@ -220,11 +220,22 @@ def _terms(w: _WeightTable):
                    (0,) + tuple(k for k in range(1, n + 1) if k not in (i, j)))
 
 
-def _cleared_terms(points, mus, q):
+def _cleared(w: _WeightTable):
     """Yield (cleared coefficient, subset) for every term.  Exact backend."""
-    w = _WeightTable(points, mus, q)
     for num, pairs, subset in _terms(w):
         yield w.cleared(num, pairs), subset
+
+
+def _cleared_terms(points, mus, q):
+    return _cleared(_WeightTable(points, mus, q))
+
+
+def _cleared_sum(cleared_terms, points, z_provider) -> LaurentPoly:
+    """Numerator of the exact residual: each cleared coefficient times the
+    provider's Z on its subset of the points, in one ``sum_of_products``."""
+    return sum_of_products(
+        (cleared, _call_provider(z_provider, [points[k] for k in subset]))
+        for cleared, subset in cleared_terms)
 
 
 def omission_coeff(i: int, points, mus, q):
@@ -298,9 +309,7 @@ def _functional_residual_with_scale(inp: FunctionalInput, z_provider=None):
     if w.exact:
         if z_provider is None:
             z_provider = algebraic_provider(mus, q)
-        total = sum_of_products(
-            (w.cleared(num, pairs), _call_provider(z_provider, [points[k] for k in subset]))
-            for num, pairs, subset in _terms(w))
+        total = _cleared_sum(_cleared(w), points, z_provider)
         return RationalFunction(total, w.den(w.every)), None
     if z_provider is None:
         terms = list(_terms(w))

@@ -6,6 +6,14 @@ log-uniform modulus in [0.5, 2] and uniform phase; sets of points are
 rejection-sampled until every pairwise difference lambda_i - lambda_j stays
 away from the zeros of b (the lattice i pi Z), which keeps all b-weight
 denominators well conditioned.
+
+Sampling is batched and stream-exact: ``sample_spectral_sets`` draws many
+candidate sets from one ``rng.random`` call, checks their poles in one
+pass, and redraws only the shortfall, so it returns the same points, and
+leaves the generator in the same state, as drawing the sets one at a time
+with scalar ``rng.uniform`` calls (a modulus, then a phase, per point).
+``sample_spectral_set`` and ``sample_point`` are its one-set and one-point
+cases.
 """
 
 from __future__ import annotations
@@ -29,10 +37,7 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 def sample_point(rng: np.random.Generator) -> complex:
-    lo, hi = _MODULUS_RANGE
-    mod = math.exp(rng.uniform(math.log(lo), math.log(hi)))
-    phase = rng.uniform(-math.pi, math.pi)
-    return mod * cmath.exp(1j * phase)
+    return sample_spectral_sets(rng, 1, 1)[0, 0].item()
 
 
 @functools.lru_cache(maxsize=None)
@@ -51,15 +56,48 @@ def pole_distance(x, y):
     return np.hypot(d.real, np.minimum(r, np.pi - r))
 
 
+def _points(u: np.ndarray) -> list[complex]:
+    """One point per (modulus, phase) pair of standard uniforms, by the
+    scalar formula: lo + (hi - lo) * U is the double ``rng.uniform(lo, hi)``
+    makes from U, and math.exp and cmath.exp give libm's bits."""
+    def uniform(u, lo, hi):
+        return (lo + (hi - lo) * u).tolist()
+
+    mods = uniform(u[0::2], *map(math.log, _MODULUS_RANGE))
+    phases = uniform(u[1::2], -math.pi, math.pi)
+    return [math.exp(m) * cmath.exp(1j * ph) for m, ph in zip(mods, phases)]
+
+
+def sample_spectral_sets(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """n pole-guarded sets of count exponentiated spectral points, shape
+    (n, count), equal to n successive one-set draws and leaving the
+    generator in the same state.  All candidates are drawn by one
+    ``rng.random`` call and pole-checked together, and the accepted ones
+    kept in draw order; then only the shortfall is redrawn.  A draw never
+    holds more candidates than the one-set draws would still make, so
+    RuntimeError comes, as there, once one set has been rejected
+    _MAX_TRIES times in a row."""
+    i, j = pair_index(count)
+    kept = []
+    got = 0
+    streak = 0  # candidates rejected since the last accepted one
+    while got < n:
+        need = min(n - got, _MAX_TRIES - streak)
+        cand = np.array(_points(rng.random(2 * count * need)), dtype=complex)
+        cand = cand.reshape(need, count)
+        ok = (pole_distance(cand[:, i], cand[:, j]) >= MIN_POLE_DISTANCE).all(axis=1)
+        accepted = np.flatnonzero(ok)
+        kept.append(cand[accepted])
+        got += accepted.size
+        streak = need - 1 - int(accepted[-1]) if accepted.size else streak + need
+        if streak >= _MAX_TRIES:
+            raise RuntimeError(f"rejection sampling failed for {count} points")
+    return np.concatenate(kept) if kept else np.empty((0, count), dtype=complex)
+
+
 def sample_spectral_set(rng: np.random.Generator, count: int) -> list[complex]:
     """A pole-guarded set of exponentiated spectral points."""
-    i, j = pair_index(count)
-    for _ in range(_MAX_TRIES):
-        pts = [sample_point(rng) for _ in range(count)]
-        arr = np.array(pts)
-        if (pole_distance(arr[i], arr[j]) >= MIN_POLE_DISTANCE).all():
-            return pts
-    raise RuntimeError(f"rejection sampling failed for {count} points")
+    return sample_spectral_sets(rng, 1, count)[0].tolist()
 
 
 def pairwise_sum(values):

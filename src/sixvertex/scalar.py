@@ -194,11 +194,22 @@ def _glex(vec: ExpVec):
 
 
 def _digit_ranges(keys) -> tuple[list[int], list[int]]:
-    """Per-slot lowest and highest exponent over the keys."""
-    rows = [_digits(k) for k in keys]
-    width = max(map(len, rows), default=0)
-    slots = list(zip(*(r + [0] * (width - len(r)) for r in rows)))
-    return [min(s) for s in slots], [max(s) for s in slots]
+    """Per-slot lowest and highest exponent over the (nonempty) keys."""
+    digits = _digit_array(keys, len(_SLOT_KEYS) + 1)
+    return digits.min(axis=0).tolist(), digits.max(axis=0).tolist()
+
+
+def _content_and_lows(p: "LaurentPoly") -> tuple[Fraction, list[int]]:
+    """p.content() and the per-slot lowest exponents over p's terms (p
+    nonzero), from one decode of the keys; only keys tied at the lowest
+    total degree are compared as vectors to find the graded-lex first."""
+    keys = list(p._num)
+    digits = _digit_array(keys, len(_SLOT_KEYS) + 1)
+    degree = digits.sum(axis=1)
+    tied = np.flatnonzero(degree == degree.min()).tolist()
+    first = min((keys[t] for t in tied), key=_decode) if len(tied) > 1 else keys[tied[0]]
+    g = math.gcd(*p._num.values())
+    return Fraction(g if p._num[first] > 0 else -g, p._den), digits.min(axis=0).tolist()
 
 
 def _product_emax(a: "LaurentPoly", b: "LaurentPoly") -> int:
@@ -349,11 +360,7 @@ class LaurentPoly:
 
         With numerators over a shared denominator coprime to their gcd,
         this is gcd(numerators) / den."""
-        if not self._num:
-            return Fraction(0)
-        first = min(self._num, key=lambda k: _glex(_decode(k)))
-        g = math.gcd(*self._num.values())
-        return Fraction(g if self._num[first] > 0 else -g, self._den)
+        return _content_and_lows(self)[0] if self._num else Fraction(0)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -492,27 +499,43 @@ class LaurentPoly:
         A variable occurring with a negative exponent needs an invertible
         (monomial) replacement.  Used e.g. for homogeneous limits (u_i -> u)
         and for pinning inhomogeneities to rational values (w_k -> 1).
+
+        One pass over the terms: with the target c * m, a factor v^e of a
+        term becomes c^e times a shift of its key by e times m's key.
         """
-        keymap = {}
+        slots, shifts, coeffs = [], [], []
         for v, t in mapping.items():
             if isinstance(t, (int, Fraction)):
                 t = LaurentPoly.rational(t)
             if not t.is_monomial():
                 raise ValueError("substitution targets must be monomials")
-            keymap[v.key] = t
-        out = LaurentPoly.zero()
-        for exps, coeff in self.items():
-            term = LaurentPoly.rational(coeff)
-            plain = []
-            for k, e in exps:
-                t = keymap.get(k)
-                if t is None:
-                    plain.append((k, e))
-                else:
-                    term = term * t ** e
-            term = term * LaurentPoly({tuple(plain): Fraction(1)})
-            out = out + term
-        return out
+            s = _SLOT_OF.get(v.key)
+            if s is not None:  # a variable without a slot occurs nowhere
+                ((k, c),) = t._num.items()
+                slots.append(s)
+                shifts.append(k)
+                coeffs.append(Fraction(c, t._den))
+        if not slots or not self._num:
+            return self
+        width = len(_SLOT_KEYS) + 1
+        digits = _digit_array(self._num, width)
+        powers = digits[:, slots]
+        digits[:, slots] = 0
+        digits += powers @ _digit_array(shifts, width)
+        emax = int(np.abs(digits).max())
+        if emax > EXP_LIMIT:
+            raise _overflow(emax)
+        # one coefficient factor per distinct row of powers, all scaled to
+        # integers over one common denominator
+        rows, which = np.unique(powers, axis=0, return_inverse=True)
+        factors = [math.prod(c ** e for c, e in zip(coeffs, row)) for row in rows.tolist()]
+        den = math.lcm(*(f.denominator for f in factors))
+        scaled = [f.numerator * (den // f.denominator) for f in factors]
+        out: dict[int, int] = {}
+        get = out.get
+        for k, n, f in zip(_packed_keys(digits), self._num.values(), which.ravel().tolist()):
+            out[k] = get(k, 0) + n * scaled[f]
+        return _reduced({k: v for k, v in out.items() if v}, self._den * den, emax)
 
     # -- equality / hashing ---------------------------------------------
 
@@ -1077,10 +1100,9 @@ def _unit(p: LaurentPoly) -> LaurentPoly:
     """The monomial of p's content times its lowest power of each variable,
     so that p / _unit(p) has no negative exponent and no monomial factor.
     p must be nonzero."""
-    lows, _ = _digit_ranges(p._num)
+    c, lows = _content_and_lows(p)
     key = sum(e << (_DIGIT_BITS * s) for s, e in enumerate(lows))
-    c = p.content()
-    return _make({key: c.numerator}, c.denominator, max(map(abs, lows), default=0))
+    return _make({key: c.numerator}, c.denominator, max(map(abs, lows)))
 
 
 def _divmod_univariate(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:

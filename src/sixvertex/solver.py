@@ -20,13 +20,19 @@ Exact pipeline (L <= 3):
    independence lifts to the generic field);
 3. fraction-free Gaussian elimination over Z[q] on the selected rows,
    back-substitution over rational functions in q;
-4. verify the candidate table by evaluating the full functional-equation
-   residual in :mod:`sixvertex.functional`, which shares the coefficient
-   formulas with step 1 but none of the grouping, selection or elimination.
+4. verify the candidate table: the whole cleared equation, with the
+   table's polynomial for every Z, must sum to exactly zero.  It reuses
+   step 1's cleared terms, computed once per solve, but none of the
+   grouping, selection or elimination.
 
 Step 2 bounding rank from below and step 4 exhibiting an exact solution
 together prove the nullspace is one-dimensional; any mismatch raises
 NullspaceDimensionUnexpected rather than being repaired silently.
+
+Numeric pipeline (L <= 4): at each sampled q, the point sets of both
+independent batches are drawn in one ``sampling.sample_spectral_sets``
+call, and all their constraint rows come from one batched float residual
+call; each batch's rows then get their own SVD nullvector.
 
 The homogeneous-limit differential checks live here too: the partition
 polynomial in the one variable x = e^{2(lambda-mu)}, the hard-coded
@@ -46,9 +52,9 @@ import numpy as np
 
 from .asymptotics import asymptotic_norm
 from .errors import NullspaceDimensionUnexpected, SizeLimitExceeded
-from .functional import FunctionalInput, _cleared_terms, functional_residual
+from .functional import FunctionalInput, _cleared_terms, _cleared_sum, functional_residual
 from .partition import z_algebraic
-from .sampling import sample_point, sample_spectral_set
+from .sampling import sample_point, sample_spectral_sets
 from .scalar import (
     LaurentPoly,
     RationalFunction,
@@ -195,8 +201,22 @@ def h_table_from_z(L: int) -> CoefficientTable:
 # ---------------------------------------------------------------------
 
 
-def _assemble_constraints(L: int):
-    """All distinct linear constraints as canonical rows.
+def _equation_points(L: int) -> tuple:
+    """The symbolic spectral points u0 .. u_{L+1} of the cleared equation."""
+    return tuple(LaurentPoly.var(u_var(i)) for i in range(L + 2))
+
+
+def _cleared_equation(L: int) -> list:
+    """(cleared coefficient, subset) of every term of the equation at the
+    symbolic points, unit inhomogeneities and symbolic q; steps 1 and 4
+    both read it."""
+    return list(_cleared_terms(_equation_points(L), (LaurentPoly.one(),) * L,
+                               LaurentPoly.var(q_var())))
+
+
+def _assemble_constraints(L: int, cleared_terms: list):
+    """All distinct linear constraints as canonical rows, from the terms of
+    ``_cleared_equation(L)``.
 
     A row is a tuple of (column, qpoly) pairs with qpoly a tuple of
     (exponent, integer coefficient) pairs; rows are normalized by content,
@@ -205,13 +225,10 @@ def _assemble_constraints(L: int):
     n = L + 1
     box = ansatz_box(L)
     ncols = len(box)
-    qv = q_var()
-    variables = [*map(u_var, range(n + 1)), qv]
-    points = tuple(LaurentPoly.var(v) for v in variables[:-1])
-    mus = (LaurentPoly.one(),) * L
+    variables = [*map(u_var, range(n + 1)), q_var()]
     box_exps = np.array(box, dtype=np.int64)
     terms = []
-    for cleared, subset in _cleared_terms(points, mus, LaurentPoly.var(qv)):
+    for cleared, subset in cleared_terms:
         exps, nums, den = exponent_array(cleared, variables)
         # the ansatz monomial of each column, spread onto the term's points
         shift = np.zeros((ncols, n + 1), dtype=np.int64)
@@ -382,9 +399,9 @@ def _exact_nullvector(rows: list, ncols: int) -> list[RationalFunction]:
     return [values[c] for c in range(ncols)]
 
 
-def _verify_candidate(L: int, box, values: list[RationalFunction]) -> None:
-    """Exact check of the full functional equation for the candidate table,
-    through the functional-equation residual."""
+def _verify_candidate(L: int, box, values: list[RationalFunction], cleared_terms: list) -> None:
+    """Exact check that the whole cleared functional equation, the terms of
+    ``_cleared_equation(L)``, vanishes for the candidate table."""
     qv = q_var()
     one = LaurentPoly.one()
     den = one
@@ -414,11 +431,7 @@ def _verify_candidate(L: int, box, values: list[RationalFunction]) -> None:
             total = total + hq * mono
         return total
 
-    points = tuple(LaurentPoly.var(u_var(i)) for i in range(L + 2))
-    mus = tuple(LaurentPoly.one() for _ in range(L))
-    inp = FunctionalInput(L, points, mus, LaurentPoly.var(q_var()))
-    res = functional_residual(inp, provider)
-    if not res.is_zero():
+    if _cleared_sum(cleared_terms, _equation_points(L), provider):
         raise NullspaceDimensionUnexpected(
             "candidate from the selected constraints fails the full equation; "
             "the system has no one-dimensional solution space")
@@ -430,7 +443,8 @@ def solve_fz_exact(L: int, normalization: str = "asymptotic") -> CoefficientTabl
         raise SizeLimitExceeded(f"exact solve supports L <= {_EXACT_LIMIT}")
     if normalization not in ("asymptotic", "top-one"):
         raise ValueError(f"unknown normalization {normalization!r}")
-    rows, ncols, box = _assemble_constraints(L)
+    cleared_terms = _cleared_equation(L)
+    rows, ncols, box = _assemble_constraints(L, cleared_terms)
     selected, rank = _select_independent_rows(rows, ncols)
     if rank < ncols - 1:
         selected2, rank2 = _select_independent_rows(rows, ncols, qval=5)
@@ -440,7 +454,7 @@ def solve_fz_exact(L: int, normalization: str = "asymptotic") -> CoefficientTabl
                 "solution space has dimension > 1")
         selected, rank = selected2, rank2
     values = _exact_nullvector([rows[i] for i in selected], ncols)
-    _verify_candidate(L, box, values)
+    _verify_candidate(L, box, values, cleared_terms)
     top = values[box.index((L - 1,) * L)]
     if top.is_zero():
         raise NullspaceDimensionUnexpected("top coefficient vanished")
@@ -511,9 +525,9 @@ def _monomial_provider(L: int):
 
 def _numeric_rows(L: int, q: complex, rng, count: int) -> np.ndarray:
     """One constraint row per sampled point set: the float functional-
-    equation residual of the monomial provider.  The sets are drawn first,
-    in order, then solved as one batch."""
-    sets = np.array([sample_spectral_set(rng, L + 2) for _ in range(count)])
+    equation residual of the monomial provider.  The count sets are drawn
+    first, in one batch, then solved as one batch."""
+    sets = sample_spectral_sets(rng, count, L + 2)
     inp = FunctionalInput(L, tuple(sets.T), (1.0 + 0j,) * L, q)
     return functional_residual(inp, _monomial_provider(L)).T
 
@@ -532,9 +546,10 @@ def solve_fz_numeric(L: int, rng, q_count: int = 8,
     """Float-backend solve: at several random q, sample admissible spectral
     points, build the constraint matrix, and extract the nullvector.
 
-    Each q is solved twice with independent point batches; disagreement of
-    the two ratio vectors beyond ``_CONSISTENCY_TOL`` (a rank fluke) raises
-    NullspaceDimensionUnexpected.
+    Each q is solved twice with independent point batches, whose rows come
+    from one ``_numeric_rows`` call (the second batch's sets are drawn right
+    after the first's); disagreement of the two ratio vectors beyond
+    ``_CONSISTENCY_TOL`` (a rank fluke) raises NullspaceDimensionUnexpected.
     """
     if L > _NUMERIC_LIMIT:
         raise SizeLimitExceeded(f"numeric solve supports L <= {_NUMERIC_LIMIT}")
@@ -545,10 +560,10 @@ def solve_fz_numeric(L: int, rng, q_count: int = 8,
     for _ in range(q_count):
         q = sample_point(rng)
         nrows = ncols + max(20, ncols // 4)
+        rows = _numeric_rows(L, q, rng, 2 * nrows)
         ratio_pair = []
         gaps = []
-        for _batch in range(2):
-            A = _numeric_rows(L, q, rng, nrows)
+        for A in (rows[:nrows], rows[nrows:]):
             v, gap = _nullvector_from_rows(A)
             if L > 1 and gap > 1e-6:
                 raise NullspaceDimensionUnexpected(

@@ -322,6 +322,75 @@ def test_divide_exponents_inverts_the_power_substitution(a, v, k):
     assert got.substitute({v: LaurentPoly.var(v, k)}) == p
 
 
+def ref_content(a):
+    """gcd of numerators over lcm of denominators, signed by the graded-lex
+    first term."""
+    first = min(a, key=lambda e: (sum(x for _, x in e), e))
+    g = Fraction(math.gcd(*(c.numerator for c in a.values())),
+                 math.lcm(*(c.denominator for c in a.values())))
+    return g if a[first] > 0 else -g
+
+
+@given(ref_polys())
+def test_content_and_unit_match_reference(a):
+    assume(a)
+    p = LaurentPoly(a)
+    assert p.content() == ref_content(a)
+    keys = {k for e in a for k, _ in e}
+    low = tuple(sorted((k, m) for k in keys if (m := min(dict(e).get(k, 0) for e in a))))
+    assert dict(scalar._unit(p).items()) == {low: ref_content(a)}
+
+
+def ref_substitute(a, targets):
+    """Term by term: each factor v^e becomes the target's e-th power."""
+    out = {}
+    for e, c in a.items():
+        term = {(): c}
+        for k, x in e:
+            t = targets.get(k, {((k, 1),): Fraction(1)})
+            if x < 0:
+                ((te, tc),) = t.items()
+                t, x = {tuple((tk, -tx) for tk, tx in te): 1 / tc}, -x
+            term = ref_mul(term, ref_pow(t, x))
+        out = ref_add(out, term)
+    return out
+
+
+@st.composite
+def monomial_targets(draw):
+    targets = {}
+    for v in draw(st.lists(st.sampled_from(_VARS), max_size=3, unique=True)):
+        exps = {w.key: draw(st.integers(-3, 3))
+                for w in draw(st.lists(st.sampled_from(_VARS), max_size=2))}
+        c = Fraction(draw(st.sampled_from((-3, -1, 1, 2, 5))), draw(st.sampled_from(_DENS)))
+        targets[v] = {tuple(sorted((k, x) for k, x in exps.items() if x)): c}
+    return targets
+
+
+@given(ref_polys(), monomial_targets())
+def test_substitute_matches_term_by_term_reference(a, targets):
+    # a target is a monomial or, with no variables, a rational constant
+    mapping = {v: c if not e else LaurentPoly({e: c})
+               for v, t in targets.items() for e, c in t.items()}
+    got = LaurentPoly(a).substitute(mapping)
+    assert dict(got.items()) == ref_substitute(a, {v.key: t for v, t in targets.items()})
+
+
+def test_substitute_on_the_l3_partition_function():
+    from sixvertex.partition import standard_symbolic_params, z_algebraic
+
+    lams, mus, q = standard_symbolic_params(3)
+    z = z_algebraic(lams, mus, q)
+    u1, u2, w1 = u_var(1), u_var(2), w_var(1)
+    targets = {u1.key: {((u_var(9).key, 1),): Fraction(1)}, w1.key: {(): Fraction(1)},
+               q_var().key: {((q_var().key, -2),): Fraction(-2, 3)},
+               u2.key: {tuple(sorted(((u1.key, 1), (w_var(2).key, -1)))): Fraction(3)}}
+    mapping = {u1: LaurentPoly.var(u_var(9)), w1: 1,
+               q_var(): LaurentPoly.monomial(Fraction(-2, 3), {q_var(): -2}),
+               u2: LaurentPoly.monomial(3, {u1: 1, w_var(2): -1})}
+    assert dict(z.substitute(mapping).items()) == ref_substitute(dict(z.items()), targets)
+
+
 def test_divide_exponents_rejects_a_non_multiple():
     u = LaurentPoly.var(u_var(61))
     with pytest.raises(ValueError):

@@ -134,7 +134,7 @@ def _annihilates(rows, h):
 def test_assembled_rows_annihilate_direct_table(L):
     # h_table_from_z expands the operator product itself, an independent
     # route to the table the assembled constraints must single out
-    rows, ncols, box = solver._assemble_constraints(L)
+    rows, ncols, box = solver._assemble_constraints(L, solver._cleared_equation(L))
     assert box == ansatz_box(L) and ncols == len(box)
     h = [h_table_from_z(L).entries[idx] for idx in box]
     assert _annihilates(rows, h)
@@ -159,11 +159,11 @@ def test_assembly_refuses_sums_that_could_wrap(monkeypatch):
 
     monkeypatch.setattr(solver, "_cleared_terms", scaled)
     with pytest.raises(OverflowError):
-        solver._assemble_constraints(2)
+        solver._assemble_constraints(2, solver._cleared_equation(2))
 
 
 def _l2_system():
-    rows, ncols, box = solver._assemble_constraints(2)
+    rows, ncols, box = solver._assemble_constraints(2, solver._cleared_equation(2))
     selected, rank = solver._select_independent_rows(rows, ncols)
     assert rank == ncols - 1
     return [rows[i] for i in selected], ncols, box
@@ -178,11 +178,12 @@ def test_exact_nullvector_rejects_too_few_rows():
 def test_verify_candidate_rejects_perturbed_solution():
     selected, ncols, box = _l2_system()
     values = solver._exact_nullvector(selected, ncols)
-    solver._verify_candidate(2, box, values)
+    terms = solver._cleared_equation(2)
+    solver._verify_candidate(2, box, values, terms)
     k = box.index((1, -1))
     values[k] = values[k] + RationalFunction(Q)
     with pytest.raises(NullspaceDimensionUnexpected):
-        solver._verify_candidate(2, box, values)
+        solver._verify_candidate(2, box, values, terms)
 
 
 def test_direct_l3_table_against_reference():
