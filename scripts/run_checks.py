@@ -24,9 +24,10 @@ configuration table must hold the pruned search's configurations and count
 at L = 1..4, and its float Z agree with the pruned one within 1e-12 of the
 larger |Z|.  The homogeneous-limit
 differential relations are checked exactly at L = 1 and 2.  The coefficient
-solver must reproduce the known L = 2 table exactly, and its numeric L = 3
-solve, at one q drawn from --seed, the known L = 3 ratios within 1e-8 of the
-largest ratio.  Every outcome, the homogeneous-limit residuals and the solved
+solver must reproduce the known L = 2 table exactly; ``solve --size 3`` must
+print, byte for byte, the stored tests/data/solve_size3_exact.json; and the
+numeric L = 3 solve, at one q drawn from --seed, must give the known L = 3
+ratios within 1e-8 of the largest ratio.  Every outcome, the homogeneous-limit residuals and the solved
 tables included, is decided by ``vertex.verdict``.
 Exits nonzero if anything fails.
 
@@ -34,13 +35,16 @@ Exits nonzero if anything fails.
 """
 
 import argparse
+import contextlib
+import io
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
-from sixvertex import asymptotics, functional, monodromy, partition, solver, vertex
+from sixvertex import asymptotics, cli, functional, monodromy, partition, solver, vertex
 from sixvertex.scalar import LaurentPoly, q_var, u_var, w_var
 from sixvertex.sampling import make_rng, sample_point, sample_spectral_set, sample_spectral_sets
 
@@ -179,6 +183,16 @@ def main():
     got = solver.solve_fz(2).entries
     record(vertex.verdict("solve-exact-L2", np.array(
         [(got[idx] - want[idx]).num for idx in want], dtype=object), None, 0.0))
+    # the exact L = 3 stdout against the stored document: differing bytes,
+    # plus the length difference and the exit code
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["solve", "--size", "3"])
+    got = out.getvalue().encode()
+    want = (Path(__file__).resolve().parents[1] / "tests" / "data"
+            / "solve_size3_exact.json").read_bytes()
+    record(vertex.verdict("solve-exact-L3-stdout", sum(x != y for x, y in zip(got, want))
+                          + abs(len(got) - len(want)) + code, None, 0))
     sample = solver.solve_fz(3, "top-one", "float", rng=make_rng(args.seed), q_count=1).samples[0]
     ref = solver.reference_l3_ratios()
     top = (2, 2, 2)

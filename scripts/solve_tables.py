@@ -2,8 +2,8 @@
 """Solve the coefficient tables exactly and print them.
 
 Sizes 1 and 2 are instant; size 3 assembles and eliminates a 125-unknown
-system over rational functions in q (about 8 s).  Pass --size 4 for
-the float backend at sampled anisotropies.
+system over rational functions in q (3.0-3.2 s on a 2-core machine).
+Pass --size 4 for the float backend at sampled anisotropies.
 """
 
 import argparse
@@ -24,7 +24,10 @@ def main():
 
     t0 = time.time()
     if args.size <= 3:
-        table = solve_fz(args.size, args.normalize, "exact")
+        try:
+            table = solve_fz(args.size, args.normalize, "exact")
+        except ValueError as exc:  # a size below 1
+            ap.error(str(exc))
         print(f"solved size {args.size} in {time.time() - t0:.1f}s; "
               f"{len(table.nonzero_entries())} non-null of {len(table.entries)}")
         print(f"h_top = {table.entries[table.top_index].reduced().to_text()}")

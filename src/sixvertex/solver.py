@@ -12,12 +12,12 @@ Exact pipeline (L <= 3):
 
 1. assemble the cleared equation from the omission/substitution formulas
    of :mod:`sixvertex.functional`, expanded exactly with symbolic points
-   and q; entries are grouped by spectral monomial with one int64 numpy key
-   each, and every monomial yields one linear constraint whose entries are
-   integer Laurent polynomials in q;
-2. select an independent subset of constraints by rank over the integers at
-   a rational specialization of q (a specialization can only lower rank, so
-   independence lifts to the generic field);
+   and q; entries are summed per int64 numpy key, and every spectral
+   monomial yields one linear constraint, kept in flat int64 arrays of
+   (column, q exponent, integer value) entries;
+2. select independent constraints greedily, fewest entries first, by rank
+   modulo a prime at one integer q (reduction modulo p and specialization
+   of q can only lower rank, so independence lifts to the generic field);
 3. fraction-free Gaussian elimination over Z[q] on the selected rows,
    back-substitution over rational functions in q;
 4. verify the candidate table: the whole cleared equation, with the
@@ -56,6 +56,7 @@ from .functional import FunctionalInput, _cleared_terms, _cleared_sum, functiona
 from .partition import z_algebraic
 from .sampling import sample_point, sample_spectral_sets
 from .scalar import (
+    _PRIMES,
     LaurentPoly,
     RationalFunction,
     _exact_div_univariate,
@@ -214,14 +215,23 @@ def _cleared_equation(L: int) -> list:
                                LaurentPoly.var(q_var())))
 
 
-def _assemble_constraints(L: int, cleared_terms: list):
-    """All distinct linear constraints as canonical rows, from the terms of
-    ``_cleared_equation(L)``.
+@dataclass(frozen=True)
+class _Rows:
+    """Flat int64 rows: row r sums val * q^qexp * h[col] over starts[r]:starts[r + 1]."""
 
-    A row is a tuple of (column, qpoly) pairs with qpoly a tuple of
-    (exponent, integer coefficient) pairs; rows are normalized by content,
-    common q-power and overall sign, then deduplicated.
-    """
+    starts: np.ndarray
+    col: np.ndarray
+    qexp: np.ndarray
+    val: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.starts) - 1
+
+
+def _assemble_constraints(L: int, cleared_terms: list):
+    """The linear constraints of ``_cleared_equation(L)`` as ``_Rows``, one
+    per spectral monomial, entries by column, then q power; neither
+    normalized nor deduplicated, as the selection skips dependent rows."""
     n = L + 1
     box = ansatz_box(L)
     ncols = len(box)
@@ -234,8 +244,7 @@ def _assemble_constraints(L: int, cleared_terms: list):
         shift = np.zeros((ncols, n + 1), dtype=np.int64)
         shift[:, list(subset)] = box_exps
         terms.append((exps, nums, den, shift))
-    # one common scale makes every coefficient an integer and keeps their
-    # proportions, so the canonical rows do not depend on it
+    # one common scale makes every coefficient an integer and keeps their proportions
     common = math.lcm(*(den for _, _, den, _ in terms))
     # one int64 key per (u-exponents, column, q-exponent) entry, in a mixed
     # radix measured before expansion: u digits, then column, then q, so
@@ -262,6 +271,7 @@ def _assemble_constraints(L: int, cleared_terms: list):
     # numpy's int64 sums wrap silently: refuse values whose sums could
     if int(np.abs(vals).max()) * len(vals) > np.iinfo(np.int64).max:
         raise OverflowError("constraint sums could leave int64")
+    # one array at a time, which keeps the peak memory down
     order = np.argsort(keys)
     keys = keys[order]
     vals = vals[order]
@@ -272,94 +282,58 @@ def _assemble_constraints(L: int, cleared_terms: list):
     del starts
     nz = vals != 0
     keys, vals = keys[nz], vals[nz]
-    if len(keys) == 0:
-        # the whole cleared equation cancels identically (L = 1)
-        return [], ncols, box
+    # a row per spectral monomial; none at L = 1, where the equation cancels
     nq = dims[-1]
-    colq = keys % (ncols * nq)
-    groups = keys // nq
-    row_starts = np.flatnonzero(np.r_[True, np.diff(keys // (ncols * nq)) != 0])
-    del keys
-    lengths = np.diff(np.r_[row_starts, len(colq)])
-    # canonical rows: lowest q power 0, content 1, first entry positive
-    colq -= np.repeat(np.minimum.reduceat(colq % nq, row_starts), lengths)
-    scale = np.abs(np.gcd.reduceat(vals, row_starts))
-    scale[vals[row_starts] < 0] *= -1
-    vals //= np.repeat(scale, lengths)
-    # drop duplicate rows by their bytes, then build tuples for the rest
-    flat = np.stack([colq, vals], axis=1)
-    buf = flat.tobytes()
-    bounds = (np.r_[row_starts, len(colq)] * flat.strides[0]).tolist()
-    unique = {}
-    for r in range(len(row_starts)):
-        unique.setdefault(buf[bounds[r]:bounds[r + 1]], r)
-    del flat, buf
-    keep = np.zeros(len(row_starts), dtype=bool)
-    keep[list(unique.values())] = True
-    keep = np.repeat(keep, lengths)
-    colq, vals, groups = colq[keep], vals[keep], groups[keep]
-    row_starts = np.flatnonzero(np.r_[True, np.diff(groups // ncols) != 0])
-    col_starts = np.flatnonzero(np.r_[True, np.diff(groups) != 0])
-    col_of = (colq[col_starts] // nq).tolist()
-    pairs = list(zip((colq % nq).tolist(), vals.tolist()))
-    col_bounds = np.r_[col_starts, len(colq)].tolist()
-    first_col = np.searchsorted(col_starts, np.r_[row_starts, len(colq)]).tolist()
-    rows = [
-        tuple((col_of[g], tuple(pairs[col_bounds[g]:col_bounds[g + 1]]))
-              for g in range(first_col[r], first_col[r + 1]))
-        for r in range(len(row_starts))
-    ]
-    return sorted(rows, key=lambda r: (len(r), r)), ncols, box
+    starts = np.r_[np.flatnonzero(np.diff(keys // (ncols * nq), prepend=-1)), len(keys)]
+    return _Rows(starts, keys // nq % ncols, keys % nq + lo[-1], vals), ncols, box
 
 
-# -- integer specialization: rank and row selection --------------------
+# -- row selection: rank modulo a prime at one q -----------------------
 
 
-def _row_at_q(row: tuple, qval: int) -> dict[int, int]:
-    out = {}
-    for c, pairs in row:
-        v = sum(coef * qval ** e for e, coef in pairs)
-        if v:
-            out[c] = v
-    return out
+def _select_independent_rows(rows: _Rows, ncols: int, qval: int = 3):
+    """Greedy selection, fewest entries first, of up to ncols - 1 rows
+    independent modulo p = ``_PRIMES[1]`` at q = qval: (row indices, rank).
 
-
-def _reduce_into(basis: dict, v: dict, normalize) -> bool:
-    """Fraction-free reduction of row v (column -> entry) against the basis,
-    keyed by leading (lowest) column.  A nonzero remainder joins the basis,
-    normalized; returns whether it did."""
-    while v:
-        lead = min(v)
-        if lead not in basis:
-            basis[lead] = normalize(v)
-            return True
-        b = basis[lead]
-        f1, f2 = b[lead], v[lead]
-        zero = type(f1)()  # 0, or LaurentPoly.zero()
-        nv = {}
-        for c in set(v) | set(b):
-            x = v.get(c, zero) * f1 - b.get(c, zero) * f2
-            if x:
-                nv[c] = x
-        v = normalize(nv)
-    return False
-
-
-def _gcd_normalize(row: dict[int, int]) -> dict[int, int]:
-    g = math.gcd(*row.values())
-    return {c: x // g for c, x in row.items()}
-
-
-def _select_independent_rows(rows: list, ncols: int, qval: int = 3):
-    """Greedy selection of rows independent over the integers at q = qval."""
-    basis: dict[int, dict[int, int]] = {}
+    Rank modulo p at one q can only be lower than over Q(q), so the rows
+    are independent over Q(q) too.  A row is independent of those selected
+    when its product with their nullspace, kept modulo p, is not zero; once
+    selected, the nullspace keeps the combinations it annihilates.  Rows are
+    read in dense blocks of ncols rows, then twice as many each time up to
+    4096.  Residues stay below p < 2^31, so a float64 sum of fewer than 2^22
+    of them is exact, and no int64 step wraps: the block product splits the
+    block into 16-bit limbs, and a sum of ncols < 2^16 products of a limb
+    and a residue stays below 2^63.
+    """
+    p = _PRIMES[1]
+    lengths = np.diff(rows.starts)
+    order = np.argsort(lengths, kind="stable")
+    low = rows.qexp.min(initial=0)  # a power of q per row keeps its rank
+    powers = np.array([pow(qval, k, p) for k in range(rows.qexp.max(initial=0) - low + 1)])
+    null = np.eye(ncols, dtype=np.int64)
     selected = []
-    target = ncols - 1
-    for ridx, row in enumerate(rows):
-        if len(selected) >= target:
-            break
-        if _reduce_into(basis, _row_at_q(row, qval), _gcd_normalize):
-            selected.append(ridx)
+    pos, size = 0, ncols
+    while len(selected) < ncols - 1 and pos < len(rows):
+        block = order[pos:pos + size]
+        pos, size = pos + size, min(2 * size, 4096)
+        counts = lengths[block]
+        entries = (np.repeat(rows.starts[block] - np.cumsum(counts) + counts, counts)
+                   + np.arange(counts.sum()))
+        res = rows.val[entries] % p * powers[rows.qexp[entries] - low] % p
+        cells = np.repeat(np.arange(len(block)) * ncols, counts) + rows.col[entries]
+        m = np.bincount(cells, res, len(block) * ncols).astype(np.int64).reshape(-1, ncols) % p
+        t = ((m & 0xFFFF) @ null % p + (m >> 16) @ null % p * 65536) % p
+        live = np.flatnonzero(t.any(axis=1))
+        t = t[live]
+        for i, r in enumerate(block[live].tolist()):
+            nz = np.flatnonzero(t[i])
+            if len(nz) and len(selected) < ncols - 1:
+                j = nz[0]
+                s = t[i] * pow(int(t[i, j]), -1, p) % p
+                keep = np.arange(len(s)) != j
+                null = (null[:, keep] - null[:, j, None] * s[keep]) % p
+                t = (t[:, keep] - t[:, j, None] * s[keep]) % p
+                selected.append(r)
     return selected, len(selected)
 
 
@@ -377,13 +351,30 @@ def _row_reduce_normalize(row: dict[int, LaurentPoly]) -> dict[int, LaurentPoly]
     return {c: p * unit for c, p in row.items()}
 
 
-def _exact_nullvector(rows: list, ncols: int) -> list[RationalFunction]:
-    """Nullvector of a rank-(ncols-1) system with entries in Z[q]."""
+def _exact_nullvector(rows: _Rows, selected, ncols: int) -> list[RationalFunction]:
+    """Nullvector of the selected rows, a rank-(ncols-1) system over Z[q]."""
     qv = q_var()
+    zero = LaurentPoly.zero()
     basis: dict[int, dict[int, LaurentPoly]] = {}
-    for row in rows:
-        v = {c: LaurentPoly({((qv.key, e),) if e else (): x for e, x in qp}) for c, qp in row}
-        _reduce_into(basis, v, _row_reduce_normalize)
+    for r in selected:
+        terms: dict[int, dict] = {}
+        span = slice(rows.starts[r], rows.starts[r + 1])
+        for c, e, x in zip(*(a[span].tolist() for a in (rows.col, rows.qexp, rows.val))):
+            terms.setdefault(c, {})[((qv.key, e),) if e else ()] = x
+        v = {c: LaurentPoly(t) for c, t in terms.items()}
+        # fraction-free reduction against the basis rows, keyed by leading
+        # (lowest) column; a nonzero remainder joins them, normalized
+        while v and min(v) in basis:
+            lead = min(v)
+            b = basis[lead]
+            nv = {}
+            for c in set(v) | set(b):
+                x = v.get(c, zero) * b[lead] - b.get(c, zero) * v[lead]
+                if x:
+                    nv[c] = x
+            v = _row_reduce_normalize(nv)
+        if v:
+            basis[min(v)] = _row_reduce_normalize(v)
     if len(basis) != ncols - 1:
         raise NullspaceDimensionUnexpected(
             f"rank {len(basis)} over Z[q], expected {ncols - 1}")
@@ -437,10 +428,16 @@ def _verify_candidate(L: int, box, values: list[RationalFunction], cleared_terms
             "the system has no one-dimensional solution space")
 
 
+def _check_size(L: int, limit: int, backend: str) -> None:
+    if L < 1:
+        raise ValueError(f"solve needs size L >= 1, got L = {L}")
+    if L > limit:
+        raise SizeLimitExceeded(f"{backend} solve supports L <= {limit}")
+
+
 def solve_fz_exact(L: int, normalization: str = "asymptotic") -> CoefficientTable:
     """Exact coefficient table at zero inhomogeneities."""
-    if L > _EXACT_LIMIT:
-        raise SizeLimitExceeded(f"exact solve supports L <= {_EXACT_LIMIT}")
+    _check_size(L, _EXACT_LIMIT, "exact")
     if normalization not in ("asymptotic", "top-one"):
         raise ValueError(f"unknown normalization {normalization!r}")
     cleared_terms = _cleared_equation(L)
@@ -453,7 +450,7 @@ def solve_fz_exact(L: int, normalization: str = "asymptotic") -> CoefficientTabl
                 f"constraint rank {max(rank, rank2)} < {ncols - 1}: "
                 "solution space has dimension > 1")
         selected, rank = selected2, rank2
-    values = _exact_nullvector([rows[i] for i in selected], ncols)
+    values = _exact_nullvector(rows, selected, ncols)
     _verify_candidate(L, box, values, cleared_terms)
     top = values[box.index((L - 1,) * L)]
     if top.is_zero():
@@ -551,8 +548,7 @@ def solve_fz_numeric(L: int, rng, q_count: int = 8,
     after the first's); disagreement of the two ratio vectors beyond
     ``_CONSISTENCY_TOL`` (a rank fluke) raises NullspaceDimensionUnexpected.
     """
-    if L > _NUMERIC_LIMIT:
-        raise SizeLimitExceeded(f"numeric solve supports L <= {_NUMERIC_LIMIT}")
+    _check_size(L, _NUMERIC_LIMIT, "numeric")
     box = ansatz_box(L)
     ncols = len(box)
     top = box.index((L - 1,) * L)

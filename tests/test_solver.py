@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,11 +8,14 @@ from sixvertex.asymptotics import asymptotic_norm
 from sixvertex import solver
 from sixvertex.errors import NullspaceDimensionUnexpected, SizeLimitExceeded
 from sixvertex.scalar import (
+    _PRIMES,
     LaurentPoly,
     RationalFunction,
     coefficients_in,
+    exponent_array,
     invert,
     q_var,
+    u_var,
 )
 from sixvertex.solver import (
     X,
@@ -115,19 +121,18 @@ def test_solve_size_guards():
         solve_fz_numeric(5, make_rng(0))
 
 
-def _row_value(row, h):
-    """sum over the row's entries of qpoly(q) * h[column]."""
-    total = RationalFunction(LaurentPoly.zero())
-    for col, qpoly in row:
-        poly = LaurentPoly.zero()
-        for e, v in qpoly:
-            poly = poly + v * Q ** e
-        total = total + RationalFunction(poly) * h[col]
+def _row_value(rows, r, h):
+    """Row r's sum of val * q^qexp * h[col] over its entries, h polynomials."""
+    span = slice(rows.starts[r], rows.starts[r + 1])
+    total = LaurentPoly.zero()
+    for c, e, v in zip(rows.col[span].tolist(), rows.qexp[span].tolist(),
+                       rows.val[span].tolist()):
+        total = total + LaurentPoly.monomial(v, {q_var(): e}) * h[c]
     return total
 
 
 def _annihilates(rows, h):
-    return all(_row_value(row, h).is_zero() for row in rows)
+    return all(_row_value(rows, r, h).is_zero() for r in range(len(rows)))
 
 
 @pytest.mark.parametrize("L", [1, 2])
@@ -136,18 +141,22 @@ def test_assembled_rows_annihilate_direct_table(L):
     # route to the table the assembled constraints must single out
     rows, ncols, box = solver._assemble_constraints(L, solver._cleared_equation(L))
     assert box == ansatz_box(L) and ncols == len(box)
-    h = [h_table_from_z(L).entries[idx] for idx in box]
+    direct = [h_table_from_z(L).entries[idx] for idx in box]
+    assert all(v.den == LaurentPoly.one() for v in direct)
+    h = [v.num for v in direct]
     assert _annihilates(rows, h)
     if L == 1:
-        assert rows == []  # the cleared L = 1 equation cancels identically
+        # the cleared L = 1 equation cancels identically: no rows at all
+        assert len(rows) == 0 and list(rows.starts) == [0]
+        assert len(rows.col) == len(rows.qexp) == len(rows.val) == 0
         return
     assert solver._select_independent_rows(rows, ncols)[1] == ncols - 1
     # the check sees an entry moved to the next column or the next q power
-    next_col = [tuple(((c + 1) % ncols, qp) for c, qp in row) for row in rows]
-    assert not _annihilates(next_col, h)
-    next_q = [((row[0][0], tuple((e + 1, v) for e, v in row[0][1])),) + row[1:]
-              for row in rows]
-    assert not _annihilates(next_q, h)
+    assert not _annihilates(replace(rows, col=(rows.col + 1) % ncols), h)
+    first = rows.starts[:-1]
+    next_q = rows.qexp.copy()
+    next_q[first] += 1
+    assert not _annihilates(replace(rows, qexp=next_q), h)
 
 
 def test_assembly_refuses_sums_that_could_wrap(monkeypatch):
@@ -166,24 +175,183 @@ def _l2_system():
     rows, ncols, box = solver._assemble_constraints(2, solver._cleared_equation(2))
     selected, rank = solver._select_independent_rows(rows, ncols)
     assert rank == ncols - 1
-    return [rows[i] for i in selected], ncols, box
+    return rows, selected, ncols, box
 
 
 def test_exact_nullvector_rejects_too_few_rows():
-    selected, ncols, _ = _l2_system()
+    rows, selected, ncols, _ = _l2_system()
     with pytest.raises(NullspaceDimensionUnexpected):
-        solver._exact_nullvector(selected[:-1], ncols)
+        solver._exact_nullvector(rows, selected[:-1], ncols)
 
 
 def test_verify_candidate_rejects_perturbed_solution():
-    selected, ncols, box = _l2_system()
-    values = solver._exact_nullvector(selected, ncols)
+    rows, selected, ncols, box = _l2_system()
+    values = solver._exact_nullvector(rows, selected, ncols)
     terms = solver._cleared_equation(2)
     solver._verify_candidate(2, box, values, terms)
     k = box.index((1, -1))
     values[k] = values[k] + RationalFunction(Q)
     with pytest.raises(NullspaceDimensionUnexpected):
         solver._verify_candidate(2, box, values, terms)
+
+
+# -- reference for the modular selection: rank over Q at one integer q,
+# by fraction-free elimination on Python integers
+
+
+def _row_at_q(rows, r, qval):
+    """Row r at q = qval, scaled by a power of q to integers: column -> value."""
+    span = slice(rows.starts[r], rows.starts[r + 1])
+    low = int(rows.qexp[span].min(initial=0))
+    out = {}
+    for c, e, v in zip(rows.col[span].tolist(), rows.qexp[span].tolist(),
+                       rows.val[span].tolist()):
+        out[c] = out.get(c, 0) + v * qval ** (e - low)
+    return {c: v for c, v in out.items() if v}
+
+
+def _gcd_normalize(row):
+    g = math.gcd(*row.values())
+    return {c: x // g for c, x in row.items()}
+
+
+def _reduce_into(basis, v):
+    """Fraction-free reduction of integer row v against the basis, keyed by
+    leading column; a nonzero remainder joins it.  Returns whether it did."""
+    while v:
+        lead = min(v)
+        if lead not in basis:
+            basis[lead] = _gcd_normalize(v)
+            return True
+        b = basis[lead]
+        f1, f2 = b[lead], v[lead]
+        nv = {}
+        for c in set(v) | set(b):
+            x = v.get(c, 0) * f1 - b.get(c, 0) * f2
+            if x:
+                nv[c] = x
+        v = _gcd_normalize(nv)
+    return False
+
+
+def _reference_rank(rows, indices, qval=3):
+    basis = {}
+    return sum(_reduce_into(basis, _row_at_q(rows, r, qval)) for r in indices)
+
+
+def _rows_of(entries_by_row):
+    """_Rows from a list of rows, each a list of (column, q exponent, value)."""
+    flat = [e for row in entries_by_row for e in row]
+    col, qexp, val = (np.array([e[k] for e in flat], dtype=np.int64).reshape(-1)
+                      for k in range(3))
+    starts = np.cumsum([0] + [len(row) for row in entries_by_row])
+    return solver._Rows(starts, col, qexp, val)
+
+
+def _independent_in_order(rows, selected):
+    """Every selected row is independent over Q, at q = 3, of those before it."""
+    return _reference_rank(rows, selected) == len(selected)
+
+
+def test_modular_selection_matches_rational_rank_on_l2_rows():
+    rows, selected, ncols, _ = _l2_system()
+    assert len(selected) == ncols - 1
+    assert _independent_in_order(rows, selected)
+
+
+def test_modular_selection_skips_dependent_rows():
+    p = _PRIMES[1]
+    a = [(0, 0, 1), (1, 1, 2)]
+    b = [(1, 0, 1), (3, 0, -4)]
+    system = [
+        a,
+        a,                                              # duplicate
+        [(c, e + 1, 2 * v) for c, e, v in a],           # 2q times a
+        [],                                             # empty row
+        [(2, 0, 3), (2, 1, -1)],                        # 3 - q: zero at q = 3
+        [(c, e, p * v) for c, e, v in b],               # zero modulo p
+        b,
+        [(0, 0, 1), (1, 1, 2), (1, 0, 1), (3, 0, -4)],  # a + b
+        [(2, 2, 5), (3, 0, 1), (4, 0, 7)],
+        [(0, -1, 1), (4, 3, 1)],
+    ]
+    rows = _rows_of(system)
+    selected, rank = solver._select_independent_rows(rows, 5)
+    assert rank == len(selected) == 4
+    # the p-multiple of b is skipped, and b itself taken; a + b never is
+    assert selected == [0, 6, 9, 8]
+    for k in range(1, len(system) + 1):
+        sub = _rows_of(system[:k])
+        selected, rank = solver._select_independent_rows(sub, 5)
+        assert _independent_in_order(sub, selected)
+        assert rank <= _reference_rank(sub, range(k))
+
+
+def test_modular_selection_stays_exact():
+    # the docstring's bounds at the largest exact size: residues below
+    # p < 2^31, so an int64 product of two, or a sum of ncols products of a
+    # 16-bit limb and a residue, never wraps, and a float64 sum of a cell's
+    # residues stays below 2^53
+    p = _PRIMES[1]
+    L = solver._EXACT_LIMIT
+    ncols = len(ansatz_box(L))
+    assert p < 2 ** 31
+    assert (p - 1) ** 2 + p < 2 ** 63
+    assert ncols * (2 ** 16 - 1) * (p - 1) < 2 ** 63
+    # a cell's entries carry distinct powers of q, from the cleared terms
+    variables = [*map(u_var, range(L + 2)), q_var()]
+    qexps = np.concatenate([exponent_array(c, variables)[0][:, -1]
+                            for c, _ in solver._cleared_equation(L)])
+    assert (qexps.max() - qexps.min() + 1) * (p - 1) < 2 ** 53
+    # dense rows of residues near p, where plain int64 products would wrap:
+    # ten random rows and ten sums of two of them fill the first block; the
+    # second block opens with ten more such sums, which only the block
+    # product against the nullspace finds dependent, then random rows
+    rng = np.random.default_rng(5)
+    ncols = 20
+    dense = [list(p - 1 - rng.integers(0, 1000, ncols)) for _ in range(10)]
+    dense += [list(np.add(dense[i], dense[(i + k) % 10])) for k in (3, 5) for i in range(10)]
+    dense += [list(p - 1 - rng.integers(0, 1000, ncols)) for _ in range(15)]
+    rows = _rows_of([[(c, 0, int(v)) for c, v in enumerate(row)] for row in dense])
+    assert _reference_rank(rows, range(30)) == 10
+    selected, rank = solver._select_independent_rows(rows, ncols)
+    assert selected == list(range(10)) + list(range(30, 39))
+    assert _independent_in_order(rows, selected)
+
+
+def test_exact_solve_retries_at_another_q(monkeypatch):
+    real = solver._select_independent_rows
+    calls = []
+
+    def short_at_3(rows, ncols, qval=3):
+        calls.append(qval)
+        selected, rank = real(rows, ncols, qval)
+        return (selected[:-1], rank - 1) if qval == 3 else (selected, rank)
+
+    monkeypatch.setattr(solver, "_select_independent_rows", short_at_3)
+    table = solve_fz_exact(2)
+    assert calls == [3, 5]
+    assert table.entries == expected_l2_table().entries
+
+
+def test_exact_solve_raises_when_both_qs_come_up_short(monkeypatch):
+    real = solver._select_independent_rows
+
+    def short(rows, ncols, qval=3):
+        selected, rank = real(rows, ncols, qval)
+        return selected[:-1], rank - 1
+
+    monkeypatch.setattr(solver, "_select_independent_rows", short)
+    with pytest.raises(NullspaceDimensionUnexpected, match=r"constraint rank 7 < 8"):
+        solve_fz_exact(2)
+
+
+@pytest.mark.parametrize("L", [0, -1])
+def test_solvers_reject_sizes_below_one(L):
+    with pytest.raises(ValueError, match=f"got L = {L}"):
+        solve_fz_exact(L)
+    with pytest.raises(ValueError, match=f"got L = {L}"):
+        solve_fz_numeric(L, make_rng(0))
 
 
 def test_direct_l3_table_against_reference():
