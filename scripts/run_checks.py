@@ -27,7 +27,8 @@ differential relations are checked exactly at L = 1 and 2.  The coefficient
 solver must reproduce the known L = 2 table exactly; ``solve --size 3`` must
 print, byte for byte, the stored tests/data/solve_size3_exact.json; and the
 numeric L = 3 solve, at one q drawn from --seed, must give the known L = 3
-ratios within 1e-8 of the largest ratio.  Every outcome, the homogeneous-limit residuals and the solved
+ratios within 1e-8 of the largest ratio, and the numeric L = 4 solve the
+ratios of the directly expanded L = 4 table within 1e-9.  Every outcome, the homogeneous-limit residuals and the solved
 tables included, is decided by ``vertex.verdict``.
 Exits nonzero if anything fails.
 
@@ -45,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from sixvertex import asymptotics, cli, functional, monodromy, partition, solver, vertex
-from sixvertex.scalar import LaurentPoly, q_var, u_var, w_var
+from sixvertex.scalar import LaurentPoly, RationalFunction, q_var, u_var, w_var
 from sixvertex.sampling import make_rng, sample_point, sample_spectral_set, sample_spectral_sets
 
 
@@ -193,15 +194,20 @@ def main():
             / "solve_size3_exact.json").read_bytes()
     record(vertex.verdict("solve-exact-L3-stdout", sum(x != y for x, y in zip(got, want))
                           + abs(len(got) - len(want)) + code, None, 0))
-    sample = solver.solve_fz(3, "top-one", "float", rng=make_rng(args.seed), q_count=1).samples[0]
-    ref = solver.reference_l3_ratios()
-    top = (2, 2, 2)
-    want = {idx: 1.0 if idx == top else
-            complex(ref[idx].eval({q_var(): sample.q})) if idx in ref else 0.0
-            for idx in solver.ansatz_box(3)}
-    record(vertex.verdict("solve-float-L3", np.array(
-        [sample.ratios.get(idx, 0.0) - v for idx, v in want.items()]),
-        max(abs(v) for v in want.values()), 1e-8))
+    # the numeric solves at one q against known ratios over the full box:
+    # L = 3 against the stored table, L = 4 against the direct expansion
+    ref3 = {**solver.reference_l3_ratios(), (2, 2, 2): RationalFunction(LaurentPoly.one())}
+    table4 = solver.h_table_from_z(4)
+    top4 = table4.entries[table4.top_index]
+    for L, ratio_of, tol in ((3, ref3.get, 1e-8),
+                             (4, lambda idx: table4.entries[idx] / top4, 1e-9)):
+        sample = solver.solve_fz(L, "top-one", "float", rng=make_rng(args.seed),
+                                 q_count=1).samples[0]
+        want = {idx: 0.0 if (r := ratio_of(idx)) is None else complex(r.eval({q_var(): sample.q}))
+                for idx in solver.ansatz_box(L)}
+        record(vertex.verdict(f"solve-float-L{L}", np.array(
+            [sample.ratios.get(idx, 0.0) - v for idx, v in want.items()]),
+            max(abs(v) for v in want.values()), tol))
 
     ok = all(r.passed for r in results)
     print(f"\n{len(results)} checks, "

@@ -3,7 +3,9 @@
 
 Sizes 1 and 2 are instant; size 3 assembles and eliminates a 125-unknown
 system over rational functions in q (3.0-3.2 s on a 2-core machine).
-Pass --size 4 for the float backend at sampled anisotropies.
+Pass --size 4 for the float backend at sampled anisotropies: 256
+unknowns, the entries whose exponents have the parity of L - 1, at 8
+values of q (~1.8 s and ~60 MB peak RSS on a 2-core machine).
 """
 
 import argparse

@@ -29,10 +29,12 @@ Step 2 bounding rank from below and step 4 exhibiting an exact solution
 together prove the nullspace is one-dimensional; any mismatch raises
 NullspaceDimensionUnexpected rather than being repaired silently.
 
-Numeric pipeline (L <= 4): at each sampled q, the point sets of both
-independent batches are drawn in one ``sampling.sample_spectral_sets``
-call, and all their constraint rows come from one batched float residual
-call; each batch's rows then get their own SVD nullvector.
+Numeric pipeline (L <= 4): the unknowns are the L^L entries whose exponents
+all have the parity of L-1, as every DWBC row has an odd number of c
+vertices (the exact full-box solve finds the rest zero).  At each sampled
+q, both independent batches' point sets are drawn in one
+``sampling.sample_spectral_sets`` call and their rows come from one batched
+float residual call; each batch gets its own SVD nullvector.
 
 The homogeneous-limit differential checks live here too: the partition
 polynomial in the one variable x = e^{2(lambda-mu)}, the hard-coded
@@ -142,6 +144,11 @@ def homogeneous_ode_residual(L: int, zbar: LaurentPoly | None = None) -> Laurent
 def ansatz_box(L: int) -> list[tuple[int, ...]]:
     """Exponent multi-indices of the polynomial ansatz, (2L-1)^L of them."""
     return list(itertools.product(range(-(L - 1), L), repeat=L))
+
+
+def _parity_exponents(L: int) -> range:
+    """The exponents of one u_i in Z: those of the parity of L-1."""
+    return range(-(L - 1), L, 2)
 
 
 @dataclass
@@ -507,9 +514,9 @@ class NumericSolveResult:
 
 def _monomial_provider(L: int):
     """A batched provider of the ansatz monomials: for a subset of L points,
-    each an array of shape (k,), the columns prod_m p_m^idx_m over
-    ``ansatz_box(L)``, shape (ncols, k)."""
-    box_range = np.arange(-(L - 1), L)[:, None]
+    each an array of shape (k,), the columns prod_m p_m^idx_m over the
+    parity box, shape (L^L, k)."""
+    box_range = np.array(_parity_exponents(L))[:, None]
 
     def provider(subset):
         column = subset[0] ** box_range
@@ -549,7 +556,7 @@ def solve_fz_numeric(L: int, rng, q_count: int = 8,
     ``_CONSISTENCY_TOL`` (a rank fluke) raises NullspaceDimensionUnexpected.
     """
     _check_size(L, _NUMERIC_LIMIT, "numeric")
-    box = ansatz_box(L)
+    box = list(itertools.product(_parity_exponents(L), repeat=L))
     ncols = len(box)
     top = box.index((L - 1,) * L)
     samples = []
@@ -574,11 +581,8 @@ def solve_fz_numeric(L: int, rng, q_count: int = 8,
         ratios = ratio_pair[0]
         if normalization == "asymptotic":
             ratios = ratios * asymptotic_norm(L, q)
-        entries = {
-            idx: complex(ratios[k])
-            for k, idx in enumerate(box)
-            if abs(ratios[k]) > 1e-8 * float(np.abs(ratios).max())
-        }
+        cut = 1e-8 * float(np.abs(ratios).max())
+        entries = {idx: complex(r) for idx, r in zip(box, ratios) if abs(r) > cut}
         samples.append(NumericSolveSample(q, entries, max(gaps), agree.residual / scale))
     return NumericSolveResult(L, normalization, samples)
 

@@ -21,7 +21,7 @@ from sixvertex.monodromy import b_product, build_monodromy
 from sixvertex.partition import z_algebraic
 from sixvertex.scalar import LaurentPoly, RationalFunction, invert, q_var, u_var, w_var
 from sixvertex.sampling import MIN_POLE_DISTANCE, make_rng, sample_point, sample_spectral_set
-from sixvertex.solver import _monomial_provider, ansatz_box, h_table_from_z
+from sixvertex.solver import _monomial_provider, _parity_exponents, ansatz_box, h_table_from_z
 
 Q = LaurentPoly.var(q_var())
 
@@ -388,7 +388,7 @@ def _table_provider(L, q):
 
 def _scalar_monomial_provider(L):
     """The per-set reference for the batched monomial provider."""
-    box_range = np.arange(-(L - 1), L)
+    box_range = np.array(_parity_exponents(L))
 
     def provider(subset):
         column = np.power(subset[0], box_range)
@@ -425,7 +425,7 @@ def test_batched_fz_matches_per_set_monomial_provider(L):
     pts, sets, q = _batch(L, 50 + L)
     mus = (1.0 + 0j,) * L
     res = functional_residual(FunctionalInput(L, pts, mus, q), _monomial_provider(L))
-    assert res.shape == ((2 * L - 1) ** L, len(sets))
+    assert res.shape == (L ** L, len(sets))
     for j, one in enumerate(sets):
         row, scale = functional._functional_residual_with_scale(
             FunctionalInput(L, one, mus, q), _scalar_monomial_provider(L))

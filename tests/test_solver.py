@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -36,6 +37,11 @@ from sixvertex.functional import FunctionalInput, check_fz, functional_residual
 from sixvertex.sampling import make_rng, sample_point, sample_spectral_set
 
 Q = LaurentPoly.var(q_var())
+
+
+def _parity_box(L):
+    """The numeric solve's columns, in its order."""
+    return list(itertools.product(solver._parity_exponents(L), repeat=L))
 
 
 def _coeff(p, k):
@@ -363,10 +369,40 @@ def test_direct_l3_table_against_reference():
     assert table.entries[(2, 2, 2)] == RationalFunction(want3)
 
 
-def test_l3_parity_emerges():
-    table = h_table_from_z(3)
-    for idx, v in table.nonzero_entries().items():
-        assert all(m % 2 == 0 for m in idx)
+def _off_parity_box(table):
+    """The entries of a full-box table that the numeric solve leaves out."""
+    parity = set(_parity_box(table.size))
+    return {idx: v for idx, v in table.entries.items() if idx not in parity}
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
+def test_direct_table_vanishes_off_the_parity_box(L):
+    # every u_i exponent of Z has the parity of L - 1, by direct expansion
+    table = h_table_from_z(L)
+    off = _off_parity_box(table)
+    assert len(off) == (2 * L - 1) ** L - L ** L
+    assert all(v.is_zero() for v in off.values())
+    assert not table.entries[table.top_index].is_zero()
+
+
+@pytest.mark.parametrize("L", [1, 2])
+def test_exact_solve_vanishes_off_the_parity_box(L):
+    # the same fact from the functional equation over the full box alone
+    assert all(v.is_zero() for v in _off_parity_box(solve_fz_exact(L)).values())
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_numeric_solver_matches_direct_table_l4(seed):
+    # numeric L = 4 on the parity box against the direct expansion, over
+    # the full box, relative to the largest ratio
+    s = solve_fz_numeric(4, make_rng(seed), q_count=1, normalization="top-one").samples[0]
+    assert s.singular_gap < 1e-8
+    assert s.batch_discrepancy < 1e-6
+    table = h_table_from_z(4)
+    top = complex(table.entries[table.top_index].eval({q_var(): s.q}))
+    want = {idx: complex(v.eval({q_var(): s.q})) / top for idx, v in table.entries.items()}
+    scale = max(abs(v) for v in want.values())
+    assert max(abs(s.ratios.get(idx, 0) - v) for idx, v in want.items()) <= 1e-9 * scale
 
 
 def test_reference_ratios_cover_26_indices():
@@ -415,7 +451,7 @@ def test_numeric_rows_annihilate_direct_table(L):
     q = sample_point(make_rng(70 + L))
     count = 5
     rows = solver._numeric_rows(L, q, make_rng(80 + L), count)
-    box = ansatz_box(L)
+    box = _parity_box(L)
     table = h_table_from_z(L)
     h = np.array([complex(table.entries[idx].eval({q_var(): q})) for idx in box])
 
@@ -432,7 +468,7 @@ def test_numeric_rows_annihilate_direct_table(L):
         scales.append(out.scale)
     for row, scale in zip(rows, scales):
         assert abs(row @ h) <= 1e-9 * scale
-    # the check sees the top entry moved to a neighbouring index
+    # the check sees the top entry moved to a neighbouring index of the box
     top = box.index((L - 1,) * L)
     moved = h.copy()
     moved[top - 1], moved[top] = h[top], 0
@@ -449,7 +485,7 @@ def test_numeric_rows_draw_the_sets_in_order(L):
     q = sample_point(make_rng(1))
     rng = make_rng(90 + L)
     rows = solver._numeric_rows(L, q, rng, count)
-    assert rows.shape == (count, (2 * L - 1) ** L)
+    assert rows.shape == (count, L ** L)
     ref = make_rng(90 + L)
     for row in rows:
         pts = tuple(np.array([[p] for p in sample_spectral_set(ref, L + 2)]))
