@@ -19,7 +19,9 @@ asymptotic checks run exactly at L = 2, 3 and 4 (those that go through Z
 or the monodromy's top coefficient at L <= 3).  The partition function's
 two routes, the operator product and the pruned configuration sum, must
 agree exactly at symbolic L = 1..3 and, at --trials seeded float points for
-each L = 1..6, within 1e-9 of the larger |Z|.  The brute-force
+each L = 1..6, within 1e-9 of the larger |Z|.  Exact Z at L = 1..3 must come back unchanged from its text
+and JSON forms (``parse_poly`` and ``LaurentPoly.from_json_terms``).  The
+brute-force
 configuration table must hold the pruned search's configurations and count
 at L = 1..4, and its float Z agree with the pruned one within 1e-12 of the
 larger |Z|.  The homogeneous-limit
@@ -46,7 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from sixvertex import asymptotics, cli, functional, monodromy, partition, solver, vertex
-from sixvertex.scalar import LaurentPoly, RationalFunction, q_var, u_var, w_var
+from sixvertex.scalar import LaurentPoly, RationalFunction, parse_poly, q_var, u_var, w_var
 from sixvertex.sampling import make_rng, sample_point, sample_spectral_set, sample_spectral_sets
 
 
@@ -159,6 +161,14 @@ def main():
             za = partition.z_algebraic(lams, mus, qf)
             ze = partition.z_enumerate(lams, mus, qf, "pruned")
             record(vertex.verdict(f"z-routes-L{L}", ze - za, max(abs(za), abs(ze)), 1e-9))
+
+    print("== serialization round trip of exact Z ==")
+    for L in (1, 2, 3):
+        z = partition.z_algebraic(*partition.standard_symbolic_params(L))
+        text, terms = z.text_and_json_terms()
+        record(vertex.verdict(f"z-text-roundtrip-L{L}", parse_poly(text) - z, None, 0.0))
+        record(vertex.verdict(f"z-json-roundtrip-L{L}", LaurentPoly.from_json_terms(terms) - z,
+                              None, 0.0))
 
     print("== configuration sum: brute force vs pruned search ==")
     for L in range(1, 5):

@@ -30,8 +30,6 @@ from .monodromy import (
 from .partition import (
     EdgeConvention,
     LatticeConfig,
-    PartitionValue,
-    compute_partition,
     count_configs,
     standard_symbolic_params,
     z_algebraic,

@@ -190,15 +190,18 @@ def _cmd_compute(cfg: RunConfig) -> tuple[int, dict]:
         return 0, doc
     method = f"enumerate-{cfg.mode}" if cfg.command == "enumerate" else cfg.method
     lams, mus, q = next(_runs(cfg, make_rng(cfg.seed), cfg.size, cfg.size))
-    pv = partition.compute_partition(lams, mus, q, method)
+    if method == "algebraic":
+        value = partition.z_algebraic(lams, mus, q)
+    else:
+        value = partition.z_enumerate(lams, mus, q, method.removeprefix("enumerate-"))
     doc = {
-        "L": pv.size,
-        "method": pv.method,
-        "value": _scalar_json(pv.value),
+        "L": cfg.size,
+        "method": method,
+        "value": _scalar_json(value),
         "params": {
-            "lambdas": [_scalar_json(x) for x in pv.lams],
-            "mus": [_scalar_json(x) for x in pv.mus],
-            "q": _scalar_json(pv.q),
+            "lambdas": [_scalar_json(x) for x in lams],
+            "mus": [_scalar_json(x) for x in mus],
+            "q": _scalar_json(q),
         },
         "provenance": _provenance(cfg, None),
     }

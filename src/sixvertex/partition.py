@@ -91,31 +91,6 @@ class LatticeConfig:
         return True
 
 
-@dataclass(frozen=True)
-class PartitionValue:
-    """A computed partition-function value with its provenance."""
-
-    value: object
-    method: str
-    size: int
-    lams: tuple
-    mus: tuple
-    q: object
-
-
-def compute_partition(lams, mus, q, method: str = "algebraic",
-                      conv: EdgeConvention = DEFAULT_CONVENTION) -> PartitionValue:
-    """One partition-function evaluation tagged with how it was obtained."""
-    lams, mus = tuple(lams), tuple(mus)
-    if method == "algebraic":
-        value = z_algebraic(lams, mus, q)
-    elif method in ("enumerate-pruned", "enumerate-naive"):
-        value = z_enumerate(lams, mus, q, method.split("-", 1)[1], conv)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return PartitionValue(value, method, len(lams), lams, mus, q)
-
-
 def z_algebraic(lams, mus, q):
     """<0bar| B(lam_1) ... B(lam_L) |0>; symmetric in the lams."""
     lams = list(lams)

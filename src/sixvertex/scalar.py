@@ -14,7 +14,10 @@ Two interchangeable scalar backends are used throughout:
   16-bit balanced digit per variable (exponents within +-EXP_LIMIT =
   32767; anything beyond raises ExponentOverflow), and the coefficients
   are integer numerators over one shared denominator, reduced once per
-  operation.  Digit slots come from a process-wide, append-only registry
+  operation.  One codec reads and writes keys: ``_encode`` from an
+  ``ExpVec``, and ``_digit_array``/``_packed_keys`` between keys and int64
+  exponent arrays, so the text and JSON forms render from one decode per
+  polynomial.  Digit slots come from a process-wide, append-only registry
   that is safe to use from several threads.  ``sum_of_products`` adds many
   products a_t * b_t in one pass, never forming a product: over one common
   denominator each numerator of the sum is an integer of size at most B =
@@ -37,7 +40,6 @@ on the same packed LaurentPoly terms.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 import threading
@@ -114,7 +116,9 @@ def q_var() -> VarId:
 # fixed-width balanced digit, key = sum(e_v << (_DIGIT_BITS * slot(v))), so
 # multiplying two monomials is one integer addition.  A digit holds
 # exponents in [-EXP_LIMIT, EXP_LIMIT]; arithmetic raises ExponentOverflow
-# before a digit could carry into its neighbour.
+# before a digit could carry into its neighbour.  The codec is _encode, from
+# an ExpVec, and _digit_array/_packed_keys between keys and int64 exponent
+# arrays; every other exponent read or key built goes through them.
 
 _DIGIT_BITS = 16
 _DIGIT_BASE = 1 << _DIGIT_BITS
@@ -162,69 +166,73 @@ def _encode(exps: ExpVec) -> tuple[int, int]:
     return key, emax
 
 
-def _digits(key: int) -> list[int]:
-    """Balanced digits of a packed key, lowest slot first."""
-    out = []
-    while key:
-        d = key & _DIGIT_MASK
-        if d >= _DIGIT_HALF:
-            d -= _DIGIT_BASE
-        out.append(d)
-        key = (key - d) >> _DIGIT_BITS
-    return out
+def _key_bias(width: int) -> int:
+    """Adding this to a packed key of ``width`` slots makes every digit
+    non-negative, so that the key's bytes are its digits."""
+    return _DIGIT_HALF * (((1 << (_DIGIT_BITS * width)) - 1) // _DIGIT_MASK)
 
 
-def _digit(key: int, slot: int) -> int:
-    """The exponent in one slot: biasing every lower digit to be
-    non-negative lets the shift see no borrow from below."""
-    shift = _DIGIT_BITS * slot
-    low_bias = _DIGIT_HALF * (((1 << shift) - 1) // _DIGIT_MASK)
-    d = ((key + low_bias) >> shift) & _DIGIT_MASK
-    return d - _DIGIT_BASE if d >= _DIGIT_HALF else d
+def _digit_array(keys, width: int) -> np.ndarray:
+    """Balanced digits of packed keys: int64, one row per key and one
+    column per slot (``width`` of them), read from the biased keys' bytes."""
+    bias = _key_bias(width)
+    nbytes = _DIGIT_BITS // 8
+    size = nbytes * width
+    raw = b"".join([(k + bias).to_bytes(size, "little") for k in keys])
+    digits = np.frombuffer(raw, dtype=f"<u{nbytes}").reshape(-1, width).astype(np.int64)
+    digits -= _DIGIT_HALF
+    return digits
 
 
-def _decode(key: int) -> ExpVec:
-    return tuple(sorted((_SLOT_KEYS[s], e) for s, e in enumerate(_digits(key)) if e))
+def _packed_keys(digits: np.ndarray) -> list[int]:
+    """Packed keys of the rows of an int64 digit array (_digit_array's
+    inverse)."""
+    nbytes = _DIGIT_BITS // 8
+    step = nbytes * digits.shape[1]
+    bias = _key_bias(digits.shape[1])
+    raw = (digits + _DIGIT_HALF).astype(f"<u{nbytes}").tobytes()
+    return [int.from_bytes(raw[i:i + step], "little") - bias for i in range(0, len(raw), step)]
 
 
-def _glex(vec: ExpVec):
-    """Graded-lex sort key of a decoded exponent vector: total degree, then
-    lexicographic with variables ordered u < w < q, then by index."""
-    return (sum(e for _, e in vec), vec)
+def _decoded(p: "LaurentPoly") -> tuple[list[VarKey], list[list[int]]]:
+    """One decode of p's keys: the keys of the variables that occur in p, in
+    key order, and their exponents, one row per term (in _num order) and
+    one column per variable."""
+    rows = _digit_array(p._num, len(_SLOT_KEYS) + 1).tolist()
+    slots = sorted((s for s, col in enumerate(zip(*rows)) if any(col)), key=_SLOT_KEYS.__getitem__)
+    return [_SLOT_KEYS[s] for s in slots], [[row[s] for s in slots] for row in rows]
 
 
-def _digit_ranges(keys) -> tuple[list[int], list[int]]:
-    """Per-slot lowest and highest exponent over the (nonempty) keys."""
-    digits = _digit_array(keys, len(_SLOT_KEYS) + 1)
-    return digits.min(axis=0).tolist(), digits.max(axis=0).tolist()
+def _sparse(row: list[int]) -> tuple[tuple[int, int], ...]:
+    """A decoded row as (column, exponent) pairs, zeros dropped.  Columns
+    are in variable-key order, so these compare as the ExpVecs do, and
+    (total degree, _sparse(row)) is the graded-lex sort key: total degree,
+    then lexicographic with variables ordered u < w < q, then by index."""
+    return tuple((j, e) for j, e in enumerate(row) if e)
 
 
-def _content_and_lows(p: "LaurentPoly") -> tuple[Fraction, list[int]]:
-    """p.content() and the per-slot lowest exponents over p's terms (p
-    nonzero), from one decode of the keys; only keys tied at the lowest
-    total degree are compared as vectors to find the graded-lex first."""
-    keys = list(p._num)
-    digits = _digit_array(keys, len(_SLOT_KEYS) + 1)
-    degree = digits.sum(axis=1)
-    tied = np.flatnonzero(degree == degree.min()).tolist()
-    first = min((keys[t] for t in tied), key=_decode) if len(tied) > 1 else keys[tied[0]]
+def _content_and_lows(p: "LaurentPoly") -> tuple[Fraction, ExpVec]:
+    """p.content() and p's lowest exponent of each variable (absent counts
+    0), from one decode of the keys (p nonzero)."""
+    keys, rows = _decoded(p)
+    _, first = min(zip(rows, p._num.values()), key=lambda t: (sum(t[0]), _sparse(t[0])))
     g = math.gcd(*p._num.values())
-    return Fraction(g if p._num[first] > 0 else -g, p._den), digits.min(axis=0).tolist()
+    lows = tuple((k, m) for k, m in zip(keys, map(min, zip(*rows))) if m)
+    return Fraction(g if first > 0 else -g, p._den), lows
 
 
 def _product_emax(a: "LaurentPoly", b: "LaurentPoly") -> int:
     """Exact exponent bound of a * b, for when the cheap bound a._emax +
     b._emax is too large to rule out a carry.  Raises ExponentOverflow when
     some product term would leave its digit."""
-    lo_a, hi_a = _digit_ranges(a._num)
-    lo_b, hi_b = _digit_ranges(b._num)
-    emax = 0
-    for lo1, hi1, lo2, hi2 in itertools.zip_longest(lo_a, hi_a, lo_b, hi_b, fillvalue=0):
-        for e in (lo1 + lo2, hi1 + hi2):
-            if abs(e) > EXP_LIMIT:
-                raise _overflow(e)
-            emax = max(emax, abs(e))
-    return emax
+    width = len(_SLOT_KEYS) + 1
+    da, db = _digit_array(a._num, width), _digit_array(b._num, width)
+    # slot by slot, the lowest then the highest exponent of the product
+    ends = np.stack([da.min(axis=0) + db.min(axis=0), da.max(axis=0) + db.max(axis=0)], axis=1)
+    for e in ends.ravel().tolist():
+        if abs(e) > EXP_LIMIT:
+            raise _overflow(e)
+    return int(np.abs(ends).max())
 
 
 def _as_fraction(x) -> Fraction:
@@ -321,8 +329,10 @@ class LaurentPoly:
     # -- inspection ----------------------------------------------------
 
     def items(self) -> list[tuple[ExpVec, Fraction]]:
+        keys, rows = _decoded(self)
         den = self._den
-        return [(_decode(k), Fraction(v, den)) for k, v in self._num.items()]
+        return [(tuple((k, e) for k, e in zip(keys, row) if e), Fraction(v, den))
+                for row, v in zip(rows, self._num.values())]
 
     def __bool__(self) -> bool:
         return bool(self._num)
@@ -337,14 +347,13 @@ class LaurentPoly:
         return len(self._num)
 
     def variables(self) -> set[VarId]:
-        slots = {s for k in self._num for s, e in enumerate(_digits(k)) if e}
-        return {VarId.from_key(_SLOT_KEYS[s]) for s in slots}
+        return {VarId.from_key(k) for k in _decoded(self)[0]}
 
     def exponents_of(self, v: VarId) -> set[int]:
         s = _SLOT_OF.get(v.key)
         if s is None:
             return {0} if self._num else set()
-        return {_digit(k, s) for k in self._num}
+        return set(_digit_array(self._num, len(_SLOT_KEYS) + 1)[:, s].tolist())
 
     def degree_in(self, v: VarId) -> int:
         """Largest exponent of ``v`` (0 if absent)."""
@@ -472,9 +481,11 @@ class LaurentPoly:
             raise ValueError("negative power of a non-monomial polynomial")
         if n and self.is_monomial():
             ((k, c),) = self._num.items()
-            emax = max(map(abs, _digits(k)), default=0) * n
+            emax = self._emax * n
             if emax > EXP_LIMIT:
-                raise _overflow(emax)
+                emax = int(np.abs(_digit_array([k], len(_SLOT_KEYS) + 1)).max()) * n
+                if emax > EXP_LIMIT:
+                    raise _overflow(emax)
             return _make({k * n: c ** n}, self._den ** n, emax)
         result = LaurentPoly.one()
         base = self
@@ -552,19 +563,26 @@ class LaurentPoly:
 
     # -- canonical ordering and serialization ---------------------------
 
-    def _sorted_terms(self) -> list[tuple[ExpVec, Fraction]]:
-        return sorted(self.items(), key=lambda t: _glex(t[0]))
-
     def to_text(self) -> str:
-        return _terms_text(self._sorted_terms())
+        return self.text_and_json_terms()[0]
 
     def to_json_terms(self) -> list[dict]:
-        return _json_terms(self._sorted_terms())
+        return self.text_and_json_terms()[1]
 
     def text_and_json_terms(self) -> tuple[str, list[dict]]:
-        """``to_text()`` and ``to_json_terms()`` from one sort of the terms."""
-        terms = self._sorted_terms()
-        return _terms_text(terms), _json_terms(terms)
+        """The canonical text and JSON forms, terms in graded-lex order (see
+        ``_sparse``), from one decode of the keys and one name per variable."""
+        keys, rows = _decoded(self)
+        names = [VarId.from_key(k).name for k in keys]
+        den = self._den
+        terms = sorted((sum(row), _sparse(row), n) for row, n in zip(rows, self._num.values()))
+        texts, json_terms = [], []
+        for _, vec, n in terms:
+            g = math.gcd(n, den)
+            coeff = f"{n // g}/{den // g}"
+            texts.append("*".join([f"({coeff})", *(f"{names[j]}^{e}" for j, e in vec)]))
+            json_terms.append({"coeff": coeff, "exps": {names[j]: e for j, e in vec}})
+        return " + ".join(texts) or "0", json_terms
 
     @classmethod
     def from_json_terms(cls, terms: list[dict]) -> "LaurentPoly":
@@ -579,26 +597,6 @@ class LaurentPoly:
         return f"LaurentPoly({self.to_text()})"
 
     __str__ = __repr__
-
-
-def _terms_text(terms: list[tuple[ExpVec, Fraction]]) -> str:
-    parts = []
-    for exps, c in terms:
-        factors = [f"({c.numerator}/{c.denominator})"]
-        for key, e in exps:
-            factors.append(f"{VarId.from_key(key).name}^{e}")
-        parts.append("*".join(factors))
-    return " + ".join(parts) if parts else "0"
-
-
-def _json_terms(terms: list[tuple[ExpVec, Fraction]]) -> list[dict]:
-    return [
-        {
-            "coeff": f"{c.numerator}/{c.denominator}",
-            "exps": {VarId.from_key(k).name: e for k, e in exps},
-        }
-        for exps, c in terms
-    ]
 
 
 # A scalar is either exact or a double-precision complex number.
@@ -697,11 +695,14 @@ def poly_eval(p: LaurentPoly, assignment: Mapping[VarId, complex]) -> complex:
     """Evaluate at complex values.  Every occurring variable must be assigned;
     a zero value with a negative exponent is rejected."""
     table = {v.key: complex(val) for v, val in assignment.items()}
+    keys, rows = _decoded(p)
     den = p._den
     total = 0j
-    for k, c in p._num.items():
+    for row, c in zip(rows, p._num.values()):
         term = complex(c / den)
-        for key, e in _decode(k):
+        for key, e in zip(keys, row):
+            if not e:
+                continue
             if key not in table:
                 raise UnassignedVariable(f"no value for {VarId.from_key(key).name}")
             base = table[key]
@@ -717,10 +718,10 @@ def poly_derivative(p: LaurentPoly, v: VarId) -> LaurentPoly:
     s = _SLOT_OF.get(v.key)
     if s is None:
         return LaurentPoly.zero()
-    unit = 1 << (_DIGIT_BITS * s)
+    unit = _encode(((v.key, 1),))[0]
     out: dict[int, int] = {}
-    for k, c in p._num.items():
-        e = _digit(k, s)
+    es = _digit_array(p._num, len(_SLOT_KEYS) + 1)[:, s].tolist()
+    for (k, c), e in zip(p._num.items(), es):
         if e:
             if e - 1 < -EXP_LIMIT:
                 raise _overflow(e - 1)
@@ -735,31 +736,17 @@ def coefficients_in(p: LaurentPoly, vars: list[VarId]) -> dict[tuple[int, ...], 
     to its cofactor, free of those variables, so that p is the sum of
     cofactor * prod v^e.  The zero polynomial has no cofactors.
     """
-    slots = [_SLOT_OF.get(v.key) for v in vars]
+    # as in exponent_array, a last digit column, always zero, stands for
+    # variables without a slot
+    width = len(_SLOT_KEYS) + 1
+    digits = _digit_array(p._num, width)
+    slots = [_SLOT_OF.get(v.key, width - 1) for v in vars]
+    es = digits[:, slots].tolist()
+    digits[:, slots] = 0
     groups: dict[tuple[int, ...], dict[int, int]] = {}
-    for k, c in p._num.items():
-        digits = {s: _digit(k, s) for s in slots if s is not None}
-        mono = sum(e << (_DIGIT_BITS * s) for s, e in digits.items())
-        es = tuple(0 if s is None else digits[s] for s in slots)
-        groups.setdefault(es, {})[k - mono] = c
+    for e, k, c in zip(es, _packed_keys(digits), p._num.values()):
+        groups.setdefault(tuple(e), {})[k] = c
     return {es: _reduced(num, p._den, p._emax) for es, num in groups.items()}
-
-
-def _key_bias(width: int) -> int:
-    """Adding this to a packed key of ``width`` slots makes every digit
-    non-negative, so that the key's bytes are its digits."""
-    return _DIGIT_HALF * (((1 << (_DIGIT_BITS * width)) - 1) // _DIGIT_MASK)
-
-
-def _digit_array(keys, width: int) -> np.ndarray:
-    """Balanced digits of packed keys: int64, one row per key and one
-    column per slot (``width`` of them), read from the biased keys' bytes."""
-    bias = _key_bias(width)
-    nbytes = _DIGIT_BITS // 8
-    raw = b"".join((k + bias).to_bytes(nbytes * width, "little") for k in keys)
-    digits = np.frombuffer(raw, dtype=f"<u{nbytes}").reshape(-1, width).astype(np.int64)
-    digits -= _DIGIT_HALF
-    return digits
 
 
 def exponent_array(p: LaurentPoly, vars: list[VarId]) -> tuple[np.ndarray, list[int], int]:
@@ -801,16 +788,6 @@ _MAX_KEYS = 1 << 63
 
 def _as_poly(x) -> LaurentPoly:
     return x if isinstance(x, LaurentPoly) else LaurentPoly.rational(x)
-
-
-def _packed_keys(digits: np.ndarray) -> list[int]:
-    """Packed keys of the rows of an int64 digit array (_digit_array's
-    inverse)."""
-    nbytes = _DIGIT_BITS // 8
-    step = nbytes * digits.shape[1]
-    bias = _key_bias(digits.shape[1])
-    raw = (digits + _DIGIT_HALF).astype(f"<u{nbytes}").tobytes()
-    return [int.from_bytes(raw[i:i + step], "little") - bias for i in range(0, len(raw), step)]
 
 
 def _residues(nums, factor: int, primes) -> np.ndarray:
@@ -963,14 +940,12 @@ def divide_exponents(p: LaurentPoly, v: VarId, k: int) -> LaurentPoly:
     s = _SLOT_OF.get(v.key)
     if s is None:
         return p
-    unit = 1 << (_DIGIT_BITS * s)
-    out: dict[int, int] = {}
-    for key, c in p._num.items():
-        e = _digit(key, s)
+    digits = _digit_array(p._num, len(_SLOT_KEYS) + 1)
+    for e in digits[:, s].tolist():
         if e % k:
             raise ValueError(f"exponent {e} of {v.name} is not a multiple of {k}")
-        out[key - (e - e // k) * unit] = c
-    return _make(out, p._den, p._emax)
+    digits[:, s] //= k
+    return _make(dict(zip(_packed_keys(digits), p._num.values())), p._den, p._emax)
 
 
 # -- rational functions ----------------------------------------------
@@ -1075,10 +1050,10 @@ class RationalFunction:
 
     def reduced(self) -> "RationalFunction":
         """Divide out the univariate gcd when num and den share one variable."""
-        vs = self.num.variables() | self.den.variables()
-        if self.den == LaurentPoly.one() or len(vs) > 1:
+        if self.den == LaurentPoly.one():
             return self
-        if not vs:
+        vs = self.num.variables() | self.den.variables()
+        if len(vs) != 1:
             return self
         v = vs.pop()
         g = _gcd_univariate(self.num, self.den, v)
@@ -1101,8 +1076,8 @@ def _unit(p: LaurentPoly) -> LaurentPoly:
     so that p / _unit(p) has no negative exponent and no monomial factor.
     p must be nonzero."""
     c, lows = _content_and_lows(p)
-    key = sum(e << (_DIGIT_BITS * s) for s, e in enumerate(lows))
-    return _make({key: c.numerator}, c.denominator, max(map(abs, lows)))
+    key, emax = _encode(lows)
+    return _make({key: c.numerator}, c.denominator, emax)
 
 
 def _divmod_univariate(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
@@ -1118,7 +1093,8 @@ def _divmod_univariate(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, Lau
             break
         f = Fraction(a._num[ka], a._den) / lead_b
         k = ka - kb
-        t = _make({k: f.numerator}, f.denominator, max(map(abs, _digits(k)), default=0))
+        # the quotient's exponent is at most deg a, so a._emax bounds it
+        t = _make({k: f.numerator}, f.denominator, a._emax)
         quot = quot + t
         a = a - t * b
     return quot, a

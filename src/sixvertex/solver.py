@@ -61,6 +61,7 @@ from .scalar import (
     _PRIMES,
     LaurentPoly,
     RationalFunction,
+    _content_and_lows,
     _exact_div_univariate,
     _gcd_univariate,
     coefficients_in,
@@ -348,12 +349,14 @@ def _select_independent_rows(rows: _Rows, ncols: int, qval: int = 3):
 
 
 def _row_reduce_normalize(row: dict[int, LaurentPoly]) -> dict[int, LaurentPoly]:
-    """Divide a row by its lowest power of q and the gcd of its contents."""
+    """Divide a row by its lowest power of q and the gcd of its contents,
+    both read from one decode of each entry."""
     if not row:
         return row
     qv = q_var()
-    minq = min(p.low_degree_in(qv) for p in row.values())
-    g = math.gcd(*(p.content().numerator for p in row.values()))
+    contents, lows = zip(*map(_content_and_lows, row.values()))
+    minq = min(dict(low).get(qv.key, 0) for low in lows)
+    g = math.gcd(*(c.numerator for c in contents))
     unit = LaurentPoly.monomial(Fraction(1, g), {qv: -minq})
     return {c: p * unit for c, p in row.items()}
 

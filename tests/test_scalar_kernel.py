@@ -22,12 +22,12 @@ from sixvertex.scalar import (
     EXP_LIMIT,
     LaurentPoly,
     RationalFunction,
-    VarId,
     coefficients_in,
     divide_exponents,
     exponent_array,
     parse_poly,
     poly_derivative,
+    poly_eval,
     q_var,
     sum_of_products,
     u_var,
@@ -67,10 +67,44 @@ def ref_pow(a, n):
     return out
 
 
+def ref_name(key):
+    rank, index = key
+    return "q" if rank == 2 else f"{'uw'[rank]}{index}"
+
+
+def ref_order(a):
+    """Graded lex: total degree, then the sparse exponent tuples as they
+    compare, zeros omitted (not dense exponent rows)."""
+    return sorted(a, key=lambda e: (sum(x for _, x in e), e))
+
+
 def ref_json(a):
-    order = sorted(a, key=lambda e: (sum(x for _, x in e), e))
     return [{"coeff": f"{a[e].numerator}/{a[e].denominator}",
-             "exps": {VarId.from_key(k).name: x for k, x in e}} for e in order]
+             "exps": {ref_name(k): x for k, x in e}} for e in ref_order(a)]
+
+
+def ref_text(a):
+    parts = ["*".join([f"({a[e].numerator}/{a[e].denominator})"]
+                      + [f"{ref_name(k)}^{x}" for k, x in e]) for e in ref_order(a)]
+    return " + ".join(parts) if parts else "0"
+
+
+def ref_derivative(a, key):
+    out = {}
+    for e, c in a.items():
+        x = dict(e).get(key, 0)
+        if x:
+            out = ref_add(out, {ref_merge(e, ((key, -1),)): c * x})
+    return out
+
+
+def ref_eval_term(e, c, values):
+    """One term at complex values: the factors multiplied in variable-key
+    order, as poly_eval does, so the result is the same float."""
+    term = complex(c)
+    for k, x in e:
+        term *= values[k] ** x
+    return term
 
 
 def ref_unit_den(den):
@@ -94,6 +128,9 @@ def ref_unit_den(den):
 _VARS = ([u_var(i) for i in (60, 61, 62, 63, 64, 97)] + [u_var(1), w_var(0), w_var(61)]
          + [q_var()])
 _DENS = (1, 2, 3, 5, 7, 9, 11, 16, 25)
+# u98 is never used elsewhere, so it may have no slot at all
+_PROBES = _VARS + [u_var(98)]
+_VALUES = {v.key: complex(1.1 + 0.07 * i, 0.3 - 0.05 * i) for i, v in enumerate(_VARS)}
 
 
 @st.composite
@@ -110,9 +147,24 @@ def ref_polys(draw, max_terms=5):
 
 
 def _check(p: LaurentPoly, ref: dict):
-    assert dict(p.items()) == ref
+    items = p.items()
+    assert dict(items) == ref
     assert p.to_json_terms() == ref_json(ref)
-    assert p.text_and_json_terms() == (p.to_text(), p.to_json_terms())
+    assert p.to_text() == ref_text(ref)
+    assert p.text_and_json_terms() == (ref_text(ref), ref_json(ref))
+    occurring = {k for e in ref for k, _ in e}
+    assert p.variables() == {v for v in _PROBES if v.key in occurring}
+    for v in _PROBES:
+        exps = {dict(e).get(v.key, 0) for e in ref}
+        assert p.exponents_of(v) == exps
+        assert p.degree_in(v) == max(exps, default=0)
+        assert p.low_degree_in(v) == min(exps, default=0)
+    # summed in the kernel's own term order, so that the floats match
+    want = 0j
+    for e, _ in items:
+        want += ref_eval_term(e, ref[e], _VALUES)
+    got = poly_eval(p, {v: _VALUES[v.key] for v in _VARS})
+    assert (got.real, got.imag) == (want.real, want.imag)
     assert p.num_terms() == len(ref)
     assert p == LaurentPoly(ref) and hash(p) == hash(LaurentPoly(ref))
 
@@ -173,6 +225,25 @@ def test_rational_function_canonical_denominator(a, b):
     assume(a and len(b) >= 2)
     r = RationalFunction(LaurentPoly(a), LaurentPoly(b))
     assert dict(r.den.items()) == ref_unit_den(b)
+
+
+@given(ref_polys(), st.sampled_from(_PROBES))
+def test_derivative_matches_reference(a, v):
+    _check(poly_derivative(LaurentPoly(a), v), ref_derivative(a, v.key))
+
+
+def test_graded_lex_order_is_sparse_not_dense():
+    # u1^-1*u2 and the constant both have degree 0: as sparse exponent
+    # tuples the constant () comes first, where a dense row (-1, 1) would
+    # sort before (0, 0)
+    u1, u2 = LaurentPoly.var(u_var(1)), LaurentPoly.var(u_var(2))
+    p = 1 - u2 / u1
+    assert p.to_text() == "(1/1) + (-1/1)*u1^-1*u2^1"
+    assert p.to_json_terms() == [{"coeff": "1/1", "exps": {}},
+                                 {"coeff": "-1/1", "exps": {"u1": -1, "u2": 1}}]
+    # the content takes its sign from the same first term
+    assert p.content() == 1 and (-p).content() == -1
+    assert scalar._unit(p) == u1.monomial_inverse()
 
 
 def test_equal_rationals_over_different_denominators():
@@ -295,10 +366,8 @@ def test_coefficients_in_adds_back_up(a, vars):
     assert total == p
 
 
-@given(ref_polys(), st.lists(st.sampled_from(_VARS + [u_var(98)]), min_size=1, max_size=4,
-                             unique=True))
+@given(ref_polys(), st.lists(st.sampled_from(_PROBES), min_size=1, max_size=4, unique=True))
 def test_exponent_array_matches_reference(a, vars):
-    # u98 is never used elsewhere, so it may have no slot at all
     p = LaurentPoly(a)
     outside = {k for e in a for k, _ in e} - {v.key for v in vars}
     if outside:
