@@ -9,9 +9,11 @@ points.  The other exact identities are checked symbolically at small
 sizes; the float backend sweeps seeded random points beyond that: the
 exchange relation up to L = 5 (the full matrix identity to L = 4, eight
 random probe columns at L = 5) and the functional equation up to L = 7.
-At L = 2..6 the float functional-equation residual and scale from the
-batched operator product must equal, bit for bit, those from the
-per-subset provider.
+The functional-equation residual from the batched operator product must
+equal the one from the per-subset provider: residual and scale bit for bit
+in the float backend at L = 2..6, numerator and denominator as polynomials
+in the exact backend at L = 1, 2 (symbolic) and L = 3 (rational
+inhomogeneities and q).
 The functional equation is also checked exactly at L = 3 with symbolic
 spectral points and rational inhomogeneities and q, the shape of the
 benchmark's exact-fz workload.  The string-operator and
@@ -120,28 +122,29 @@ def main():
                                               tuple(sym_mus(L)), q))
     for L in (1, 2, 3):
         record(functional.check_b_nilpotency(L, sym_points(L + 1, 80), sym_mus(L), q))
-    for L in (1, 2):
-        inp = functional.FunctionalInput(L, tuple(sym_points(L + 2, 60)),
-                                         tuple(sym_mus(L)), q)
-        record(functional.check_fz(inp))
-    inp = functional.FunctionalInput(
+    exact_inps = [functional.FunctionalInput(L, tuple(sym_points(L + 2, 60)),
+                                             tuple(sym_mus(L)), q) for L in (1, 2)]
+    exact_inps.append(functional.FunctionalInput(
         3, tuple(sym_points(5, 60)),
         tuple(LaurentPoly.rational(Fraction(m)) for m in ("2/3", "5/4", "7/2")),
-        LaurentPoly.rational(Fraction(-3, 5)))
-    record(functional.check_fz(inp))
+        LaurentPoly.rational(Fraction(-3, 5))))
+    for inp in exact_inps:
+        record(functional.check_fz(inp))
     for L in (3, 4, 5, 6, 7):
         for _ in range(max(2, args.trials // 4)):
             inp = functional.FunctionalInput.sample(L, rng)
             record(functional.check_fz(inp))
-    for L in range(2, 7):
-        # the batched default provider against the per-subset one: residual
-        # and scale must be the same floats
-        inp = functional.FunctionalInput.sample(L, rng)
-        batched = functional._functional_residual_with_scale(inp)
-        per_subset = functional._functional_residual_with_scale(
-            inp, functional.algebraic_provider(inp.mus, inp.q))
-        record(vertex.verdict(f"fz-batched-L{L}", sum(
-            int(x != y) for x, y in zip(batched, per_subset)), None, 0))
+    for inp in exact_inps + [functional.FunctionalInput.sample(L, rng) for L in range(2, 7)]:
+        # the batched default provider against the per-subset one: the same
+        # floats (residual, scale), or the same polynomials (num, den, None)
+        parts = []
+        for provider in (None, functional.algebraic_provider(inp.mus, inp.q)):
+            res, scale = functional._functional_residual_with_scale(inp, provider)
+            parts.append((res.num, res.den, scale) if isinstance(res, RationalFunction)
+                         else (res, scale))
+        tag = "-exact" if scale is None else ""
+        record(vertex.verdict(f"fz-batched{tag}-L{inp.size}", sum(
+            int(x != y) for x, y in zip(*parts)), None, 0))
 
     print("== string operators and asymptotic structure ==")
     for L in (2, 3, 4):

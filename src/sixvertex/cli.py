@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass, field
 
 from . import asymptotics, functional, monodromy, partition, solver, vertex
-from .errors import ConfigError, SixVertexError
+from .errors import ConfigError, ExponentOverflow, SixVertexError
 from .sampling import PRNG_NAME, make_rng, sample_spectral_set
 from .scalar import (
     CheckOutcome,
@@ -128,7 +128,7 @@ def _parse_scalar(text: str, backend: str):
     exact = backend == "exact"
     try:
         x = parse_poly(text) if exact else complex(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, ExponentOverflow) as exc:
         kind = "monomial expression" if exact else "complex literal"
         raise ConfigError(f"bad {kind} {text!r}") from exc
     if not (x.is_monomial() if exact else x != 0 and cmath.isfinite(x)):
@@ -335,6 +335,15 @@ def main(argv=None) -> int:
     try:
         cfg = _parse_args(sys.argv[1:] if argv is None else argv)
         code, doc = run(cfg)
+        text = json.dumps(doc, indent=2, sort_keys=True)
+        # --out first, so that a path that cannot be written leaves only
+        # the config error document on stdout
+        if cfg.out:
+            try:
+                with open(cfg.out, "w", encoding="utf-8") as fh:
+                    fh.write(text + "\n")
+            except OSError as exc:
+                raise ConfigError(f"cannot write --out {cfg.out!r}: {exc.strerror}") from exc
     except SystemExit as exc:  # --help prints and exits 0
         return int(exc.code or 0)
     except ConfigError as exc:
@@ -344,11 +353,7 @@ def main(argv=None) -> int:
         print(json.dumps({"error": str(exc), "kind": type(exc).__name__},
                          sort_keys=True))
         return 1
-    text = json.dumps(doc, indent=2, sort_keys=True)
     print(text)
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
     return code
 
 

@@ -30,14 +30,14 @@ trailing axis is the batch, as in ``vertex.apply_two_site``: (k,) for Z
 values, (ncols, k) for column vectors; the residual has the same shape.
 ``check_fz`` takes one set.
 
-The default operator-product provider evaluates every Z of one float input
-in one call: the terms' point subsets are the columns of one batch, each
+The default provider evaluates every Z of one input in one call, in
+either backend: the terms' point subsets are the columns of one batch, each
 B operator one ``monodromy.b_products`` sweep over all of them, with the
-weights gathered from the ``_WeightTable`` point-mu entries (the same
-Python-complex values ``build_monodromy`` computes, so Z is bit-identical
-to ``z_algebraic`` on each subset).  The float C(lam_0) expansion gets its
-term vectors the same way.  An explicit provider, and the exact backend,
-go subset by subset.
+weights of the ``_WeightTable`` point-mu entries (the values
+``build_monodromy`` computes: Z is ``z_algebraic``'s on each subset, the
+same floats or polynomials).  The C(lam_0) expansion takes its term vectors,
+and prod B |0> over all of points[1:], from the same batches, and C(lam_0)
+from the point-0 weights.  An explicit provider goes subset by subset.
 """
 
 from __future__ import annotations
@@ -47,7 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PoleAtCoincidingPoints, ProviderFailure
-from .monodromy import b_product, b_products, batch_monodromy, build_monodromy, vacuum
+from .monodromy import (apply_block, b_product, b_products, batch_monodromy,
+                        build_monodromy, vacuum)
 from .sampling import (MIN_POLE_DISTANCE, pair_index, pole_distance, sample_point,
                        sample_spectral_set)
 from .scalar import (CheckOutcome, LaurentPoly, RationalFunction, invert, is_exact,
@@ -141,11 +142,11 @@ class _WeightTable:
         return RationalFunction(num, den) if self.exact else num / den
 
     def b_products(self, subsets) -> np.ndarray:
-        """prod B |0> over the points of each subset, one column per subset
-        (float, subsets of one length): each B operator is one batch sweep."""
+        """prod B |0> over the points of each subset (all of one length), one
+        column per subset, in the table's backend: one sweep per B operator."""
         ms = [batch_monodromy([self.mu[s[r]] for s in subsets])
               for r in range(len(subsets[0]))]
-        v = vacuum(len(self.mu[0]), exact=False)
+        v = vacuum(len(self.mu[0]), self.exact)
         return b_products(ms, np.repeat(v[:, None], len(subsets), axis=1))
 
     def cleared(self, num, pairs):
@@ -220,14 +221,10 @@ def _terms(w: _WeightTable):
                    (0,) + tuple(k for k in range(1, n + 1) if k not in (i, j)))
 
 
-def _cleared(w: _WeightTable):
-    """Yield (cleared coefficient, subset) for every term.  Exact backend."""
-    for num, pairs, subset in _terms(w):
-        yield w.cleared(num, pairs), subset
-
-
 def _cleared_terms(points, mus, q):
-    return _cleared(_WeightTable(points, mus, q))
+    """(cleared coefficient, subset) of every term.  Exact backend."""
+    w = _WeightTable(points, mus, q)
+    return ((w.cleared(num, pairs), subset) for num, pairs, subset in _terms(w))
 
 
 def _cleared_sum(cleared_terms, points, z_provider) -> LaurentPoly:
@@ -273,7 +270,7 @@ def expansion_coeffs(n: int, points, mus, q) -> ExpansionCoeffs:
 
 
 def algebraic_provider(mus, q):
-    """Default partition-function provider backed by the operator product."""
+    """``z_algebraic`` subset by subset: the reference for the default."""
     from .partition import z_algebraic
 
     def provider(lams_subset):
@@ -306,26 +303,20 @@ def _functional_residual_with_scale(inp: FunctionalInput, z_provider=None):
     if z_provider is None and _is_batch(points):
         raise ValueError("a batch of point sets needs a batched provider")
     w = _WeightTable(points, mus, q)
-    if w.exact:
-        if z_provider is None:
-            z_provider = algebraic_provider(mus, q)
-        total = _cleared_sum(_cleared(w), points, z_provider)
-        return RationalFunction(total, w.den(w.every)), None
+    terms = list(_terms(w))
     if z_provider is None:
-        terms = list(_terms(w))
-        subsets = [subset for *_, subset in terms]
-        z_of = dict(zip(subsets, _call_provider(lambda s: w.b_products(s)[-1],
-                                                subsets))).__getitem__
+        zs = _call_provider(lambda s: w.b_products(s)[-1], [subset for *_, subset in terms])
     else:
         # term by term, so that one provider value, (ncols, k) for a batch, is alive at a time
-        terms = _terms(w)
-
-        def z_of(subset):
-            return _call_provider(z_provider, [points[k] for k in subset])
+        zs = (_call_provider(z_provider, [points[k] for k in subset]) for *_, subset in terms)
+    if w.exact:
+        total = sum_of_products((w.cleared(num, pairs), z)
+                                for (num, pairs, _), z in zip(terms, zs))
+        return RationalFunction(total, w.den(w.every)), None
     total = 0j
     scale = 0.0
-    for num, pairs, subset in terms:
-        term = w.coefficient(num, pairs) * z_of(subset)
+    for (num, pairs, _), z in zip(terms, zs):
+        term = w.coefficient(num, pairs) * z
         total += term
         scale += abs(term)
     return total, scale
@@ -352,20 +343,18 @@ def cbb_expansion_residual(n: int, points, mus, q):
     if len(points) != n + 1:
         raise ValueError("need n+1 spectral points")
     _guard_poles(points)
-    lam0 = points[0]
-    bs = points[1:]
-    c_of_prod = build_monodromy(lam0, mus, q).apply("C", b_product(bs, mus, q))
     w = _WeightTable(points, mus, q)
-    if w.exact:
-        res = c_of_prod * w.den(w.every)
-        for num, pairs, subset in _terms(w):
-            res = res - b_product([points[k] for k in subset], mus, q) \
-                * w.cleared(num, pairs)
-        return res, None
-    res = c_of_prod.astype(complex)
-    scale = float(np.abs(res).sum())
+    # a batch holds subsets of one length: the full product is a batch of its own
+    full = w.b_products([tuple(range(1, n + 1))])
+    res = apply_block(batch_monodromy([w.mu[0]]), "C", full)[:, 0]
     terms = list(_terms(w))
     vecs = w.b_products([subset for *_, subset in terms]) if terms else None
+    if w.exact:
+        res = res * w.den(w.every)
+        for t, (num, pairs, _) in enumerate(terms):
+            res = res - vecs[:, t] * w.cleared(num, pairs)
+        return res, None
+    scale = float(np.abs(res).sum())
     for t, (num, pairs, _) in enumerate(terms):
         term = w.coefficient(num, pairs) * vecs[:, t]
         res = res - term

@@ -12,11 +12,11 @@ vector (2^L,) or a batch (2^L, k) of column vectors, so ``Monodromy.block``
 materializes a whole block as one sweep over the identity, for the
 identities that need a matrix.
 
-A float monodromy may also carry a batch of k spectral points: each site's
-weights a, b, c are then (k,) arrays, and column i of a (2^L, k) batch is
-acted on by the operator of entry i.  ``b_products`` applies a sequence of
-such B operators to the vacuum, so the B products of k point sets are one
-sweep per operator; ``b_product`` is its one-set case.
+A monodromy may also carry a batch of k spectral points: each site's
+weights a, b, c are then (k,) arrays (object arrays when exact), and column
+i of a (2^L, k) batch is acted on by the operator of entry i.  ``b_products``
+applies a sequence of such B operators to the vacuum, so the B products of
+k point sets are one sweep per operator; ``b_product`` is its one-set case.
 
 The exchange relation R T1 T2 = T1 T2 R lives on aux1 x aux2 x 2^L, and is
 checked in the same style: ``_apply_T`` applies T on one aux factor as one
@@ -74,7 +74,7 @@ def dual_vacuum(L: int, exact: bool = True) -> np.ndarray:
 class Monodromy:
     """The monodromy matrix of one row, as the vertex weights of each site
     (``vertex.Weights`` at u / w_j): scalars for one spectral point u, or
-    (k,) float arrays for a batch of k points."""
+    (k,) arrays for a batch of k points."""
 
     weights: tuple
     exact: bool
@@ -102,11 +102,12 @@ def build_monodromy(u, ws, q) -> Monodromy:
 
 
 def batch_monodromy(rows) -> Monodromy:
-    """The float monodromies of k spectral points as one batch: rows[i] holds
-    the per-site Weights of point i (``Monodromy.weights``), and site j of the
-    batch carries their a, b, c as (k,) arrays."""
-    return Monodromy(tuple(Weights(*np.array([(w.a, w.b, w.c) for w in site]).T)
-                           for site in zip(*rows)), exact=False)
+    """The monodromies of k spectral points as one batch: rows[i] holds the
+    per-site Weights of point i (``Monodromy.weights``), and site j of the
+    batch carries their a, b, c as (k,) arrays: complex, or object if exact."""
+    sites = [np.array([(w.a, w.b, w.c) for w in site]) for site in zip(*rows)]
+    return Monodromy(tuple(Weights(*s.T) for s in sites),
+                     bool(sites) and sites[0].dtype == object)
 
 
 def b_products(ms, v: np.ndarray) -> np.ndarray:
@@ -157,7 +158,8 @@ def apply_block(m: Monodromy, name: str, vec: np.ndarray) -> np.ndarray:
     if len(vec) != 2 ** m.size:
         raise DimensionMismatch(f"vector of length {len(vec)} for L={m.size}")
     row, col = divmod(_BLOCKS.index(name), 2)
-    phi = [np.full_like(vec, _zero(m.exact)), np.full_like(vec, _zero(m.exact))]
+    zero = _zero(vec.dtype == object)  # a batch of no sites has no weights to tell
+    phi = [np.full_like(vec, zero), np.full_like(vec, zero)]
     phi[col] = vec.copy()
     return _sweep(m, *phi)[row]
 

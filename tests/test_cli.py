@@ -354,3 +354,21 @@ def test_cbb_with_no_b_operators_float_passes(capsys):
                                   "--backend", "float", "--trials", "1"])
     assert code == 0
     assert json.loads(out)["passed"]
+
+
+def test_unwritable_out_is_a_config_error(tmp_path, capsys):
+    # the result is not printed first: stdout holds the one error document
+    target = tmp_path / "missing" / "x.json"
+    code, out = _capture(capsys, ["compute", "--size", "1", "--out", str(target)])
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["kind"] == "config" and str(target) in doc["error"]
+    assert not target.exists()
+
+
+def test_exponent_overflow_in_a_parameter_is_a_config_error(capsys):
+    # an overflow during the computation stays exit 1 (test_scalar_kernel.py)
+    code, out = _capture(capsys, ["compute", "--size", "1", "--lam", "u1^40000"])
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["kind"] == "config" and repr("u1^40000") in doc["error"]

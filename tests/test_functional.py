@@ -493,3 +493,75 @@ def test_float_cbb_is_bitwise_the_per_subset_sum(n, L):
         scale += float(np.abs(term).sum())
     res, got_scale = functional.cbb_expansion_residual(n, pts, mus, q)
     assert res.tobytes() == want.tobytes() and got_scale == scale
+
+
+def _reweighted_terms(monkeypatch):
+    # term t's numerator times t + 2: the residual is no longer zero, so it
+    # sees every operator product
+    terms = functional._terms
+
+    def reweighted(w):
+        for t, (num, pairs, subset) in enumerate(terms(w)):
+            yield num * (t + 2), pairs, subset
+
+    monkeypatch.setattr(functional, "_terms", reweighted)
+
+
+_EXACT_FZ_CASES = [
+    (1, _sym_points(3), _sym_mus(1), Q),
+    (2, _sym_points(4), _sym_mus(2), Q),
+    (3, _sym_points(5),
+     tuple(LaurentPoly.rational(Fraction(n, d)) for n, d in ((2, 3), (5, 4), (7, 2))),
+     LaurentPoly.rational(Fraction(-3, 5))),
+]
+
+
+@pytest.mark.parametrize("L, pts, mus, q", _EXACT_FZ_CASES)
+def test_default_exact_fz_is_the_per_subset_provider(monkeypatch, L, pts, mus, q):
+    # one batch of Z values against z_algebraic subset by subset, on the
+    # identity and with reweighted terms
+    inp = FunctionalInput(L, pts, mus, q)
+    for reweight in (False, True):
+        if reweight:
+            _reweighted_terms(monkeypatch)
+        batched = functional_residual(inp)
+        per_subset = functional_residual(inp, algebraic_provider(mus, q))
+        assert batched.num == per_subset.num and batched.den == per_subset.den
+        assert batched.is_zero() != reweight
+
+
+def test_default_exact_fz_failure_is_a_provider_failure(monkeypatch):
+    inp = FunctionalInput(2, _sym_points(4), _sym_mus(2), Q)
+
+    def broken(rows):
+        raise RuntimeError("batch exploded")
+
+    monkeypatch.setattr(functional, "batch_monodromy", broken)
+    with pytest.raises(ProviderFailure, match="batch exploded"):
+        check_fz(inp)
+
+
+@pytest.mark.parametrize("n, L", [(0, 2), (1, 1), (2, 2), (3, 2), (2, 3)])
+def test_exact_cbb_is_the_per_subset_sum(monkeypatch, n, L):
+    # the batched term vectors against b_product term by term, with
+    # reweighted terms so that the residual is not zero when n > 0
+    _reweighted_terms(monkeypatch)
+    pts = _sym_points(n + 1, start=70)
+    mus = _sym_mus(L)
+    w = functional._WeightTable(pts, mus, Q)
+    want = build_monodromy(pts[0], mus, Q).apply("C", b_product(pts[1:], mus, Q)) \
+        * w.den(w.every)
+    for num, pairs, subset in functional._terms(w):
+        want = want - b_product([pts[k] for k in subset], mus, Q) * w.cleared(num, pairs)
+    res, scale = functional.cbb_expansion_residual(n, pts, mus, Q)
+    assert scale is None and list(res) == list(want)
+    assert all(x.is_zero() for x in res) == (n == 0)
+
+
+def test_exact_checks_with_no_sites():
+    # L = 0: the batches carry no weights, so the sweep takes the exact zero
+    # from the vector it acts on
+    pts = _sym_points(3, start=70)
+    for n in (0, 1, 2):
+        assert check_cbb_expansion(n, pts[:n + 1], (), Q).passed
+    assert functional_residual(FunctionalInput(0, pts[:2], (), Q)).is_zero()

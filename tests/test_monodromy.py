@@ -345,3 +345,19 @@ def test_batched_b_products_are_bitwise_the_per_set_product(L):
         assert got.shape == (2 ** L, k)
         for i, s in enumerate(sets):
             assert got[:, i].tobytes() == b_product(s, mus, q).tobytes()
+
+
+@pytest.mark.parametrize("L", [1, 2, 3])
+def test_exact_batched_b_products_equal_the_per_set_product(L):
+    # the exact batch carries object arrays of the same weights, so each
+    # column is the one-set product as polynomials; k = 1 is a batch too
+    mus = _sym_mus(L)
+    for m, k in ((L, 3), (L - 1, 2), (L, 1)):
+        sets = [_sym(m, start=1 + 10 * i) for i in range(k)]
+        ms = [batch_monodromy([build_monodromy(s[r], mus, Q).weights for s in sets])
+              for r in range(m)]
+        assert all(mono.exact for mono in ms)
+        got = b_products(ms, np.repeat(vacuum(L)[:, None], k, axis=1))
+        assert got.dtype == object and got.shape == (2 ** L, k)
+        for i, s in enumerate(sets):
+            assert list(got[:, i]) == list(b_product(s, mus, Q))

@@ -304,8 +304,11 @@ def test_exponent_limit_boundary_arithmetic():
 
 
 def test_exponent_overflow_exit_code(capsys):
-    code = main(["compute", "--size", "1", "--lam", f"u1^{EXP_LIMIT + 1}",
-                 "--mu", "(1/1)", "--q", "q"])
+    # u1's exponent is in range as a parameter (past the range a parameter
+    # is a config error, tests/test_cli.py); the product of its two sites'
+    # weights leaves the range during the computation: exit 1
+    code = main(["compute", "--size", "2", "--lam", f"u1^{EXP_LIMIT // 2 + 1}",
+                 "--lam", "u2"])
     assert code == 1
     assert '"kind": "ExponentOverflow"' in capsys.readouterr().out
 
