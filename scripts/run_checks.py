@@ -13,7 +13,10 @@ The functional-equation residual from the batched operator product must
 equal the one from the per-subset provider: residual and scale bit for bit
 in the float backend at L = 2..6, numerator and denominator as polynomials
 in the exact backend at L = 1, 2 (symbolic) and L = 3 (rational
-inhomogeneities and q).
+inhomogeneities and q).  On the same exact inputs the residual, whose
+kernel sum pairs each numerator with its clearing b-weights times Z, must
+be nonzero for a provider with one wrong Z value and equal the cleared
+coefficients times those Z values added one by one.
 The functional equation is also checked exactly at L = 3 with symbolic
 spectral points and rational inhomogeneities and q, the shape of the
 benchmark's exact-fz workload.  The string-operator and
@@ -145,6 +148,23 @@ def main():
         tag = "-exact" if scale is None else ""
         record(vertex.verdict(f"fz-batched{tag}-L{inp.size}", sum(
             int(x != y) for x, y in zip(*parts)), None, 0))
+    for inp in exact_inps:
+        # the residual pairs each numerator with its clearing b-weights times
+        # Z; the cleared coefficients times Z, added one by one, must give the
+        # same numerator and denominator.  One Z value is wrong, so that the
+        # two routes meet on a nonzero numerator.
+        w = functional._WeightTable(inp.points, inp.mus, inp.q)
+        z = functional.algebraic_provider(inp.mus, inp.q)
+        wrong = inp.points[1:inp.size + 1]
+        provider = lambda s: z(s) * Fraction(4, 3) + s[0] if s == wrong else z(s)
+        total = LaurentPoly.zero()
+        for num, pairs, subset in functional._terms(w):
+            total = total + w.cleared(num, pairs) * provider(
+                tuple(inp.points[k] for k in subset))
+        want = RationalFunction(total, w.den(w.every))
+        res = functional.functional_residual(inp, provider)
+        record(vertex.verdict(f"fz-pairing-exact-L{inp.size}", int(res.is_zero())
+                              + int(res.num != want.num) + int(res.den != want.den), None, 0))
 
     print("== string operators and asymptotic structure ==")
     for L in (2, 3, 4):

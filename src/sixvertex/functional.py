@@ -16,12 +16,13 @@ each term's numerator, the point pairs whose b-weights form its
 denominator, and the points whose B-operators it keeps.  The float backend
 divides each numerator by its denominator.  The exact backend clears every
 term to the common denominator ``prod b(lam_x - lam_y)`` over all pairs,
-keeping every intermediate a genuine Laurent polynomial, and adds the
-cleared terms times their Z values (ten products at L = 3) in one
-``scalar.sum_of_products`` call (residues modulo word-size primes, then
-CRT); the final numerator is tested for exact zero.  Float points closer than
-``sampling.MIN_POLE_DISTANCE`` to a pole are refused once per input, each
-point pair checked over a whole batch at once.
+keeping every intermediate a genuine Laurent polynomial: it pairs each
+numerator with the b-weights outside its denominator times its Z value
+(ten pairs at L = 3) in one ``scalar.sum_of_products`` call (residues
+modulo word-size primes, then CRT), so that the long numerators meet only
+the kernel; the final numerator is tested for exact zero.  Float points
+closer than ``sampling.MIN_POLE_DISTANCE`` to a pole are refused once per
+input, each point pair checked over a whole batch at once.
 
 A float input may hold a batch of k point sets, each point a complex
 array of shape (k,) with set j at index j; the weight table, the terms and
@@ -152,7 +153,8 @@ class _WeightTable:
     def cleared(self, num, pairs):
         """A term's numerator times the b-weights of every point pair
         outside its denominator, so that all terms share the denominator
-        ``den(every)``."""
+        ``den(every)``: the solver's ``_cleared_terms`` and the exact cbb
+        residual take it."""
         return num * self.den(self.every - pairs)
 
 
@@ -310,7 +312,8 @@ def _functional_residual_with_scale(inp: FunctionalInput, z_provider=None):
         # term by term, so that one provider value, (ncols, k) for a batch, is alive at a time
         zs = (_call_provider(z_provider, [points[k] for k in subset]) for *_, subset in terms)
     if w.exact:
-        total = sum_of_products((w.cleared(num, pairs), z)
+        # num * (D * Z), D = den(every - pairs): D and Z are short, num long
+        total = sum_of_products((num, w.den(w.every - pairs) * z)
                                 for (num, pairs, _), z in zip(terms, zs))
         return RationalFunction(total, w.den(w.every)), None
     total = 0j

@@ -304,7 +304,7 @@ class LaurentPoly:
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
-        return cls()
+        return _ZERO
 
     @classmethod
     def one(cls) -> "LaurentPoly":
@@ -433,7 +433,7 @@ class LaurentPoly:
             return NotImplemented
         a, b = self._num, o._num
         if not a or not b:
-            return LaurentPoly.zero()
+            return _ZERO
         emax = self._emax + o._emax
         if emax > EXP_LIMIT:
             emax = _product_emax(self, o)
@@ -599,6 +599,9 @@ class LaurentPoly:
     __str__ = __repr__
 
 
+# the one zero polynomial: no code changes a polynomial's terms in place
+_ZERO = _make({}, 1, 0)
+
 # A scalar is either exact or a double-precision complex number.
 Scalar = Union[LaurentPoly, complex]
 
@@ -657,7 +660,7 @@ def parse_poly(text: str) -> LaurentPoly:
     """
     text = text.strip()
     if text == "0":
-        return LaurentPoly.zero()
+        return _ZERO
     acc: dict[ExpVec, Fraction] = {}
     for term in _split_terms(text):
         coeff = Fraction(1)
@@ -717,7 +720,7 @@ def poly_derivative(p: LaurentPoly, v: VarId) -> LaurentPoly:
     """Term-wise d/dv with the Laurent rule d(v^n)/dv = n v^(n-1)."""
     s = _SLOT_OF.get(v.key)
     if s is None:
-        return LaurentPoly.zero()
+        return _ZERO
     unit = _encode(((v.key, 1),))[0]
     out: dict[int, int] = {}
     es = _digit_array(p._num, len(_SLOT_KEYS) + 1)[:, s].tolist()
@@ -835,7 +838,7 @@ def _blocks(n: int, m: int):
 
 def _sorted_union(parts) -> np.ndarray:
     """The distinct keys of the arrays in parts, in increasing order."""
-    keys = np.sort(np.concatenate(parts), kind="stable")
+    keys = np.sort(np.concatenate(parts))
     keep = np.empty(len(keys), dtype=bool)
     keep[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=keep[1:])
@@ -853,7 +856,7 @@ def sum_of_products(pairs) -> LaurentPoly:
         e = a._emax + b._emax
         emax = max(emax, _product_emax(a, b) if e > EXP_LIMIT else e)
     if not pairs:
-        return LaurentPoly.zero()
+        return _ZERO
     dens = [a._den * b._den for a, b in pairs]
     den = math.lcm(*dens)
     factors = [den // d for d in dens]
@@ -913,7 +916,7 @@ def sum_of_products(pairs) -> LaurentPoly:
     acc %= np.array(primes, dtype=np.int64)[:, None]
     nonzero = np.flatnonzero(acc.any(axis=0))
     if not nonzero.size:
-        return LaurentPoly.zero()
+        return _ZERO
     mono = union[nonzero, None] // strides % np.array(radices, dtype=np.int64) + lo
     num = dict(zip(_packed_keys(mono), _symmetric_crt(acc[:, nonzero], primes)))
     return _reduced(num, den, emax)

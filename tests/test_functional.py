@@ -215,26 +215,56 @@ def test_fz_residual_scales_exactly_with_provider():
     assert res2 == RationalFunction(omega) * res1
 
 
+def _cleared_route(inp, provider, drop=None):
+    """The exact residual the old way: each term's numerator cleared to
+    den(every), times its Z, added one product at a time; the term numbered
+    drop keeps its bare numerator."""
+    w = functional._WeightTable(inp.points, inp.mus, inp.q)
+    total = LaurentPoly.zero()
+    for t, (num, pairs, subset) in enumerate(functional._terms(w)):
+        cleared = num if t == drop else w.cleared(num, pairs)
+        total = total + cleared * provider(tuple(inp.points[k] for k in subset))
+    return RationalFunction(total, w.den(w.every))
+
+
+def _perturbed_provider(mus, q, wrong):
+    """Z, except on the subset wrong, where it is 4/3 Z plus its first point."""
+    z = algebraic_provider(mus, q)
+    return lambda s: z(s) * Fraction(4, 3) + s[0] if s == wrong else z(s)
+
+
 def test_fz_exact_l3_perturbed_z_matches_the_pairwise_sum(monkeypatch):
-    # a negative control for the kernel's sum: one wrong Z value among the
-    # ten makes the residual nonzero, and equal to adding the cleared
-    # products one by one
+    # one wrong Z value among the ten makes the residual nonzero; the kernel's
+    # sum of (num, D * Z), D the b-weights outside the term's denominator,
+    # must equal those products added one by one, and the cleared
+    # coefficients num * D times Z added one by one
     mus = tuple(LaurentPoly.rational(Fraction(n, d)) for n, d in ((2, 3), (5, 4), (7, 2)))
     q = LaurentPoly.rational(Fraction(-3, 5))
     pts = _sym_points(5)
     inp = FunctionalInput(3, pts, mus, q)
-    z = algebraic_provider(mus, q)
-    wrong = (pts[1], pts[2], pts[3])
-
-    def provider(subset):
-        return z(subset) * Fraction(4, 3) + pts[1] if subset == wrong else z(subset)
-
+    provider = _perturbed_provider(mus, q, pts[1:4])
     res = functional_residual(inp, provider)
+    cleared = _cleared_route(inp, provider)
+    assert res.num.num_terms() > 5000
+    assert res.num == cleared.num and res.den == cleared.den
+    # negative control: a term without its clearing factor changes the sum
+    assert _cleared_route(inp, provider, drop=3).num != res.num
     monkeypatch.setattr(functional, "sum_of_products",
                         lambda pairs: sum((a * b for a, b in pairs), LaurentPoly.zero()))
     want = functional_residual(inp, provider)
-    assert res.num.num_terms() > 5000
     assert res.num == want.num and res.den == want.den
+
+
+def test_fz_exact_l2_pairing_matches_the_cleared_route():
+    # the same comparison with symbolic mus and q
+    pts = _sym_points(4)
+    inp = FunctionalInput(2, pts, _sym_mus(2), Q)
+    provider = _perturbed_provider(inp.mus, Q, pts[1:3])
+    res = functional_residual(inp, provider)
+    want = _cleared_route(inp, provider)
+    assert not res.is_zero()
+    assert res.num == want.num and res.den == want.den
+    assert _cleared_route(inp, provider, drop=2).num != res.num
 
 
 def test_fz_pole_guard(rng):

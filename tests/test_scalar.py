@@ -122,6 +122,16 @@ def test_leading_coeff():
         leading_coeff(p, [u_var(1)], 1)
 
 
+def test_zero_is_one_shared_instance():
+    z = LaurentPoly.zero()
+    assert z is LaurentPoly.zero()
+    assert z == LaurentPoly({}) and hash(z) == hash(LaurentPoly({}))
+    u = U1 * 3 + W1
+    assert (u * 0) is z and (0 * u) is z and z + u == u and u - u == z
+    # arithmetic with the shared instance leaves it zero
+    assert z.num_terms() == 0 and z == LaurentPoly({})
+
+
 def test_pow_monomial_inverse():
     m = U1 ** 2 * W1.monomial_inverse()
     assert m * m.monomial_inverse() == LaurentPoly.one()
