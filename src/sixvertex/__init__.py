@@ -4,10 +4,14 @@ verification, and the linear functional relation with its solved
 coefficient tables."""
 
 from .scalar import (
+    EXACT,
+    FLOAT,
+    Backend,
     CheckOutcome,
     LaurentPoly,
     RationalFunction,
     VarId,
+    backend_of,
     leading_coeff,
     parse_poly,
     poly_derivative,

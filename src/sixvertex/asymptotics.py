@@ -18,7 +18,8 @@ the identity batch; ``p_operator`` is the same route on the identity.
 Half-integer q-powers (the K generator carries q^(1/2)) are kept exact by
 working internally in s = q^(1/2): the stored q-exponents simply count
 powers of s.  All externally visible results are even in s, which is
-asserted on conversion back to integer q-powers.
+asserted on conversion back to integer q-powers.  ``_ring`` reads q=None
+as this exact s-ring and a complex q as the float backend.
 """
 
 from __future__ import annotations
@@ -32,18 +33,20 @@ from .errors import SizeLimitExceeded
 from .monodromy import build_monodromy, vacuum
 from .partition import standard_symbolic_params
 from .scalar import (
+    EXACT,
+    FLOAT,
     CheckOutcome,
     LaurentPoly,
     _as_poly,
+    backend_of,
     divide_exponents,
     invert,
-    is_exact,
     leading_coeff,
     q_var,
     u_var,
     w_var,
 )
-from .vertex import _eye, matrix_is_zero, verdict
+from .vertex import matrix_is_zero, verdict
 
 
 def from_half_exponents(p: LaurentPoly) -> LaurentPoly:
@@ -56,23 +59,19 @@ def _s_poly(exp: int) -> LaurentPoly:
     return LaurentPoly.var(q_var(), exp)
 
 
+def _ring(q=None):
+    """(backend, s): the exact s-ring and its generator s for q=None, or the
+    float backend and s = sqrt(q) for a complex q."""
+    return (EXACT, _s_poly(1)) if q is None else (FLOAT, cmath.sqrt(q))
+
+
 def _local_generators(q=None):
     """K, K^-1, X+, X- as 2x2 matrices (s-ring or complex)."""
-    if q is None:
-        s = _s_poly(1)
-        si = _s_poly(-1)
-        zero, one = LaurentPoly.zero(), LaurentPoly.one()
-        dt = object
-    else:
-        s = cmath.sqrt(q)
-        si = 1 / s
-        zero, one = 0j, 1 + 0j
-        dt = complex
-    K = np.array([[s, zero], [zero, si]], dtype=dt)
-    Ki = np.array([[si, zero], [zero, s]], dtype=dt)
-    Xp = np.array([[zero, one], [zero, zero]], dtype=dt)
-    Xm = np.array([[zero, zero], [one, zero]], dtype=dt)
-    return K, Ki, Xp, Xm
+    bk, s = _ring(q)
+    si = invert(s)
+    K = np.array([[s, bk.zero], [bk.zero, si]], dtype=bk.dtype)
+    Ki = np.array([[si, bk.zero], [bk.zero, s]], dtype=bk.dtype)
+    return K, Ki, bk.full((2, 2), (0, 1)), bk.full((2, 2), (1, 0))
 
 
 def apply_p(j: int, L: int, x: np.ndarray, q=None) -> np.ndarray:
@@ -84,33 +83,30 @@ def apply_p(j: int, L: int, x: np.ndarray, q=None) -> np.ndarray:
     other sites multiply by one diagonal phase s^e, e counting their sites
     in |0> less those in |1> (sign flipped right of j).
     """
-    if q is None:
-        power, zero, dt = _s_poly, LaurentPoly.zero(), object
-    else:
-        s = cmath.sqrt(q)
-        power, zero, dt = (lambda e: s ** e), 0j, complex
+    bk, s = _ring(q)
+    power = _s_poly if bk.exact else (lambda e: s ** e)
     left = [j - 1 - 2 * bin(k).count("1") for k in range(2 ** (j - 1))]
     right = [2 * bin(k).count("1") - (L - j) for k in range(2 ** (L - j))]
-    phase = np.array([[power(a + b) for b in right] for a in left], dtype=dt)
+    phase = np.array([[power(a + b) for b in right] for a in left], dtype=bk.dtype)
     t = x.reshape((len(left), 2, len(right)) + x.shape[1:])
-    out = np.full_like(t, zero)
+    out = np.full_like(t, bk.zero)
     out[:, 1] = t[:, 0] * phase.reshape(phase.shape + (1,) * (x.ndim - 1))
     return out.reshape(x.shape)
 
 
 def p_operator(j: int, L: int, q=None) -> np.ndarray:
     """P_j as a dense 2^L matrix: apply_p on the identity."""
-    return apply_p(j, L, _eye(2 ** L, q is None), q)
+    return apply_p(j, L, _ring(q)[0].eye(2 ** L), q)
 
 
 def q_factorial(L: int, q):
     """prod_{k=1}^{L} (1 + q^2 + ... + q^(2(k-1))); equals L! at q = 1."""
     if L < 1:
         raise ValueError("L >= 1")
-    one = LaurentPoly.one() if is_exact(q) else 1 + 0j
-    out = one
+    bk = backend_of(q)
+    out = bk.one
     for k in range(1, L + 1):
-        acc = one - one  # additive zero in either backend
+        acc = bk.zero
         for t in range(k):
             acc = acc + q ** (2 * t)
         out = out * acc
@@ -130,7 +126,7 @@ def f_top(i: int, ws, q, L: int) -> np.ndarray:
     variable; float: complex values.  Entries come out with integer
     q-powers, the s-ring being internal only.
     """
-    exact = is_exact(q)
+    exact = backend_of(q).exact
     if exact:
         s = _s_poly(1)
         ws = [_as_poly(wv) for wv in ws]
@@ -170,48 +166,44 @@ def _apply_product(js, L: int, x: np.ndarray, q=None) -> np.ndarray:
 
 def vacuum_sandwich_p_chain(L: int, q=None):
     """<0bar| P_1 P_2 ... P_L |0>, equal to q^(L(L-1)/2)."""
-    val = _apply_product(range(1, L + 1), L, vacuum(L, q is None), q)[-1]
-    if q is None:
-        return from_half_exponents(val)
-    return val
+    bk, _ = _ring(q)
+    val = _apply_product(range(1, L + 1), L, vacuum(L, bk), q)[-1]
+    return from_half_exponents(val) if bk.exact else val
 
 
 def check_p_relations(L: int, q=None) -> CheckOutcome:
     """Exchange and square-zero relations of the string operators plus the
     one-site deformed-su(2) relations, as exact matrix identities."""
-    exact = q is None
+    bk, s = _ring(q)
     K, Ki, Xp, Xm = _local_generators(q)
-    s4 = _s_poly(4) if exact else q * q
+    s4 = _s_poly(4) if bk.exact else q * q
     problems = []
     Ps = {j: p_operator(j, L, q) for j in range(1, L + 1)}
-    zeroL = np.full_like(Ps[1], LaurentPoly.zero() if exact else 0j)
     for i in range(1, L + 1):
         for j in range(i + 1, L + 1):
-            if not _sides_agree(apply_p(i, L, Ps[j], q), apply_p(j, L, Ps[i], q) * s4, exact):
+            if not _sides_agree(apply_p(i, L, Ps[j], q), apply_p(j, L, Ps[i], q) * s4):
                 problems.append(f"exchange ({i},{j})")
     for i in range(1, L + 1):
-        if not _sides_agree(apply_p(i, L, Ps[i], q), zeroL, exact):
+        if not _sides_agree(apply_p(i, L, Ps[i], q), bk.full(Ps[i].shape)):
             problems.append(f"square ({i})")
-    qq = _s_poly(2) if exact else q
-    if not _sides_agree(K @ Xp @ Ki, Xp * qq, exact):
+    qq = _s_poly(2) if bk.exact else q
+    if not _sides_agree(K @ Xp @ Ki, Xp * qq):
         problems.append("K X+ K^-1")
-    if not _sides_agree(K @ Xm @ Ki, Xm * invert(qq), exact):
+    if not _sides_agree(K @ Xm @ Ki, Xm * invert(qq)):
         problems.append("K X- K^-1")
     # [X+, X-] (q - q^-1) = K^2 - K^-2, cleared of the denominator
-    if not _sides_agree((Xp @ Xm - Xm @ Xp) * (qq - invert(qq)),
-                        K @ K - Ki @ Ki, exact):
+    if not _sides_agree((Xp @ Xm - Xm @ Xp) * (qq - invert(qq)), K @ K - Ki @ Ki):
         problems.append("[X+, X-]")
-    want = from_half_exponents(_s_poly(L * (L - 1))) if exact else cmath.sqrt(q) ** (L * (L - 1))
-    scale = None if exact else abs(want)
+    want = from_half_exponents(_s_poly(L * (L - 1))) if bk.exact else s ** (L * (L - 1))
+    scale = None if bk.exact else abs(want)
     if not verdict("", vacuum_sandwich_p_chain(L, q) - want, scale, 1e-9).passed:
         problems.append("vacuum sandwich")
-    return CheckOutcome("string-operator-relations", not problems, exact=exact,
+    return CheckOutcome("string-operator-relations", not problems, exact=bk.exact,
                         details={"failed": problems} if problems else {})
 
 
-def _sides_agree(lhs, rhs, exact: bool, tol: float = 1e-12) -> bool:
-    scale = None if exact else float(np.abs(lhs).sum() + np.abs(rhs).sum())
-    return verdict("", lhs - rhs, scale, tol).passed
+def _sides_agree(lhs, rhs, tol: float = 1e-12) -> bool:
+    return verdict("", lhs - rhs, backend_of(lhs).abs_sum(lhs, rhs), tol).passed
 
 
 def check_ordering_sum(L: int, q=None) -> CheckOutcome:
@@ -219,15 +211,14 @@ def check_ordering_sum(L: int, q=None) -> CheckOutcome:
     product with its q-counting prefactor, by explicit enumeration."""
     if L > 5:
         raise SizeLimitExceeded("ordering sum enumerates L! <= 120 products")
-    exact = q is None
-    ident = _eye(2 ** L, exact)
-    total = np.full_like(ident, LaurentPoly.zero() if exact else 0j)
+    bk, _ = _ring(q)
+    ident = bk.eye(2 ** L)
+    total = bk.full(ident.shape)
     for perm in itertools.permutations(range(1, L + 1)):
         total = total + _apply_product(perm, L, ident, q)
-    pref = q_factorial(L, _s_poly(-2) if exact else 1 / q)
-    ordered = _apply_product(range(1, L + 1), L, ident, q)
-    scale = None if exact else float(np.abs(total).sum() + np.abs(ordered * pref).sum())
-    return verdict("ordering-sum", total - ordered * pref, scale, 1e-9)
+    pref = q_factorial(L, _s_poly(-2) if bk.exact else 1 / q)
+    ordered = _apply_product(range(1, L + 1), L, ident, q) * pref
+    return verdict("ordering-sum", total - ordered, bk.abs_sum(total, ordered), 1e-9)
 
 
 def check_f_top_matches_b(L: int) -> CheckOutcome:
@@ -246,7 +237,7 @@ def check_norm_consistency(L: int) -> CheckOutcome:
     """asymptotic_norm against <0bar| prod f_top |0> by brute-force products."""
     _, mus, q = standard_symbolic_params(L)
     dim = 2 ** L
-    prod = _eye(dim, True)
+    prod = EXACT.eye(dim)
     for i in range(1, L + 1):
         prod = prod @ f_top(i, mus, q, L)
     got = prod[dim - 1, 0]

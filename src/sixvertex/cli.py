@@ -246,6 +246,8 @@ _EXACT_LIMITS = {
     "comm": (2, "exact comm materializes symbols; use --size <= 2"),
     "fz": (3, "exact fz supports --size <= 3"),
 }
+# runs with no float route: --backend float is refused, not ignored
+_EXACT_ONLY = ("ode", "verify --check appendix-a", "verify --check h-table")
 
 
 def _run_check(cfg: RunConfig) -> list[CheckOutcome]:
@@ -328,6 +330,9 @@ def run(cfg: RunConfig) -> tuple[int, dict]:
                                ("operators", cfg.operators, 0)):
         if value is not None and value < least:
             raise ConfigError(f"--{flag} must be at least {least}, got {value}")
+    what = cfg.command + (f" --check {cfg.check}" if cfg.check else "")
+    if cfg.backend == "float" and what in _EXACT_ONLY:
+        raise ConfigError(f"{what} runs in the exact backend only; drop --backend float")
     return handlers[cfg.command](cfg)
 
 

@@ -52,7 +52,7 @@ from .monodromy import (apply_block, b_product, b_products, batch_monodromy,
                         build_monodromy, vacuum)
 from .sampling import (MIN_POLE_DISTANCE, pair_index, pole_distance, sample_point,
                        sample_spectral_set)
-from .scalar import (CheckOutcome, LaurentPoly, RationalFunction, invert, is_exact,
+from .scalar import (CheckOutcome, LaurentPoly, RationalFunction, backend_of, invert,
                      sum_of_products)
 from .vertex import verdict, weights_of
 
@@ -71,7 +71,7 @@ def _guard_poles(points):
     of a zero of b, where the coefficients have their poles; a batch is
     checked pair by pair over all its sets at once, and the first set with
     a close pair is named."""
-    if len(points) < 2 or is_exact(points[0]):
+    if len(points) < 2 or backend_of(points[0]).exact:
         return
     x, y = pair_index(len(points))
     pts = np.array(points, dtype=complex)
@@ -117,10 +117,10 @@ class FunctionalInput:
 class _WeightTable:
     """``weights_of`` for every ordered pair of points (``pt[x, y]`` for
     lam_x - lam_y) and every point-mu pair (``mu[x][k]`` for lam_x - mu_k)
-    of one input."""
+    of one input, in the backend of its points."""
 
     def __init__(self, points, mus, q):
-        self.exact = is_exact(points[0])
+        self.backend = backend_of(points[0])
         self.n = len(points) - 1
         self.every = {(x, y) for x in range(self.n + 1) for y in range(x + 1, self.n + 1)}
         self.pt = {(x, y): weights_of(px * invert(py), q)
@@ -132,7 +132,7 @@ class _WeightTable:
 
     def den(self, pairs):
         """prod b(lam_x - lam_y) over the pairs, in sorted order."""
-        den = LaurentPoly.one() if self.exact else 1 + 0j
+        den = self.backend.one
         for pair in sorted(pairs):
             den = den * self.pt[pair].b
         return den
@@ -140,14 +140,14 @@ class _WeightTable:
     def coefficient(self, num, pairs):
         """A term's coefficient: exact ratio or float quotient."""
         den = self.den(pairs)
-        return RationalFunction(num, den) if self.exact else num / den
+        return RationalFunction(num, den) if self.backend.exact else num / den
 
     def b_products(self, subsets) -> np.ndarray:
         """prod B |0> over the points of each subset (all of one length), one
         column per subset, in the table's backend: one sweep per B operator."""
         ms = [batch_monodromy([self.mu[s[r]] for s in subsets])
               for r in range(len(subsets[0]))]
-        v = vacuum(len(self.mu[0]), self.exact)
+        v = vacuum(len(self.mu[0]), self.backend)
         return b_products(ms, np.repeat(v[:, None], len(subsets), axis=1))
 
     def cleared(self, num, pairs):
@@ -311,12 +311,12 @@ def _functional_residual_with_scale(inp: FunctionalInput, z_provider=None):
     else:
         # term by term, so that one provider value, (ncols, k) for a batch, is alive at a time
         zs = (_call_provider(z_provider, [points[k] for k in subset]) for *_, subset in terms)
-    if w.exact:
+    if w.backend.exact:
         # num * (D * Z), D = den(every - pairs): D and Z are short, num long
         total = sum_of_products((num, w.den(w.every - pairs) * z)
                                 for (num, pairs, _), z in zip(terms, zs))
         return RationalFunction(total, w.den(w.every)), None
-    total = 0j
+    total = w.backend.zero
     scale = 0.0
     for (num, pairs, _), z in zip(terms, zs):
         term = w.coefficient(num, pairs) * z
@@ -352,7 +352,7 @@ def cbb_expansion_residual(n: int, points, mus, q):
     res = apply_block(batch_monodromy([w.mu[0]]), "C", full)[:, 0]
     terms = list(_terms(w))
     vecs = w.b_products([subset for *_, subset in terms]) if terms else None
-    if w.exact:
+    if w.backend.exact:
         res = res * w.den(w.every)
         for t, (num, pairs, _) in enumerate(terms):
             res = res - vecs[:, t] * w.cleared(num, pairs)
@@ -381,10 +381,9 @@ def check_b_nilpotency(L: int, lams, mus, q,
                        tolerance: float = 1e-10) -> CheckOutcome:
     res = b_nilpotency_residual(L, lams, mus, q)
     scale = None
-    if not is_exact(q):
+    if not backend_of(q).exact:
         # scale: the largest intermediate product of L B-applications
         inter = b_product(list(lams)[:-1], list(mus), q)
-        scale = float(np.abs(inter).sum()) * float(
-            np.abs(np.asarray(
-                build_monodromy(lams[-1], list(mus), q).block("B"), dtype=complex)).max())
+        block = build_monodromy(lams[-1], list(mus), q).block("B")
+        scale = float(np.abs(inter).sum()) * float(np.abs(block).max())
     return verdict("b-nilpotency", res, scale, tolerance)

@@ -23,6 +23,8 @@ checked in the same style: ``_apply_T`` applies T on one aux factor as one
 sweep over both aux components, R acts on the two aux factors through
 ``vertex.apply_two_site``, and both sides are applied to one batch, the
 identity for the full matrix identity or a few random probe columns.
+A monodromy carries the ``scalar.Backend`` of its point or its batch, and
+vacua, identities and the checks' float scales come from that record.
 """
 
 from __future__ import annotations
@@ -33,41 +35,21 @@ import numpy as np
 
 from .errors import CoincidingSpectralPoints, DimensionMismatch
 from .sampling import MIN_POLE_DISTANCE, pole_distance
-from .scalar import CheckOutcome, LaurentPoly, invert, is_exact
-from .vertex import (
-    Weights,
-    _eye,
-    apply_two_site,
-    build_R,
-    matrix_abs_sum,
-    verdict,
-    weights_of,
-)
+from .scalar import EXACT, FLOAT, Backend, CheckOutcome, backend_of, invert
+from .vertex import Weights, apply_two_site, build_R, verdict, weights_of
 
 _BLOCKS = ("A", "B", "C", "D")
 _RTT_PROBES = 8  # random columns probed by the float RTT check above L = 4
 
 
-def _zero(exact: bool):
-    return LaurentPoly.zero() if exact else 0j
-
-
-def _one(exact: bool):
-    return LaurentPoly.one() if exact else 1 + 0j
-
-
-def vacuum(L: int, exact: bool = True) -> np.ndarray:
+def vacuum(L: int, backend: Backend = EXACT) -> np.ndarray:
     """|0>: all quantum spins in the first basis state."""
-    v = np.full(2 ** L, _zero(exact), dtype=object if exact else complex)
-    v[0] = _one(exact)
-    return v
+    return backend.full(2 ** L, 0)
 
 
-def dual_vacuum(L: int, exact: bool = True) -> np.ndarray:
+def dual_vacuum(L: int, backend: Backend = EXACT) -> np.ndarray:
     """|0bar>: all quantum spins in the second basis state."""
-    v = np.full(2 ** L, _zero(exact), dtype=object if exact else complex)
-    v[-1] = _one(exact)
-    return v
+    return backend.full(2 ** L, -1)
 
 
 @dataclass
@@ -77,7 +59,7 @@ class Monodromy:
     (k,) arrays for a batch of k points."""
 
     weights: tuple
-    exact: bool
+    backend: Backend
     _blocks: dict = field(default_factory=dict, repr=False)
     # always the sweep; a constant because perfbench's traced run still reads it
     representation = "matrix-free"
@@ -89,7 +71,7 @@ class Monodromy:
     def block(self, name: str) -> np.ndarray:
         """The block as a 2^L x 2^L matrix: one sweep over the identity, cached."""
         if name not in self._blocks:
-            self._blocks[name] = apply_block(self, name, _eye(2 ** self.size, self.exact))
+            self._blocks[name] = apply_block(self, name, self.backend.eye(2 ** self.size))
         return self._blocks[name]
 
     def apply(self, name: str, vec: np.ndarray) -> np.ndarray:
@@ -98,7 +80,7 @@ class Monodromy:
 
 def build_monodromy(u, ws, q) -> Monodromy:
     """Ordered product L_A1(lam-mu_1) ... L_AL(lam-mu_L) over the aux space."""
-    return Monodromy(tuple(weights_of(u * invert(wv), q) for wv in ws), is_exact(u))
+    return Monodromy(tuple(weights_of(u * invert(wv), q) for wv in ws), backend_of(u))
 
 
 def batch_monodromy(rows) -> Monodromy:
@@ -107,7 +89,7 @@ def batch_monodromy(rows) -> Monodromy:
     batch carries their a, b, c as (k,) arrays: complex, or object if exact."""
     sites = [np.array([(w.a, w.b, w.c) for w in site]) for site in zip(*rows)]
     return Monodromy(tuple(Weights(*s.T) for s in sites),
-                     bool(sites) and sites[0].dtype == object)
+                     backend_of(sites[0]) if sites else FLOAT)
 
 
 def b_products(ms, v: np.ndarray) -> np.ndarray:
@@ -122,7 +104,7 @@ def b_products(ms, v: np.ndarray) -> np.ndarray:
 def b_product(points, mus, q) -> np.ndarray:
     """prod B(points[k]) |0>, applied right to left; |0> itself in q's
     backend when there are no points.  The one-set case of ``b_products``."""
-    v = vacuum(len(mus), is_exact(points[0] if len(points) else q))
+    v = vacuum(len(mus), backend_of(points[0] if len(points) else q))
     return b_products([build_monodromy(p, mus, q) for p in points], v)
 
 
@@ -158,7 +140,7 @@ def apply_block(m: Monodromy, name: str, vec: np.ndarray) -> np.ndarray:
     if len(vec) != 2 ** m.size:
         raise DimensionMismatch(f"vector of length {len(vec)} for L={m.size}")
     row, col = divmod(_BLOCKS.index(name), 2)
-    zero = _zero(vec.dtype == object)  # a batch of no sites has no weights to tell
+    zero = backend_of(vec).zero  # a batch of no sites has no weights to tell
     phi = [np.full_like(vec, zero), np.full_like(vec, zero)]
     phi[col] = vec.copy()
     return _sweep(m, *phi)[row]
@@ -180,7 +162,7 @@ def _apply_T(m: Monodromy, slot: int, x: np.ndarray) -> np.ndarray:
 def rtt_residual(u, v, ws, q, x: np.ndarray) -> tuple[np.ndarray, float]:
     """(R(lam-nu) T1(lam) T2(nu) - T1(nu) T2(lam) R(lam-nu)) x on
     aux1 x aux2 x 2^L, for a vector or a batch x, together with a float scale
-    (0.0 in the exact backend).  On the identity it is the full matrix
+    (None in the exact backend).  On the identity it is the full matrix
     identity."""
     n = len(ws) + 2
     Tu = build_monodromy(u, ws, q)
@@ -188,8 +170,7 @@ def rtt_residual(u, v, ws, q, x: np.ndarray) -> tuple[np.ndarray, float]:
     R = build_R(u * invert(v), q)
     lhs = apply_two_site(R, 0, 1, n, _apply_T(Tu, 0, _apply_T(Tv, 1, x)))
     rhs = _apply_T(Tv, 0, _apply_T(Tu, 1, apply_two_site(R, 0, 1, n, x)))
-    scale = 0.0 if is_exact(u) else matrix_abs_sum(lhs) + matrix_abs_sum(rhs)
-    return lhs - rhs, scale
+    return lhs - rhs, Tu.backend.abs_sum(lhs, rhs)
 
 
 def check_rtt(u, v, ws, q, tolerance: float = 1e-9, rng=None) -> CheckOutcome:
@@ -197,10 +178,10 @@ def check_rtt(u, v, ws, q, tolerance: float = 1e-9, rng=None) -> CheckOutcome:
     L <= 4 (or exact backend); larger float sizes probe _RTT_PROBES random
     columns drawn from rng."""
     L = len(ws)
-    exact = is_exact(u)
+    bk = backend_of(u)
     dim = 4 * 2 ** L
-    if exact or L <= 4:
-        x = _eye(dim, exact)
+    if bk.exact or L <= 4:
+        x = bk.eye(dim)
     elif rng is None:
         raise ValueError("probing RTT for L > 4 requires an rng")
     else:
@@ -224,12 +205,11 @@ def commutation_residual(rule: str, lam, nu, ws, q) -> tuple[np.ndarray, float]:
         raise KeyError(rule)
     ml = build_monodromy(lam, ws, q)
     mn = build_monodromy(nu, ws, q)
-    exact = is_exact(lam)
+    bk = ml.backend
     if rule == "BB":
         t1 = ml.block("B") @ mn.block("B")
         t2 = mn.block("B") @ ml.block("B")
-        scale = 0.0 if exact else matrix_abs_sum(t1) + matrix_abs_sum(t2)
-        return t1 - t2, scale
+        return t1 - t2, bk.abs_sum(t1, t2)
     if rule == "AB":
         w = weights_of(nu * invert(lam), q)
         t1 = w.b * (ml.block("A") @ mn.block("B"))
@@ -244,15 +224,13 @@ def commutation_residual(rule: str, lam, nu, ws, q) -> tuple[np.ndarray, float]:
         w = weights_of(lam * invert(nu), q)
         t1 = w.b * (ml.block("C") @ mn.block("B") - mn.block("B") @ ml.block("C"))
         t2 = w.c * (mn.block("A") @ ml.block("D") - ml.block("A") @ mn.block("D"))
-        scale = 0.0 if exact else matrix_abs_sum(t1) + matrix_abs_sum(t2)
-        return t1 - t2, scale
-    scale = 0.0 if exact else (matrix_abs_sum(t1) + matrix_abs_sum(t2) + matrix_abs_sum(t3))
-    return t1 - t2 + t3, scale
+        return t1 - t2, bk.abs_sum(t1, t2)
+    return t1 - t2 + t3, bk.abs_sum(t1, t2, t3)
 
 
 def check_commutation(rule: str, lam, nu, ws, q,
                       tolerance: float = 1e-9) -> CheckOutcome:
-    if not is_exact(lam) and rule in ("AB", "DB", "CB"):
+    if not backend_of(lam).exact and rule in ("AB", "DB", "CB"):
         if pole_distance(lam, nu) < MIN_POLE_DISTANCE:
             raise CoincidingSpectralPoints(
                 f"lam and nu too close for rule {rule}: b(lam-nu) ~ 0")
@@ -267,12 +245,10 @@ def triangular_action_residuals(u, ws, q) -> dict[str, np.ndarray]:
     'must be nonzero' actions B|0>, C|0bar> returned as-is for inspection.
     """
     L = len(ws)
-    exact = is_exact(u)
     m = build_monodromy(u, ws, q)
-    v0 = vacuum(L, exact)
-    v1 = dual_vacuum(L, exact)
-    prod_a = _one(exact)
-    prod_b = _one(exact)
+    v0 = vacuum(L, m.backend)
+    v1 = dual_vacuum(L, m.backend)
+    prod_a = prod_b = m.backend.one
     for w in m.weights:
         prod_a = prod_a * w.a
         prod_b = prod_b * w.b
@@ -291,13 +267,13 @@ def triangular_action_residuals(u, ws, q) -> dict[str, np.ndarray]:
 def check_triangular(u, ws, q, tolerance: float = 1e-9) -> CheckOutcome:
     """The six vanishing actions as one residual; B|0> and C|0bar> must fail
     that same verdict."""
-    exact = is_exact(u)
+    bk = backend_of(u)
     res = triangular_action_residuals(u, ws, q)
-    scale = None if exact else sum(float(np.abs(v).sum()) for v in res.values())
+    scale = bk.abs_sum(*res.values())
     present = all(not verdict("", v, scale, tolerance).passed
                   for k, v in res.items() if "nonzero" in k)
     out = verdict("triangular-actions",
                   np.concatenate([v for k, v in res.items() if "nonzero" not in k]),
-                  scale, tolerance, {"nonzero_actions_present": present} if exact else None)
+                  scale, tolerance, {"nonzero_actions_present": present} if bk.exact else None)
     out.passed = out.passed and present
     return out

@@ -35,7 +35,7 @@ import numpy as np
 from .errors import SizeLimitExceeded
 from .monodromy import b_product
 from .sampling import pairwise_sum
-from .scalar import LaurentPoly, invert, is_exact, q_var, sum_of_products, u_var, w_var
+from .scalar import LaurentPoly, backend_of, invert, q_var, sum_of_products, u_var, w_var
 from .vertex import build_L
 
 _SIZE_LIMITS = {"pruned": 6, "naive": 4}
@@ -238,7 +238,7 @@ def _config_weight(kinds: np.ndarray, weights: np.ndarray) -> np.ndarray:
     arrays and formed as Python's complex product forms it, so every weight
     is bit-identical to a per-configuration loop over Python complex
     numbers."""
-    if weights.dtype == object:
+    if backend_of(weights).exact:
         acc = weights[0][kinds[0]]
         for k in range(1, len(kinds)):
             acc = acc * weights[k][kinds[k]]
@@ -264,13 +264,14 @@ def z_enumerate(lams, mus, q, mode: str = "pruned",
         raise ValueError("need as many spectral points as inhomogeneities")
     kinds = _config_table(L, mode, conv)
     weights = np.array([build_L(lam * invert(mu), q).ravel() for lam in lams for mu in mus])
-    if is_exact(lams[0]):
+    bk = backend_of(weights)
+    if bk.exact:
         # the last vertex's products go to the sum-of-products kernel unformed
-        prefix = _config_weight(kinds[:-1], weights[:-1]) if L > 1 else [1] * kinds.shape[1]
+        prefix = _config_weight(kinds[:-1], weights[:-1]) if L > 1 else [bk.one] * kinds.shape[1]
         return sum_of_products(zip(prefix, weights[-1][kinds[-1]]))
     terms = _config_weight(kinds, weights)
     # deterministic pairwise reduction in configuration order
-    return pairwise_sum(terms) if len(terms) else 0j
+    return pairwise_sum(terms) if len(terms) else bk.zero
 
 
 def count_configs(L: int, mode: str = "pruned") -> int:

@@ -7,7 +7,8 @@ entries and partition functions are Laurent polynomials with rational
 coefficients, so exact arithmetic is closed; no branch cuts or fractional
 powers ever appear.
 
-Two interchangeable scalar backends are used throughout:
+Two interchangeable scalar backends are used throughout, each one
+``Backend`` record (``EXACT``, ``FLOAT``; ``backend_of`` tells them apart):
 
 * :class:`LaurentPoly` -- exact, immutable, arbitrary-precision rational
   coefficients.  Internally each monomial is one packed Python int with a
@@ -45,7 +46,7 @@ import re
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Mapping
 
 import numpy as np
 
@@ -602,12 +603,48 @@ class LaurentPoly:
 # the one zero polynomial: no code changes a polynomial's terms in place
 _ZERO = _make({}, 1, 0)
 
-# A scalar is either exact or a double-precision complex number.
-Scalar = Union[LaurentPoly, complex]
+
+@dataclass(frozen=True)
+class Backend:
+    """One scalar backend: exact LaurentPoly entries in object arrays, or
+    complex doubles.  A computation reads it once from its inputs
+    (``backend_of``) and takes every zero, one, array and scale from it."""
+
+    exact: bool
+    zero: object
+    one: object
+    dtype: type
+
+    def full(self, shape, index=None) -> np.ndarray:
+        """An array of zeros, with a one at ``index`` if given."""
+        out = np.full(shape, self.zero, dtype=self.dtype)
+        if index is not None:
+            out[index] = self.one
+        return out
+
+    def eye(self, n: int) -> np.ndarray:
+        out = self.full((n, n))
+        np.fill_diagonal(out, self.one)
+        return out
+
+    def abs_sum(self, *sides):
+        """The scale of a float check, the sum of |entry| over each side in
+        turn; None when exact, where a residual passes only when zero."""
+        if self.exact:
+            return None
+        return sum(float(np.abs(np.asarray(s, dtype=complex)).sum()) for s in sides)
 
 
-def is_exact(x) -> bool:
-    return isinstance(x, (LaurentPoly, RationalFunction, int, Fraction))
+EXACT = Backend(True, _ZERO, LaurentPoly.one(), object)
+FLOAT = Backend(False, 0j, 1 + 0j, complex)
+
+
+def backend_of(x) -> Backend:
+    """EXACT for a LaurentPoly, RationalFunction, int or Fraction and for an
+    object array; FLOAT for any other number or array."""
+    if isinstance(x, np.ndarray):
+        return EXACT if x.dtype == object else FLOAT
+    return EXACT if isinstance(x, (LaurentPoly, RationalFunction, int, Fraction)) else FLOAT
 
 
 def invert(x):

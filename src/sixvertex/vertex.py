@@ -8,6 +8,9 @@ backend or a nonzero complex number in the float backend.  The weights are
     b = (z - z^-1) / 2            # sinh(lambda - mu)
     c = (q - q^-1) / 2            # sinh(gamma), independent of z
 
+Zeros, identities and float scales come from the ``scalar.Backend`` that
+``scalar.backend_of`` reads from the weights or the points.
+
 Index conventions, fixed once and validated downstream by the forcing test
 Z(L=1) = c: basis pairs are ordered (aux state, quantum state) with 0 the
 first basis vector; matrix rows carry outgoing indices and columns incoming.
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scalar import CheckOutcome, LaurentPoly, invert, is_exact
+from .scalar import EXACT, Backend, CheckOutcome, LaurentPoly, backend_of, invert
 
 
 @dataclass(frozen=True)
@@ -42,39 +45,30 @@ def weights_of(z, q) -> Weights:
 def l_matrix_from_weights(wts: Weights) -> np.ndarray:
     """Place a, b, c on the six allowed positions of the 4x4 one-site matrix."""
     a, b, c = wts.a, wts.b, wts.c
-    exact = is_exact(a)
-    zero = LaurentPoly.zero() if exact else 0j
+    bk = backend_of(a)
+    zero = bk.zero
     rows = [
         [a, zero, zero, zero],
         [zero, b, c, zero],
         [zero, c, b, zero],
         [zero, zero, zero, a],
     ]
-    return np.array(rows, dtype=object if exact else complex)
+    return np.array(rows, dtype=bk.dtype)
 
 
 def build_L(z, q) -> np.ndarray:
     return l_matrix_from_weights(weights_of(z, q))
 
 
-def permutation_matrix(exact: bool = True) -> np.ndarray:
+def permutation_matrix(backend: Backend = EXACT) -> np.ndarray:
     """The 4x4 swap matrix P on C^2 x C^2."""
-    if exact:
-        one, zero = LaurentPoly.one(), LaurentPoly.zero()
-    else:
-        one, zero = 1 + 0j, 0j
-    return np.array(
-        [[one, zero, zero, zero],
-         [zero, zero, one, zero],
-         [zero, one, zero, zero],
-         [zero, zero, zero, one]],
-        dtype=object if exact else complex)
+    return backend.eye(4)[[0, 2, 1, 3]]
 
 
 def build_R(z, q) -> np.ndarray:
     """R = P L; the intertwiner appearing in the exchange relation."""
-    exact = is_exact(z) or is_exact(q)
-    return permutation_matrix(exact) @ build_L(z, q)
+    m = build_L(z, q)
+    return permutation_matrix(backend_of(m)) @ m
 
 
 def delta_residual(z, q):
@@ -82,16 +76,6 @@ def delta_residual(z, q):
     a^2 + b^2 - c^2 - a b (q + q^-1)."""
     wts = weights_of(z, q)
     return wts.a * wts.a + wts.b * wts.b - wts.c * wts.c - wts.a * wts.b * (q + invert(q))
-
-
-def _eye(n: int, exact: bool) -> np.ndarray:
-    """The n x n identity, of LaurentPoly (exact) or complex entries."""
-    if not exact:
-        return np.eye(n, dtype=complex)
-    m = np.full((n, n), LaurentPoly.zero(), dtype=object)
-    for i in range(n):
-        m[i, i] = LaurentPoly.one()
-    return m
 
 
 def apply_two_site(m4: np.ndarray, i: int, j: int, n: int, x: np.ndarray) -> np.ndarray:
@@ -114,10 +98,6 @@ def matrix_is_zero(m) -> bool:
     return True
 
 
-def matrix_abs_sum(m: np.ndarray) -> float:
-    return float(np.abs(np.asarray(m, dtype=complex)).sum())
-
-
 def verdict(name: str, residual, scale, tolerance: float, details=None) -> CheckOutcome:
     """The one pass/fail rule of every identity check.
 
@@ -126,7 +106,7 @@ def verdict(name: str, residual, scale, tolerance: float, details=None) -> Check
     float residual passes when its largest absolute entry r satisfies
     r <= tolerance * scale."""
     details = details or {}
-    if is_exact(residual) or getattr(residual, "dtype", None) == object:
+    if backend_of(residual).exact:
         return CheckOutcome(name, matrix_is_zero(residual), exact=True, details=details)
     r = float(np.abs(residual).max()) if isinstance(residual, np.ndarray) else abs(residual)
     return CheckOutcome(name, r <= tolerance * scale, exact=False, residual=r,
@@ -135,18 +115,18 @@ def verdict(name: str, residual, scale, tolerance: float, details=None) -> Check
 
 def yang_baxter_residual(u_lam, u_mu, u_nu, q) -> tuple[np.ndarray, float]:
     """L12(lam-mu) L13(lam-nu) L23(mu-nu) minus the reversed product, on
-    the triple tensor space, together with a float scale (0.0 in the exact
-    backend).  Arguments are the exponentiated points."""
+    the triple tensor space, together with a float scale (None in the
+    exact backend).  Arguments are the exponentiated points."""
     l12 = build_L(u_lam * invert(u_mu), q)
     l13 = build_L(u_lam * invert(u_nu), q)
     l23 = build_L(u_mu * invert(u_nu), q)
-    lhs = rhs = _eye(8, l12.dtype == object)
+    bk = backend_of(l12)
+    lhs = rhs = bk.eye(8)
     for m4, i, j in ((l23, 1, 2), (l13, 0, 2), (l12, 0, 1)):
         lhs = apply_two_site(m4, i, j, 3, lhs)
     for m4, i, j in ((l12, 0, 1), (l13, 0, 2), (l23, 1, 2)):
         rhs = apply_two_site(m4, i, j, 3, rhs)
-    scale = 0.0 if is_exact(u_lam) else matrix_abs_sum(lhs) + matrix_abs_sum(rhs)
-    return lhs - rhs, scale
+    return lhs - rhs, bk.abs_sum(lhs, rhs)
 
 
 def check_yang_baxter(u_lam, u_mu, u_nu, q, tolerance: float = 1e-10) -> CheckOutcome:
@@ -156,7 +136,7 @@ def check_yang_baxter(u_lam, u_mu, u_nu, q, tolerance: float = 1e-10) -> CheckOu
 def check_delta(z, q, tolerance: float = 1e-9) -> CheckOutcome:
     res = delta_residual(z, q)
     scale = None
-    if not is_exact(res):
+    if not backend_of(res).exact:
         wts = weights_of(z, q)
         scale = abs(wts.a) ** 2 + abs(wts.b) ** 2 + abs(wts.c) ** 2 + abs(wts.a * wts.b * (q + 1 / q))
     return verdict("delta-invariant", res, scale, tolerance)

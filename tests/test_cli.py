@@ -268,6 +268,22 @@ def test_out_of_range_counts_are_config_errors(capsys, argv):
     assert argv[-2] in doc["error"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--check", "appendix-a", "--size", "2", "--backend", "float", "--trials", "3"],
+    ["verify", "--check", "h-table", "--size", "3", "--backend", "float"],
+    ["ode", "--size", "1", "--backend", "float"],
+])
+def test_exact_only_runs_refuse_the_float_backend(capsys, argv):
+    # these runs have no float route; they used to report "backend": "float"
+    # over exact results and ignore --trials and --seed
+    code, out = _capture(capsys, argv)
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["kind"] == "config"
+    what = " ".join(argv[:3]) if argv[0] == "verify" else argv[0]
+    assert doc["error"].startswith(what + " ") and "--backend float" in doc["error"]
+
+
 @pytest.mark.parametrize("text", ["u1**2", "u1+", "*"])
 def test_malformed_exact_parameter_is_a_config_error(capsys, text):
     code, out = _capture(capsys, ["compute", "--size", "1", "--lam", text])

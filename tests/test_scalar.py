@@ -1,5 +1,8 @@
+import re
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -10,10 +13,13 @@ from sixvertex.errors import (
     ZeroBaseWithNegativeExponent,
 )
 from sixvertex.scalar import (
+    EXACT,
+    FLOAT,
     LaurentPoly,
     RationalFunction,
     _exact_div_univariate,
     _gcd_univariate,
+    backend_of,
     leading_coeff,
     parse_poly,
     poly_derivative,
@@ -244,3 +250,53 @@ def test_solver_partition_polynomial_evaluates_like_enumeration(rng):
     want = z_enumerate(upts, wpts, qval)
     got = poly_eval(zpoly, assignment)
     assert abs(got - want) <= 1e-10 * abs(want)
+
+
+@pytest.mark.parametrize("x", [
+    U1, RationalFunction(Q, Q + 1), 3, Fraction(1, 3),
+    np.array([LaurentPoly.one(), Q], dtype=object),
+])
+def test_backend_of_exact_values(x):
+    assert backend_of(x) is EXACT
+
+
+@pytest.mark.parametrize("x", [
+    1.5 - 2j, 0.25, np.complex128(1j), np.ones(3, dtype=complex), np.ones((2, 2)),
+])
+def test_backend_of_float_values(x):
+    assert backend_of(x) is FLOAT
+
+
+def test_backend_arrays():
+    for n in (1, 4, 8):
+        assert FLOAT.eye(n).tobytes() == np.eye(n, dtype=complex).tobytes()
+        eye = EXACT.eye(n)
+        assert eye.dtype == object
+        assert all(eye[i, j] == (i == j) for i in range(n) for j in range(n))
+    # the entries of the dual vacuum |0bar> at L = 2
+    dual = EXACT.full(4, -1)
+    assert dual.dtype == object
+    assert list(dual) == [LaurentPoly.zero()] * 3 + [LaurentPoly.one()]
+    assert all(isinstance(x, LaurentPoly) for x in dual)
+
+
+def test_backend_abs_sum(rng):
+    a, b = (rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)) for _ in range(2))
+    want = float(np.abs(a).sum()) + float(np.abs(b).sum())
+    assert FLOAT.abs_sum(a, b).hex() == want.hex()
+    assert EXACT.abs_sum(np.full(3, Q, dtype=object)) is None
+
+
+# a zero, a one, a dtype or a scale rule spelled per backend outside scalar.py
+_BACKEND_SPELLING = re.compile(
+    r"LaurentPoly\.(zero|one)\(\) if|dtype=object if|dtype == object|exact: bool"
+    r"|\b_eye\(|\b_zero\(|\b_one\(|\bis_exact\(|0\.0 if")
+
+
+def test_only_scalar_spells_a_backend():
+    src = Path(__file__).resolve().parents[1] / "src" / "sixvertex"
+    found = [f"{path.name}:{n}: {line.strip()}"
+             for path in sorted(src.glob("*.py")) if path.name != "scalar.py"
+             for n, line in enumerate(path.read_text().splitlines(), 1)
+             if _BACKEND_SPELLING.search(line)]
+    assert found == []

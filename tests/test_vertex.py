@@ -5,10 +5,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from sixvertex.scalar import LaurentPoly, RationalFunction, q_var, u_var, w_var
+from sixvertex.scalar import EXACT, FLOAT, LaurentPoly, RationalFunction, q_var, u_var, w_var
 from sixvertex.vertex import (
     Weights,
-    _eye,
     apply_two_site,
     build_L,
     build_R,
@@ -97,7 +96,7 @@ def test_det_regression():
 
 
 def test_permutation_matrix_swaps():
-    p = permutation_matrix(exact=False)
+    p = permutation_matrix(FLOAT)
     v = np.array([1, 2, 3, 4], dtype=complex)
     assert np.allclose(p @ v, [1, 3, 2, 4])
     r = build_R(0.8 + 0.1j, 1.1 - 0.3j)
@@ -142,7 +141,7 @@ def test_verdict_exact_scalars():
 
 def test_verdict_exact_object_array_ignores_scale():
     m = np.full((2, 3), LaurentPoly.zero(), dtype=object)
-    # the exact backend reports scale 0.0 for some checks and None for others
+    # the exact backend reports scale None; an exact verdict ignores any scale
     for scale in (None, 0.0):
         assert verdict("t", m, scale, 1e-9).passed
     m[1, 2] = Q * Q
@@ -212,7 +211,7 @@ def test_apply_two_site_vs_dense_embedding_exact():
         vec = np.array([LaurentPoly.var(w_var(k + 1)) for k in range(2 ** n)], dtype=object)
         for i, j in itertools.permutations(range(n), 2):
             ref = _embed_reference(m4, i, j, n)
-            got = apply_two_site(m4, i, j, n, _eye(2 ** n, True))
+            got = apply_two_site(m4, i, j, n, EXACT.eye(2 ** n))
             assert all(x == y for x, y in zip(got.flat, ref.flat)), (n, i, j)
             got = apply_two_site(m4, i, j, n, vec)
             assert all(x == y for x, y in zip(got, ref @ vec)), (n, i, j)
@@ -225,7 +224,7 @@ def test_apply_two_site_vs_dense_embedding_float():
         batch = rng.standard_normal((2 ** n, 3)) + 1j * rng.standard_normal((2 ** n, 3))
         for i, j in itertools.permutations(range(n), 2):
             ref = _embed_reference(m4, i, j, n)
-            got = apply_two_site(m4, i, j, n, _eye(2 ** n, False))
+            got = apply_two_site(m4, i, j, n, FLOAT.eye(2 ** n))
             assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max(), (n, i, j)
             for x in (batch, batch[:, 1]):
                 want = ref @ x
