@@ -16,7 +16,10 @@ in the exact backend at L = 1, 2 (symbolic) and L = 3 (rational
 inhomogeneities and q).  On the same exact inputs the residual, whose
 kernel sum pairs each numerator with its clearing b-weights times Z, must
 be nonzero for a provider with one wrong Z value and equal the cleared
-coefficients times those Z values added one by one.
+coefficients times those Z values added one by one.  The exact operator
+expansion at n = L = 1, 2, 3, with each term's numerator reweighted so that
+it no longer vanishes, must equal entry for entry the same cleared route
+over the per-subset B-product vectors.
 The functional equation is also checked exactly at L = 3 with symbolic
 spectral points and rational inhomogeneities and q, the shape of the
 benchmark's exact-fz workload.  The string-operator and
@@ -123,6 +126,27 @@ def main():
     for n, L in ((1, 1), (2, 2), (2, 3)):
         record(functional.check_cbb_expansion(n, tuple(sym_points(n + 1, 70)),
                                               tuple(sym_mus(L)), q))
+    # the exact cbb residual takes one expansion sum per entry; with term t's
+    # numerator times t + 2 it is no longer zero, and must equal, entry for
+    # entry, C(lam_0) prod B |0> times den(every) minus each numerator times
+    # its clearing b-weights times its b_product vector, one term at a time
+    terms = functional._terms
+    functional._terms = lambda w: ((num * (t + 2), pairs, subset)
+                                   for t, (num, pairs, subset) in enumerate(terms(w)))
+    try:
+        for n in (1, 2, 3):
+            pts, mus = tuple(sym_points(n + 1, 70)), tuple(sym_mus(n))
+            w = functional._WeightTable(pts, mus, q)
+            want = monodromy.build_monodromy(pts[0], mus, q).apply(
+                "C", monodromy.b_product(pts[1:], mus, q)) * w.den(w.every)
+            for num, pairs, subset in functional._terms(w):
+                want = want - monodromy.b_product([pts[k] for k in subset], mus, q) * (
+                    num * w.den(w.every - pairs))
+            res, _ = functional.cbb_expansion_residual(n, pts, mus, q)
+            record(vertex.verdict(f"cbb-pairing-exact-n{n}", int(all(x.is_zero() for x in res))
+                                  + sum(int(x != y) for x, y in zip(res, want)), None, 0))
+    finally:
+        functional._terms = terms
     for L in (1, 2, 3):
         record(functional.check_b_nilpotency(L, sym_points(L + 1, 80), sym_mus(L), q))
     exact_inps = [functional.FunctionalInput(L, tuple(sym_points(L + 2, 60)),
@@ -150,16 +174,16 @@ def main():
             int(x != y) for x, y in zip(*parts)), None, 0))
     for inp in exact_inps:
         # the residual pairs each numerator with its clearing b-weights times
-        # Z; the cleared coefficients times Z, added one by one, must give the
-        # same numerator and denominator.  One Z value is wrong, so that the
-        # two routes meet on a nonzero numerator.
+        # Z; each numerator times those b-weights times Z, added one by one,
+        # must give the same numerator and denominator.  One Z value is
+        # wrong, so that the two routes meet on a nonzero numerator.
         w = functional._WeightTable(inp.points, inp.mus, inp.q)
         z = functional.algebraic_provider(inp.mus, inp.q)
         wrong = inp.points[1:inp.size + 1]
         provider = lambda s: z(s) * Fraction(4, 3) + s[0] if s == wrong else z(s)
         total = LaurentPoly.zero()
         for num, pairs, subset in functional._terms(w):
-            total = total + w.cleared(num, pairs) * provider(
+            total = total + num * w.den(w.every - pairs) * provider(
                 tuple(inp.points[k] for k in subset))
         want = RationalFunction(total, w.den(w.every))
         res = functional.functional_residual(inp, provider)

@@ -16,11 +16,14 @@ each term's numerator, the point pairs whose b-weights form its
 denominator, and the points whose B-operators it keeps.  The float backend
 divides each numerator by its denominator.  The exact backend clears every
 term to the common denominator ``prod b(lam_x - lam_y)`` over all pairs,
-keeping every intermediate a genuine Laurent polynomial: it pairs each
-numerator with the b-weights outside its denominator times its Z value
-(ten pairs at L = 3) in one ``scalar.sum_of_products`` call (residues
-modulo word-size primes, then CRT), so that the long numerators meet only
-the kernel; the final numerator is tested for exact zero.  Float points
+keeping every intermediate a genuine Laurent polynomial, by one rule,
+``_expansion_sum``: each numerator is paired with its clearing factor D
+(the b-weights outside its denominator, ``_WeightTable.clearing``) times
+its value X, a Z value or a B-product vector entry, in one
+``scalar.sum_of_products`` call (residues modulo word-size primes, then
+CRT), so that the long numerators meet only the kernel.  The FZ residual,
+each entry of the cbb residual and the solver's check of a solved table
+take it; the final numerator is tested for exact zero.  Float points
 closer than ``sampling.MIN_POLE_DISTANCE`` to a pole are refused once per
 input, each point pair checked over a whole batch at once.
 
@@ -137,6 +140,10 @@ class _WeightTable:
             den = den * self.pt[pair].b
         return den
 
+    def clearing(self, pairs):
+        """D, the b-weights outside a term's denominator: num * D is over ``den(every)``."""
+        return self.den(self.every - pairs)
+
     def coefficient(self, num, pairs):
         """A term's coefficient: exact ratio or float quotient."""
         den = self.den(pairs)
@@ -149,13 +156,6 @@ class _WeightTable:
               for r in range(len(subsets[0]))]
         v = vacuum(len(self.mu[0]), self.backend)
         return b_products(ms, np.repeat(v[:, None], len(subsets), axis=1))
-
-    def cleared(self, num, pairs):
-        """A term's numerator times the b-weights of every point pair
-        outside its denominator, so that all terms share the denominator
-        ``den(every)``: the solver's ``_cleared_terms`` and the exact cbb
-        residual take it."""
-        return num * self.den(self.every - pairs)
 
 
 def _omission_parts(i: int, w: _WeightTable):
@@ -223,18 +223,20 @@ def _terms(w: _WeightTable):
                    (0,) + tuple(k for k in range(1, n + 1) if k not in (i, j)))
 
 
-def _cleared_terms(points, mus, q):
-    """(cleared coefficient, subset) of every term.  Exact backend."""
-    w = _WeightTable(points, mus, q)
-    return ((w.cleared(num, pairs), subset) for num, pairs, subset in _terms(w))
+def _expansion_sum(w: _WeightTable, terms, xs) -> LaurentPoly:
+    """The numerator over ``w.den(w.every)`` of the sum of num / den * X over
+    the terms and their values xs, exact: one ``sum_of_products`` of the pairs
+    (num, ``w.clearing(pairs)`` * X), where the long numerators meet only the kernel."""
+    return sum_of_products((num, w.clearing(pairs) * x)
+                           for (num, pairs, _), x in zip(terms, xs))
 
 
-def _cleared_sum(cleared_terms, points, z_provider) -> LaurentPoly:
-    """Numerator of the exact residual: each cleared coefficient times the
-    provider's Z on its subset of the points, in one ``sum_of_products``."""
-    return sum_of_products(
-        (cleared, _call_provider(z_provider, [points[k] for k in subset]))
-        for cleared, subset in cleared_terms)
+def _expansion_table(n: int, points, mus, q) -> _WeightTable:
+    """The weight table of an expansion over n B-operators at n + 1 checked points."""
+    if len(points) != n + 1:
+        raise ValueError("need n+1 spectral points")
+    _guard_poles(points)
+    return _WeightTable(points, mus, q)
 
 
 def omission_coeff(i: int, points, mus, q):
@@ -260,8 +262,7 @@ class ExpansionCoeffs:
 
 
 def expansion_coeffs(n: int, points, mus, q) -> ExpansionCoeffs:
-    _guard_poles(points)
-    w = _WeightTable(points, mus, q)
+    w = _expansion_table(n, points, mus, q)
     omit = [w.coefficient(*_omission_parts(i, w)) for i in range(1, n + 1)]
     subst = {
         (j, i): w.coefficient(*_substitution_parts(j, i, w))
@@ -312,10 +313,7 @@ def _functional_residual_with_scale(inp: FunctionalInput, z_provider=None):
         # term by term, so that one provider value, (ncols, k) for a batch, is alive at a time
         zs = (_call_provider(z_provider, [points[k] for k in subset]) for *_, subset in terms)
     if w.backend.exact:
-        # num * (D * Z), D = den(every - pairs): D and Z are short, num long
-        total = sum_of_products((num, w.den(w.every - pairs) * z)
-                                for (num, pairs, _), z in zip(terms, zs))
-        return RationalFunction(total, w.den(w.every)), None
+        return RationalFunction(_expansion_sum(w, terms, zs), w.den(w.every)), None
     total = w.backend.zero
     scale = 0.0
     for (num, pairs, _), z in zip(terms, zs):
@@ -340,23 +338,18 @@ def check_fz(inp: FunctionalInput, z_provider=None,
 
 def cbb_expansion_residual(n: int, points, mus, q):
     """Residual vector of the C(lam_0)-expansion over n B-operators, on the
-    full 2^L space (not projected).  Exact backend: denominators cleared.
+    full 2^L space (not projected).  Exact backend: the residual times
+    ``den(every)``, each entry's terms one ``_expansion_sum``.
 
     Returns (residual_vector, scale)."""
-    if len(points) != n + 1:
-        raise ValueError("need n+1 spectral points")
-    _guard_poles(points)
-    w = _WeightTable(points, mus, q)
+    w = _expansion_table(n, points, mus, q)
     # a batch holds subsets of one length: the full product is a batch of its own
     full = w.b_products([tuple(range(1, n + 1))])
     res = apply_block(batch_monodromy([w.mu[0]]), "C", full)[:, 0]
     terms = list(_terms(w))
-    vecs = w.b_products([subset for *_, subset in terms]) if terms else None
+    vecs = w.b_products([s for *_, s in terms]) if terms else w.backend.full((len(res), 0))
     if w.backend.exact:
-        res = res * w.den(w.every)
-        for t, (num, pairs, _) in enumerate(terms):
-            res = res - vecs[:, t] * w.cleared(num, pairs)
-        return res, None
+        return res * w.den(w.every) - [_expansion_sum(w, terms, row) for row in vecs], None
     scale = float(np.abs(res).sum())
     for t, (num, pairs, _) in enumerate(terms):
         term = w.coefficient(num, pairs) * vecs[:, t]
@@ -372,8 +365,8 @@ def check_cbb_expansion(n: int, points, mus, q,
 
 def b_nilpotency_residual(L: int, lams, mus, q) -> np.ndarray:
     """prod_{j=1}^{L+1} B(lam_j) |0>, which must vanish identically."""
-    if len(lams) != L + 1:
-        raise ValueError("need L+1 spectral points")
+    if len(lams) != L + 1 or len(mus) != L:
+        raise ValueError("need L+1 spectral points and L inhomogeneities")
     return b_product(list(lams), list(mus), q)
 
 

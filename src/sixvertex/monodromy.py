@@ -140,9 +140,9 @@ def apply_block(m: Monodromy, name: str, vec: np.ndarray) -> np.ndarray:
     if len(vec) != 2 ** m.size:
         raise DimensionMismatch(f"vector of length {len(vec)} for L={m.size}")
     row, col = divmod(_BLOCKS.index(name), 2)
-    zero = backend_of(vec).zero  # a batch of no sites has no weights to tell
-    phi = [np.full_like(vec, zero), np.full_like(vec, zero)]
-    phi[col] = vec.copy()
+    bk = backend_of(vec)  # a batch of no sites has no weights to tell
+    phi = [bk.full(vec.shape), bk.full(vec.shape)]
+    phi[col][...] = vec  # a real vector is swept in complex arrays
     return _sweep(m, *phi)[row]
 
 

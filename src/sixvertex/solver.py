@@ -10,19 +10,21 @@ table entries h.
 
 Exact pipeline (L <= 3):
 
-1. assemble the cleared equation from the omission/substitution formulas
-   of :mod:`sixvertex.functional`, expanded exactly with symbolic points
-   and q; entries are summed per int64 numpy key, and every spectral
-   monomial yields one linear constraint, kept in flat int64 arrays of
-   (column, q exponent, integer value) entries;
+1. assemble the cleared equation from the omission/substitution terms of
+   :mod:`sixvertex.functional` (weight table and terms built once per
+   solve, ``_equation``), each numerator expanded exactly times its
+   clearing factor at symbolic points and q; entries are summed per int64
+   numpy key, and every spectral monomial yields one linear constraint,
+   kept in flat int64 arrays of (column, q exponent, integer value) entries;
 2. select independent constraints greedily, fewest entries first, by rank
    modulo a prime at one integer q (reduction modulo p and specialization
    of q can only lower rank, so independence lifts to the generic field);
 3. fraction-free Gaussian elimination over Z[q] on the selected rows,
    back-substitution over rational functions in q;
-4. verify the candidate table: the whole cleared equation, with the
-   table's polynomial for every Z, must sum to exactly zero.  It reuses
-   step 1's cleared terms, computed once per solve, but none of the
+4. verify the candidate table: the whole equation, with the table's
+   polynomial for every Z, must sum to exactly zero in one
+   ``functional._expansion_sum``, as the exact FZ residual does.  It reuses
+   step 1's weight table and terms, but not its expanded coefficients,
    grouping, selection or elimination.
 
 Step 2 bounding rank from below and step 4 exhibiting an exact solution
@@ -54,7 +56,7 @@ import numpy as np
 
 from .asymptotics import asymptotic_norm
 from .errors import NullspaceDimensionUnexpected, SizeLimitExceeded
-from .functional import FunctionalInput, _cleared_terms, _cleared_sum, functional_residual
+from .functional import FunctionalInput, _expansion_sum, _terms, _WeightTable, functional_residual
 from .partition import z_algebraic
 from .sampling import sample_point, sample_spectral_sets
 from .scalar import (
@@ -215,12 +217,12 @@ def _equation_points(L: int) -> tuple:
     return tuple(LaurentPoly.var(u_var(i)) for i in range(L + 2))
 
 
-def _cleared_equation(L: int) -> list:
-    """(cleared coefficient, subset) of every term of the equation at the
-    symbolic points, unit inhomogeneities and symbolic q; steps 1 and 4
-    both read it."""
-    return list(_cleared_terms(_equation_points(L), (LaurentPoly.one(),) * L,
-                               LaurentPoly.var(q_var())))
+def _equation(L: int) -> tuple:
+    """The weight table and the term list of the equation at the symbolic
+    points, unit inhomogeneities and symbolic q, built once per solve;
+    steps 1 and 4 both read them."""
+    w = _WeightTable(_equation_points(L), (LaurentPoly.one(),) * L, LaurentPoly.var(q_var()))
+    return w, list(_terms(w))
 
 
 @dataclass(frozen=True)
@@ -236,18 +238,20 @@ class _Rows:
         return len(self.starts) - 1
 
 
-def _assemble_constraints(L: int, cleared_terms: list):
-    """The linear constraints of ``_cleared_equation(L)`` as ``_Rows``, one
-    per spectral monomial, entries by column, then q power; neither
-    normalized nor deduplicated, as the selection skips dependent rows."""
+def _assemble_constraints(L: int, equation: tuple):
+    """The linear constraints of ``_equation(L)`` as ``_Rows``, one per
+    spectral monomial, entries by column, then q power; neither normalized
+    nor deduplicated, as the selection skips dependent rows.  The rows need
+    the coefficients of each numerator times its clearing factor, expanded."""
     n = L + 1
     box = ansatz_box(L)
     ncols = len(box)
     variables = [*map(u_var, range(n + 1)), q_var()]
     box_exps = np.array(box, dtype=np.int64)
+    w, equation_terms = equation
     terms = []
-    for cleared, subset in cleared_terms:
-        exps, nums, den = exponent_array(cleared, variables)
+    for num, pairs, subset in equation_terms:
+        exps, nums, den = exponent_array(num * w.clearing(pairs), variables)
         # the ansatz monomial of each column, spread onto the term's points
         shift = np.zeros((ncols, n + 1), dtype=np.int64)
         shift[:, list(subset)] = box_exps
@@ -400,9 +404,11 @@ def _exact_nullvector(rows: _Rows, selected, ncols: int) -> list[RationalFunctio
     return [values[c] for c in range(ncols)]
 
 
-def _verify_candidate(L: int, box, values: list[RationalFunction], cleared_terms: list) -> None:
-    """Exact check that the whole cleared functional equation, the terms of
-    ``_cleared_equation(L)``, vanishes for the candidate table."""
+def _verify_candidate(L: int, box, values: list[RationalFunction], equation: tuple) -> None:
+    """Exact check that the whole functional equation, ``_equation(L)`` in
+    one ``functional._expansion_sum``, vanishes for the candidate table."""
+    w, terms = equation
+    points = _equation_points(L)
     qv = q_var()
     one = LaurentPoly.one()
     den = one
@@ -412,27 +418,27 @@ def _verify_candidate(L: int, box, values: list[RationalFunction], cleared_terms
         shared = _gcd_univariate(den, v.den, qv)
         extra = v.den if shared is None else _exact_div_univariate(v.den, shared, qv)
         den = den * extra
-    cleared = []
+    scaled = []
     for v in values:
         if v.is_zero():
-            cleared.append(LaurentPoly.zero())
+            scaled.append(LaurentPoly.zero())
         elif v.den == one:
-            cleared.append(v.num * den)
+            scaled.append(v.num * den)
         else:
-            cleared.append(v.num * _exact_div_univariate(den, v.den, qv))
+            scaled.append(v.num * _exact_div_univariate(den, v.den, qv))
 
-    def provider(subset):
+    def z(subset):
         total = LaurentPoly.zero()
-        for idx, hq in zip(box, cleared):
+        for idx, hq in zip(box, scaled):
             if hq.is_zero():
                 continue
             mono = LaurentPoly.one()
-            for pos, point in enumerate(subset):
-                mono = mono * point ** idx[pos]
+            for pos, k in enumerate(subset):
+                mono = mono * points[k] ** idx[pos]
             total = total + hq * mono
         return total
 
-    if _cleared_sum(cleared_terms, _equation_points(L), provider):
+    if _expansion_sum(w, terms, (z(subset) for *_, subset in terms)):
         raise NullspaceDimensionUnexpected(
             "candidate from the selected constraints fails the full equation; "
             "the system has no one-dimensional solution space")
@@ -450,8 +456,8 @@ def solve_fz_exact(L: int, normalization: str = "asymptotic") -> CoefficientTabl
     _check_size(L, _EXACT_LIMIT, "exact")
     if normalization not in ("asymptotic", "top-one"):
         raise ValueError(f"unknown normalization {normalization!r}")
-    cleared_terms = _cleared_equation(L)
-    rows, ncols, box = _assemble_constraints(L, cleared_terms)
+    equation = _equation(L)
+    rows, ncols, box = _assemble_constraints(L, equation)
     selected, rank = _select_independent_rows(rows, ncols)
     if rank < ncols - 1:
         selected2, rank2 = _select_independent_rows(rows, ncols, qval=5)
@@ -461,7 +467,7 @@ def solve_fz_exact(L: int, normalization: str = "asymptotic") -> CoefficientTabl
                 "solution space has dimension > 1")
         selected, rank = selected2, rank2
     values = _exact_nullvector(rows, selected, ncols)
-    _verify_candidate(L, box, values, cleared_terms)
+    _verify_candidate(L, box, values, equation)
     top = values[box.index((L - 1,) * L)]
     if top.is_zero():
         raise NullspaceDimensionUnexpected("top coefficient vanished")

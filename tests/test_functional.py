@@ -167,6 +167,17 @@ def test_identity_sum_vanishes_symbolically():
     assert total.is_zero()
 
 
+def test_expansion_coeffs_refuses_a_wrong_number_of_points():
+    # four points are the n = 3 expansion, whose coefficients differ from
+    # the n = 2 ones: n must match the points, as in the cbb residual
+    pts = _sym_points(4, start=50)
+    with pytest.raises(ValueError, match="n\\+1 spectral points"):
+        expansion_coeffs(2, pts, _sym_mus(1), Q)
+    with pytest.raises(ValueError, match="n\\+1 spectral points"):
+        functional.cbb_expansion_residual(2, pts, _sym_mus(1), Q)
+    assert len(expansion_coeffs(3, pts, _sym_mus(1), Q).omit) == 3
+
+
 def test_fz_exact_constant_provider_l1():
     pts = _sym_points(3)
     mus = _sym_mus(1)
@@ -222,7 +233,7 @@ def _cleared_route(inp, provider, drop=None):
     w = functional._WeightTable(inp.points, inp.mus, inp.q)
     total = LaurentPoly.zero()
     for t, (num, pairs, subset) in enumerate(functional._terms(w)):
-        cleared = num if t == drop else w.cleared(num, pairs)
+        cleared = num if t == drop else num * w.den(w.every - pairs)
         total = total + cleared * provider(tuple(inp.points[k] for k in subset))
     return RationalFunction(total, w.den(w.every))
 
@@ -339,6 +350,12 @@ def test_nilpotency_exact():
         lams = _sym_points(L + 1, start=80)
         out = check_b_nilpotency(L, lams, _sym_mus(L), Q)
         assert out.exact and out.passed
+
+
+def test_nilpotency_refuses_a_wrong_number_of_inhomogeneities():
+    # three points and one mu would check a one-site chain, not L = 2
+    with pytest.raises(ValueError, match="L inhomogeneities"):
+        check_b_nilpotency(2, _sym_points(3, start=80), _sym_mus(1), Q)
 
 
 def test_nilpotency_float_l5(rng):
@@ -571,21 +588,37 @@ def test_default_exact_fz_failure_is_a_provider_failure(monkeypatch):
         check_fz(inp)
 
 
-@pytest.mark.parametrize("n, L", [(0, 2), (1, 1), (2, 2), (3, 2), (2, 3)])
-def test_exact_cbb_is_the_per_subset_sum(monkeypatch, n, L):
-    # the batched term vectors against b_product term by term, with
-    # reweighted terms so that the residual is not zero when n > 0
-    _reweighted_terms(monkeypatch)
-    pts = _sym_points(n + 1, start=70)
-    mus = _sym_mus(L)
+def _cbb_cleared_route(pts, mus, drop=None):
+    """The exact cbb residual the old way: C(lam_0) prod B |0> times
+    den(every), minus each term's numerator cleared to den(every) times its
+    b_product vector, one term at a time; the term numbered drop keeps its
+    bare numerator."""
     w = functional._WeightTable(pts, mus, Q)
     want = build_monodromy(pts[0], mus, Q).apply("C", b_product(pts[1:], mus, Q)) \
         * w.den(w.every)
-    for num, pairs, subset in functional._terms(w):
-        want = want - b_product([pts[k] for k in subset], mus, Q) * w.cleared(num, pairs)
+    for t, (num, pairs, subset) in enumerate(functional._terms(w)):
+        cleared = num if t == drop else num * w.den(w.every - pairs)
+        want = want - b_product([pts[k] for k in subset], mus, Q) * cleared
+    return want
+
+
+@pytest.mark.parametrize("n, L", [(0, 2), (1, 1), (2, 2), (3, 2), (2, 3), (3, 3)])
+def test_exact_cbb_is_the_per_subset_sum(monkeypatch, n, L):
+    # the batched term vectors and the per-entry pairing against b_product
+    # term by term, with reweighted terms so that the residual is not zero
+    # when n > 0
+    _reweighted_terms(monkeypatch)
+    pts = _sym_points(n + 1, start=70)
+    mus = _sym_mus(L)
     res, scale = functional.cbb_expansion_residual(n, pts, mus, Q)
-    assert scale is None and list(res) == list(want)
+    assert scale is None and list(res) == list(_cbb_cleared_route(pts, mus))
     assert all(x.is_zero() for x in res) == (n == 0)
+    if n == 3:
+        # negative control: from n = 3 on, a term's clearing factor is not
+        # one, and dropping it changes the residual
+        w = functional._WeightTable(pts, mus, Q)
+        assert w.clearing(next(functional._terms(w))[1]) != LaurentPoly.one()
+        assert list(_cbb_cleared_route(pts, mus, drop=0)) != list(res)
 
 
 def test_exact_checks_with_no_sites():

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -120,6 +121,18 @@ def test_b_applied_l_plus_one_times_is_zero():
     for lam in _sym(L + 1, start=10):
         v = apply_block(build_monodromy(lam, mus, Q), "B", v)
     assert all(entry.is_zero() for entry in v)
+
+
+def test_apply_block_sweeps_a_real_vector_in_complex():
+    # a float64 vector takes the backend's complex arrays, so that no weight
+    # product is cast to a real number on the way
+    m = build_monodromy(1.3 + 0.4j, [0.7 - 0.2j, 1.1 + 0.5j], 0.9 + 0.3j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = apply_block(m, "B", np.array([1.0, 0, 0, 0]))
+    want = apply_block(m, "B", np.array([1.0, 0, 0, 0], dtype=complex))
+    assert got.dtype == complex and np.array_equal(got, want)
+    assert np.allclose(want, [0, -0.3083 + 0.0734j, 0.0349 + 0.0437j, 0], atol=1e-4)
 
 
 def test_apply_block_dimension_mismatch():

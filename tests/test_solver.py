@@ -145,7 +145,7 @@ def _annihilates(rows, h):
 def test_assembled_rows_annihilate_direct_table(L):
     # h_table_from_z expands the operator product itself, an independent
     # route to the table the assembled constraints must single out
-    rows, ncols, box = solver._assemble_constraints(L, solver._cleared_equation(L))
+    rows, ncols, box = solver._assemble_constraints(L, solver._equation(L))
     assert box == ansatz_box(L) and ncols == len(box)
     direct = [h_table_from_z(L).entries[idx] for idx in box]
     assert all(v.den == LaurentPoly.one() for v in direct)
@@ -165,20 +165,15 @@ def test_assembled_rows_annihilate_direct_table(L):
     assert not _annihilates(replace(rows, qexp=next_q), h)
 
 
-def test_assembly_refuses_sums_that_could_wrap(monkeypatch):
-    cleared_terms = solver._cleared_terms
-
-    def scaled(*args):
-        for cleared, subset in cleared_terms(*args):
-            yield cleared * 2 ** 60, subset
-
-    monkeypatch.setattr(solver, "_cleared_terms", scaled)
+def test_assembly_refuses_sums_that_could_wrap():
+    w, terms = solver._equation(2)
+    scaled = [(num * 2 ** 60, pairs, subset) for num, pairs, subset in terms]
     with pytest.raises(OverflowError):
-        solver._assemble_constraints(2, solver._cleared_equation(2))
+        solver._assemble_constraints(2, (w, scaled))
 
 
 def _l2_system():
-    rows, ncols, box = solver._assemble_constraints(2, solver._cleared_equation(2))
+    rows, ncols, box = solver._assemble_constraints(2, solver._equation(2))
     selected, rank = solver._select_independent_rows(rows, ncols)
     assert rank == ncols - 1
     return rows, selected, ncols, box
@@ -193,12 +188,12 @@ def test_exact_nullvector_rejects_too_few_rows():
 def test_verify_candidate_rejects_perturbed_solution():
     rows, selected, ncols, box = _l2_system()
     values = solver._exact_nullvector(rows, selected, ncols)
-    terms = solver._cleared_equation(2)
-    solver._verify_candidate(2, box, values, terms)
+    equation = solver._equation(2)
+    solver._verify_candidate(2, box, values, equation)
     k = box.index((1, -1))
     values[k] = values[k] + RationalFunction(Q)
     with pytest.raises(NullspaceDimensionUnexpected):
-        solver._verify_candidate(2, box, values, terms)
+        solver._verify_candidate(2, box, values, equation)
 
 
 # -- reference for the modular selection: rank over Q at one integer q,
@@ -306,8 +301,9 @@ def test_modular_selection_stays_exact():
     assert ncols * (2 ** 16 - 1) * (p - 1) < 2 ** 63
     # a cell's entries carry distinct powers of q, from the cleared terms
     variables = [*map(u_var, range(L + 2)), q_var()]
-    qexps = np.concatenate([exponent_array(c, variables)[0][:, -1]
-                            for c, _ in solver._cleared_equation(L)])
+    w, terms = solver._equation(L)
+    qexps = np.concatenate([exponent_array(num * w.clearing(pairs), variables)[0][:, -1]
+                            for num, pairs, _ in terms])
     assert (qexps.max() - qexps.min() + 1) * (p - 1) < 2 ** 53
     # dense rows of residues near p, where plain int64 products would wrap:
     # ten random rows and ten sums of two of them fill the first block; the
