@@ -24,7 +24,12 @@ The functional equation is also checked exactly at L = 3 with symbolic
 spectral points and rational inhomogeneities and q, the shape of the
 benchmark's exact-fz workload.  The string-operator and
 asymptotic checks run exactly at L = 2, 3 and 4 (those that go through Z
-or the monodromy's top coefficient at L <= 3).  The partition function's
+or the monodromy's top coefficient at L <= 3); the string-operator
+relations and the ordering sum also run at --trials seeded complex q for
+each L = 2..5.  Three refusals must raise ValueError: an exact q other than
+the symbolic q in every string-operator function, an unknown normalization
+or a q_count below 1 in the numeric solve, and an omission or substitution
+coefficient index out of range.  The partition function's
 two routes, the operator product and the pruned configuration sum, must
 agree exactly at symbolic L = 1..3 and, at --trials seeded float points for
 each L = 1..6, within 1e-9 of the larger |Z|.  Exact Z at L = 1..3 must come back unchanged from its text
@@ -56,7 +61,8 @@ from pathlib import Path
 import numpy as np
 
 from sixvertex import asymptotics, cli, functional, monodromy, partition, solver, vertex
-from sixvertex.scalar import LaurentPoly, RationalFunction, parse_poly, q_var, u_var, w_var
+from sixvertex.scalar import (EXACT, LaurentPoly, RationalFunction, parse_poly, q_var, u_var,
+                              w_var)
 from sixvertex.sampling import make_rng, sample_point, sample_spectral_set, sample_spectral_sets
 
 
@@ -82,6 +88,8 @@ def main():
         results.append(outcome)
         if outcome.exact:
             detail = "exact"
+        elif outcome.residual is None:
+            detail = "float, every relation within its tolerance"
         else:
             detail = f"res {outcome.residual:.2e} / scale {outcome.scale:.2e}"
         mark = "ok " if outcome.passed else "FAIL"
@@ -194,6 +202,45 @@ def main():
     for L in (2, 3, 4):
         for outcome in asymptotics.run_asymptotic_checks(L):
             record(outcome)
+    # a stream of its own, so that the draws of the later sections stay put
+    op_rng = make_rng(args.seed)
+    for L in (2, 3, 4, 5):
+        for _ in range(args.trials):
+            qf = sample_point(op_rng)
+            record(asymptotics.check_p_relations(L, qf))
+            record(asymptotics.check_ordering_sum(L, qf))
+
+    print("== refusals ==")
+
+    def refused(name, call):
+        # passes (a zero residual) only when the call raises ValueError
+        try:
+            call()
+        except ValueError:
+            return vertex.verdict(name, 0, None, 0)
+        return vertex.verdict(name, 1, None, 0)
+
+    two = LaurentPoly.rational(2)
+    ws, vac = sym_mus(2), monodromy.vacuum(2, EXACT)
+    for fn, call in (("f_top", lambda: asymptotics.f_top(1, ws, two, 2)),
+                     ("p_operator", lambda: asymptotics.p_operator(1, 2, two)),
+                     ("apply_p", lambda: asymptotics.apply_p(1, 2, vac, two)),
+                     ("vacuum_sandwich", lambda: asymptotics.vacuum_sandwich_p_chain(2, two)),
+                     ("p_relations", lambda: asymptotics.check_p_relations(2, two)),
+                     ("ordering_sum", lambda: asymptotics.check_ordering_sum(2, two))):
+        record(refused(f"refuse-rational-q-{fn}", call))
+    for name, kwargs in (("normalization", {"normalization": "bogus"}),
+                         ("q-count-0", {"q_count": 0}), ("q-count-negative", {"q_count": -3})):
+        record(refused(f"refuse-numeric-solve-{name}",
+                       lambda: solver.solve_fz(2, backend="float", rng=make_rng(1), **kwargs)))
+    pts = sym_points(3)
+    for name, call in (("omission-0", lambda: functional.omission_coeff(0, pts, sym_mus(1), q)),
+                       ("omission-3", lambda: functional.omission_coeff(3, pts, sym_mus(1), q)),
+                       ("substitution-3-1",
+                        lambda: functional.substitution_coeff(3, 1, pts, sym_mus(1), q)),
+                       ("substitution-2-0",
+                        lambda: functional.substitution_coeff(2, 0, pts, sym_mus(1), q))):
+        record(refused(f"refuse-index-{name}", call))
 
     print("== partition function: operator product vs configuration sum ==")
     for L in (1, 2, 3):

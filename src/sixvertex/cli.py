@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass, field
 
 from . import asymptotics, functional, monodromy, partition, solver, vertex
-from .errors import ConfigError, ExponentOverflow, SixVertexError
+from .errors import ConfigError, ExponentOverflow, SixVertexError, SizeLimitExceeded
 from .sampling import PRNG_NAME, make_rng, sample_spectral_set
 from .scalar import (
     CheckOutcome,
@@ -351,7 +351,7 @@ def main(argv=None) -> int:
                 raise ConfigError(f"cannot write --out {cfg.out!r}: {exc.strerror}") from exc
     except SystemExit as exc:  # --help prints and exits 0
         return int(exc.code or 0)
-    except ConfigError as exc:
+    except (ConfigError, SizeLimitExceeded) as exc:
         print(json.dumps({"error": str(exc), "kind": "config"}, sort_keys=True))
         return 2
     except SixVertexError as exc:

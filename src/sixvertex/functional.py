@@ -161,6 +161,8 @@ class _WeightTable:
 def _omission_parts(i: int, w: _WeightTable):
     """Numerator and denominator pair set of the i-th omission coefficient."""
     n = w.n
+    if not 1 <= i <= n:
+        raise ValueError(f"omission coefficient requires 1 <= i <= {n}, got i = {i}")
     pairs = {(0, i)}
     for k in range(1, n + 1):
         if k != i:
@@ -185,9 +187,9 @@ def _omission_parts(i: int, w: _WeightTable):
 
 def _substitution_parts(j: int, i: int, w: _WeightTable):
     """Numerator and pair set of the (j, i) pair-substitution coefficient."""
-    if not i < j:
-        raise ValueError("substitution coefficient requires i < j")
     n = w.n
+    if not 1 <= i < j <= n:
+        raise ValueError(f"substitution coefficient requires 1 <= i < j <= {n}, got {(j, i)}")
     pairs = {(0, i), (0, j), (i, j)}
     for m in range(1, n + 1):
         if m not in (i, j):
@@ -241,15 +243,13 @@ def _expansion_table(n: int, points, mus, q) -> _WeightTable:
 
 def omission_coeff(i: int, points, mus, q):
     """Coefficient of the term omitting B(lam_i); i in 1..n."""
-    _guard_poles(points)
-    w = _WeightTable(points, mus, q)
+    w = _expansion_table(len(points) - 1, points, mus, q)
     return w.coefficient(*_omission_parts(i, w))
 
 
 def substitution_coeff(j: int, i: int, points, mus, q):
-    """Coefficient of the term replacing B(lam_i), B(lam_j) by B(lam_0)."""
-    _guard_poles(points)
-    w = _WeightTable(points, mus, q)
+    """Coefficient of the term replacing B(lam_i), B(lam_j) by B(lam_0); i < j."""
+    w = _expansion_table(len(points) - 1, points, mus, q)
     return w.coefficient(*_substitution_parts(j, i, w))
 
 

@@ -444,18 +444,22 @@ def _verify_candidate(L: int, box, values: list[RationalFunction], equation: tup
             "the system has no one-dimensional solution space")
 
 
-def _check_size(L: int, limit: int, backend: str) -> None:
+def _check_arguments(L: int, limit: int, backend: str, normalization: str,
+                     q_count: int = 1) -> None:
+    """Refuse bad solve arguments before any work (q_count: numeric only)."""
     if L < 1:
         raise ValueError(f"solve needs size L >= 1, got L = {L}")
     if L > limit:
         raise SizeLimitExceeded(f"{backend} solve supports L <= {limit}")
+    if normalization not in ("asymptotic", "top-one"):
+        raise ValueError(f"unknown normalization {normalization!r}")
+    if q_count < 1:
+        raise ValueError(f"numeric solve needs q_count >= 1, got {q_count}")
 
 
 def solve_fz_exact(L: int, normalization: str = "asymptotic") -> CoefficientTable:
     """Exact coefficient table at zero inhomogeneities."""
-    _check_size(L, _EXACT_LIMIT, "exact")
-    if normalization not in ("asymptotic", "top-one"):
-        raise ValueError(f"unknown normalization {normalization!r}")
+    _check_arguments(L, _EXACT_LIMIT, "exact", normalization)
     equation = _equation(L)
     rows, ncols, box = _assemble_constraints(L, equation)
     selected, rank = _select_independent_rows(rows, ncols)
@@ -564,7 +568,7 @@ def solve_fz_numeric(L: int, rng, q_count: int = 8,
     after the first's); disagreement of the two ratio vectors beyond
     ``_CONSISTENCY_TOL`` (a rank fluke) raises NullspaceDimensionUnexpected.
     """
-    _check_size(L, _NUMERIC_LIMIT, "numeric")
+    _check_arguments(L, _NUMERIC_LIMIT, "numeric", normalization, q_count)
     box = list(itertools.product(_parity_exponents(L), repeat=L))
     ncols = len(box)
     top = box.index((L - 1,) * L)

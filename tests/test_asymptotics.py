@@ -91,7 +91,33 @@ def test_p_relations():
 
 
 def test_p_relations_float():
-    assert check_p_relations(3, q=1.3 - 0.4j).passed
+    for L in (1, 2, 3, 4, 5):
+        out = check_p_relations(L, q=1.3 - 0.4j)
+        assert out.passed and not out.exact, (L, out.details)
+
+
+def test_ordering_sum_float(rng):
+    # the float route of the q-counting prefactor, [L]_{q^-2}! at q^-1 = 1/q
+    q = sample_point(rng)
+    for L in (1, 2, 3, 4, 5):
+        out = check_ordering_sum(L, q)
+        assert out.passed and not out.exact and out.residual <= 1e-9 * out.scale, L
+
+
+@pytest.mark.parametrize("call", [
+    lambda q: f_top(1, [LaurentPoly.var(w_var(1)), LaurentPoly.var(w_var(2))], q, 2),
+    lambda q: apply_p(1, 2, np.array([LaurentPoly.one()] + [LaurentPoly.zero()] * 3), q),
+    lambda q: p_operator(1, 2, q),
+    lambda q: check_p_relations(2, q),
+    lambda q: check_ordering_sum(2, q),
+    lambda q: vacuum_sandwich_p_chain(2, q),
+])
+def test_rational_exact_q_is_refused(call):
+    # an exact q other than the symbolic one has no s-ring to work in; read
+    # as the symbol, it would give the symbolic-q entries for q = 2
+    with pytest.raises(ValueError, match="symbolic q"):
+        call(LaurentPoly.rational(2))
+    call(Q)
 
 
 def test_p_squares_any_size():

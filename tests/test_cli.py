@@ -268,6 +268,20 @@ def test_out_of_range_counts_are_config_errors(capsys, argv):
     assert argv[-2] in doc["error"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--size", "4"], "exact solve supports L <= 3"),
+    (["solve", "--size", "5", "--backend", "float"], "numeric solve supports L <= 4"),
+    (["enumerate", "--size", "7", "--backend", "float"], "pruned enumeration supports L <= 6"),
+    (["compute", "--size", "5", "--method", "enumerate-naive", "--backend", "float"],
+     "naive enumeration supports L <= 4"),
+])
+def test_size_limit_is_a_config_error(capsys, argv, message):
+    # a size past a method's limit is a bad configuration, not a failed check
+    code, out = _capture(capsys, argv)
+    assert code == 2
+    assert json.loads(out) == {"error": message, "kind": "config"}
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--check", "appendix-a", "--size", "2", "--backend", "float", "--trials", "3"],
     ["verify", "--check", "h-table", "--size", "3", "--backend", "float"],

@@ -159,6 +159,20 @@ def test_duplicate_expression_oracle(rng):
             assert abs(got - want) <= 1e-10 * abs(want)
 
 
+@pytest.mark.parametrize("call", [
+    lambda pts: omission_coeff(0, pts, _sym_mus(1), Q),
+    lambda pts: omission_coeff(-1, pts, _sym_mus(1), Q),
+    lambda pts: omission_coeff(3, pts, _sym_mus(1), Q),
+    lambda pts: substitution_coeff(3, 1, pts, _sym_mus(1), Q),
+    lambda pts: substitution_coeff(2, 0, pts, _sym_mus(1), Q),
+    lambda pts: substitution_coeff(1, 2, pts, _sym_mus(1), Q),
+])
+def test_coefficient_index_out_of_range(call):
+    # three points carry n = 2 B operators: 1 <= i <= 2 and 1 <= i < j <= 2
+    with pytest.raises(ValueError, match="coefficient requires 1 <= i"):
+        call(_sym_points(3))
+
+
 def test_identity_sum_vanishes_symbolically():
     pts = _sym_points(3, start=50)
     mus = _sym_mus(1)

@@ -491,6 +491,21 @@ def test_numeric_rows_draw_the_sets_in_order(L):
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
+@pytest.mark.parametrize("backend, kwargs, message", [
+    ("exact", {"normalization": "bogus"}, "unknown normalization 'bogus'"),
+    ("float", {"normalization": "bogus"}, "unknown normalization 'bogus'"),
+    ("float", {"q_count": 0}, "q_count >= 1, got 0"),
+    ("float", {"q_count": -3}, "q_count >= 1, got -3"),
+])
+def test_solve_refuses_bad_arguments(backend, kwargs, message):
+    # both solvers refuse alike, before the numeric one draws from its rng
+    rng = make_rng(1)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=message):
+        solve_fz(2, backend=backend, rng=rng, **kwargs)
+    assert rng.bit_generator.state == state
+
+
 def test_solve_dispatch():
     rng = make_rng(11)
     assert isinstance(solve_fz(1, backend="exact"), CoefficientTable)
