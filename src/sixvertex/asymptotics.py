@@ -176,34 +176,36 @@ def vacuum_sandwich_p_chain(L: int, q=_Q):
 
 def check_p_relations(L: int, q=_Q) -> CheckOutcome:
     """Exchange and square-zero relations of the string operators plus the
-    one-site deformed-su(2) relations, as exact matrix identities."""
+    one-site deformed-su(2) relations, as exact matrix identities.  A float
+    outcome carries the numbers, and the name, of the relation nearest its
+    bound: the largest residual / (scale * tolerance), a failed one first."""
     bk, s, qq, to_q = _ring(q)
     K, Ki, Xp, Xm = _local_generators(q)
-    problems = []
     Ps = {j: p_operator(j, L, q) for j in range(1, L + 1)}
-    for i in range(1, L + 1):
-        for j in range(i + 1, L + 1):
-            if not _sides_agree(apply_p(i, L, Ps[j], q), apply_p(j, L, Ps[i], q) * (qq * qq)):
-                problems.append(f"exchange ({i},{j})")
-    for i in range(1, L + 1):
-        if not _sides_agree(apply_p(i, L, Ps[i], q), bk.full(Ps[i].shape)):
-            problems.append(f"square ({i})")
-    if not _sides_agree(K @ Xp @ Ki, Xp * qq):
-        problems.append("K X+ K^-1")
-    if not _sides_agree(K @ Xm @ Ki, Xm * invert(qq)):
-        problems.append("K X- K^-1")
+    out = [_sides(f"exchange ({i},{j})", apply_p(i, L, Ps[j], q),
+                  apply_p(j, L, Ps[i], q) * (qq * qq))
+           for i in range(1, L + 1) for j in range(i + 1, L + 1)]
+    out += [_sides(f"square ({i})", apply_p(i, L, Ps[i], q), bk.full(Ps[i].shape))
+            for i in range(1, L + 1)]
+    out.append(_sides("K X+ K^-1", K @ Xp @ Ki, Xp * qq))
+    out.append(_sides("K X- K^-1", K @ Xm @ Ki, Xm * invert(qq)))
     # [X+, X-] (q - q^-1) = K^2 - K^-2, cleared of the denominator
-    if not _sides_agree((Xp @ Xm - Xm @ Xp) * (qq - invert(qq)), K @ K - Ki @ Ki):
-        problems.append("[X+, X-]")
+    out.append(_sides("[X+, X-]", (Xp @ Xm - Xm @ Xp) * (qq - invert(qq)), K @ K - Ki @ Ki))
     want = to_q(s ** (L * (L - 1)))
-    if not verdict("", vacuum_sandwich_p_chain(L, q) - want, bk.abs_sum(want), 1e-9).passed:
-        problems.append("vacuum sandwich")
-    return CheckOutcome("string-operator-relations", not problems, exact=bk.exact,
-                        details={"failed": problems} if problems else {})
+    out.append(verdict("vacuum sandwich", vacuum_sandwich_p_chain(L, q) - want,
+                       bk.abs_sum(want), 1e-9))
+    problems = [o.name for o in out if not o.passed]
+    details = {"failed": problems} if problems else {}
+    if bk.exact:
+        return CheckOutcome("string-operator-relations", not problems, exact=True, details=details)
+    worst = max(out, key=lambda o: (not o.passed,
+                                    o.residual and o.residual / (o.scale * o.tolerance)))
+    return verdict("string-operator-relations", worst.residual, worst.scale, worst.tolerance,
+                   {"worst": worst.name, **details})
 
 
-def _sides_agree(lhs, rhs, tol: float = 1e-12) -> bool:
-    return verdict("", lhs - rhs, backend_of(lhs).abs_sum(lhs, rhs), tol).passed
+def _sides(name: str, lhs, rhs, tol: float = 1e-12) -> CheckOutcome:
+    return verdict(name, lhs - rhs, backend_of(lhs).abs_sum(lhs, rhs), tol)
 
 
 def check_ordering_sum(L: int, q=_Q) -> CheckOutcome:

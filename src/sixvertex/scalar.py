@@ -26,8 +26,11 @@ Two interchangeable scalar backends are used throughout, each one
   counts), so its residues modulo just enough 31-bit primes (product M
   past 2B) are accumulated in int64 on mixed-radix monomial keys, and
   Garner's CRT rebuilds, in (-M/2, M/2), the numerators whose residues are
-  not all zero.  A key box past int64, or a B past the prime table, falls
-  back to adding the products one by one.
+  not all zero.  Keys count points of the lattice the product terms lie
+  on (a vertex weight moves each exponent by +-1, so products of weights
+  step by 2); a box of no more cells than term pairs is the accumulator
+  itself, a sparser sum uses the sorted union of its keys.  A key box past
+  int64, or a B past the prime table, falls back to pairwise products.
 * plain ``complex`` -- double precision.  A float zero test is relative:
   each check compares its residual with ``tolerance`` times a scale it
   computes from the same terms, never with an absolute bound, because the
@@ -810,9 +813,14 @@ def exponent_array(p: LaurentPoly, vars: list[VarId]) -> tuple[np.ndarray, list[
 # sum_of_products, as the module docstring says.  With D the common
 # denominator and f_t = D / (den a_t * den b_t), B bounds every numerator
 # over D because a monomial of one product gathers at most min(n_t, m_t)
-# term pairs.  A product term's mixed-radix key is the sum of its factors'
-# keys.  No int64 step wraps: residues stay below 2^31, so their products
-# stay below 2^62, and each key adds fewer than 2^32 of those.
+# term pairs.  In each slot every product term lies on lo + step * Z, step
+# the gcd of each operand's exponents less its first one's and of each
+# pair's first product less the first pair's (1 if that is 0).  A key counts
+# lattice points, (d - lo) // step in mixed radix, and a product term's key
+# is the sum of its factors'.  The union path stays for sparse sums, whose
+# box would be mostly empty (exact z_enumerate at L = 4: ~0.52 M term pairs,
+# ~1.1 M cells).  No int64 step wraps: residues stay below 2^31, so their
+# products stay below 2^62, and each key adds fewer than 2^32 of those.
 
 # the 24 largest primes below 2^31; M reaches 2^743
 _PRIMES = (
@@ -904,9 +912,14 @@ def sum_of_products(pairs) -> LaurentPoly:
     width = len(_SLOT_KEYS) + 1
     digits = [(_digit_array(a._num, width), _digit_array(b._num, width)) for a, b in pairs]
     lo = np.min([da.min(0) + db.min(0) for da, db in digits], axis=0)
-    radices = (np.max([da.max(0) + db.max(0) for da, db in digits], axis=0) - lo + 1).tolist()
-    if (nprimes is None or math.prod(radices) >= _MAX_KEYS
-            or sum(len(a._num) * len(b._num) for a, b in pairs) >= _MAX_PAIRS):
+    base = digits[0][0][0] + digits[0][1][0]
+    step = np.maximum(np.gcd.reduce([np.gcd.reduce(x - x[0]) for d in digits for x in d]
+                                    + [da[0] + db[0] - base for da, db in digits]), 1)
+    radices = ((np.max([da.max(0) + db.max(0) for da, db in digits], axis=0) - lo)
+               // step + 1).tolist()
+    box = math.prod(radices)
+    npairs = sum(len(a._num) * len(b._num) for a, b in pairs)
+    if nprimes is None or box >= _MAX_KEYS or npairs >= _MAX_PAIRS:
         total = LaurentPoly.zero()
         for a, b in pairs:
             total = total + a * b
@@ -914,38 +927,42 @@ def sum_of_products(pairs) -> LaurentPoly:
     primes = _PRIMES[:nprimes]
     strides = np.array([math.prod(radices[:s]) for s in range(width)], dtype=np.int64)
     # the short operand's digits shifted to start at 0 and the long one's
-    # by the rest of lo, so that each product term's shifted digits lie in
-    # [0, radix); the long one's keys sorted, so that every row of a block
-    # is an increasing run
+    # by the rest of lo, then divided by the step, so that each product
+    # term's lattice digits lie in [0, radix); the long one's keys sorted,
+    # so that every row of a block is an increasing run
     operands = []
     for (a, b), f, (da, db) in zip(pairs, factors, digits):
         if len(a._num) > len(b._num):
             a, b, da, db = b, a, db, da
         low = da.min(0)
-        kb = (db - (lo - low)) @ strides
+        kb = (db - (lo - low)) // step @ strides
         order = np.argsort(kb, kind="stable")
-        operands.append(((da - low) @ strides, kb[order],
+        operands.append(((da - low) // step @ strides, kb[order],
                          _residues(a._num.values(), f, primes),
                          _residues(b._num.values(), 1, primes)[:, order]))
     del digits
-    # the union of every product's keys, merged whenever the keys waiting
-    # outnumber it
-    union = np.empty(0, dtype=np.int64)
-    waiting = []
-    count = 0
-    for ka, kb, _, _ in operands:
-        for ra, rb in _blocks(len(ka), len(kb)):
-            waiting.append((ka[ra, None] + kb[rb]).ravel())
-            count += waiting[-1].size
-            if count >= len(union):
-                union = _sorted_union([union, *waiting])
-                waiting, count = [], 0
-    union = _sorted_union([union, *waiting])
-    del waiting
-    acc = np.zeros((nprimes, len(union)), dtype=np.int64)
+    # the box itself if the term pairs fill it, else the union of every
+    # product's keys, merged whenever the keys waiting outnumber it
+    union = None
+    if box > npairs:
+        union = np.empty(0, dtype=np.int64)
+        waiting = []
+        count = 0
+        for ka, kb, _, _ in operands:
+            for ra, rb in _blocks(len(ka), len(kb)):
+                waiting.append((ka[ra, None] + kb[rb]).ravel())
+                count += waiting[-1].size
+                if count >= len(union):
+                    union = _sorted_union([union, *waiting])
+                    waiting, count = [], 0
+        union = _sorted_union([union, *waiting])
+        del waiting
+    acc = np.zeros((nprimes, box if union is None else len(union)), dtype=np.int64)
     for ka, kb, resa, resb in operands:
         for ra, rb in _blocks(len(ka), len(kb)):
-            pos = np.searchsorted(union, (ka[ra, None] + kb[rb]).ravel())
+            pos = (ka[ra, None] + kb[rb]).ravel()
+            if union is not None:
+                pos = np.searchsorted(union, pos)
             for row, p, x, y in zip(acc, primes, resa[:, ra], resb[:, rb]):
                 prods = np.multiply.outer(x, y)
                 prods %= p
@@ -954,7 +971,8 @@ def sum_of_products(pairs) -> LaurentPoly:
     nonzero = np.flatnonzero(acc.any(axis=0))
     if not nonzero.size:
         return _ZERO
-    mono = union[nonzero, None] // strides % np.array(radices, dtype=np.int64) + lo
+    keys = nonzero if union is None else union[nonzero]
+    mono = keys[:, None] // strides % np.array(radices, dtype=np.int64) * step + lo
     num = dict(zip(_packed_keys(mono), _symmetric_crt(acc[:, nonzero], primes)))
     return _reduced(num, den, emax)
 

@@ -3,6 +3,7 @@ import cmath
 import numpy as np
 import pytest
 
+from sixvertex import asymptotics
 from sixvertex.asymptotics import (
     apply_p,
     asymptotic_norm,
@@ -94,6 +95,22 @@ def test_p_relations_float():
     for L in (1, 2, 3, 4, 5):
         out = check_p_relations(L, q=1.3 - 0.4j)
         assert out.passed and not out.exact, (L, out.details)
+
+
+@pytest.mark.parametrize("error, passed", [(1e-10, True), (1e-6, False)])
+def test_p_relations_float_reports_its_worst_relation(error, passed, monkeypatch):
+    q = 1.3 - 0.4j
+    out = check_p_relations(3, q)
+    assert out.passed and out.residual <= out.tolerance * out.scale
+    assert None not in (out.residual, out.scale, out.tolerance)
+    assert out.details["worst"] != "vacuum sandwich"
+    sandwich = asymptotics.vacuum_sandwich_p_chain
+    monkeypatch.setattr(asymptotics, "vacuum_sandwich_p_chain",
+                        lambda L, q: sandwich(L, q) * (1 + error))
+    out = check_p_relations(3, q)
+    assert out.passed == passed and out.details["worst"] == "vacuum sandwich"
+    assert out.tolerance == 1e-9 and out.residual == pytest.approx(error * out.scale)
+    assert out.details.get("failed", []) == ([] if passed else ["vacuum sandwich"])
 
 
 def test_ordering_sum_float(rng):

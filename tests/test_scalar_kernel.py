@@ -6,6 +6,7 @@ vectors one pair at a time and never packs anything, so it shares no code
 with the kernel beyond VarId's key convention.
 """
 
+import itertools
 import math
 import sys
 import threading
@@ -583,9 +584,11 @@ def test_sum_of_products_exponent_boundary():
 def test_sum_of_products_falls_back_to_pairwise(case, monkeypatch):
     xs = [LaurentPoly.var(u_var(i)) for i in (60, 61, 62, 63)]
     if case == "key box":
-        # four digits spanning nearly 2^16 each: the keys leave int64
+        # four digits spanning nearly 2^16 each; with the term u60^2 u61 u62
+        # u63 and b's 3 u60 no slot keeps one parity, so every lattice step
+        # is 1 and the keys leave int64
         hi = xs[0] ** 16383 * xs[1] ** 16383 * xs[2] ** 16383 * xs[3] ** 16383
-        a = hi + hi.monomial_inverse()
+        a = hi + hi.monomial_inverse() + xs[0] ** 2 * xs[1] * xs[2] * xs[3]
         b = a - xs[0] * 3
     else:
         # numerators past the product of every prime in the table
@@ -597,3 +600,55 @@ def test_sum_of_products_falls_back_to_pairwise(case, monkeypatch):
 
     monkeypatch.setattr(scalar, "_residues", refuse)
     assert sum_of_products([(a, b), (b, b)]) == want
+
+
+def _mono(c, *exps):
+    """The reference monomial c * prod v^e over the (VarId, e) pairs."""
+    return {tuple(sorted((v.key, e) for v, e in exps if e)): Fraction(c)}
+
+
+def _weight(v):
+    """A weight-like binomial v q - v^-1 q^-1: it moves each exponent by 1."""
+    return ref_add(_mono(1, (v, 1), (q_var(), 1)), _mono(-1, (v, -1), (q_var(), -1)))
+
+
+def _lattice_pairs(case):
+    u, v, w = u_var(60), u_var(61), w_var(61)
+    if case == "dense":
+        # every product odd in each u and w slot and even in q: step 2 in
+        # each slot, 80 cells for 384 term pairs
+        xs = [u, v, w, w_var(0)]
+        return [(ref_mul(ref_mul(_weight(a), _weight(b)), _mono(Fraction(k + 1, 3))),
+                 ref_mul(_weight(c), _weight(d)))
+                for k, (a, b, c, d) in enumerate(itertools.permutations(xs))]
+    if case == "sparse":
+        # 8 term pairs in a box of millions of cells
+        a = ref_add(_mono(3, (u, 50), (w, -7)), _mono(Fraction(-1, 7), (v, -40)))
+        b = ref_add(_mono(1, (w, 33), (q_var(), 5)), _mono(Fraction(2, 5), (q_var(), -20)))
+        return [(a, b), (b, b)]
+    if case == "offset":
+        # each pair's products step by 2 in u, but the second pair's sit one
+        # above the first's: the step across both is 1
+        return [(ref_add(_mono(1, (u, 2)), _mono(1)), ref_add(_mono(1, (u, 2)), _mono(-1))),
+                (_mono(2, (u, 1)), ref_add(_mono(1, (u, 2)), _mono(3)))]
+    # u steps by 3 from -2, w stays at 1
+    return [(ref_add(_mono(1, (u, 4), (w, 2)), _mono(-2, (u, -2), (w, 2))),
+             ref_add(_mono(1, (u, 3), (w, -1)), _mono(Fraction(5, 3), (w, -1)))),
+            (_mono(7, (u, 1), (w, 1)), _mono(-1))]
+
+
+@pytest.mark.parametrize("case, builds_union", [
+    ("dense", False), ("sparse", True), ("offset", False), ("step 3", False)])
+def test_sum_of_products_on_the_exponent_lattice(case, builds_union, monkeypatch):
+    pairs = _lattice_pairs(case)
+    built = []
+    union = scalar._sorted_union
+
+    def spy(parts):
+        built.append(len(parts))
+        return union(parts)
+
+    monkeypatch.setattr(scalar, "_sorted_union", spy)
+    _check(sum_of_products((LaurentPoly(a), LaurentPoly(b)) for a, b in pairs),
+           ref_sum_of_products(pairs))
+    assert bool(built) == builds_union
