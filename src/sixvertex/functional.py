@@ -11,9 +11,12 @@ spectral points: the functional-equation residual computed here.
 
 One term source: every coefficient is a product of the vertex weights
 a, b, c of ``vertex.weights_of``, computed once per input for each ordered
-point pair and each point-mu pair (``_WeightTable``).  ``_terms`` yields
-each term's numerator, the point pairs whose b-weights form its
-denominator, and the points whose B-operators it keeps.  The float backend
+point pair and each point-mu pair, with the products A_x, B_x of each
+point's a- and b-weights over the mus (``_WeightTable``).  Every half-term
+of a numerator comes from ``_half_term``: its point-pair a-weights first,
+then the short part c * A_p * B_r (times c * a for a substitution).
+``_terms`` yields each term's numerator, the point pairs whose b-weights
+form its denominator, and the points whose B-operators it keeps.  The float backend
 divides each numerator by its denominator.  The exact backend clears every
 term to the common denominator ``prod b(lam_x - lam_y)`` over all pairs,
 keeping every intermediate a genuine Laurent polynomial, by one rule,
@@ -46,6 +49,7 @@ from the point-0 weights.  An explicit provider goes subset by subset.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,7 +124,8 @@ class FunctionalInput:
 class _WeightTable:
     """``weights_of`` for every ordered pair of points (``pt[x, y]`` for
     lam_x - lam_y) and every point-mu pair (``mu[x][k]`` for lam_x - mu_k)
-    of one input, in the backend of its points."""
+    of one input, in the backend of its points, and the products over the
+    mus A_x = prod_k a(lam_x - mu_k) (``a_mu[x]``) and B_x, of the b's."""
 
     def __init__(self, points, mus, q):
         self.backend = backend_of(points[0])
@@ -130,6 +135,8 @@ class _WeightTable:
                    for x, px in enumerate(points)
                    for y, py in enumerate(points) if x != y}
         self.mu = [[weights_of(p * invert(m), q) for m in mus] for p in points]
+        self.a_mu = [math.prod((ws.a for ws in row), start=self.backend.one) for row in self.mu]
+        self.b_mu = [math.prod((ws.b for ws in row), start=self.backend.one) for row in self.mu]
         # c does not depend on the spectral difference
         self.c = self.pt[0, 1].c if self.n else None
 
@@ -158,31 +165,28 @@ class _WeightTable:
         return b_products(ms, np.repeat(v[:, None], len(subsets), axis=1))
 
 
+def _half_term(w: _WeightTable, p: int, r: int, others, sign: int, extra):
+    """sign * c * A_p * B_r * extra * prod_k a(lam_r - lam_k) a(lam_k - lam_p)
+    over the points k in others, the b-signs of the point pairs taken into
+    sign: the point-pair product first, the short mu-part last."""
+    acc = w.backend.one
+    for k in others:
+        sign *= _bsign(r, k) * _bsign(k, p)
+        acc = acc * w.pt[r, k].a * w.pt[k, p].a
+    acc = acc * (w.c * w.a_mu[p] * w.b_mu[r] * extra)
+    return acc if sign > 0 else -acc
+
+
 def _omission_parts(i: int, w: _WeightTable):
     """Numerator and denominator pair set of the i-th omission coefficient."""
     n = w.n
     if not 1 <= i <= n:
         raise ValueError(f"omission coefficient requires 1 <= i <= {n}, got i = {i}")
-    pairs = {(0, i)}
-    for k in range(1, n + 1):
-        if k != i:
-            pairs.add((min(i, k), max(i, k)))
-            pairs.add((0, k))
-
-    def term(p: int, r: int):
-        # the formula with lam_0 -> points[p], lam_i -> points[r]
-        sign = _bsign(r, p)
-        acc = w.c
-        for mp, mr in zip(w.mu[p], w.mu[r]):
-            acc = acc * mp.a * mr.b
-        for k in range(1, n + 1):
-            if k == i:
-                continue
-            sign *= _bsign(r, k) * _bsign(k, p)
-            acc = acc * w.pt[r, k].a * w.pt[k, p].a
-        return acc if sign > 0 else -acc
-
-    return term(0, i) + term(i, 0), pairs
+    others = [k for k in range(1, n + 1) if k != i]
+    pairs = {(0, i)} | {(min(i, k), max(i, k)) for k in others} | {(0, k) for k in others}
+    # the formula with lam_0 -> points[p], lam_i -> points[r]
+    return (_half_term(w, 0, i, others, _bsign(i, 0), w.backend.one)
+            + _half_term(w, i, 0, others, _bsign(0, i), w.backend.one)), pairs
 
 
 def _substitution_parts(j: int, i: int, w: _WeightTable):
@@ -190,23 +194,13 @@ def _substitution_parts(j: int, i: int, w: _WeightTable):
     n = w.n
     if not 1 <= i < j <= n:
         raise ValueError(f"substitution coefficient requires 1 <= i < j <= {n}, got {(j, i)}")
-    pairs = {(0, i), (0, j), (i, j)}
-    for m in range(1, n + 1):
-        if m not in (i, j):
-            pairs.add((min(i, m), max(i, m)))
-            pairs.add((min(j, m), max(j, m)))
+    others = [m for m in range(1, n + 1) if m not in (i, j)]
+    pairs = ({(0, i), (0, j), (i, j)} | {(min(i, m), max(i, m)) for m in others}
+             | {(min(j, m), max(j, m)) for m in others})
 
     def term(ii: int, jj: int):
         sign = _bsign(0, jj) * _bsign(ii, 0) * _bsign(jj, ii)
-        acc = w.c * w.c * w.pt[jj, ii].a
-        for mi, mj in zip(w.mu[ii], w.mu[jj]):
-            acc = acc * mi.a * mj.b
-        for m in range(1, n + 1):
-            if m in (i, j):
-                continue
-            sign *= _bsign(jj, m) * _bsign(m, ii)
-            acc = acc * w.pt[jj, m].a * w.pt[m, ii].a
-        return acc if sign > 0 else -acc
+        return _half_term(w, ii, jj, others, sign, w.c * w.pt[jj, ii].a)
 
     return term(i, j) + term(j, i), pairs
 

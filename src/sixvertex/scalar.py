@@ -23,8 +23,9 @@ Two interchangeable scalar backends are used throughout, each one
   products a_t * b_t in one pass, never forming a product: over one common
   denominator each numerator of the sum is an integer of size at most B =
   sum_t f_t * max|a_t| * max|b_t| * min(n_t, m_t) (n_t, m_t the term
-  counts), so its residues modulo just enough 31-bit primes (product M
-  past 2B) are accumulated in int64 on mixed-radix monomial keys, and
+  counts), so its residues modulo just enough 26-bit primes (product M
+  past 2B) are accumulated in int64 on mixed-radix monomial keys, reduced
+  once per 2,048 rows of products rather than once per product, and
   Garner's CRT rebuilds, in (-M/2, M/2), the numerators whose residues are
   not all zero.  Keys count points of the lattice the product terms lie
   on (a vertex weight moves each exponent by +-1, so products of weights
@@ -819,18 +820,25 @@ def exponent_array(p: LaurentPoly, vars: list[VarId]) -> tuple[np.ndarray, list[
 # lattice points, (d - lo) // step in mixed radix, and a product term's key
 # is the sum of its factors'.  The union path stays for sparse sums, whose
 # box would be mostly empty (exact z_enumerate at L = 4: ~0.52 M term pairs,
-# ~1.1 M cells).  No int64 step wraps: residues stay below 2^31, so their
-# products stay below 2^62, and each key adds fewer than 2^32 of those.
+# ~1.1 M cells).  No int64 step wraps: residues stay below p < 2^26, so a
+# product of two is at most (p - 1)^2 < 2^52 and is added unreduced.  A
+# block adds to a cell at most one product per row of its short operand
+# (the long operand's keys are distinct), so a cell reduced below p that
+# then takes _ROWS = floor((2^63 - p) / (p - 1)^2) rows, p the largest
+# prime, stays below 2^63: the accumulator is reduced before the rows
+# since its last reduction would pass _ROWS (a block has at most 64 rows).
 
-# the 24 largest primes below 2^31; M reaches 2^743
+# the 29 largest primes below 2^26; M reaches 2^753
 _PRIMES = (
-    2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549,
-    2147483543, 2147483497, 2147483489, 2147483477, 2147483423, 2147483399,
-    2147483353, 2147483323, 2147483269, 2147483249, 2147483237, 2147483179,
-    2147483171, 2147483137, 2147483123, 2147483077, 2147483069, 2147483059,
+    67108859, 67108837, 67108819, 67108777, 67108763, 67108757, 67108753,
+    67108747, 67108739, 67108729, 67108721, 67108709, 67108693, 67108669,
+    67108667, 67108661, 67108649, 67108633, 67108597, 67108579, 67108529,
+    67108511, 67108507, 67108493, 67108471, 67108463, 67108453, 67108439,
+    67108387,
 )
+# rows of products a reduced accumulator cell takes before it could pass 2^63
+_ROWS = ((1 << 63) - max(_PRIMES)) // (max(_PRIMES) - 1) ** 2
 _CHUNK = 4096  # term pairs per temporary array
-_MAX_PAIRS = 1 << 32
 _MAX_KEYS = 1 << 63
 
 
@@ -841,8 +849,8 @@ def _as_poly(x) -> LaurentPoly:
 def _residues(nums, factor: int, primes) -> np.ndarray:
     """factor * nums modulo each prime: int64, one row per prime.  Each
     numerator is read as 16-bit limbs from its two's-complement bytes, the
-    top limb signed; a limb times a residue stays below 2^47, and a
-    numerator below the primes' product 2^743 has at most 47 limbs."""
+    top limb signed; a limb times a residue stays below 2^42, and a
+    numerator below half the primes' product, 2^753, has at most 48 limbs."""
     nums = list(nums)
     nbytes = 2 * (max(map(abs, nums)).bit_length() // 16 + 1)
     raw = b"".join(n.to_bytes(nbytes, "little", signed=True) for n in nums)
@@ -919,7 +927,7 @@ def sum_of_products(pairs) -> LaurentPoly:
                // step + 1).tolist()
     box = math.prod(radices)
     npairs = sum(len(a._num) * len(b._num) for a, b in pairs)
-    if nprimes is None or box >= _MAX_KEYS or npairs >= _MAX_PAIRS:
+    if nprimes is None or box >= _MAX_KEYS:
         total = LaurentPoly.zero()
         for a, b in pairs:
             total = total + a * b
@@ -958,16 +966,20 @@ def sum_of_products(pairs) -> LaurentPoly:
         union = _sorted_union([union, *waiting])
         del waiting
     acc = np.zeros((nprimes, box if union is None else len(union)), dtype=np.int64)
+    moduli = np.array(primes, dtype=np.int64)[:, None]
+    rows = 0
     for ka, kb, resa, resb in operands:
         for ra, rb in _blocks(len(ka), len(kb)):
             pos = (ka[ra, None] + kb[rb]).ravel()
             if union is not None:
                 pos = np.searchsorted(union, pos)
-            for row, p, x, y in zip(acc, primes, resa[:, ra], resb[:, rb]):
-                prods = np.multiply.outer(x, y)
-                prods %= p
-                np.add.at(row, pos, prods.ravel())
-    acc %= np.array(primes, dtype=np.int64)[:, None]
+            rows += len(ka[ra])
+            if rows > _ROWS:
+                acc %= moduli
+                rows = len(ka[ra])
+            for row, x, y in zip(acc, resa[:, ra], resb[:, rb]):
+                np.add.at(row, pos, np.multiply.outer(x, y).ravel())
+    acc %= moduli
     nonzero = np.flatnonzero(acc.any(axis=0))
     if not nonzero.size:
         return _ZERO

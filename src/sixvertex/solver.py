@@ -17,8 +17,9 @@ Exact pipeline (L <= 3):
    numpy key, and every spectral monomial yields one linear constraint,
    kept in flat int64 arrays of (column, q exponent, integer value) entries;
 2. select independent constraints greedily, fewest entries first, by rank
-   modulo a prime at one integer q (reduction modulo p and specialization
-   of q can only lower rank, so independence lifts to the generic field);
+   modulo the prime p = 2147483629 (``_SELECTION_PRIME``) at one integer q
+   (reduction modulo p and specialization of q can only lower rank, so
+   independence lifts to the generic field);
 3. fraction-free Gaussian elimination over Z[q] on the selected rows,
    back-substitution over rational functions in q;
 4. verify the candidate table: the whole equation, with the table's
@@ -60,7 +61,6 @@ from .functional import FunctionalInput, _expansion_sum, _terms, _WeightTable, f
 from .partition import z_algebraic
 from .sampling import sample_point, sample_spectral_sets
 from .scalar import (
-    _PRIMES,
     LaurentPoly,
     RationalFunction,
     _content_and_lows,
@@ -303,9 +303,13 @@ def _assemble_constraints(L: int, equation: tuple):
 # -- row selection: rank modulo a prime at one q -----------------------
 
 
+# the prime of row selection, the second largest below 2^31
+_SELECTION_PRIME = 2147483629
+
+
 def _select_independent_rows(rows: _Rows, ncols: int, qval: int = 3):
     """Greedy selection, fewest entries first, of up to ncols - 1 rows
-    independent modulo p = ``_PRIMES[1]`` at q = qval: (row indices, rank).
+    independent modulo p = ``_SELECTION_PRIME`` at q = qval: (row indices, rank).
 
     Rank modulo p at one q can only be lower than over Q(q), so the rows
     are independent over Q(q) too.  A row is independent of those selected
@@ -317,7 +321,7 @@ def _select_independent_rows(rows: _Rows, ncols: int, qval: int = 3):
     block into 16-bit limbs, and a sum of ncols < 2^16 products of a limb
     and a residue stays below 2^63.
     """
-    p = _PRIMES[1]
+    p = _SELECTION_PRIME
     lengths = np.diff(rows.starts)
     order = np.argsort(lengths, kind="stable")
     low = rows.qexp.min(initial=0)  # a power of q per row keeps its rank

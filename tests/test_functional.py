@@ -577,6 +577,55 @@ _EXACT_FZ_CASES = [
 ]
 
 
+def _interleaved_numerators(w, drop=False):
+    """Every term's numerator as the left fold that interleaves the factors:
+    the c's, then a(lam_p - mu_k) b(lam_r - mu_k) mu by mu, then
+    a(lam_r - lam_k) a(lam_k - lam_p) point by point, with b(x - y) =
+    -b(y - x) turned into a sign; drop leaves out the first point pair's
+    a(lam_r - lam_k)."""
+    n = w.n
+
+    def half(p, r, start, sign, others):
+        acc = start
+        for mp, mr in zip(w.mu[p], w.mu[r]):
+            acc = acc * mp.a * mr.b
+        for t, k in enumerate(others):
+            sign *= (1 if r < k else -1) * (1 if k < p else -1)
+            if not (drop and t == 0):
+                acc = acc * w.pt[r, k].a
+            acc = acc * w.pt[k, p].a
+        return acc if sign > 0 else -acc
+
+    nums = []
+    for i in range(1, n + 1):
+        others = [k for k in range(1, n + 1) if k != i]
+        nums.append(half(0, i, w.c, -1, others)
+                    + half(i, 0, w.c, 1, others))
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            others = [m for m in range(1, n + 1) if m not in (i, j)]
+            nums.append(half(i, j, w.c * w.c * w.pt[j, i].a, 1, others)
+                        + half(j, i, w.c * w.c * w.pt[i, j].a, -1, others))
+    return nums
+
+
+@pytest.mark.parametrize("L, pts, mus, q", [
+    (1, _sym_points(3), _sym_mus(1), Q),
+    (2, _sym_points(4), _sym_mus(2), Q),
+    (3, _sym_points(5), _sym_mus(3), Q),
+    _EXACT_FZ_CASES[2],
+])
+def test_numerators_are_the_interleaved_fold(L, pts, mus, q):
+    # the numerators from per-point mu-products against the formulas
+    # multiplied out factor by factor; negative control: one a-factor of a
+    # point pair left out
+    w = functional._WeightTable(pts, mus, q)
+    nums = [num for num, _, _ in functional._terms(w)]
+    assert len(nums) == (L + 1) * (L + 2) // 2
+    assert nums == _interleaved_numerators(w)
+    assert nums != _interleaved_numerators(w, drop=True)
+
+
 @pytest.mark.parametrize("L, pts, mus, q", _EXACT_FZ_CASES)
 def test_default_exact_fz_is_the_per_subset_provider(monkeypatch, L, pts, mus, q):
     # one batch of Z values against z_algebraic subset by subset, on the
@@ -602,16 +651,15 @@ def test_default_exact_fz_failure_is_a_provider_failure(monkeypatch):
         check_fz(inp)
 
 
-def _cbb_cleared_route(pts, mus, drop=None):
+def _cbb_cleared_route(pts, mus):
     """The exact cbb residual the old way: C(lam_0) prod B |0> times
     den(every), minus each term's numerator cleared to den(every) times its
-    b_product vector, one term at a time; the term numbered drop keeps its
-    bare numerator."""
+    b_product vector, one term at a time."""
     w = functional._WeightTable(pts, mus, Q)
     want = build_monodromy(pts[0], mus, Q).apply("C", b_product(pts[1:], mus, Q)) \
         * w.den(w.every)
-    for t, (num, pairs, subset) in enumerate(functional._terms(w)):
-        cleared = num if t == drop else num * w.den(w.every - pairs)
+    for num, pairs, subset in functional._terms(w):
+        cleared = num * w.den(w.every - pairs)
         want = want - b_product([pts[k] for k in subset], mus, Q) * cleared
     return want
 
@@ -625,14 +673,17 @@ def test_exact_cbb_is_the_per_subset_sum(monkeypatch, n, L):
     pts = _sym_points(n + 1, start=70)
     mus = _sym_mus(L)
     res, scale = functional.cbb_expansion_residual(n, pts, mus, Q)
-    assert scale is None and list(res) == list(_cbb_cleared_route(pts, mus))
+    plain = _cbb_cleared_route(pts, mus)
+    assert scale is None and list(res) == list(plain)
     assert all(x.is_zero() for x in res) == (n == 0)
     if n == 3:
         # negative control: from n = 3 on, a term's clearing factor is not
-        # one, and dropping it changes the residual
+        # one, and term 0 with its bare numerator changes the residual
         w = functional._WeightTable(pts, mus, Q)
-        assert w.clearing(next(functional._terms(w))[1]) != LaurentPoly.one()
-        assert list(_cbb_cleared_route(pts, mus, drop=0)) != list(res)
+        num, pairs, subset = next(functional._terms(w))
+        assert w.clearing(pairs) != LaurentPoly.one()
+        dropped = plain + b_product([pts[k] for k in subset], mus, Q) * (num * w.clearing(pairs) - num)
+        assert list(dropped) != list(res)
 
 
 def test_exact_checks_with_no_sites():

@@ -553,7 +553,12 @@ def test_sum_of_products_at_its_coefficient_bound(k, sign):
 
 def test_prime_table():
     primes = scalar._PRIMES
-    assert len(set(primes)) == len(primes) and max(primes) < 1 << 31
+    assert len(set(primes)) == len(primes) and max(primes) < 1 << 26
+    # a reduced cell plus _ROWS products of two residues stays in int64, and
+    # every coefficient bound below 2^742 takes the residue path
+    p = max(primes)
+    assert scalar._ROWS * (p - 1) ** 2 + p < 1 << 63
+    assert math.prod(primes) > 1 << 743
     # Miller-Rabin with the bases 2, 3, 5, 7 decides primality below 3.2e9
     for n in primes:
         d, s = n - 1, 0
@@ -562,6 +567,14 @@ def test_prime_table():
         for a in (2, 3, 5, 7):
             x = pow(a, d, n)
             assert x in (1, n - 1) or any(pow(x, 2 ** r, n) == n - 1 for r in range(1, s))
+
+
+def test_sum_of_products_reduces_before_int64_wraps():
+    # every product's residue is (p - 1)^2, and 3000 of them pass 2^63 in
+    # one cell: the accumulator must be reduced between rows
+    x = LaurentPoly.var(u_var(61))
+    assert 3000 > scalar._ROWS
+    assert sum_of_products([(-x, -x ** -1)] * 3000) == 3000
 
 
 def test_sum_of_products_exponent_boundary():

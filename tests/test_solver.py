@@ -9,7 +9,6 @@ from sixvertex.asymptotics import asymptotic_norm
 from sixvertex import solver
 from sixvertex.errors import NullspaceDimensionUnexpected, SizeLimitExceeded
 from sixvertex.scalar import (
-    _PRIMES,
     LaurentPoly,
     RationalFunction,
     coefficients_in,
@@ -19,6 +18,7 @@ from sixvertex.scalar import (
     u_var,
 )
 from sixvertex.solver import (
+    _SELECTION_PRIME,
     X,
     CoefficientTable,
     ansatz_box,
@@ -261,7 +261,7 @@ def test_modular_selection_matches_rational_rank_on_l2_rows():
 
 
 def test_modular_selection_skips_dependent_rows():
-    p = _PRIMES[1]
+    p = _SELECTION_PRIME
     a = [(0, 0, 1), (1, 1, 2)]
     b = [(1, 0, 1), (3, 0, -4)]
     system = [
@@ -293,7 +293,7 @@ def test_modular_selection_stays_exact():
     # p < 2^31, so an int64 product of two, or a sum of ncols products of a
     # 16-bit limb and a residue, never wraps, and a float64 sum of a cell's
     # residues stays below 2^53
-    p = _PRIMES[1]
+    p = _SELECTION_PRIME
     L = solver._EXACT_LIMIT
     ncols = len(ansatz_box(L))
     assert p < 2 ** 31
