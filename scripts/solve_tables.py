@@ -38,8 +38,8 @@ def main():
         if args.size == 3:
             report = verify_h_table(table)
             print(f"reference-table comparison: "
-                  f"{'all entries match' if report.ok else 'MISMATCH'}")
-            return 0 if report.ok else 1
+                  f"{'all entries match' if report.passed else 'MISMATCH'}")
+            return 0 if report.passed else 1
         return 0
     result = solve_fz(args.size, args.normalize, "float",
                       rng=make_rng(args.seed))

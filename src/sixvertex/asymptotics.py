@@ -197,7 +197,7 @@ def check_p_relations(L: int, q=_Q) -> CheckOutcome:
     problems = [o.name for o in out if not o.passed]
     details = {"failed": problems} if problems else {}
     if bk.exact:
-        return CheckOutcome("string-operator-relations", not problems, exact=True, details=details)
+        return verdict("string-operator-relations", len(problems), None, 0, details)
     worst = max(out, key=lambda o: (not o.passed,
                                     o.residual and o.residual / (o.scale * o.tolerance)))
     return verdict("string-operator-relations", worst.residual, worst.scale, worst.tolerance,

@@ -250,6 +250,36 @@ _EXACT_LIMITS = {
 _EXACT_ONLY = ("ode", "verify --check appendix-a", "verify --check h-table")
 
 
+def _sampled_checks(cfg: RunConfig, rng, tol: dict) -> dict:
+    """Each check that runs on drawn parameters, as a list of (point count,
+    mu count, call on one run's points, mus and q); comm has one entry per
+    rule, each with its own stream of runs.  rtt above L = 4 draws its probe
+    columns from rng inside the call."""
+    L = cfg.size
+    n = cfg.operators if cfg.operators is not None else L
+
+    def fz(pts, mus, q):
+        if cfg.backend == "exact" and L == 3:
+            # rational inhomogeneities keep the L=3 identity exact at
+            # desk-scale cost; the lambdas and q stay fully symbolic
+            mus = [LaurentPoly.rational(v) for v in (2, 3, 5)]
+        return functional.check_fz(functional.FunctionalInput(L, tuple(pts), tuple(mus), q),
+                                   **tol)
+
+    return {
+        "yb": [(3, 0, lambda p, m, q: vertex.check_yang_baxter(*p, q, **tol))],
+        "rtt": [(2, L, lambda p, m, q: monodromy.check_rtt(*p, m, q, rng=rng, **tol))],
+        "comm": [(2, L, lambda p, m, q, rule=rule:
+                  monodromy.check_commutation(rule, *p, m, q, **tol))
+                 for rule in ("AB", "DB", "CB", "BB")],
+        "triangular": [(1, L, lambda p, m, q: monodromy.check_triangular(*p, m, q, **tol))],
+        "cbb": [(n + 1, L, lambda p, m, q:
+                 functional.check_cbb_expansion(n, tuple(p), tuple(m), q, **tol))],
+        "z0": [(L + 1, L, lambda p, m, q: functional.check_b_nilpotency(L, p, m, q, **tol))],
+        "fz": [(L + 2, L, fz)],
+    }
+
+
 def _run_check(cfg: RunConfig) -> list[CheckOutcome]:
     L = cfg.size
     check = cfg.check
@@ -260,56 +290,27 @@ def _run_check(cfg: RunConfig) -> list[CheckOutcome]:
     limit, message = _EXACT_LIMITS.get(check, (L, ""))
     if exact and L > limit:
         raise ConfigError(message)
-    out: list[CheckOutcome] = []
-
-    if check == "yb":
-        for (lam, mu, nu), _, q in _runs(cfg, rng, 3, 0):
-            out.append(vertex.check_yang_baxter(lam, mu, nu, q, **tol))
-    elif check == "rtt":
-        for (u, v), mus, q in _runs(cfg, rng, 2, L):
-            out.append(monodromy.check_rtt(u, v, mus, q, rng=rng, **tol))
-    elif check == "comm":
-        for rule in ("AB", "DB", "CB", "BB"):
-            for (lam, nu), mus, q in _runs(cfg, rng, 2, L):
-                out.append(monodromy.check_commutation(rule, lam, nu, mus, q, **tol))
-    elif check == "triangular":
-        for (u,), mus, q in _runs(cfg, rng, 1, L):
-            out.append(monodromy.check_triangular(u, mus, q, **tol))
-    elif check == "cbb":
-        n = cfg.operators if cfg.operators is not None else L
-        for pts, mus, q in _runs(cfg, rng, n + 1, L):
-            out.append(functional.check_cbb_expansion(n, tuple(pts), tuple(mus), q, **tol))
-    elif check == "z0":
-        for lams, mus, q in _runs(cfg, rng, L + 1, L):
-            out.append(functional.check_b_nilpotency(L, lams, mus, q, **tol))
-    elif check == "fz":
-        for trial, (pts, mus, q) in enumerate(_runs(cfg, rng, L + 2, L)):
-            if exact and L == 3:
-                # rational inhomogeneities keep the L=3 identity exact at
-                # desk-scale cost; the lambdas and q stay fully symbolic
-                mus = [LaurentPoly.rational(v) for v in (2, 3, 5)]
-            o = functional.check_fz(functional.FunctionalInput(L, tuple(pts), tuple(mus), q),
-                                    **tol)
-            if not exact:
-                o.details = {
-                    "trial": trial,
-                    "points": [_scalar_json(p) for p in pts],
-                    "mus": [_scalar_json(m) for m in mus],
-                    "q": _scalar_json(q),
-                }
-            out.append(o)
-    elif check == "appendix-a":
-        out.extend(asymptotics.run_asymptotic_checks(L))
-    elif check == "h-table":
-        if cfg.size != 3:
+    if check == "appendix-a":
+        return asymptotics.run_asymptotic_checks(L)
+    if check == "h-table":
+        if L != 3:
             raise ConfigError("the reference coefficient table is for --size 3")
         table = solver.solve_fz(3, "asymptotic", "exact") if cfg.source == "solver" \
             else solver.h_table_from_z(3)
-        report = solver.verify_h_table(table)
-        out.append(CheckOutcome("h-table", report.ok, exact=True,
-                                details=report.to_json_obj()))
-    else:
+        return [solver.verify_h_table(table)]
+    sampled = _sampled_checks(cfg, rng, tol)
+    if check not in sampled:
         raise ConfigError(f"unknown check {check!r}")
+    out: list[CheckOutcome] = []
+    for points, mus, call in sampled[check]:
+        for trial, (pts, ws, q) in enumerate(_runs(cfg, rng, points, mus)):
+            o = call(pts, ws, q)
+            if not exact:
+                # a float trial's rerun context: the check called on these
+                # parameters gives the same residual and scale
+                o.details.update(trial=trial, points=[_scalar_json(p) for p in pts],
+                                 mus=[_scalar_json(m) for m in ws], q=_scalar_json(q))
+            out.append(o)
     return out
 
 
@@ -330,6 +331,10 @@ def run(cfg: RunConfig) -> tuple[int, dict]:
                                ("operators", cfg.operators, 0)):
         if value is not None and value < least:
             raise ConfigError(f"--{flag} must be at least {least}, got {value}")
+    for flag, given, owner in (("--operators", cfg.operators is not None, "cbb"),
+                               ("--source solver", cfg.source == "solver", "h-table")):
+        if given and cfg.check != owner:
+            raise ConfigError(f"{flag} applies to --check {owner} only")
     what = cfg.command + (f" --check {cfg.check}" if cfg.check else "")
     if cfg.backend == "float" and what in _EXACT_ONLY:
         raise ConfigError(f"{what} runs in the exact backend only; drop --backend float")

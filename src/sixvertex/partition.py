@@ -35,8 +35,9 @@ import numpy as np
 from .errors import SizeLimitExceeded
 from .monodromy import b_product
 from .sampling import pairwise_sum
-from .scalar import LaurentPoly, backend_of, invert, q_var, sum_of_products, u_var, w_var
-from .vertex import build_L
+from .scalar import (CheckOutcome, LaurentPoly, backend_of, invert, q_var, sum_of_products,
+                     u_var, w_var)
+from .vertex import build_L, verdict
 
 _SIZE_LIMITS = {"pruned": 6, "naive": 4}
 
@@ -299,22 +300,10 @@ def shifted_polynomial(z: LaurentPoly, L: int) -> LaurentPoly:
     return z * shift
 
 
-@dataclass
-class PolynomialStructureReport:
-    """Degree/parity facts of the shifted partition polynomial."""
-
-    size: int
-    degrees: dict
-    all_even: bool
-    within_bounds: bool
-    full_degree: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.all_even and self.within_bounds and self.full_degree
-
-
-def polynomial_structure_report(L: int) -> PolynomialStructureReport:
+def polynomial_structure_report(L: int) -> CheckOutcome:
+    """Degree/parity facts of the shifted partition polynomial: in each u_i
+    its exponents are all even, within [0, 2(L-1)] and reach 2(L-1).  The
+    exact residual counts the facts that fail."""
     lams, mus, q = standard_symbolic_params(L)
     p = shifted_polynomial(z_algebraic(lams, mus, q), L)
     degs = {}
@@ -327,4 +316,6 @@ def polynomial_structure_report(L: int) -> PolynomialStructureReport:
         even = even and all(e % 2 == 0 for e in exps)
         within = within and min(exps) >= 0 and max(exps) <= 2 * (L - 1)
         full = full and max(exps) == 2 * (L - 1)
-    return PolynomialStructureReport(L, degs, even, within, full)
+    return verdict("polynomial-structure", [even, within, full].count(False), None, 0,
+                   {"L": L, "degrees": degs, "all_even": even, "within_bounds": within,
+                    "full_degree": full})

@@ -61,6 +61,7 @@ from .functional import FunctionalInput, _expansion_sum, _terms, _WeightTable, f
 from .partition import z_algebraic
 from .sampling import sample_point, sample_spectral_sets
 from .scalar import (
+    CheckOutcome,
     LaurentPoly,
     RationalFunction,
     _content_and_lows,
@@ -667,52 +668,27 @@ def expected_l2_table() -> CoefficientTable:
     return CoefficientTable(2, "asymptotic", entries)
 
 
-@dataclass
-class TableEntryReport:
-    index: tuple
-    expected: str
-    matches: bool
-
-
-@dataclass
-class TableReport:
-    size: int
-    entries: list
-    unexpected_nonzero: list
-
-    @property
-    def ok(self) -> bool:
-        return all(e.matches for e in self.entries) and not self.unexpected_nonzero
-
-    def to_json_obj(self) -> dict:
-        return {
-            "L": self.size,
-            "passed": self.ok,
-            "entries": [
-                {"index": list(e.index), "expected": e.expected, "matches": e.matches}
-                for e in self.entries
-            ],
-            "unexpected_nonzero": [list(i) for i in self.unexpected_nonzero],
-        }
-
-
-def verify_h_table(table: CoefficientTable) -> TableReport:
+def verify_h_table(table: CoefficientTable) -> CheckOutcome:
     """Compare a solved or directly-expanded L = 3 table against the known
-    non-null ratios; absent indices must carry zero coefficients."""
+    non-null ratios; absent indices must carry zero coefficients.  The
+    residual holds (got - expected).num for each ansatz index, where got is
+    the entry's ratio to the top one and expected is the reference ratio,
+    1 at the top index, or 0 where no ratio is expected."""
     if table.size != 3:
         raise ValueError("the reference table is for L = 3")
-    ref = reference_l3_ratios()
+    want = {idx: (rf, rf.to_text()) for idx, rf in reference_l3_ratios().items()}
+    want[table.top_index] = (RationalFunction(1), "1")
     top = table.entries[table.top_index]
     if top.is_zero():
         raise ValueError("table has zero top coefficient")
-    reports = []
-    unexpected = []
+    residual, entries, unexpected = [], [], []
     for idx in ansatz_box(3):
-        got = table.entries[idx] / top
-        if idx == table.top_index:
-            reports.append(TableEntryReport(idx, "1", got == RationalFunction(1)))
-        elif idx in ref:
-            reports.append(TableEntryReport(idx, ref[idx].to_text(), got == ref[idx]))
-        elif not got.is_zero():
-            unexpected.append(idx)
-    return TableReport(3, reports, unexpected)
+        expected, text = want.get(idx, (0, None))
+        res = (table.entries[idx] / top - expected).num
+        residual.append(res)
+        if text is not None:
+            entries.append({"index": list(idx), "expected": text, "matches": res.is_zero()})
+        elif not res.is_zero():
+            unexpected.append(list(idx))
+    return verdict("h-table", np.array(residual, dtype=object), None, 0,
+                   {"L": 3, "entries": entries, "unexpected_nonzero": unexpected})

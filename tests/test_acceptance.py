@@ -162,7 +162,7 @@ def test_criterion_6_coefficient_tables():
     ok = ok and len(table2.nonzero_entries()) == 4  # top + 3 ratio entries
     table3 = solve_fz_exact(3)
     report = verify_h_table(table3)
-    ok = ok and report.ok
+    ok = ok and report.passed
     want_top = (Q - invert(Q)) ** 3 * (1 + Q ** 2) * (1 + Q ** 2 + Q ** 4) / 2 ** 9
     ok = ok and table3.entries[(2, 2, 2)] == RationalFunction(want_top)
     direct3 = h_table_from_z(3)
@@ -194,7 +194,7 @@ def test_criterion_8_property_suite():
             val = z_algebraic([lams[i] for i in perm], mus, q)
             ok = ok and abs(val - base) <= 1e-9 * abs(base)
     for L in (1, 2, 3):
-        ok = ok and polynomial_structure_report(L).ok
+        ok = ok and polynomial_structure_report(L).passed
     # overall-rescaling invariance: (FZ) fixes the table only up to scale
     pts = _sym_points(4)
     mus2 = _sym_mus(2)

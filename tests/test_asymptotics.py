@@ -97,18 +97,28 @@ def test_p_relations_float():
         assert out.passed and not out.exact, (L, out.details)
 
 
-@pytest.mark.parametrize("error, passed", [(1e-10, True), (1e-6, False)])
-def test_p_relations_float_reports_its_worst_relation(error, passed, monkeypatch):
-    q = 1.3 - 0.4j
+@pytest.mark.parametrize("q, error, passed", [
+    pytest.param(1.3 - 0.4j, 1e-10, True, id="1e-10-True"),
+    pytest.param(1.3 - 0.4j, 1e-6, False, id="1e-06-False"),
+    # exact: the sandwich doubled fails the exact verdict, by name
+    pytest.param(Q, 1, False, id="exact"),
+])
+def test_p_relations_float_reports_its_worst_relation(q, error, passed, monkeypatch):
     out = check_p_relations(3, q)
-    assert out.passed and out.residual <= out.tolerance * out.scale
-    assert None not in (out.residual, out.scale, out.tolerance)
-    assert out.details["worst"] != "vacuum sandwich"
+    assert out.passed and out.exact == isinstance(q, LaurentPoly)
+    if not out.exact:
+        assert out.residual <= out.tolerance * out.scale
+        assert None not in (out.residual, out.scale, out.tolerance)
+        assert out.details["worst"] != "vacuum sandwich"
     sandwich = asymptotics.vacuum_sandwich_p_chain
     monkeypatch.setattr(asymptotics, "vacuum_sandwich_p_chain",
                         lambda L, q: sandwich(L, q) * (1 + error))
     out = check_p_relations(3, q)
-    assert out.passed == passed and out.details["worst"] == "vacuum sandwich"
+    assert out.passed == passed
+    if out.exact:
+        assert out.details == {"failed": ["vacuum sandwich"]}
+        return
+    assert out.details["worst"] == "vacuum sandwich"
     assert out.tolerance == 1e-9 and out.residual == pytest.approx(error * out.scale)
     assert out.details.get("failed", []) == ([] if passed else ["vacuum sandwich"])
 

@@ -7,6 +7,10 @@ from pathlib import Path
 import pytest
 
 from sixvertex.cli import RunConfig, main, run
+from sixvertex.functional import (FunctionalInput, check_b_nilpotency, check_cbb_expansion,
+                                  check_fz)
+from sixvertex.monodromy import check_commutation, check_rtt, check_triangular
+from sixvertex.vertex import check_yang_baxter
 
 
 def _capture(capsys, argv):
@@ -157,6 +161,51 @@ def test_verify_fz_float_reports_sampled_points(capsys):
         assert len(res["details"]["points"]) == 4
 
 
+def _complex(obj):
+    return complex(obj["re"], obj["im"])
+
+
+# each sampled check: (--size, the Python check on one outcome's name, points, mus and q)
+_RERUNS = {
+    "yb": (2, lambda name, p, m, q: check_yang_baxter(*p, q, tolerance=0.0)),
+    # above L = 4, rtt probes columns drawn from the seeded stream inside its
+    # call: its rerun needs the seed, not the recorded points alone
+    "rtt": (4, lambda name, p, m, q: check_rtt(*p, m, q, tolerance=0.0)),
+    "comm": (2, lambda name, p, m, q: check_commutation(
+        name.removeprefix("commutation-"), *p, m, q, tolerance=0.0)),
+    "triangular": (3, lambda name, p, m, q: check_triangular(*p, m, q, tolerance=0.0)),
+    "cbb": (3, lambda name, p, m, q: check_cbb_expansion(3, tuple(p), tuple(m), q,
+                                                         tolerance=0.0)),
+    "z0": (3, lambda name, p, m, q: check_b_nilpotency(3, p, m, q, tolerance=0.0)),
+    "fz": (4, lambda name, p, m, q: check_fz(FunctionalInput(4, tuple(p), tuple(m), q),
+                                             tolerance=0.0)),
+}
+
+
+@pytest.mark.parametrize("check", list(_RERUNS))
+def test_float_trials_rerun_from_their_details(capsys, check):
+    size, call = _RERUNS[check]
+    code, out = _capture(capsys, ["verify", "--check", check, "--size", str(size),
+                                  "--backend", "float", "--trials", "2", "--seed", "11",
+                                  "--tolerance", "0"])
+    results = json.loads(out)["results"]
+    assert len(results) == (8 if check == "comm" else 2)
+    assert code == (0 if all(r["passed"] for r in results) else 1)
+    for k, res in enumerate(results):
+        d = res["details"]
+        assert set(d) == {"trial", "points", "mus", "q"} and d["trial"] == k % 2
+        pts, mus, q = [_complex(p) for p in d["points"]], [_complex(m) for m in d["mus"]], \
+            _complex(d["q"])
+        got = call(res["name"], pts, mus, q)
+        assert (got.residual.hex(), got.scale.hex(), got.passed) == \
+            (res["residual"].hex(), res["scale"].hex(), res["passed"])
+        # a nudged point gives another rerun; z0's float residual is exactly zero
+        # at any points, so there only the scale can tell
+        nudged = call(res["name"], [pts[0] * (1 + 1e-6), *pts[1:]], mus, q)
+        assert nudged.scale != res["scale"]
+        assert nudged.residual != res["residual"] or check == "z0"
+
+
 def test_failing_check_forces_exit_one(capsys, monkeypatch):
     from sixvertex import solver as solver_mod
     from sixvertex.scalar import LaurentPoly
@@ -259,6 +308,9 @@ def test_help_still_exits_zero(capsys):
     ["verify", "--check", "fz", "--size", "0"],
     ["verify", "--check", "fz", "--size", "2", "--backend", "float", "--trials", "0"],
     ["verify", "--check", "fz", "--size", "2", "--backend", "float", "--trials", "-3"],
+    # options of one check are refused with any other, not ignored
+    ["verify", "--check", "yb", "--operators", "3"],
+    ["verify", "--check", "yb", "--source", "solver"],
 ])
 def test_out_of_range_counts_are_config_errors(capsys, argv):
     code, out = _capture(capsys, argv)

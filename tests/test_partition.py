@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from sixvertex import partition
 from sixvertex.errors import SizeLimitExceeded
 from sixvertex.partition import (
     DEFAULT_CONVENTION,
@@ -20,7 +21,7 @@ from sixvertex.partition import (
     z_algebraic,
     z_enumerate,
 )
-from sixvertex.scalar import invert
+from sixvertex.scalar import LaurentPoly, invert, u_var
 from sixvertex.vertex import build_L, weights_of
 from sixvertex.sampling import make_rng, pairwise_sum, sample_point, sample_spectral_set
 
@@ -258,9 +259,22 @@ def test_lambda_permutation_symmetry_float(rng):
 def test_polynomial_structure():
     for L in (1, 2, 3):
         rep = polynomial_structure_report(L)
-        assert rep.ok
-        for lo, hi in rep.degrees.values():
+        assert rep.passed
+        for lo, hi in rep.details["degrees"].values():
             assert lo >= 0 and hi == 2 * (L - 1)
+
+
+@pytest.mark.parametrize("power", [1, 2])
+def test_polynomial_structure_flags_a_shifted_z(power, monkeypatch):
+    # Z u1 has odd u1 exponents, Z u1^2 even ones; both reach past 2(L - 1)
+    z = partition.z_algebraic
+    u1 = LaurentPoly.var(u_var(1))
+    monkeypatch.setattr(partition, "z_algebraic", lambda *args: z(*args) * u1 ** power)
+    for L in (1, 2, 3):
+        rep = polynomial_structure_report(L)
+        assert not rep.passed and rep.exact
+        assert rep.details["all_even"] is (power == 2)
+        assert rep.details["within_bounds"] is False
 
 
 def test_convention_full_flip_is_symmetry():

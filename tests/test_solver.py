@@ -359,7 +359,7 @@ def test_solvers_reject_sizes_below_one(L):
 def test_direct_l3_table_against_reference():
     table = h_table_from_z(3)
     report = verify_h_table(table)
-    assert report.ok
+    assert report.passed
     assert len(table.nonzero_entries()) == 27
     want3 = (Q - invert(Q)) ** 3 * (1 + Q ** 2) * (1 + Q ** 2 + Q ** 4) / 2 ** 9
     assert table.entries[(2, 2, 2)] == RationalFunction(want3)
@@ -409,17 +409,17 @@ def test_verify_h_table_flags_corruption():
     table = h_table_from_z(3)
     table.entries[(0, 0, 0)] = table.entries[(0, 0, 0)] * Q
     report = verify_h_table(table)
-    assert not report.ok
-    bad = [e.index for e in report.entries if not e.matches]
-    assert (0, 0, 0) in bad
+    assert not report.passed
+    bad = [tuple(e["index"]) for e in report.details["entries"] if not e["matches"]]
+    assert bad == [(0, 0, 0)]
 
 
 def test_verify_h_table_flags_unexpected_nonzero():
     table = h_table_from_z(3)
     table.entries[(1, 0, 0)] = RationalFunction(Q)
     report = verify_h_table(table)
-    assert not report.ok
-    assert (1, 0, 0) in report.unexpected_nonzero
+    assert not report.passed
+    assert report.details["unexpected_nonzero"] == [[1, 0, 0]]
 
 
 def test_verify_h_table_size_guard():

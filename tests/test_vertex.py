@@ -1,7 +1,9 @@
+import ast
 import cmath
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -179,6 +181,25 @@ def test_verdict_zero_scale_passes_only_exact_zero():
     assert verdict("t", np.zeros(4, dtype=complex), 0.0, 1e-9).passed
     assert not verdict("t", 1e-300 + 0j, 0.0, 1e-9).passed
     assert not verdict("t", np.array([0j, 5e-324 + 0j]), 0.0, 1e9).passed
+
+
+def _outcome_calls(node):
+    return [n for n in ast.walk(node) if isinstance(n, ast.Call)
+            and getattr(n.func, "id", getattr(n.func, "attr", None)) == "CheckOutcome"]
+
+
+def test_only_verdict_builds_a_check_outcome():
+    # every check's pass/fail comes from the one rule
+    src = Path(__file__).resolve().parents[1] / "src" / "sixvertex"
+    in_verdict, found = 0, []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = {id(c) for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                   and (path.name, fn.name) == ("vertex.py", "verdict")
+                   for c in _outcome_calls(fn)}
+        in_verdict += len(allowed)
+        found += [f"{path.name}:{c.lineno}" for c in _outcome_calls(tree) if id(c) not in allowed]
+    assert found == [] and in_verdict == 2  # verdict's exact and float outcomes
 
 
 def test_verdict_zero_tolerance():
