@@ -19,7 +19,10 @@ be nonzero for a provider with one wrong Z value and equal the cleared
 coefficients times those Z values added one by one.  The exact operator
 expansion at n = L = 1, 2, 3, with each term's numerator reweighted so that
 it no longer vanishes, must equal entry for entry the same cleared route
-over the per-subset B-product vectors.
+over the per-subset B-product vectors.  The exact B products of one sweep
+at generic points, relabeled onto each subset, must equal the per-subset
+products at L = 1, 2, 3 for every subset length FZ and cbb use, and one
+wrong point must change them.
 The functional equation is also checked exactly at L = 3 with symbolic
 spectral points and rational inhomogeneities and q, the shape of the
 benchmark's exact-fz workload.  The string-operator and
@@ -53,6 +56,7 @@ Exits nonzero if anything fails.
 import argparse
 import contextlib
 import io
+import itertools
 import sys
 import time
 from fractions import Fraction
@@ -153,6 +157,25 @@ def main():
                                   + sum(int(x != y) for x, y in zip(res, want)), None, 0))
     finally:
         functional._terms = terms
+    for L in (1, 2, 3):
+        # the exact B products, one sweep at the generic points relabeled
+        # onto each subset, against b_product subset by subset at every
+        # length FZ and cbb use; from L = 2 on, one wrong point of a subset
+        # must change its product
+        pts, mus = tuple(sym_points(L + 2, 60)), tuple(sym_mus(L))
+        w = functional._WeightTable(pts, mus, q)
+        bad = 0
+        for m in range(max(L - 1, 0), L + 2):
+            subsets = list(itertools.combinations(range(L + 2), m))
+            got = w.b_products(subsets)
+            bad += sum(int(list(got[:, j]) != list(monodromy.b_product(
+                [pts[k] for k in s], mus, q))) for j, s in enumerate(subsets))
+        wrong = list(pts[1:L + 1])
+        wrong[-1] = wrong[-1] * Fraction(11, 13)
+        same = list(w.b_products([tuple(range(1, L + 1))])[:, 0]) == list(
+            monodromy.b_product(wrong, mus, q))
+        record(vertex.verdict(f"bprod-substitution-exact-L{L}", bad + int(L > 1 and same),
+                              None, 0))
     for L in (1, 2, 3):
         record(functional.check_b_nilpotency(L, sym_points(L + 1, 80), sym_mus(L), q))
     exact_inps = [functional.FunctionalInput(L, tuple(sym_points(L + 2, 60)),

@@ -37,13 +37,17 @@ trailing axis is the batch, as in ``vertex.apply_two_site``: (k,) for Z
 values, (ncols, k) for column vectors; the residual has the same shape.
 ``check_fz`` takes one set.
 
-The default provider evaluates every Z of one input in one call, in
-either backend: the terms' point subsets are the columns of one batch, each
-B operator one ``monodromy.b_products`` sweep over all of them, with the
-weights of the ``_WeightTable`` point-mu entries (the values
-``build_monodromy`` computes: Z is ``z_algebraic``'s on each subset, the
-same floats or polynomials).  The C(lam_0) expansion takes its term vectors,
-and prod B |0> over all of points[1:], from the same batches, and C(lam_0)
+The default provider evaluates every Z of one input in one call,
+``_WeightTable.b_products``; Z is ``z_algebraic``'s on each subset, the same
+floats or polynomials.  Float: the terms' point subsets are the columns of
+one batch, each B operator one ``monodromy.b_products`` sweep over all of
+them, with the weights of the table's point-mu entries (the values
+``build_monodromy`` computes).  Exact: Z is symmetric in the points, as the
+B operators commute, so one sweep at generic points (u indices from
+``_GENERIC`` up, which an exact input may not use) with the input's mus and
+q gives every subset's product, its points put in for the generic ones by
+``LaurentPoly.substitute``.  The C(lam_0) expansion takes its term vectors,
+and prod B |0> over all of points[1:], from the same call, and C(lam_0)
 from the point-0 weights.  An explicit provider goes subset by subset.
 """
 
@@ -54,13 +58,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PoleAtCoincidingPoints, ProviderFailure
+from .errors import ConfigError, PoleAtCoincidingPoints, ProviderFailure
 from .monodromy import (apply_block, b_product, b_products, batch_monodromy,
                         build_monodromy, vacuum)
 from .sampling import (MIN_POLE_DISTANCE, pair_index, pole_distance, sample_point,
                        sample_spectral_set)
 from .scalar import (CheckOutcome, LaurentPoly, RationalFunction, backend_of, invert,
-                     sum_of_products)
+                     sum_of_products, u_var)
 from .vertex import verdict, weights_of
 
 
@@ -121,6 +125,18 @@ class FunctionalInput:
         return cls(L, tuple(pts), tuple(mus), q)
 
 
+# u indices from _GENERIC up name the generic points of the exact B-product
+# sweep, so an exact input must not use them
+_GENERIC = 10 ** 9
+
+
+def _refuse_generic(values):
+    for x in values:
+        if isinstance(x, LaurentPoly) and any(v.kind == "u" and v.index >= _GENERIC
+                                              for v in x.variables()):
+            raise ConfigError(f"u indices from {_GENERIC} up are reserved, got {x}")
+
+
 class _WeightTable:
     """``weights_of`` for every ordered pair of points (``pt[x, y]`` for
     lam_x - lam_y) and every point-mu pair (``mu[x][k]`` for lam_x - mu_k)
@@ -129,6 +145,9 @@ class _WeightTable:
 
     def __init__(self, points, mus, q):
         self.backend = backend_of(points[0])
+        if self.backend.exact:
+            _refuse_generic((*points, *mus, q))
+        self.points, self.mus, self.q = points, mus, q
         self.n = len(points) - 1
         self.every = {(x, y) for x in range(self.n + 1) for y in range(x + 1, self.n + 1)}
         self.pt = {(x, y): weights_of(px * invert(py), q)
@@ -158,11 +177,25 @@ class _WeightTable:
 
     def b_products(self, subsets) -> np.ndarray:
         """prod B |0> over the points of each subset (all of one length), one
-        column per subset, in the table's backend: one sweep per B operator."""
-        ms = [batch_monodromy([self.mu[s[r]] for s in subsets])
-              for r in range(len(subsets[0]))]
-        v = vacuum(len(self.mu[0]), self.backend)
-        return b_products(ms, np.repeat(v[:, None], len(subsets), axis=1))
+        column per subset, in the table's backend.  Float: one batch sweep
+        per B operator.  Exact: one sweep at the generic points x_0 ..
+        x_{m-1}, then each subset's points put in for the x's in its nonzero
+        entries; substituting monomials is a ring homomorphism, so every
+        entry is the subset's own product."""
+        if not self.backend.exact:
+            ms = [batch_monodromy([self.mu[s[r]] for s in subsets])
+                  for r in range(len(subsets[0]))]
+            v = vacuum(len(self.mu[0]), self.backend)
+            return b_products(ms, np.repeat(v[:, None], len(subsets), axis=1))
+        xs = [u_var(_GENERIC + r) for r in range(len(subsets[0]))]
+        generic = b_products([build_monodromy(LaurentPoly.var(x), self.mus, self.q) for x in xs],
+                             vacuum(len(self.mus)))
+        nonzero = [i for i, e in enumerate(generic) if e]
+        out = self.backend.full((len(generic), len(subsets)))
+        for j, s in enumerate(subsets):
+            to = {x: self.points[k] for x, k in zip(xs, s)}
+            out[nonzero, j] = [generic[i].substitute(to) for i in nonzero]
+        return out
 
 
 def _half_term(w: _WeightTable, p: int, r: int, others, sign: int, extra):
@@ -366,6 +399,10 @@ def b_nilpotency_residual(L: int, lams, mus, q) -> np.ndarray:
 
 def check_b_nilpotency(L: int, lams, mus, q,
                        tolerance: float = 1e-10) -> CheckOutcome:
+    """prod B |0> over L + 1 points must vanish.  No state has L + 1 flipped
+    spins, so every entry of the float residual is a sum of products with an
+    exact zero factor: it is exactly 0.0 at finite points, its scale and
+    tolerance never decide, and only a NaN (or an indexing fault) fails it."""
     res = b_nilpotency_residual(L, lams, mus, q)
     scale = None
     if not backend_of(q).exact:

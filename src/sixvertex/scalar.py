@@ -517,7 +517,10 @@ class LaurentPoly:
         and for pinning inhomogeneities to rational values (w_k -> 1).
 
         One pass over the terms: with the target c * m, a factor v^e of a
-        term becomes c^e times a shift of its key by e times m's key.
+        term becomes c^e times a shift of its key by e times m's key.  When
+        every c is 1 (a relabeling) no coefficient is computed, and keys
+        that stay distinct keep the numerators and the denominator as they
+        are.
         """
         slots, shifts, coeffs = [], [], []
         for v, t in mapping.items():
@@ -541,16 +544,23 @@ class LaurentPoly:
         emax = int(np.abs(digits).max())
         if emax > EXP_LIMIT:
             raise _overflow(emax)
-        # one coefficient factor per distinct row of powers, all scaled to
-        # integers over one common denominator
-        rows, which = np.unique(powers, axis=0, return_inverse=True)
-        factors = [math.prod(c ** e for c, e in zip(coeffs, row)) for row in rows.tolist()]
-        den = math.lcm(*(f.denominator for f in factors))
-        scaled = [f.numerator * (den // f.denominator) for f in factors]
+        keys = _packed_keys(digits)
+        nums = self._num.values()
+        den = 1
+        if any(c != 1 for c in coeffs):
+            # one coefficient factor per distinct row of powers, all scaled to
+            # integers over one common denominator
+            rows, which = np.unique(powers, axis=0, return_inverse=True)
+            factors = [math.prod(c ** e for c, e in zip(coeffs, row)) for row in rows.tolist()]
+            den = math.lcm(*(f.denominator for f in factors))
+            scaled = [f.numerator * (den // f.denominator) for f in factors]
+            nums = [n * scaled[f] for n, f in zip(nums, which.ravel().tolist())]
+        elif len(set(keys)) == len(keys):
+            return _make(dict(zip(keys, nums)), self._den, emax)
         out: dict[int, int] = {}
         get = out.get
-        for k, n, f in zip(_packed_keys(digits), self._num.values(), which.ravel().tolist()):
-            out[k] = get(k, 0) + n * scaled[f]
+        for k, n in zip(keys, nums):
+            out[k] = get(k, 0) + n
         return _reduced({k: v for k, v in out.items() if v}, self._den * den, emax)
 
     # -- equality / hashing ---------------------------------------------

@@ -1,11 +1,13 @@
 import cmath
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from sixvertex import functional
-from sixvertex.errors import PoleAtCoincidingPoints, ProviderFailure
+from sixvertex.errors import ConfigError, ExponentOverflow, PoleAtCoincidingPoints, ProviderFailure
 from sixvertex.functional import (
     FunctionalInput,
     algebraic_provider,
@@ -380,6 +382,20 @@ def test_nilpotency_float_l5(rng):
     assert out.passed
 
 
+def test_float_nilpotency_fails_only_on_a_nan(rng):
+    # no state has L + 1 flipped spins, so the float residual is exactly
+    # 0.0 whatever the points: only a NaN (or an indexing fault) fails it
+    L = 3
+    lams = list(sample_spectral_set(rng, L + 1))
+    mus = sample_spectral_set(rng, L)
+    q = sample_point(rng)
+    out = check_b_nilpotency(L, lams, mus, q)
+    assert out.passed and out.residual == 0.0 and out.scale > 0
+    lams[2] = complex("nan")
+    out = check_b_nilpotency(L, lams, mus, q)
+    assert not out.passed and math.isnan(out.residual)
+
+
 def test_nilpotency_float_l7_matrix_free(rng):
     # the B block for the scale is materialized by one sweep over the
     # 128 x 128 identity
@@ -641,14 +657,83 @@ def test_default_exact_fz_is_the_per_subset_provider(monkeypatch, L, pts, mus, q
 
 
 def test_default_exact_fz_failure_is_a_provider_failure(monkeypatch):
+    # the exact default route sweeps once at the generic points
     inp = FunctionalInput(2, _sym_points(4), _sym_mus(2), Q)
 
-    def broken(rows):
+    def broken(ms, v):
         raise RuntimeError("batch exploded")
 
-    monkeypatch.setattr(functional, "batch_monodromy", broken)
+    monkeypatch.setattr(functional, "b_products", broken)
     with pytest.raises(ProviderFailure, match="batch exploded"):
         check_fz(inp)
+
+
+_GENERIC_CASES = {
+    "symbolic": lambda L: (_sym_points(L + 2), _sym_mus(L), Q),
+    "rational-points": lambda L: (
+        tuple(LaurentPoly.rational(Fraction(k + 2, 3)) for k in range(L + 2)), _sym_mus(L), Q),
+    "monomial-points": lambda L: (
+        tuple(LaurentPoly.monomial(Fraction(2 * k + 3, 5), {u_var(60 + k): -1 - k % 2, w_var(9): 1})
+              for k in range(L + 2)),
+        tuple(LaurentPoly.rational(Fraction(k + 2, 7)) for k in range(L)),
+        LaurentPoly.rational(Fraction(-3, 5))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GENERIC_CASES))
+@pytest.mark.parametrize("L", [1, 2, 3])
+def test_exact_b_products_are_the_per_subset_product(case, L):
+    # one sweep at the generic points, relabeled onto each subset, against
+    # b_product subset by subset, at every length FZ (L) and cbb (n and
+    # n - 1) use; negative control: one point of a subset changed (from
+    # L = 2 on: at L = 1, B |0> is c |1> at every point)
+    pts, mus, q = _GENERIC_CASES[case](L)
+    w = functional._WeightTable(pts, mus, q)
+    for m in range(max(L - 1, 0), L + 2):
+        subsets = list(itertools.combinations(range(L + 2), m))
+        subsets.append(subsets[-1][::-1])  # the B's commute
+        got = w.b_products(subsets)
+        for j, s in enumerate(subsets):
+            assert list(got[:, j]) == list(b_product([pts[k] for k in s], mus, q))
+        if L > 1 and 0 < m <= L:
+            wrong = [pts[k] for k in subsets[0]]
+            wrong[-1] = wrong[-1] * Fraction(11, 13)
+            assert list(got[:, 0]) != list(b_product(wrong, mus, q))
+
+
+def test_exact_inputs_must_not_use_the_generic_points():
+    reserved = LaurentPoly.var(u_var(functional._GENERIC + 1))
+    pts, mus = _sym_points(4), _sym_mus(2)
+    for bad in ((pts[:3] + (reserved,), mus, Q), (pts, (mus[0], reserved), Q),
+                (pts, mus, Q * reserved)):
+        with pytest.raises(ConfigError, match="reserved"):
+            functional_residual(FunctionalInput(2, *bad))
+        with pytest.raises(ConfigError, match="reserved"):
+            check_cbb_expansion(3, *bad)
+    # the index just below the block is an ordinary variable
+    below = pts[:3] + (LaurentPoly.var(u_var(functional._GENERIC - 1)),)
+    assert functional_residual(FunctionalInput(2, below, mus, Q)).is_zero()
+
+
+def test_exponent_overflow_in_a_substituted_product(monkeypatch):
+    # two points share u1^9000: every weight and per-point product stays in
+    # range (u1^27000 at most), their B-product at L = 3 does not (u1^36000)
+    big = LaurentPoly.var(u_var(1)) ** 9000
+    pts = (_sym_points(1)[0], big, big * LaurentPoly.var(u_var(2)), *_sym_points(2, start=63))
+    mus = tuple(LaurentPoly.rational(Fraction(k, 7)) for k in (2, 3, 4))
+    q = LaurentPoly.rational(Fraction(-3, 5))
+    w = functional._WeightTable(pts, mus, q)
+    for call in (lambda: w.b_products([(1, 2, 3)]), lambda: b_product(pts[1:4], mus, q),
+                 lambda: functional.cbb_expansion_residual(3, pts[:4], mus, q)):
+        with pytest.raises(ExponentOverflow):
+            call()
+    # on the FZ route the products come from the default provider; with
+    # every half-term 1, so that no numerator overflows first, the overflow
+    # arrives as its ProviderFailure
+    monkeypatch.setattr(functional, "_half_term", lambda w, *args: w.backend.one)
+    with pytest.raises(ProviderFailure, match="exponent") as failure:
+        functional_residual(FunctionalInput(3, pts, mus, q))
+    assert isinstance(failure.value.__cause__, ExponentOverflow)
 
 
 def _cbb_cleared_route(pts, mus):

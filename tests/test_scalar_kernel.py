@@ -464,6 +464,29 @@ def test_substitute_on_the_l3_partition_function():
     assert dict(z.substitute(mapping).items()) == ref_substitute(dict(z.items()), targets)
 
 
+def test_substitute_relabelings_match_the_reference():
+    # unit-coefficient targets skip the coefficient pass: an injective one
+    # keeps every term (a swap included), a non-injective one must combine
+    # and cancel terms
+    u1, u2, u3, w1 = u_var(1), u_var(2), u_var(3), w_var(1)
+    U1, U2, U3, W1 = (LaurentPoly.var(v) for v in (u1, u2, u3, w1))
+    p = (Fraction(2, 3) * U1 ** 2 * U2 ** -1 - U2 * U1 ** -3 * W1
+         + Fraction(5, 7) * U3 - Fraction(5, 7) * W1 ** 2 + 4)
+    a = dict(p.items())
+    injective = {u1: U2, u2: LaurentPoly.monomial(1, {u1: 1, w1: -2}),
+                 u3: LaurentPoly.var(u_var(9))}
+    got = p.substitute(injective)
+    assert got.num_terms() == p.num_terms()
+    assert dict(got.items()) == ref_substitute(a, {v.key: dict(t.items())
+                                                   for v, t in injective.items()})
+    merged = {u1: U1, u2: U1, u3: W1 ** 2}
+    got = p.substitute(merged)
+    assert got.num_terms() == 3  # U3 -> W1^2 cancels, U1^2 U2^-1 -> U1
+    assert dict(got.items()) == ref_substitute(a, {v.key: dict(t.items())
+                                                   for v, t in merged.items()})
+    assert got == Fraction(2, 3) * U1 - U1 ** -2 * W1 + 4
+
+
 def test_divide_exponents_rejects_a_non_multiple():
     u = LaurentPoly.var(u_var(61))
     with pytest.raises(ValueError):
