@@ -16,9 +16,12 @@ in the exact backend at L = 1, 2 (symbolic) and L = 3 (rational
 inhomogeneities and q).  On the same exact inputs the residual, whose
 kernel sum pairs each numerator with its clearing b-weights times Z, must
 be nonzero for a provider with one wrong Z value and equal the cleared
-coefficients times those Z values added one by one.  The exact operator
-expansion at n = L = 1, 2, 3, with each term's numerator reweighted so that
-it no longer vanishes, must equal entry for entry the same cleared route
+coefficients times those Z values added one by one.  The default exact
+residual, two canonical terms summed over their orbits of point
+relabelings, must equal the per-term route's on the same inputs, with the
+right Z and, nonzero, with Z at a wrong q times its points' product.  The
+exact operator expansion at n = L = 1, 2, 3, with each term's numerator
+reweighted so that it no longer vanishes, must equal entry for entry the same cleared route
 over the per-subset B-product vectors.  The exact B products of one sweep
 at generic points, relabeled onto each subset, must equal the per-subset
 products at L = 1, 2, 3 for every subset length FZ and cbb use, and one
@@ -57,10 +60,12 @@ import argparse
 import contextlib
 import io
 import itertools
+import math
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -218,6 +223,32 @@ def main():
         res = functional.functional_residual(inp, provider)
         record(vertex.verdict(f"fz-pairing-exact-L{inp.size}", int(res.is_zero())
                               + int(res.num != want.num) + int(res.den != want.den), None, 0))
+    sweep = functional._WeightTable.b_products
+
+    def wrong_sweep(w, subsets):
+        # Z at q * 11/13 times the product of its points: wrong, yet still
+        # symmetric in the points (at L = 1 Z is c at every point, so a
+        # wrong q alone would scale every Z alike)
+        out = sweep(functional._WeightTable(w.points, w.mus, w.q * Fraction(11, 13)), subsets)
+        return out * np.array([math.prod((w.points[k] for k in s), start=LaurentPoly.one())
+                               for s in subsets])
+
+    for inp in exact_inps:
+        # the default exact route sums two canonical terms over their orbits
+        # of point relabelings; it must give the per-term route's numerator
+        # and denominator, with the right Z and, nonzero, with a wrong one
+        w = functional._WeightTable(inp.points, inp.mus, inp.q)
+        bad = int(functional._orbit_variables(w) is None)
+        for z_sweep in (sweep, wrong_sweep):
+            parts = []
+            for orbits in (functional._orbit_variables, lambda w: None):
+                with mock.patch.object(functional._WeightTable, "b_products", z_sweep), \
+                        mock.patch.object(functional, "_orbit_variables", orbits):
+                    parts.append(functional.functional_residual(inp))
+            a, b = parts
+            bad += int(a.num != b.num) + int(a.den != b.den) \
+                + int(a.is_zero() != (z_sweep is sweep))
+        record(vertex.verdict(f"fz-orbit-exact-L{inp.size}", bad, None, 0))
 
     print("== string operators and asymptotic structure ==")
     for L in (2, 3, 4):

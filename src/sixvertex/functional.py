@@ -49,10 +49,24 @@ q gives every subset's product, its points put in for the generic ones by
 ``LaurentPoly.substitute``.  The C(lam_0) expansion takes its term vectors,
 and prod B |0> over all of points[1:], from the same call, and C(lam_0)
 from the point-0 weights.  An explicit provider goes subset by subset.
+
+The default exact FZ residual is two orbit sums (``_orbit_sum``) when the
+input lets a relabeling of the points move nothing else: its points are
+distinct bare variables, none of which occurs in the mus or q
+(``_orbit_variables``).  Within each family every term is the image of one
+canonical term, omission 1 or substitution (2, 1), under a permutation
+sigma of points 1..n: num_t * D_t * Z_t = sgn(sigma) * sigma(num_c * D_c *
+Z_c), since the coefficients and Z are symmetric in the points they do not
+single out and ``den(every)`` is antisymmetric.  So only the two canonical
+numerators are built, their two Z values come from one ``b_products``
+call, and ``sum_of_products`` applies the relabelings (its ``images``)
+from one decode of each operand.  Every other input, and every explicit
+provider, takes the per-term route through ``_terms``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -63,7 +77,7 @@ from .monodromy import (apply_block, b_product, b_products, batch_monodromy,
                         build_monodromy, vacuum)
 from .sampling import (MIN_POLE_DISTANCE, pair_index, pole_distance, sample_point,
                        sample_spectral_set)
-from .scalar import (CheckOutcome, LaurentPoly, RationalFunction, backend_of, invert,
+from .scalar import (CheckOutcome, LaurentPoly, RationalFunction, VarId, backend_of, invert,
                      sum_of_products, u_var)
 from .vertex import verdict, weights_of
 
@@ -260,6 +274,49 @@ def _expansion_sum(w: _WeightTable, terms, xs) -> LaurentPoly:
                            for (num, pairs, _), x in zip(terms, xs))
 
 
+def _orbit_variables(w: _WeightTable):
+    """The points' variables when the FZ residual may be summed by orbits:
+    an exact table whose points are distinct bare variables (coefficient 1,
+    exponent 1), none of which occurs in the mus or q, so that permuting
+    the points' variables moves nothing else; None otherwise."""
+    if not w.backend.exact:
+        return None
+    vs = []
+    for p in w.points:
+        if not p.is_monomial():
+            return None
+        ((vec, c),) = p.items()
+        if c != 1 or len(vec) != 1 or vec[0][1] != 1:
+            return None
+        vs.append(VarId.from_key(vec[0][0]))
+    others = set().union(*(x.variables() for x in (*w.mus, w.q) if isinstance(x, LaurentPoly)))
+    return vs if len(set(vs)) == len(vs) and not others & set(vs) else None
+
+
+def _orbit_sum(w: _WeightTable, vs) -> LaurentPoly:
+    """The exact FZ residual's numerator over ``w.den(w.every)`` as two
+    orbit sums (see the module docstring), ``vs`` the points' variables:
+    sigma fixes point 0, sends 1 to i (and 2 to j), and the other points in
+    increasing order onto the rest."""
+    n = w.n
+
+    def image(*front):
+        sigma = [*front, *(k for k in range(1, n + 1) if k not in front)]
+        sign = (-1) ** sum(x > y for x, y in itertools.combinations(sigma, 2))
+        return {vs[k]: vs[t] for k, t in enumerate(sigma, 1)}, sign
+
+    parts = [_omission_parts(1, w)]
+    subsets = [tuple(range(2, n + 1))]
+    images = [[image(i) for i in range(1, n + 1)]]
+    if n >= 2:
+        parts.append(_substitution_parts(2, 1, w))
+        subsets.append((0,) + tuple(range(3, n + 1)))
+        images.append([image(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
+    zs = _call_provider(lambda s: w.b_products(s)[-1], subsets)
+    return sum_of_products(((num, w.clearing(pairs) * z) for (num, pairs), z in zip(parts, zs)),
+                           images)
+
+
 def _expansion_table(n: int, points, mus, q) -> _WeightTable:
     """The weight table of an expansion over n B-operators at n + 1 checked points."""
     if len(points) != n + 1:
@@ -333,6 +390,9 @@ def _functional_residual_with_scale(inp: FunctionalInput, z_provider=None):
     if z_provider is None and _is_batch(points):
         raise ValueError("a batch of point sets needs a batched provider")
     w = _WeightTable(points, mus, q)
+    vs = _orbit_variables(w) if z_provider is None else None
+    if vs is not None:
+        return RationalFunction(_orbit_sum(w, vs), w.den(w.every)), None
     terms = list(_terms(w))
     if z_provider is None:
         zs = _call_provider(lambda s: w.b_products(s)[-1], [subset for *_, subset in terms])

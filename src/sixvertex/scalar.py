@@ -32,6 +32,10 @@ Two interchangeable scalar backends are used throughout, each one
   step by 2); a box of no more cells than term pairs is the accumulator
   itself, a sparser sum uses the sorted union of its keys.  A key box past
   int64, or a B past the prime table, falls back to pairwise products.
+  With ``images`` the kernel also sums each pair under permutations of
+  its variables, sign * rho(a) * rho(b): each operand is decoded and its
+  residues taken once, and each image is a column gather of the decoded
+  digits (its residues negated when the sign is -1).
 * plain ``complex`` -- double precision.  A float zero test is relative:
   each check compares its residual with ``tolerance`` times a scale it
   computes from the same terms, never with an absolute bound, because the
@@ -837,6 +841,10 @@ def exponent_array(p: LaurentPoly, vars: list[VarId]) -> tuple[np.ndarray, list[
 # then takes _ROWS = floor((2^63 - p) / (p - 1)^2) rows, p the largest
 # prime, stays below 2^63: the accumulator is reduced before the rows
 # since its last reduction would pass _ROWS (a block has at most 64 rows).
+# With images every (pair, image) is one product sum of its own: lo, step,
+# the radices, the box, the term-pair count and B (each pair's share times
+# its image count) cover every image, whose digit vectors are the pair's
+# with their columns gathered.
 
 # the 29 largest primes below 2^26; M reaches 2^753
 _PRIMES = (
@@ -908,56 +916,109 @@ def _sorted_union(parts) -> np.ndarray:
     return keys[keep]
 
 
-def sum_of_products(pairs) -> LaurentPoly:
+def _gathers(images) -> tuple[int, list[list[tuple[dict, np.ndarray | None, int]]]]:
+    """The digit width, and each (relabel, sign) image as (relabel, cols,
+    sign): the image's digits are an operand's digits[:, cols], since the
+    exponent of rho(v) in the image is that of v in the operand; cols is
+    None for the identity.  A relabel must permute the variables it names,
+    and a sign be 1 or -1; the variables get their slots before the width
+    is read."""
+    for relabel, sign in (image for imgs in images for image in imgs):
+        if sign not in (1, -1):
+            raise ValueError(f"an image's sign must be 1 or -1, got {sign!r}")
+        if not all(isinstance(v, VarId) for v in (*relabel, *relabel.values())) \
+                or set(relabel) != set(relabel.values()):
+            raise ValueError(f"an image's relabel must permute its variables, got {relabel!r}")
+        for v in relabel:
+            _slot(v.key)
+    width = len(_SLOT_KEYS) + 1
+    out = []
+    for imgs in images:
+        out.append([])
+        for relabel, sign in imgs:
+            moved = [(_SLOT_OF[v.key], _SLOT_OF[t.key]) for v, t in relabel.items() if v != t]
+            cols = None
+            if moved:
+                cols = np.arange(width)
+                cols[[t for _, t in moved]] = [s for s, _ in moved]
+            out[-1].append((relabel, cols, sign))
+    return width, out
+
+
+def sum_of_products(pairs, images=None) -> LaurentPoly:
     """The sum of a * b over the (a, b) pairs, ints and Fractions taken as
     constants: the polynomial, and the ExponentOverflow, that adding the
-    products one by one gives, without forming any product (see above)."""
-    pairs = [(a, b) for a, b in ((_as_poly(a), _as_poly(b)) for a, b in pairs)
-             if a._num and b._num]
+    products one by one gives, without forming any product (see above).
+
+    With ``images``, one list of (relabel, sign) per pair, the sum is that
+    of sign * rho(a) * rho(b) over each pair's images instead, rho the
+    relabel: a dict from VarId to VarId that permutes the variables it
+    names (ValueError otherwise), sign 1 or -1.  Each operand is decoded
+    and its residues taken once; an image is a gather of its digit columns,
+    and a sign of -1 negates the short operand's residues."""
+    pairs = [(_as_poly(a), _as_poly(b)) for a, b in pairs]
+    if images is None:
+        images = [[({}, 1)]] * len(pairs)
+    if len(images) != len(pairs):
+        raise ValueError(f"{len(pairs)} pairs but {len(images)} image lists")
+    width, gathers = _gathers(images)
+    work = [(a, b, g) for (a, b), g in zip(pairs, gathers) if a._num and b._num and g]
     emax = 0
-    for a, b in pairs:
+    for a, b, _ in work:
         e = a._emax + b._emax
         emax = max(emax, _product_emax(a, b) if e > EXP_LIMIT else e)
-    if not pairs:
+    if not work:
         return _ZERO
-    dens = [a._den * b._den for a, b in pairs]
+    dens = [a._den * b._den for a, b, _ in work]
     den = math.lcm(*dens)
     factors = [den // d for d in dens]
     bound = sum(f * max(map(abs, a._num.values())) * max(map(abs, b._num.values()))
-                * min(len(a._num), len(b._num)) for f, (a, b) in zip(factors, pairs))
+                * min(len(a._num), len(b._num)) * len(g) for f, (a, b, g) in zip(factors, work))
     nprimes = next((i + 1 for i in range(len(_PRIMES))
                     if math.prod(_PRIMES[:i + 1]) > 2 * bound), None)
-    width = len(_SLOT_KEYS) + 1
-    digits = [(_digit_array(a._num, width), _digit_array(b._num, width)) for a, b in pairs]
-    lo = np.min([da.min(0) + db.min(0) for da, db in digits], axis=0)
-    base = digits[0][0][0] + digits[0][1][0]
-    step = np.maximum(np.gcd.reduce([np.gcd.reduce(x - x[0]) for d in digits for x in d]
-                                    + [da[0] + db[0] - base for da, db in digits]), 1)
-    radices = ((np.max([da.max(0) + db.max(0) for da, db in digits], axis=0) - lo)
-               // step + 1).tolist()
+    digits = [(_digit_array(a._num, width), _digit_array(b._num, width)) for a, b, _ in work]
+    # the lattice from each pair's low, high, first and step digits, one
+    # vector per image
+    lows, highs, firsts, steps = [], [], [], []
+    for (da, db), (_, _, g) in zip(digits, work):
+        pair = (da.min(0) + db.min(0), da.max(0) + db.max(0), da[0] + db[0],
+                np.gcd(np.gcd.reduce(da - da[0]), np.gcd.reduce(db - db[0])))
+        for _, cols, _ in g:
+            for out, x in zip((lows, highs, firsts, steps), pair):
+                out.append(x if cols is None else x[cols])
+    lo = np.min(lows, axis=0)
+    step = np.maximum(np.gcd.reduce(steps + [x - firsts[0] for x in firsts]), 1)
+    radices = ((np.max(highs, axis=0) - lo) // step + 1).tolist()
     box = math.prod(radices)
-    npairs = sum(len(a._num) * len(b._num) for a, b in pairs)
+    npairs = sum(len(a._num) * len(b._num) * len(g) for a, b, g in work)
     if nprimes is None or box >= _MAX_KEYS:
         total = LaurentPoly.zero()
-        for a, b in pairs:
-            total = total + a * b
+        for a, b, g in work:
+            for relabel, _, sign in g:
+                to = {v: LaurentPoly.var(t) for v, t in relabel.items()}
+                product = a.substitute(to) * b.substitute(to)
+                total = total + (product if sign > 0 else -product)
         return total
     primes = _PRIMES[:nprimes]
+    moduli = np.array(primes, dtype=np.int64)[:, None]
     strides = np.array([math.prod(radices[:s]) for s in range(width)], dtype=np.int64)
     # the short operand's digits shifted to start at 0 and the long one's
     # by the rest of lo, then divided by the step, so that each product
     # term's lattice digits lie in [0, radix); the long one's keys sorted,
     # so that every row of a block is an increasing run
     operands = []
-    for (a, b), f, (da, db) in zip(pairs, factors, digits):
+    for (a, b, g), f, (da, db) in zip(work, factors, digits):
         if len(a._num) > len(b._num):
             a, b, da, db = b, a, db, da
-        low = da.min(0)
-        kb = (db - (lo - low)) // step @ strides
-        order = np.argsort(kb, kind="stable")
-        operands.append(((da - low) // step @ strides, kb[order],
-                         _residues(a._num.values(), f, primes),
-                         _residues(b._num.values(), 1, primes)[:, order]))
+        resa = _residues(a._num.values(), f, primes)
+        resb = _residues(b._num.values(), 1, primes)
+        for _, cols, sign in g:
+            ga, gb = (da, db) if cols is None else (da[:, cols], db[:, cols])
+            low = ga.min(0)
+            kb = (gb - (lo - low)) // step @ strides
+            order = np.argsort(kb, kind="stable")
+            operands.append(((ga - low) // step @ strides, kb[order],
+                             resa if sign > 0 else (moduli - resa) % moduli, resb[:, order]))
     del digits
     # the box itself if the term pairs fill it, else the union of every
     # product's keys, merged whenever the keys waiting outnumber it
@@ -976,7 +1037,6 @@ def sum_of_products(pairs) -> LaurentPoly:
         union = _sorted_union([union, *waiting])
         del waiting
     acc = np.zeros((nprimes, box if union is None else len(union)), dtype=np.int64)
-    moduli = np.array(primes, dtype=np.int64)[:, None]
     rows = 0
     for ka, kb, resa, resb in operands:
         for ra, rb in _blocks(len(ka), len(kb)):

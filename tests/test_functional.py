@@ -645,10 +645,12 @@ def test_numerators_are_the_interleaved_fold(L, pts, mus, q):
 @pytest.mark.parametrize("L, pts, mus, q", _EXACT_FZ_CASES)
 def test_default_exact_fz_is_the_per_subset_provider(monkeypatch, L, pts, mus, q):
     # one batch of Z values against z_algebraic subset by subset, on the
-    # identity and with reweighted terms
+    # identity and, on the per-term route (the orbit route builds no term
+    # but the two canonical ones), with reweighted terms
     inp = FunctionalInput(L, pts, mus, q)
     for reweight in (False, True):
         if reweight:
+            monkeypatch.setattr(functional, "_orbit_variables", lambda w: None)
             _reweighted_terms(monkeypatch)
         batched = functional_residual(inp)
         per_subset = functional_residual(inp, algebraic_provider(mus, q))
@@ -666,6 +668,164 @@ def test_default_exact_fz_failure_is_a_provider_failure(monkeypatch):
     monkeypatch.setattr(functional, "b_products", broken)
     with pytest.raises(ProviderFailure, match="batch exploded"):
         check_fz(inp)
+
+
+def _spy_terms(monkeypatch) -> list:
+    """Patch ``_terms`` to record each call: the per-term route makes one,
+    the orbit route none."""
+    calls = []
+    terms = functional._terms
+
+    def spy(w):
+        calls.append(w.n)
+        return terms(w)
+
+    monkeypatch.setattr(functional, "_terms", spy)
+    return calls
+
+
+def _per_term(monkeypatch, inp, provider=None):
+    """The residual on the per-term route: every term built and decoded."""
+    with monkeypatch.context() as m:
+        m.setattr(functional, "_orbit_variables", lambda w: None)
+        return functional_residual(inp, provider)
+
+
+def _wrong_factor(points):
+    """The product of the points.  A Z at q * 11/13 times it is wrong, yet
+    still symmetric in the points; the factor keeps it wrong at L = 1,
+    where Z is c at every point and a wrong q alone scales every Z alike."""
+    return math.prod(points, start=LaurentPoly.one())
+
+
+def _sweep_wrong(monkeypatch):
+    """Every default Z swept at q * 11/13, times ``_wrong_factor``."""
+    sweep = functional._WeightTable.b_products
+
+    def wrong(w, subsets):
+        out = sweep(functional._WeightTable(w.points, w.mus, w.q * Fraction(11, 13)), subsets)
+        return out * np.array([_wrong_factor([w.points[k] for k in s]) for s in subsets])
+
+    monkeypatch.setattr(functional._WeightTable, "b_products", wrong)
+
+
+def _wrong_provider(mus, q):
+    z = algebraic_provider(mus, q * Fraction(11, 13))
+    return lambda s: z(s) * _wrong_factor(s)
+
+
+@pytest.mark.parametrize("L, pts, mus, q", _EXACT_FZ_CASES)
+def test_exact_fz_routes_meet_on_a_wrong_factor(monkeypatch, L, pts, mus, q):
+    # the negative control of the orbit route: with a wrong Z that is still
+    # symmetric in the points, both routes give the same nonzero residual
+    inp = FunctionalInput(L, pts, mus, q)
+    _sweep_wrong(monkeypatch)
+    calls = _spy_terms(monkeypatch)
+    orbits = functional_residual(inp)
+    assert not calls
+    terms = _per_term(monkeypatch, inp)
+    assert calls == [L + 1]
+    assert orbits.num == terms.num and orbits.den == terms.den
+    assert not orbits.is_zero()
+
+
+_ORBIT_CASES = {
+    **{f"symbolic-L{L}": (L, _sym_points(L + 2), _sym_mus(L), Q) for L in (0, 1, 2)},
+    "rational": _EXACT_FZ_CASES[2],
+    "cli-L3": (3, _sym_points(5), tuple(LaurentPoly.rational(v) for v in (2, 3, 5)), Q),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ORBIT_CASES))
+def test_exact_fz_orbit_route_is_the_per_term_route(monkeypatch, case):
+    # the two canonical terms relabeled in the kernel against every term
+    # built and decoded (test_exact_fz_routes_meet_on_a_wrong_z compares
+    # them on a nonzero residual)
+    L, pts, mus, q = _ORBIT_CASES[case]
+    inp = FunctionalInput(L, pts, mus, q)
+    calls = _spy_terms(monkeypatch)
+    orbits = functional_residual(inp)
+    assert not calls
+    terms = _per_term(monkeypatch, inp)
+    assert calls == [L + 1]
+    assert orbits.num == terms.num and orbits.den == terms.den
+    assert orbits.is_zero()
+
+
+def test_exact_fz_orbits_at_symbolic_l3_term_by_term():
+    # fully symbolic L = 3, where each route takes seconds: every term's
+    # num * D and Z against sgn(sigma) sigma of its family's canonical
+    # term's, sigma the relabeling the orbit route hands the kernel;
+    # negative control: an odd sigma without its sign
+    pts, mus = _sym_points(5), _sym_mus(3)
+    w = functional._WeightTable(pts, mus, Q)
+    vs = functional._orbit_variables(w)
+    assert vs == [u_var(60 + k) for k in range(5)]
+    terms = list(functional._terms(w))
+    zs = w.b_products([s for *_, s in terms])[-1]
+    # _terms' order: omissions i = 1..4, then substitutions (j, i), i < j
+    fronts = [(i,) for i in range(1, 5)] + list(itertools.combinations(range(1, 5), 2))
+    odd = 0
+    for (num, pairs, _), front, z in zip(terms, fronts, zs):
+        c = 0 if len(front) == 1 else 4
+        sigma = [*front, *(k for k in range(1, 5) if k not in front)]
+        sign = (-1) ** sum(x > y for x, y in itertools.combinations(sigma, 2))
+        to = {vs[k]: LaurentPoly.var(vs[s]) for k, s in enumerate(sigma, 1)}
+        cleared = num * w.clearing(pairs)
+        image = (terms[c][0] * w.clearing(terms[c][1])).substitute(to)
+        assert cleared == image * sign
+        assert z == zs[c].substitute(to)
+        if sign < 0:
+            odd += 1
+            assert cleared != image
+    assert odd == 4
+
+
+@pytest.mark.parametrize("case", ["repeated", "coefficient", "exponent", "two-variables",
+                                  "rational-points", "shared-mu", "shared-q"])
+def test_exact_fz_route_guard(monkeypatch, case):
+    # inputs whose points a relabeling may not move freely take the
+    # per-term route, and give the per-subset provider's residual (with a
+    # wrong Z, so that it is not zero); forced onto the orbit route,
+    # an input that shares a point variable gets a different numerator
+    u = _sym_points(4)
+    pts, mus, q = list(u), list(_sym_mus(2)), Q
+    if case == "repeated":
+        pts[2] = pts[1]
+    elif case == "coefficient":
+        pts[1] = pts[1] * Fraction(2, 3)
+    elif case == "exponent":
+        pts[2] = pts[2] ** -1
+    elif case == "two-variables":
+        pts[3] = pts[3] * LaurentPoly.var(w_var(9))
+    elif case == "rational-points":
+        pts = [LaurentPoly.rational(Fraction(k + 2, 3)) for k in range(4)]
+    elif case == "shared-mu":
+        mus[1] = mus[1] * u[1]
+    else:
+        q = Q * u[1]
+    inp = FunctionalInput(2, tuple(pts), tuple(mus), q)
+    calls = _spy_terms(monkeypatch)
+    if case == "repeated":
+        # b(lam_1 - lam_2) = 0: no common denominator on either route
+        for provider in (None, algebraic_provider(inp.mus, q)):
+            with pytest.raises(ZeroDivisionError):
+                functional_residual(inp, provider)
+        assert calls == [3, 3]
+        return
+    assert functional_residual(inp).is_zero()
+    assert calls == [3]
+    _sweep_wrong(monkeypatch)
+    got = functional_residual(inp)
+    want = functional_residual(inp, _wrong_provider(inp.mus, q))
+    assert calls == [3, 3, 3]
+    assert not got.is_zero() and got.num == want.num and got.den == want.den
+    if case.startswith("shared"):
+        monkeypatch.setattr(functional, "_orbit_variables",
+                            lambda w: [u_var(60 + k) for k in range(4)])
+        forced = functional_residual(inp)
+        assert calls == [3, 3, 3]
+        assert forced.num != got.num
 
 
 _GENERIC_CASES = {

@@ -688,3 +688,135 @@ def test_sum_of_products_on_the_exponent_lattice(case, builds_union, monkeypatch
     _check(sum_of_products((LaurentPoly(a), LaurentPoly(b)) for a, b in pairs),
            ref_sum_of_products(pairs))
     assert bool(built) == builds_union
+
+
+
+# -- sum_of_products with images ------------------------------------------------
+
+_U60, _U61, _U62, _U97, _W0, _Q = u_var(60), u_var(61), u_var(62), u_var(97), w_var(0), q_var()
+# relabels: the identity twice over, a swap, a 3-cycle across kinds, and one
+# that moves u62 onto u97, which an operand may not hold
+_RELABELS = ({}, {_U60: _U60, _W0: _W0}, {_U60: _U61, _U61: _U60},
+             {_U60: _W0, _W0: _Q, _Q: _U60}, {_U62: _U97, _U97: _U62})
+
+
+def ref_relabel(a, relabel, sign=1):
+    """sign * a with each variable v renamed relabel[v], term by term."""
+    return {e: sign * c for e, c in ref_substitute(
+        a, {v.key: {((t.key, 1),): Fraction(1)} for v, t in relabel.items()}).items()}
+
+
+def ref_images(pairs, images):
+    """The reference of a sum with images: sum of sign * rho(a) * rho(b)."""
+    out = {}
+    for (a, b), imgs in zip(pairs, images):
+        for relabel, sign in imgs:
+            out = ref_add(out, ref_mul(ref_relabel(a, relabel, sign), ref_relabel(b, relabel)))
+    return out
+
+
+@st.composite
+def image_lists(draw):
+    return draw(st.lists(st.tuples(st.sampled_from(_RELABELS), st.sampled_from((1, -1))),
+                         max_size=3))
+
+
+@given(st.lists(st.tuples(ref_polys(), ref_polys(), st.sampled_from(_SCALES), image_lists()),
+                max_size=3))
+def test_sum_of_products_images_match_reference(drawn):
+    pairs = [({e: c * s for e, c in a.items()}, b) for a, b, s, _ in drawn]
+    images = [imgs for *_, imgs in drawn]
+    _check(sum_of_products([(LaurentPoly(a), LaurentPoly(b)) for a, b in pairs], images),
+           ref_images(pairs, images))
+
+
+def test_sum_of_products_identity_sign_and_cycle_images():
+    # an identity image, sign -1 and a 3-cycle against the substituted
+    # operands; negative control: one image with the wrong sign changes
+    # the sum
+    pairs = [({((_U60.key, 2), (_Q.key, 1)): Fraction(3, 7), ((_W0.key, -1),): Fraction(-2)},
+              {((_U61.key, 1),): Fraction(5), (): Fraction(1, 3)}),
+             ({((_U60.key, 1), (_U61.key, -1)): Fraction(1)},
+              {((_W0.key, 3),): Fraction(-4, 5), ((_Q.key, -2),): Fraction(2)})]
+    cycle = {_U60: _W0, _W0: _Q, _Q: _U60}
+    images = [[({}, 1), ({_U60: _U60}, -1), (cycle, 1)], [(cycle, -1), ({}, 1)]]
+    polys = [(LaurentPoly(a), LaurentPoly(b)) for a, b in pairs]
+    got = sum_of_products(polys, images)
+    _check(got, ref_images(pairs, images))
+    to = {v: LaurentPoly.var(t) for v, t in cycle.items()}
+    (a0, b0), (a1, b1) = polys
+    assert got == a0 * b0 - a0 * b0 + a0.substitute(to) * b0.substitute(to) \
+        - a1.substitute(to) * b1.substitute(to) + a1 * b1
+    assert sum_of_products(polys, [[({}, 1)], [({}, 1)]]) == sum_of_products(polys)
+    flipped = [images[0][:2] + [(cycle, -1)], images[1]]
+    assert sum_of_products(polys, flipped) != got
+
+
+@pytest.mark.parametrize("case, builds_union", [("dense", False), ("sparse", True)])
+def test_sum_of_products_images_on_both_paths(case, builds_union, monkeypatch):
+    # the dense box and the sorted union, each with a swap, a 3-cycle and a
+    # negative sign on every pair
+    pairs = _lattice_pairs(case)
+    u, v, w = u_var(60), u_var(61), w_var(61)
+    imgs = [({}, 1), ({u: v, v: u}, -1), ({u: w, w: q_var(), q_var(): u}, 1)]
+    images = [imgs] * len(pairs)
+    built = []
+    union = scalar._sorted_union
+
+    def spy(parts):
+        built.append(len(parts))
+        return union(parts)
+
+    monkeypatch.setattr(scalar, "_sorted_union", spy)
+    _check(sum_of_products([(LaurentPoly(a), LaurentPoly(b)) for a, b in pairs], images),
+           ref_images(pairs, images))
+    assert bool(built) == builds_union
+
+
+@pytest.mark.parametrize("case", ["key box", "primes"])
+def test_sum_of_products_with_images_falls_back_to_pairwise(case, monkeypatch):
+    # the fallback forms sign * rho(a) * rho(b) image by image
+    xs = [LaurentPoly.var(u_var(i)) for i in (60, 61, 62, 63)]
+    if case == "key box":
+        hi = xs[0] ** 16383 * xs[1] ** 16383 * xs[2] ** 16383 * xs[3] ** 16383
+        a = hi + hi.monomial_inverse() + xs[0] ** 2 * xs[1] * xs[2] * xs[3]
+        b = a - xs[0] * 3
+    else:
+        a, b = xs[0] * 2 ** 400 + xs[1] * 3, xs[2] * 5 ** 200 - 1
+    cycle = {u_var(60): u_var(61), u_var(61): u_var(62), u_var(62): u_var(60)}
+    to = {v: LaurentPoly.var(t) for v, t in cycle.items()}
+    want = a * b - a.substitute(to) * b.substitute(to) + b * b
+
+    def refuse(*args):
+        raise AssertionError("the residue path ran")
+
+    monkeypatch.setattr(scalar, "_residues", refuse)
+    assert sum_of_products([(a, b), (b, b)], [[({}, 1), (cycle, -1)], [({}, 1)]]) == want
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_sum_of_products_bound_counts_the_images(k, sign):
+    # one monomial pair with two images reaches 2c, past M/2 for M the
+    # product of the first k primes, while c alone stays below it: the
+    # bound must count the images, or k primes give 2c - M
+    u, w = LaurentPoly.var(u_var(61)), LaurentPoly.var(w_var(61))
+    m = math.prod(scalar._PRIMES[:k])
+    c = m // 4 + 1
+    assert 2 * c < m and 2 * (2 * c) > m
+    swap = {u_var(61): w_var(61), w_var(61): u_var(61)}
+    got = sum_of_products([(u * c, w)], [[({}, sign), (swap, sign)]])
+    assert got == u * w * (2 * sign * c)
+
+
+@pytest.mark.parametrize("images", [
+    [[({_U60: _U61}, 1)]],                      # u61 is not moved anywhere
+    [[({_U60: _U61, _U61: _U61}, 1)]],          # two variables onto one
+    [[({_U60: LaurentPoly.var(_U61), _U61: LaurentPoly.var(_U60)}, 1)]],  # not VarIds
+    [[({}, 2)]],                                # a sign that is not +-1
+    [[({}, 1)], [({}, 1)]],                     # one image list too many
+])
+def test_sum_of_products_refuses_a_bad_image(images):
+    u = LaurentPoly.var(_U60)
+    with pytest.raises(ValueError):
+        sum_of_products([(u, u + 1)], images)
