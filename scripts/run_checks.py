@@ -45,7 +45,11 @@ configuration table must hold the pruned search's configurations and count
 at L = 1..4, and its float Z agree with the pruned one within 1e-12 of the
 larger |Z|.  The homogeneous-limit
 differential relations are checked exactly at L = 1 and 2.  The coefficient
-solver must reproduce the known L = 2 table exactly; ``solve --size 3`` must
+solver must reproduce the known L = 2 table exactly; its rows, from two
+canonical terms relabeled, must equal array for array the rows with every
+term expanded on its own at L = 1, 2, 3; its exact check must refuse the
+solved L = 2 table with (1, -1) and (-1, 1) both shifted by q, on the
+equation, as that table is still symmetric; ``solve --size 3`` must
 print, byte for byte, the stored tests/data/solve_size3_exact.json; and the
 numeric L = 3 solve, at one q drawn from --seed, must give the known L = 3
 ratios within 1e-8 of the largest ratio, and the numeric L = 4 solve the
@@ -70,6 +74,7 @@ from unittest import mock
 import numpy as np
 
 from sixvertex import asymptotics, cli, functional, monodromy, partition, solver, vertex
+from sixvertex.errors import NullspaceDimensionUnexpected
 from sixvertex.scalar import (EXACT, LaurentPoly, RationalFunction, parse_poly, q_var, u_var,
                               w_var)
 from sixvertex.sampling import make_rng, sample_point, sample_spectral_set, sample_spectral_sets
@@ -340,6 +345,33 @@ def main():
     got = solver.solve_fz(2).entries
     record(vertex.verdict("solve-exact-L2", np.array(
         [(got[idx] - want[idx]).num for idx in want], dtype=object), None, 0.0))
+    for L in (1, 2, 3):
+        # the rows from the two canonical terms relabeled against the rows
+        # with every term of functional._terms expanded on its own (a family
+        # of one, sigma the identity): differing arrays
+        w, families = solver._equation(L)
+        orbit_rows = solver._assemble_constraints(L, (w, families))[0]
+        identity = list(range(L + 2))
+        per_term = [(term, [(identity, 1, term[2])]) for term in functional._terms(w)]
+        term_rows = solver._assemble_constraints(L, (w, per_term))[0]
+        record(vertex.verdict(f"solve-orbit-rows-L{L}", sum(
+            int(not np.array_equal(getattr(orbit_rows, f), getattr(term_rows, f)))
+            for f in ("starts", "col", "qexp", "val")), None, 0))
+        del orbit_rows, term_rows
+    # step 4 must refuse a symmetric perturbation of the solved L = 2 table,
+    # (1, -1) and (-1, 1) both shifted by q, on the equation itself
+    equation = solver._equation(2)
+    rows, ncols, box = solver._assemble_constraints(2, equation)
+    values = solver._exact_nullvector(rows, solver._select_independent_rows(rows, ncols)[0],
+                                      ncols)
+    for idx in ((1, -1), (-1, 1)):
+        values[box.index(idx)] = values[box.index(idx)] + RationalFunction(q)
+    try:
+        solver._verify_candidate(2, box, values, equation)
+        refused = 1
+    except NullspaceDimensionUnexpected as exc:
+        refused = int("fails the full equation" not in str(exc))
+    record(vertex.verdict("solve-verify-symmetric-perturbation-L2", refused, None, 0))
     # the exact L = 3 stdout against the stored document: differing bytes,
     # plus the length difference and the exit code
     out = io.StringIO()

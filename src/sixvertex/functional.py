@@ -24,9 +24,9 @@ keeping every intermediate a genuine Laurent polynomial, by one rule,
 (the b-weights outside its denominator, ``_WeightTable.clearing``) times
 its value X, a Z value or a B-product vector entry, in one
 ``scalar.sum_of_products`` call (residues modulo word-size primes, then
-CRT), so that the long numerators meet only the kernel.  The FZ residual,
-each entry of the cbb residual and the solver's check of a solved table
-take it; the final numerator is tested for exact zero.  Float points
+CRT), so that the long numerators meet only the kernel.  The per-term FZ
+residual and each entry of the cbb residual take it, and the orbit sums
+below the same pairing; the final numerator is tested for exact zero.  Float points
 closer than ``sampling.MIN_POLE_DISTANCE`` to a pole are refused once per
 input, each point pair checked over a whole batch at once.
 
@@ -61,7 +61,13 @@ single out and ``den(every)`` is antisymmetric.  So only the two canonical
 numerators are built, their two Z values come from one ``b_products``
 call, and ``sum_of_products`` applies the relabelings (its ``images``)
 from one decode of each operand.  Every other input, and every explicit
-provider, takes the per-term route through ``_terms``.
+provider, takes the per-term route through ``_terms``.  The orbits are
+defined once, ``_orbits``: each family's canonical term, and each term's
+sigma (a point-index list fixing 0), sign and subset, in ``_terms`` order.
+``_orbit_expansion_sum`` turns the sigmas into the kernel's relabelings;
+the FZ residual and the solver's step-4 check take it, and the solver's
+assembly gathers each term's exponents from its family's canonical ones by
+the same sigmas.  Exact cbb and the numeric solve stay per term.
 """
 
 from __future__ import annotations
@@ -283,7 +289,7 @@ def _orbit_variables(w: _WeightTable):
         return None
     vs = []
     for p in w.points:
-        if not p.is_monomial():
+        if not isinstance(p, LaurentPoly) or not p.is_monomial():
             return None
         ((vec, c),) = p.items()
         if c != 1 or len(vec) != 1 or vec[0][1] != 1:
@@ -293,28 +299,48 @@ def _orbit_variables(w: _WeightTable):
     return vs if len(set(vs)) == len(vs) and not others & set(vs) else None
 
 
-def _orbit_sum(w: _WeightTable, vs) -> LaurentPoly:
-    """The exact FZ residual's numerator over ``w.den(w.every)`` as two
-    orbit sums (see the module docstring), ``vs`` the points' variables:
-    sigma fixes point 0, sends 1 to i (and 2 to j), and the other points in
-    increasing order onto the rest."""
+def _orbits(w: _WeightTable):
+    """The terms of ``_terms`` as two orbits (one at n = 1, which has no
+    substitution): for each family, the canonical term, omission 1 or
+    substitution (2, 1), as (numerator, denominator pair set, subset), and
+    for every term of the family, in ``_terms`` order, (sigma, sign, subset).
+    sigma is a point permutation as an index list, sigma[k] the image of
+    point k: it fixes 0, sends 1 to i (and 2 to j), and the other points in
+    increasing order onto the rest; sign is its signature; subset is the
+    term's own, the canonical one carried by sigma position by position."""
     n = w.n
 
-    def image(*front):
-        sigma = [*front, *(k for k in range(1, n + 1) if k not in front)]
+    def image(c, *front):
+        sigma = [0, *front, *(k for k in range(1, n + 1) if k not in front)]
         sign = (-1) ** sum(x > y for x, y in itertools.combinations(sigma, 2))
-        return {vs[k]: vs[t] for k, t in enumerate(sigma, 1)}, sign
+        return sigma, sign, tuple(sigma[k] for k in c[2])
 
-    parts = [_omission_parts(1, w)]
-    subsets = [tuple(range(2, n + 1))]
-    images = [[image(i) for i in range(1, n + 1)]]
+    omission = (*_omission_parts(1, w), tuple(range(2, n + 1)))
+    families = [(omission, [image(omission, i) for i in range(1, n + 1)])]
     if n >= 2:
-        parts.append(_substitution_parts(2, 1, w))
-        subsets.append((0,) + tuple(range(3, n + 1)))
-        images.append([image(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
-    zs = _call_provider(lambda s: w.b_products(s)[-1], subsets)
-    return sum_of_products(((num, w.clearing(pairs) * z) for (num, pairs), z in zip(parts, zs)),
-                           images)
+        substitution = (*_substitution_parts(2, 1, w), (0,) + tuple(range(3, n + 1)))
+        families.append((substitution, [image(substitution, i, j) for i in range(1, n + 1)
+                                        for j in range(i + 1, n + 1)]))
+    return families
+
+
+def _orbit_expansion_sum(w: _WeightTable, families, xs, vs) -> LaurentPoly:
+    """``_expansion_sum`` over every term of the ``_orbits`` families from
+    their canonical terms and values xs alone, ``vs`` the points'
+    variables: one ``sum_of_products`` of the pairs (num_c, D_c * X_c), each
+    summed over its family's signed relabelings of vs."""
+    images = [[({vs[k]: vs[t] for k, t in enumerate(sigma) if k}, sign)
+               for sigma, sign, _ in orbit] for _, orbit in families]
+    return sum_of_products(((num, w.clearing(pairs) * x)
+                            for ((num, pairs, _), _), x in zip(families, xs)), images)
+
+
+def _orbit_sum(w: _WeightTable, vs) -> LaurentPoly:
+    """The exact FZ residual's numerator over ``w.den(w.every)`` as two
+    orbit sums (see the module docstring), ``vs`` the points' variables."""
+    families = _orbits(w)
+    zs = _call_provider(lambda s: w.b_products(s)[-1], [c[2] for c, _ in families])
+    return _orbit_expansion_sum(w, families, zs, vs)
 
 
 def _expansion_table(n: int, points, mus, q) -> _WeightTable:

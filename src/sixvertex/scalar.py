@@ -666,11 +666,15 @@ def backend_of(x) -> Backend:
 
 
 def invert(x):
-    """Multiplicative inverse of a monomial or a nonzero number."""
+    """Multiplicative inverse of a monomial or a nonzero number: exact (a
+    Fraction) for an int or a Fraction, as ``backend_of`` counts them."""
     if isinstance(x, LaurentPoly):
         return x.monomial_inverse()
     if isinstance(x, RationalFunction):
         return RationalFunction(x.den, x.num)
+    # not isinstance(x, Fraction): the float path would pay its ABC check
+    if isinstance(x, int) or type(x) is Fraction:
+        return Fraction(1, x)
     return 1 / x
 
 

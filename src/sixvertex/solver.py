@@ -11,22 +11,28 @@ table entries h.
 Exact pipeline (L <= 3):
 
 1. assemble the cleared equation from the omission/substitution terms of
-   :mod:`sixvertex.functional` (weight table and terms built once per
-   solve, ``_equation``), each numerator expanded exactly times its
-   clearing factor at symbolic points and q; entries are summed per int64
-   numpy key, and every spectral monomial yields one linear constraint,
-   kept in flat int64 arrays of (column, q exponent, integer value) entries;
+   :mod:`sixvertex.functional` as its two orbits, ``functional._orbits``
+   (weight table and families built once per solve, ``_equation``): each
+   family's canonical numerator is expanded exactly times its clearing
+   factor at symbolic points and q, once, and every term of the family
+   takes those exponents with the u columns gathered by its point
+   permutation sigma, its values negated for odd sigma, as num_t * D_t =
+   sgn(sigma) * sigma(num_c * D_c); entries are summed per int64 numpy
+   key, and every spectral monomial yields one linear constraint, kept in
+   flat int64 arrays of (column, q exponent, integer value) entries;
 2. select independent constraints greedily, fewest entries first, by rank
    modulo the prime p = 2147483629 (``_SELECTION_PRIME``) at one integer q
    (reduction modulo p and specialization of q can only lower rank, so
    independence lifts to the generic field);
 3. fraction-free Gaussian elimination over Z[q] on the selected rows,
    back-substitution over rational functions in q;
-4. verify the candidate table: the whole equation, with the table's
-   polynomial for every Z, must sum to exactly zero in one
-   ``functional._expansion_sum``, as the exact FZ residual does.  It reuses
-   step 1's weight table and terms, but not its expanded coefficients,
-   grouping, selection or elimination.
+4. verify the candidate table: it must be symmetric in the spectral
+   points, as Z is, or it is refused with a message of its own; then the
+   whole equation, with the table's polynomial for every Z, must sum to
+   exactly zero in one ``functional._orbit_expansion_sum`` of the two
+   canonical terms over their orbits, as the default exact FZ residual
+   does.  It reuses step 1's weight table and families, but not its
+   expanded coefficients, grouping, selection or elimination.
 
 Step 2 bounding rank from below and step 4 exhibiting an exact solution
 together prove the nullspace is one-dimensional; any mismatch raises
@@ -57,7 +63,8 @@ import numpy as np
 
 from .asymptotics import asymptotic_norm
 from .errors import NullspaceDimensionUnexpected, SizeLimitExceeded
-from .functional import FunctionalInput, _expansion_sum, _terms, _WeightTable, functional_residual
+from .functional import (FunctionalInput, _orbit_expansion_sum, _orbits, _WeightTable,
+                         functional_residual)
 from .partition import z_algebraic
 from .sampling import sample_point, sample_spectral_sets
 from .scalar import (
@@ -219,11 +226,11 @@ def _equation_points(L: int) -> tuple:
 
 
 def _equation(L: int) -> tuple:
-    """The weight table and the term list of the equation at the symbolic
-    points, unit inhomogeneities and symbolic q, built once per solve;
-    steps 1 and 4 both read them."""
+    """The weight table and the two term families (``functional._orbits``)
+    of the equation at the symbolic points, unit inhomogeneities and
+    symbolic q, built once per solve; steps 1 and 4 both read them."""
     w = _WeightTable(_equation_points(L), (LaurentPoly.one(),) * L, LaurentPoly.var(q_var()))
-    return w, list(_terms(w))
+    return w, _orbits(w)
 
 
 @dataclass(frozen=True)
@@ -243,20 +250,27 @@ def _assemble_constraints(L: int, equation: tuple):
     """The linear constraints of ``_equation(L)`` as ``_Rows``, one per
     spectral monomial, entries by column, then q power; neither normalized
     nor deduplicated, as the selection skips dependent rows.  The rows need
-    the coefficients of each numerator times its clearing factor, expanded."""
+    the coefficients of each numerator times its clearing factor, expanded:
+    once per family, for its canonical term; every other term's are
+    sgn(sigma) times those relabeled by sigma, exactly, as the equation's
+    points are bare variables that the unit mus and q do not hold."""
     n = L + 1
     box = ansatz_box(L)
     ncols = len(box)
     variables = [*map(u_var, range(n + 1)), q_var()]
     box_exps = np.array(box, dtype=np.int64)
-    w, equation_terms = equation
+    w, families = equation
     terms = []
-    for num, pairs, subset in equation_terms:
+    for (num, pairs, _), orbit in families:
         exps, nums, den = exponent_array(num * w.clearing(pairs), variables)
-        # the ansatz monomial of each column, spread onto the term's points
-        shift = np.zeros((ncols, n + 1), dtype=np.int64)
-        shift[:, list(subset)] = box_exps
-        terms.append((exps, nums, den, shift))
+        negated = [-c for c in nums]
+        for sigma, sign, subset in orbit:
+            # sigma moves the exponent of u_k to u_sigma[k]; q's stays put
+            inverse = np.argsort(sigma).tolist()
+            # the ansatz monomial of each column, spread onto the term's points
+            shift = np.zeros((ncols, n + 1), dtype=np.int64)
+            shift[:, list(subset)] = box_exps
+            terms.append((exps[:, inverse + [n + 1]], nums if sign > 0 else negated, den, shift))
     # one common scale makes every coefficient an integer and keeps their proportions
     common = math.lcm(*(den for _, _, den, _ in terms))
     # one int64 key per (u-exponents, column, q-exponent) entry, in a mixed
@@ -410,9 +424,23 @@ def _exact_nullvector(rows: _Rows, selected, ncols: int) -> list[RationalFunctio
 
 
 def _verify_candidate(L: int, box, values: list[RationalFunction], equation: tuple) -> None:
-    """Exact check that the whole functional equation, ``_equation(L)`` in
-    one ``functional._expansion_sum``, vanishes for the candidate table."""
-    w, terms = equation
+    """Exact check of the candidate table: it must be symmetric in the
+    spectral points, as Z is, and the whole functional equation,
+    ``_equation(L)``, must vanish for it.  The equation is one
+    ``functional._orbit_expansion_sum`` of the two canonical terms with the
+    table's polynomial on their subsets: sigma carries the canonical subset
+    onto each term's position by position, so that term's Z is sigma of the
+    canonical one, and the orbit sum is the sum over every term."""
+    position = {idx: k for k, idx in enumerate(box)}
+    # the adjacent transpositions of index positions generate every permutation
+    for idx, v in zip(box, values):
+        for p in range(L - 1):
+            swapped = (*idx[:p], idx[p + 1], idx[p], *idx[p + 2:])
+            if swapped != idx and values[position[swapped]] != v:
+                raise NullspaceDimensionUnexpected(
+                    f"candidate from the selected constraints is not symmetric: h{idx} != "
+                    f"h{swapped}; the system has no one-dimensional solution space")
+    w, families = equation
     points = _equation_points(L)
     qv = q_var()
     one = LaurentPoly.one()
@@ -443,7 +471,8 @@ def _verify_candidate(L: int, box, values: list[RationalFunction], equation: tup
             total = total + hq * mono
         return total
 
-    if _expansion_sum(w, terms, (z(subset) for *_, subset in terms)):
+    if _orbit_expansion_sum(w, families, [z(c[2]) for c, _ in families],
+                            list(map(u_var, range(L + 2)))):
         raise NullspaceDimensionUnexpected(
             "candidate from the selected constraints fails the full equation; "
             "the system has no one-dimensional solution space")

@@ -781,6 +781,49 @@ def test_exact_fz_orbits_at_symbolic_l3_term_by_term():
     assert odd == 4
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_orbits_list_the_terms_in_order(n):
+    # the orbit helper's terms are _terms' terms, in _terms' order: each
+    # subset the canonical one carried by sigma position by position, each
+    # sigma a permutation of 0..n that fixes 0, each sign its signature
+    pts = _sym_points(n + 1)
+    w = functional._WeightTable(pts, _sym_mus(1), Q)
+    families = functional._orbits(w)
+    assert len(families) == (1 if n == 1 else 2)
+    assert [c[2] for c, _ in families] == [tuple(range(2, n + 1)),
+                                           (0, *range(3, n + 1))][:len(families)]
+    want = [subset for *_, subset in functional._terms(w)]
+    got = []
+    for (num, pairs, subset), orbit in families:
+        for sigma, sign, term_subset in orbit:
+            assert sorted(sigma) == list(range(n + 1)) and sigma[0] == 0
+            inversions = sum(x > y for x, y in itertools.combinations(sigma, 2))
+            assert sign == (-1) ** inversions
+            assert term_subset == tuple(sigma[k] for k in subset)
+            got.append(term_subset)
+    assert got == want
+    # the canonical terms are _terms' omission 1 and substitution (2, 1)
+    terms = list(functional._terms(w))
+    assert families[0][0] == terms[0]
+    if n >= 2:
+        assert families[1][0] == terms[n]
+
+
+def test_exact_fz_at_number_points():
+    # exact points that are ints and Fractions: the weight table inverts
+    # them exactly, the residual vanishes, equals the per-subset provider's
+    # and is not zero for a wrong Z
+    pts = (2, 3, Fraction(5, 2), 7)
+    inp = FunctionalInput(2, pts, _sym_mus(2), Q)
+    got = functional_residual(inp)
+    want = functional_residual(inp, algebraic_provider(inp.mus, Q))
+    assert got.is_zero() and want.is_zero()
+    assert got.num == want.num and got.den == want.den
+    assert check_fz(inp).passed
+    wrong = functional_residual(inp, _wrong_provider(inp.mus, Q))
+    assert not wrong.is_zero()
+
+
 @pytest.mark.parametrize("case", ["repeated", "coefficient", "exponent", "two-variables",
                                   "rational-points", "shared-mu", "shared-q"])
 def test_exact_fz_route_guard(monkeypatch, case):

@@ -20,6 +20,7 @@ from sixvertex.scalar import (
     _exact_div_univariate,
     _gcd_univariate,
     backend_of,
+    invert,
     leading_coeff,
     parse_poly,
     poly_derivative,
@@ -265,6 +266,20 @@ def test_backend_of_exact_values(x):
 ])
 def test_backend_of_float_values(x):
     assert backend_of(x) is FLOAT
+
+
+@pytest.mark.parametrize("x, want", [(3, Fraction(1, 3)), (-2, Fraction(-1, 2)),
+                                     (Fraction(5, 2), Fraction(2, 5))])
+def test_invert_keeps_exact_numbers_exact(x, want):
+    # an int or a Fraction counts as exact, so its inverse is a Fraction
+    got = invert(x)
+    assert type(got) is Fraction and got == want
+    assert backend_of(got) is EXACT
+
+
+@pytest.mark.parametrize("x", [0.25, 1.5 - 2j, np.complex128(2j)])
+def test_invert_of_floats_is_the_float_quotient(x):
+    assert invert(x) == 1 / x and backend_of(invert(x)) is FLOAT
 
 
 def test_backend_arrays():

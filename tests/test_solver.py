@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sixvertex.asymptotics import asymptotic_norm
-from sixvertex import solver
+from sixvertex import functional, solver
 from sixvertex.errors import NullspaceDimensionUnexpected, SizeLimitExceeded
 from sixvertex.scalar import (
     LaurentPoly,
@@ -166,10 +166,74 @@ def test_assembled_rows_annihilate_direct_table(L):
 
 
 def test_assembly_refuses_sums_that_could_wrap():
-    w, terms = solver._equation(2)
-    scaled = [(num * 2 ** 60, pairs, subset) for num, pairs, subset in terms]
+    w, families = solver._equation(2)
+    scaled = [((num * 2 ** 60, pairs, subset), orbit)
+              for (num, pairs, subset), orbit in families]
     with pytest.raises(OverflowError):
         solver._assemble_constraints(2, (w, scaled))
+
+
+def _per_term_rows(L):
+    """The rows term by term, from ``functional._terms``: each term's
+    num * D expanded, its monomials shifted by each column's ansatz
+    monomial on the term's points and summed as Fractions per (spectral
+    monomial, column, q power), scaled to integers by the lcm of the
+    expansions' denominators; rows in spectral-monomial order, entries by
+    column, then q power, zero sums dropped."""
+    w = functional._WeightTable(solver._equation_points(L), (LaurentPoly.one(),) * L, Q)
+    box = ansatz_box(L)
+    slot = {u_var(k).key: k for k in range(L + 2)}
+    sums = {}
+    dens = []
+    for num, pairs, subset in functional._terms(w):
+        cleared = num * w.clearing(pairs)
+        for vec, coeff in cleared.items():
+            dens.append(coeff.denominator)
+            u = [0] * (L + 2)
+            qexp = 0
+            for key, e in vec:
+                if key == q_var().key:
+                    qexp = e
+                else:
+                    u[slot[key]] = e
+            for c, idx in enumerate(box):
+                shifted = list(u)
+                for pos, k in enumerate(subset):
+                    shifted[k] += idx[pos]
+                entry = sums.setdefault(tuple(shifted), {})
+                entry[c, qexp] = entry.get((c, qexp), 0) + coeff
+    common = math.lcm(*dens)
+    starts, col, qexp, val = [0], [], [], []
+    for mono in sorted(sums):
+        entries = sorted((k, v) for k, v in sums[mono].items() if v)
+        if not entries:
+            continue
+        for (c, e), v in entries:
+            assert (v * common).denominator == 1
+            col.append(c)
+            qexp.append(e)
+            val.append(int(v * common))
+        starts.append(len(col))
+    return [np.array(a, dtype=np.int64) for a in (starts, col, qexp, val)]
+
+
+def _same_rows(rows, arrays):
+    return all(np.array_equal(getattr(rows, f), a)
+               for f, a in zip(("starts", "col", "qexp", "val"), arrays))
+
+
+@pytest.mark.parametrize("L", [1, 2])
+def test_orbit_rows_are_the_per_term_rows(L):
+    # two canonical expansions relabeled by each term's sigma against
+    # every term expanded on its own; negative control: the odd sigmas
+    # without their sign
+    w, families = solver._equation(L)
+    rows, _, _ = solver._assemble_constraints(L, (w, families))
+    assert _same_rows(rows, _per_term_rows(L))
+    unsigned = [(c, [(sigma, 1, subset) for sigma, _, subset in orbit])
+                for c, orbit in families]
+    bad, _, _ = solver._assemble_constraints(L, (w, unsigned))
+    assert not _same_rows(bad, _per_term_rows(L))
 
 
 def _l2_system():
@@ -191,9 +255,16 @@ def test_verify_candidate_rejects_perturbed_solution():
     equation = solver._equation(2)
     solver._verify_candidate(2, box, values, equation)
     k = box.index((1, -1))
-    values[k] = values[k] + RationalFunction(Q)
-    with pytest.raises(NullspaceDimensionUnexpected):
-        solver._verify_candidate(2, box, values, equation)
+    asymmetric = list(values)
+    asymmetric[k] = values[k] + RationalFunction(Q)
+    with pytest.raises(NullspaceDimensionUnexpected, match="not symmetric"):
+        solver._verify_candidate(2, box, asymmetric, equation)
+    # symmetric, so that only the equation itself can refuse it
+    symmetric = list(asymmetric)
+    j = box.index((-1, 1))
+    symmetric[j] = values[j] + RationalFunction(Q)
+    with pytest.raises(NullspaceDimensionUnexpected, match="fails the full equation"):
+        solver._verify_candidate(2, box, symmetric, equation)
 
 
 # -- reference for the modular selection: rank over Q at one integer q,
@@ -299,11 +370,12 @@ def test_modular_selection_stays_exact():
     assert p < 2 ** 31
     assert (p - 1) ** 2 + p < 2 ** 63
     assert ncols * (2 ** 16 - 1) * (p - 1) < 2 ** 63
-    # a cell's entries carry distinct powers of q, from the cleared terms
+    # a cell's entries carry distinct powers of q, from the cleared terms;
+    # a relabeling moves only u exponents, so the canonical terms hold them all
     variables = [*map(u_var, range(L + 2)), q_var()]
-    w, terms = solver._equation(L)
+    w, families = solver._equation(L)
     qexps = np.concatenate([exponent_array(num * w.clearing(pairs), variables)[0][:, -1]
-                            for num, pairs, _ in terms])
+                            for (num, pairs, _), _ in families])
     assert (qexps.max() - qexps.min() + 1) * (p - 1) < 2 ** 53
     # dense rows of residues near p, where plain int64 products would wrap:
     # ten random rows and ten sums of two of them fill the first block; the
