@@ -18,14 +18,15 @@ kernel sum pairs each numerator with its clearing b-weights times Z, must
 be nonzero for a provider with one wrong Z value and equal the cleared
 coefficients times those Z values added one by one.  The default exact
 residual, two canonical terms summed over their orbits of point
-relabelings, must equal the per-term route's on the same inputs, with the
-right Z and, nonzero, with Z at a wrong q times its points' product.  The
-exact operator expansion at n = L = 1, 2, 3, with each term's numerator
-reweighted so that it no longer vanishes, must equal entry for entry the same cleared route
-over the per-subset B-product vectors.  The exact B products of one sweep
-at generic points, relabeled onto each subset, must equal the per-subset
-products at L = 1, 2, 3 for every subset length FZ and cbb use, and one
-wrong point must change them.
+relabelings at generic points, must equal the per-subset provider's, term
+by term, on the same inputs, with the right Z and, nonzero, with Z at a
+wrong q times its points' product.  The exact operator expansion at
+n = L = 1, 2, 3, one orbit sum per entry, with every omission numerator
+tripled so that it no longer vanishes, must equal entry for entry the
+same cleared route over the per-subset B-product vectors.  The exact B
+products of one batch sweep must equal the per-subset products at
+L = 1, 2, 3 for every subset length FZ and cbb use, and one wrong point
+must change them.
 The functional equation is also checked exactly at L = 3 with symbolic
 spectral points and rational inhomogeneities and q, the shape of the
 benchmark's exact-fz workload.  The string-operator and
@@ -146,14 +147,18 @@ def main():
     for n, L in ((1, 1), (2, 2), (2, 3)):
         record(functional.check_cbb_expansion(n, tuple(sym_points(n + 1, 70)),
                                               tuple(sym_mus(L)), q))
-    # the exact cbb residual takes one expansion sum per entry; with term t's
-    # numerator times t + 2 it is no longer zero, and must equal, entry for
+    # the exact cbb residual is one orbit sum per entry at the generic
+    # points; with every omission numerator times 3 (read by the orbits and
+    # by the terms alike) it is no longer zero, and must equal, entry for
     # entry, C(lam_0) prod B |0> times den(every) minus each numerator times
     # its clearing b-weights times its b_product vector, one term at a time
-    terms = functional._terms
-    functional._terms = lambda w: ((num * (t + 2), pairs, subset)
-                                   for t, (num, pairs, subset) in enumerate(terms(w)))
-    try:
+    omission = functional._omission_parts
+
+    def tripled(i, w):
+        num, pairs = omission(i, w)
+        return num * 3, pairs
+
+    with mock.patch.object(functional, "_omission_parts", tripled):
         for n in (1, 2, 3):
             pts, mus = tuple(sym_points(n + 1, 70)), tuple(sym_mus(n))
             w = functional._WeightTable(pts, mus, q)
@@ -165,13 +170,10 @@ def main():
             res, _ = functional.cbb_expansion_residual(n, pts, mus, q)
             record(vertex.verdict(f"cbb-pairing-exact-n{n}", int(all(x.is_zero() for x in res))
                                   + sum(int(x != y) for x, y in zip(res, want)), None, 0))
-    finally:
-        functional._terms = terms
     for L in (1, 2, 3):
-        # the exact B products, one sweep at the generic points relabeled
-        # onto each subset, against b_product subset by subset at every
-        # length FZ and cbb use; from L = 2 on, one wrong point of a subset
-        # must change its product
+        # the exact B products, one batch sweep of the table's own weights,
+        # against b_product subset by subset at every length FZ and cbb use;
+        # from L = 2 on, one wrong point of a subset must change its product
         pts, mus = tuple(sym_points(L + 2, 60)), tuple(sym_mus(L))
         w = functional._WeightTable(pts, mus, q)
         bad = 0
@@ -184,7 +186,7 @@ def main():
         wrong[-1] = wrong[-1] * Fraction(11, 13)
         same = list(w.b_products([tuple(range(1, L + 1))])[:, 0]) == list(
             monodromy.b_product(wrong, mus, q))
-        record(vertex.verdict(f"bprod-substitution-exact-L{L}", bad + int(L > 1 and same),
+        record(vertex.verdict(f"bprod-batch-exact-L{L}", bad + int(L > 1 and same),
                               None, 0))
     for L in (1, 2, 3):
         record(functional.check_b_nilpotency(L, sym_points(L + 1, 80), sym_mus(L), q))
@@ -240,17 +242,20 @@ def main():
 
     for inp in exact_inps:
         # the default exact route sums two canonical terms over their orbits
-        # of point relabelings; it must give the per-term route's numerator
-        # and denominator, with the right Z and, nonzero, with a wrong one
-        w = functional._WeightTable(inp.points, inp.mus, inp.q)
-        bad = int(functional._orbit_variables(w) is None)
-        for z_sweep in (sweep, wrong_sweep):
-            parts = []
-            for orbits in (functional._orbit_variables, lambda w: None):
-                with mock.patch.object(functional._WeightTable, "b_products", z_sweep), \
-                        mock.patch.object(functional, "_orbit_variables", orbits):
-                    parts.append(functional.functional_residual(inp))
-            a, b = parts
+        # of point relabelings, at the generic points; it must give the
+        # numerator and denominator of z_algebraic subset by subset, term by
+        # term, with the right Z and, nonzero, with Z at a wrong q times its
+        # points' product
+        z = functional.algebraic_provider(inp.mus, inp.q)
+
+        def wrong_z(s, z=functional.algebraic_provider(inp.mus, inp.q * Fraction(11, 13))):
+            return z(s) * math.prod(s, start=LaurentPoly.one())
+
+        bad = 0
+        for z_sweep, provider in ((sweep, z), (wrong_sweep, wrong_z)):
+            with mock.patch.object(functional._WeightTable, "b_products", z_sweep):
+                a = functional.functional_residual(inp)
+            b = functional.functional_residual(inp, provider)
             bad += int(a.num != b.num) + int(a.den != b.den) \
                 + int(a.is_zero() != (z_sweep is sweep))
         record(vertex.verdict(f"fz-orbit-exact-L{inp.size}", bad, None, 0))

@@ -25,8 +25,8 @@ keeping every intermediate a genuine Laurent polynomial, by one rule,
 its value X, a Z value or a B-product vector entry, in one
 ``scalar.sum_of_products`` call (residues modulo word-size primes, then
 CRT), so that the long numerators meet only the kernel.  The per-term FZ
-residual and each entry of the cbb residual take it, and the orbit sums
-below the same pairing; the final numerator is tested for exact zero.  Float points
+residual of an explicit provider takes it, and the orbit sums below the
+same pairing; the final numerator is tested for exact zero.  Float points
 closer than ``sampling.MIN_POLE_DISTANCE`` to a pole are refused once per
 input, each point pair checked over a whole batch at once.
 
@@ -39,35 +39,36 @@ values, (ncols, k) for column vectors; the residual has the same shape.
 
 The default provider evaluates every Z of one input in one call,
 ``_WeightTable.b_products``; Z is ``z_algebraic``'s on each subset, the same
-floats or polynomials.  Float: the terms' point subsets are the columns of
-one batch, each B operator one ``monodromy.b_products`` sweep over all of
-them, with the weights of the table's point-mu entries (the values
-``build_monodromy`` computes).  Exact: Z is symmetric in the points, as the
-B operators commute, so one sweep at generic points (u indices from
-``_GENERIC`` up, which an exact input may not use) with the input's mus and
-q gives every subset's product, its points put in for the generic ones by
-``LaurentPoly.substitute``.  The C(lam_0) expansion takes its term vectors,
-and prod B |0> over all of points[1:], from the same call, and C(lam_0)
-from the point-0 weights.  An explicit provider goes subset by subset.
+floats or polynomials: the subsets it needs (every term's in float, the
+two canonical terms' when exact) are the columns of one batch, each B
+operator one ``monodromy.b_products`` sweep over all of them, with the
+weights of the table's point-mu entries (the values ``build_monodromy``
+computes).  The C(lam_0) expansion takes its term vectors, and prod B |0>
+over all of points[1:], from the same call, and C(lam_0) from the point-0
+weights.  An explicit provider goes subset by subset.
 
-The default exact FZ residual is two orbit sums (``_orbit_sum``) when the
-input lets a relabeling of the points move nothing else: its points are
-distinct bare variables, none of which occurs in the mus or q
-(``_orbit_variables``).  Within each family every term is the image of one
+The default exact FZ residual and every entry of the exact cbb residual
+are orbit sums.  Within each family every term is the image of one
 canonical term, omission 1 or substitution (2, 1), under a permutation
-sigma of points 1..n: num_t * D_t * Z_t = sgn(sigma) * sigma(num_c * D_c *
-Z_c), since the coefficients and Z are symmetric in the points they do not
-single out and ``den(every)`` is antisymmetric.  So only the two canonical
-numerators are built, their two Z values come from one ``b_products``
-call, and ``sum_of_products`` applies the relabelings (its ``images``)
-from one decode of each operand.  Every other input, and every explicit
-provider, takes the per-term route through ``_terms``.  The orbits are
-defined once, ``_orbits``: each family's canonical term, and each term's
-sigma (a point-index list fixing 0), sign and subset, in ``_terms`` order.
-``_orbit_expansion_sum`` turns the sigmas into the kernel's relabelings;
-the FZ residual and the solver's step-4 check take it, and the solver's
-assembly gathers each term's exponents from its family's canonical ones by
-the same sigmas.  Exact cbb and the numeric solve stay per term.
+sigma of points 1..n: num_t * D_t * X_t = sgn(sigma) * sigma(num_c * D_c *
+X_c), since the B operators commute, the coefficients are symmetric in the
+points they do not single out, and ``den(every)`` is antisymmetric.  The
+orbits are defined once, ``_orbits``: each family's canonical term, and
+each term's sigma (a point-index list fixing 0), sign and subset, in
+``_terms`` order.  ``_orbit_expansion_sum`` hands the sigmas to
+``sum_of_products`` as relabelings (its ``images``), applied from one
+decode of each operand.  A relabeling moves only the points, so the exact
+route runs on the weight table at generic points x_0 .. x_n (u indices
+from ``_GENERIC`` up, which an exact input may not use) with the input's
+mus and q, ``_generic_table``: only the two canonical numerators are
+built, their values come from one ``b_products`` call, and the input's
+points are put in for the x's at the end by ``LaurentPoly.substitute``.
+Substituting monomials or nonzero rational constants is a ring
+homomorphism, so the result is the per-term sum at the input's points,
+whatever their shape.  The solver's step-4 check takes the same orbit
+sum, and its assembly gathers each term's exponents from its family's
+canonical ones by the same sigmas.  An explicit provider, and the float
+backend, go term by term through ``_terms``.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ from .monodromy import (apply_block, b_product, b_products, batch_monodromy,
                         build_monodromy, vacuum)
 from .sampling import (MIN_POLE_DISTANCE, pair_index, pole_distance, sample_point,
                        sample_spectral_set)
-from .scalar import (CheckOutcome, LaurentPoly, RationalFunction, VarId, backend_of, invert,
+from .scalar import (CheckOutcome, LaurentPoly, RationalFunction, backend_of, invert,
                      sum_of_products, u_var)
 from .vertex import verdict, weights_of
 
@@ -145,16 +146,21 @@ class FunctionalInput:
         return cls(L, tuple(pts), tuple(mus), q)
 
 
-# u indices from _GENERIC up name the generic points of the exact B-product
-# sweep, so an exact input must not use them
+# u indices from _GENERIC up name the generic points of the exact orbit
+# sums, so an exact input must not use them
 _GENERIC = 10 ** 9
 
 
-def _refuse_generic(values):
-    for x in values:
+def _generic_table(points, mus, q):
+    """The weight table at the generic points x_0 .. x_n, with the input's
+    mus and q; the x's variables; and the map that puts the input's points
+    in for them."""
+    for x in (*points, *mus, q):
         if isinstance(x, LaurentPoly) and any(v.kind == "u" and v.index >= _GENERIC
                                               for v in x.variables()):
             raise ConfigError(f"u indices from {_GENERIC} up are reserved, got {x}")
+    xs = [u_var(_GENERIC + k) for k in range(len(points))]
+    return _WeightTable([LaurentPoly.var(x) for x in xs], mus, q), xs, dict(zip(xs, points))
 
 
 class _WeightTable:
@@ -165,8 +171,6 @@ class _WeightTable:
 
     def __init__(self, points, mus, q):
         self.backend = backend_of(points[0])
-        if self.backend.exact:
-            _refuse_generic((*points, *mus, q))
         self.points, self.mus, self.q = points, mus, q
         self.n = len(points) - 1
         self.every = {(x, y) for x in range(self.n + 1) for y in range(x + 1, self.n + 1)}
@@ -197,25 +201,11 @@ class _WeightTable:
 
     def b_products(self, subsets) -> np.ndarray:
         """prod B |0> over the points of each subset (all of one length), one
-        column per subset, in the table's backend.  Float: one batch sweep
-        per B operator.  Exact: one sweep at the generic points x_0 ..
-        x_{m-1}, then each subset's points put in for the x's in its nonzero
-        entries; substituting monomials is a ring homomorphism, so every
-        entry is the subset's own product."""
-        if not self.backend.exact:
-            ms = [batch_monodromy([self.mu[s[r]] for s in subsets])
-                  for r in range(len(subsets[0]))]
-            v = vacuum(len(self.mu[0]), self.backend)
-            return b_products(ms, np.repeat(v[:, None], len(subsets), axis=1))
-        xs = [u_var(_GENERIC + r) for r in range(len(subsets[0]))]
-        generic = b_products([build_monodromy(LaurentPoly.var(x), self.mus, self.q) for x in xs],
-                             vacuum(len(self.mus)))
-        nonzero = [i for i, e in enumerate(generic) if e]
-        out = self.backend.full((len(generic), len(subsets)))
-        for j, s in enumerate(subsets):
-            to = {x: self.points[k] for x, k in zip(xs, s)}
-            out[nonzero, j] = [generic[i].substitute(to) for i in nonzero]
-        return out
+        column per subset, in the table's backend: one batch sweep per B
+        operator, with the table's point-mu weights."""
+        ms = [batch_monodromy([self.mu[s[r]] for s in subsets]) for r in range(len(subsets[0]))]
+        v = vacuum(len(self.mu[0]), self.backend)
+        return b_products(ms, np.repeat(v[:, None], len(subsets), axis=1))
 
 
 def _half_term(w: _WeightTable, p: int, r: int, others, sign: int, extra):
@@ -280,30 +270,12 @@ def _expansion_sum(w: _WeightTable, terms, xs) -> LaurentPoly:
                            for (num, pairs, _), x in zip(terms, xs))
 
 
-def _orbit_variables(w: _WeightTable):
-    """The points' variables when the FZ residual may be summed by orbits:
-    an exact table whose points are distinct bare variables (coefficient 1,
-    exponent 1), none of which occurs in the mus or q, so that permuting
-    the points' variables moves nothing else; None otherwise."""
-    if not w.backend.exact:
-        return None
-    vs = []
-    for p in w.points:
-        if not isinstance(p, LaurentPoly) or not p.is_monomial():
-            return None
-        ((vec, c),) = p.items()
-        if c != 1 or len(vec) != 1 or vec[0][1] != 1:
-            return None
-        vs.append(VarId.from_key(vec[0][0]))
-    others = set().union(*(x.variables() for x in (*w.mus, w.q) if isinstance(x, LaurentPoly)))
-    return vs if len(set(vs)) == len(vs) and not others & set(vs) else None
-
-
 def _orbits(w: _WeightTable):
     """The terms of ``_terms`` as two orbits (one at n = 1, which has no
-    substitution): for each family, the canonical term, omission 1 or
-    substitution (2, 1), as (numerator, denominator pair set, subset), and
-    for every term of the family, in ``_terms`` order, (sigma, sign, subset).
+    substitution, none at n = 0): for each family, the canonical term,
+    omission 1 or substitution (2, 1), as (numerator, denominator pair set,
+    subset), and for every term of the family, in ``_terms`` order, (sigma,
+    sign, subset).
     sigma is a point permutation as an index list, sigma[k] the image of
     point k: it fixes 0, sends 1 to i (and 2 to j), and the other points in
     increasing order onto the rest; sign is its signature; subset is the
@@ -315,8 +287,10 @@ def _orbits(w: _WeightTable):
         sign = (-1) ** sum(x > y for x, y in itertools.combinations(sigma, 2))
         return sigma, sign, tuple(sigma[k] for k in c[2])
 
-    omission = (*_omission_parts(1, w), tuple(range(2, n + 1)))
-    families = [(omission, [image(omission, i) for i in range(1, n + 1)])]
+    families = []
+    if n >= 1:
+        omission = (*_omission_parts(1, w), tuple(range(2, n + 1)))
+        families.append((omission, [image(omission, i) for i in range(1, n + 1)]))
     if n >= 2:
         substitution = (*_substitution_parts(2, 1, w), (0,) + tuple(range(3, n + 1)))
         families.append((substitution, [image(substitution, i, j) for i in range(1, n + 1)
@@ -335,12 +309,14 @@ def _orbit_expansion_sum(w: _WeightTable, families, xs, vs) -> LaurentPoly:
                             for ((num, pairs, _), _), x in zip(families, xs)), images)
 
 
-def _orbit_sum(w: _WeightTable, vs) -> LaurentPoly:
-    """The exact FZ residual's numerator over ``w.den(w.every)`` as two
-    orbit sums (see the module docstring), ``vs`` the points' variables."""
+def _orbit_sum(points, mus, q) -> RationalFunction:
+    """The default exact FZ residual: two orbit sums at the generic points,
+    the input's points put in for them (see the module docstring)."""
+    w, vs, to = _generic_table(points, mus, q)
     families = _orbits(w)
     zs = _call_provider(lambda s: w.b_products(s)[-1], [c[2] for c, _ in families])
-    return _orbit_expansion_sum(w, families, zs, vs)
+    return RationalFunction(_orbit_expansion_sum(w, families, zs, vs).substitute(to),
+                            w.den(w.every).substitute(to))
 
 
 def _expansion_table(n: int, points, mus, q) -> _WeightTable:
@@ -415,10 +391,9 @@ def _functional_residual_with_scale(inp: FunctionalInput, z_provider=None):
     points, mus, q = inp.points, inp.mus, inp.q
     if z_provider is None and _is_batch(points):
         raise ValueError("a batch of point sets needs a batched provider")
+    if z_provider is None and backend_of(points[0]).exact:
+        return _orbit_sum(points, mus, q), None
     w = _WeightTable(points, mus, q)
-    vs = _orbit_variables(w) if z_provider is None else None
-    if vs is not None:
-        return RationalFunction(_orbit_sum(w, vs), w.den(w.every)), None
     terms = list(_terms(w))
     if z_provider is None:
         zs = _call_provider(lambda s: w.b_products(s)[-1], [subset for *_, subset in terms])
@@ -452,17 +427,29 @@ def check_fz(inp: FunctionalInput, z_provider=None,
 def cbb_expansion_residual(n: int, points, mus, q):
     """Residual vector of the C(lam_0)-expansion over n B-operators, on the
     full 2^L space (not projected).  Exact backend: the residual times
-    ``den(every)``, each entry's terms one ``_expansion_sum``.
+    ``den(every)``, each entry one orbit sum at the generic points, the
+    input's points put in for them.
 
     Returns (residual_vector, scale)."""
-    w = _expansion_table(n, points, mus, q)
+    if len(points) != n + 1:
+        raise ValueError("need n+1 spectral points")
+    exact = backend_of(points[0]).exact
+    if exact:
+        w, vs, to = _generic_table(points, mus, q)
+        families = _orbits(w)
+        terms = [c for c, _ in families]
+    else:
+        _guard_poles(points)
+        w = _WeightTable(points, mus, q)
+        terms = list(_terms(w))
     # a batch holds subsets of one length: the full product is a batch of its own
     full = w.b_products([tuple(range(1, n + 1))])
     res = apply_block(batch_monodromy([w.mu[0]]), "C", full)[:, 0]
-    terms = list(_terms(w))
     vecs = w.b_products([s for *_, s in terms]) if terms else w.backend.full((len(res), 0))
-    if w.backend.exact:
-        return res * w.den(w.every) - [_expansion_sum(w, terms, row) for row in vecs], None
+    if exact:
+        res = res * w.den(w.every) - [_orbit_expansion_sum(w, families, row, vs) for row in vecs]
+        res[:] = [x.substitute(to) for x in res]
+        return res, None
     scale = float(np.abs(res).sum())
     for t, (num, pairs, _) in enumerate(terms):
         term = w.coefficient(num, pairs) * vecs[:, t]

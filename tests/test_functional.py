@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sixvertex import functional
 from sixvertex.errors import ConfigError, ExponentOverflow, PoleAtCoincidingPoints, ProviderFailure
@@ -572,16 +574,17 @@ def test_float_cbb_is_bitwise_the_per_subset_sum(n, L):
     assert res.tobytes() == want.tobytes() and got_scale == scale
 
 
-def _reweighted_terms(monkeypatch):
-    # term t's numerator times t + 2: the residual is no longer zero, so it
-    # sees every operator product
-    terms = functional._terms
+def _tripled_omissions(monkeypatch):
+    # every omission numerator times 3, which both _orbits and _terms read,
+    # so that the orbits stay orbits: the residual is no longer zero, and
+    # it sees every operator product
+    parts = functional._omission_parts
 
-    def reweighted(w):
-        for t, (num, pairs, subset) in enumerate(terms(w)):
-            yield num * (t + 2), pairs, subset
+    def tripled(i, w):
+        num, pairs = parts(i, w)
+        return num * 3, pairs
 
-    monkeypatch.setattr(functional, "_terms", reweighted)
+    monkeypatch.setattr(functional, "_omission_parts", tripled)
 
 
 _EXACT_FZ_CASES = [
@@ -644,18 +647,16 @@ def test_numerators_are_the_interleaved_fold(L, pts, mus, q):
 
 @pytest.mark.parametrize("L, pts, mus, q", _EXACT_FZ_CASES)
 def test_default_exact_fz_is_the_per_subset_provider(monkeypatch, L, pts, mus, q):
-    # one batch of Z values against z_algebraic subset by subset, on the
-    # identity and, on the per-term route (the orbit route builds no term
-    # but the two canonical ones), with reweighted terms
+    # the orbit sums at the generic points against z_algebraic subset by
+    # subset, on the identity and with every omission numerator tripled
     inp = FunctionalInput(L, pts, mus, q)
-    for reweight in (False, True):
-        if reweight:
-            monkeypatch.setattr(functional, "_orbit_variables", lambda w: None)
-            _reweighted_terms(monkeypatch)
-        batched = functional_residual(inp)
+    for tripled in (False, True):
+        if tripled:
+            _tripled_omissions(monkeypatch)
+        orbits = functional_residual(inp)
         per_subset = functional_residual(inp, algebraic_provider(mus, q))
-        assert batched.num == per_subset.num and batched.den == per_subset.den
-        assert batched.is_zero() != reweight
+        assert orbits.num == per_subset.num and orbits.den == per_subset.den
+        assert orbits.is_zero() != tripled
 
 
 def test_default_exact_fz_failure_is_a_provider_failure(monkeypatch):
@@ -670,25 +671,18 @@ def test_default_exact_fz_failure_is_a_provider_failure(monkeypatch):
         check_fz(inp)
 
 
-def _spy_terms(monkeypatch) -> list:
-    """Patch ``_terms`` to record each call: the per-term route makes one,
-    the orbit route none."""
-    calls = []
-    terms = functional._terms
+def _spy_routes(monkeypatch) -> dict:
+    """Patch ``_orbits`` and ``_terms`` to count their calls: the default
+    exact route makes one ``_orbits`` call, an explicit provider one
+    ``_terms`` call."""
+    calls = {"_orbits": 0, "_terms": 0}
+    for name in calls:
+        def spy(w, name=name, real=getattr(functional, name)):
+            calls[name] += 1
+            return real(w)
 
-    def spy(w):
-        calls.append(w.n)
-        return terms(w)
-
-    monkeypatch.setattr(functional, "_terms", spy)
+        monkeypatch.setattr(functional, name, spy)
     return calls
-
-
-def _per_term(monkeypatch, inp, provider=None):
-    """The residual on the per-term route: every term built and decoded."""
-    with monkeypatch.context() as m:
-        m.setattr(functional, "_orbit_variables", lambda w: None)
-        return functional_residual(inp, provider)
 
 
 def _wrong_factor(points):
@@ -717,14 +711,15 @@ def _wrong_provider(mus, q):
 @pytest.mark.parametrize("L, pts, mus, q", _EXACT_FZ_CASES)
 def test_exact_fz_routes_meet_on_a_wrong_factor(monkeypatch, L, pts, mus, q):
     # the negative control of the orbit route: with a wrong Z that is still
-    # symmetric in the points, both routes give the same nonzero residual
+    # symmetric in the points, the orbit sums and the explicit provider,
+    # term by term, give the same nonzero residual
     inp = FunctionalInput(L, pts, mus, q)
     _sweep_wrong(monkeypatch)
-    calls = _spy_terms(monkeypatch)
+    calls = _spy_routes(monkeypatch)
     orbits = functional_residual(inp)
-    assert not calls
-    terms = _per_term(monkeypatch, inp)
-    assert calls == [L + 1]
+    assert calls == {"_orbits": 1, "_terms": 0}
+    terms = functional_residual(inp, _wrong_provider(mus, q))
+    assert calls == {"_orbits": 1, "_terms": 1}
     assert orbits.num == terms.num and orbits.den == terms.den
     assert not orbits.is_zero()
 
@@ -739,28 +734,30 @@ _ORBIT_CASES = {
 @pytest.mark.parametrize("case", sorted(_ORBIT_CASES))
 def test_exact_fz_orbit_route_is_the_per_term_route(monkeypatch, case):
     # the two canonical terms relabeled in the kernel against every term
-    # built and decoded (test_exact_fz_routes_meet_on_a_wrong_z compares
-    # them on a nonzero residual)
+    # built and decoded for the explicit provider
+    # (test_exact_fz_routes_meet_on_a_wrong_factor compares them on a
+    # nonzero residual)
     L, pts, mus, q = _ORBIT_CASES[case]
     inp = FunctionalInput(L, pts, mus, q)
-    calls = _spy_terms(monkeypatch)
+    calls = _spy_routes(monkeypatch)
     orbits = functional_residual(inp)
-    assert not calls
-    terms = _per_term(monkeypatch, inp)
-    assert calls == [L + 1]
+    assert calls == {"_orbits": 1, "_terms": 0}
+    terms = functional_residual(inp, algebraic_provider(mus, q))
+    assert calls == {"_orbits": 1, "_terms": 1}
     assert orbits.num == terms.num and orbits.den == terms.den
     assert orbits.is_zero()
 
 
 def test_exact_fz_orbits_at_symbolic_l3_term_by_term():
-    # fully symbolic L = 3, where each route takes seconds: every term's
-    # num * D and Z against sgn(sigma) sigma of its family's canonical
-    # term's, sigma the relabeling the orbit route hands the kernel;
-    # negative control: an odd sigma without its sign
+    # fully symbolic L = 3, where each route takes seconds, at the generic
+    # points the orbit route sums on: every term's num * D and Z against
+    # sgn(sigma) sigma of its family's canonical term's, sigma the
+    # relabeling the orbit route hands the kernel; negative control: an odd
+    # sigma without its sign
     pts, mus = _sym_points(5), _sym_mus(3)
-    w = functional._WeightTable(pts, mus, Q)
-    vs = functional._orbit_variables(w)
-    assert vs == [u_var(60 + k) for k in range(5)]
+    w, vs, put_in = functional._generic_table(pts, mus, Q)
+    assert vs == [u_var(functional._GENERIC + k) for k in range(5)]
+    assert w.points == [LaurentPoly.var(v) for v in vs] and list(put_in.values()) == list(pts)
     terms = list(functional._terms(w))
     zs = w.b_products([s for *_, s in terms])[-1]
     # _terms' order: omissions i = 1..4, then substitutions (j, i), i < j
@@ -827,10 +824,11 @@ def test_exact_fz_at_number_points():
 @pytest.mark.parametrize("case", ["repeated", "coefficient", "exponent", "two-variables",
                                   "rational-points", "shared-mu", "shared-q"])
 def test_exact_fz_route_guard(monkeypatch, case):
-    # inputs whose points a relabeling may not move freely take the
-    # per-term route, and give the per-subset provider's residual (with a
-    # wrong Z, so that it is not zero); forced onto the orbit route,
-    # an input that shares a point variable gets a different numerator
+    # inputs whose points a relabeling may not move freely take the orbit
+    # route too, at the generic points, and give the per-subset provider's
+    # residual (with a wrong Z, so that it is not zero); summed on the
+    # input's own points, with no generic table, an input that shares a
+    # point variable gets a different numerator
     u = _sym_points(4)
     pts, mus, q = list(u), list(_sym_mus(2)), Q
     if case == "repeated":
@@ -848,27 +846,79 @@ def test_exact_fz_route_guard(monkeypatch, case):
     else:
         q = Q * u[1]
     inp = FunctionalInput(2, tuple(pts), tuple(mus), q)
-    calls = _spy_terms(monkeypatch)
+    calls = _spy_routes(monkeypatch)
     if case == "repeated":
         # b(lam_1 - lam_2) = 0: no common denominator on either route
         for provider in (None, algebraic_provider(inp.mus, q)):
             with pytest.raises(ZeroDivisionError):
                 functional_residual(inp, provider)
-        assert calls == [3, 3]
+        assert calls == {"_orbits": 1, "_terms": 1}
         return
     assert functional_residual(inp).is_zero()
-    assert calls == [3]
+    assert calls == {"_orbits": 1, "_terms": 0}
     _sweep_wrong(monkeypatch)
     got = functional_residual(inp)
     want = functional_residual(inp, _wrong_provider(inp.mus, q))
-    assert calls == [3, 3, 3]
+    assert calls == {"_orbits": 2, "_terms": 1}
     assert not got.is_zero() and got.num == want.num and got.den == want.den
     if case.startswith("shared"):
-        monkeypatch.setattr(functional, "_orbit_variables",
-                            lambda w: [u_var(60 + k) for k in range(4)])
-        forced = functional_residual(inp)
-        assert calls == [3, 3, 3]
-        assert forced.num != got.num
+        w = functional._WeightTable(inp.points, inp.mus, q)
+        families = functional._orbits(w)
+        zs = w.b_products([c[2] for c, _ in families])[-1]
+        own = functional._orbit_expansion_sum(w, families, zs, [u_var(60 + k) for k in range(4)])
+        assert RationalFunction(own, w.den(w.every)) != got
+
+
+@st.composite
+def _exact_point_shapes(draw):
+    """An exact L = 1 or 2 input: each point a monomial c * u^e (c and e
+    from +-1..3, a second variable now and then), an int or a Fraction;
+    symbolic mus and q, each of which may share a point's variable."""
+    L = draw(st.integers(1, 2))
+    u = _sym_points(L + 2)
+    small = st.sampled_from([-3, -2, -1, 1, 2, 3])
+    pts = []
+    for k in range(L + 2):
+        shape = draw(st.sampled_from(["monomial", "monomial", "int", "fraction"]))
+        if shape == "int":
+            pts.append(draw(small) * draw(st.integers(1, 3)))
+        elif shape == "fraction":
+            pts.append(Fraction(draw(small), draw(st.sampled_from([2, 3, 5]))))
+        else:
+            p = u[k] ** draw(small) * Fraction(draw(small), draw(st.sampled_from([1, 2, 3])))
+            if draw(st.booleans()):
+                p = p * LaurentPoly.var(w_var(9)) ** draw(small)
+            pts.append(p)
+    shared = st.sampled_from([None, *u])
+    mus = tuple(m if v is None else m * v for m, v in
+                zip(_sym_mus(L), (draw(shared) for _ in range(L))))
+    v = draw(shared)
+    return FunctionalInput(L, tuple(pts), mus, Q if v is None else Q * v)
+
+
+def _residual_or_error(inp, provider=None):
+    try:
+        res = functional_residual(inp, provider)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+    return res.num, res.den
+
+
+@settings(max_examples=6)
+@given(_exact_point_shapes())
+def test_default_exact_fz_is_the_per_subset_provider_at_any_point_shape(inp):
+    # one route for every exact input: the orbit sums at the generic points,
+    # the input's points put in, against z_algebraic subset by subset, with
+    # the right Z and with Z at a wrong q times its points' product; points
+    # that meet a zero of b give no common denominator on either route
+    assert _residual_or_error(inp) == _residual_or_error(
+        inp, algebraic_provider(inp.mus, inp.q))
+    with pytest.MonkeyPatch.context() as m:
+        _sweep_wrong(m)
+        got = _residual_or_error(inp)
+    want = _residual_or_error(inp, _wrong_provider(inp.mus, inp.q))
+    assert got == want
+    assert got is ZeroDivisionError or got[0]
 
 
 _GENERIC_CASES = {
@@ -886,9 +936,9 @@ _GENERIC_CASES = {
 @pytest.mark.parametrize("case", sorted(_GENERIC_CASES))
 @pytest.mark.parametrize("L", [1, 2, 3])
 def test_exact_b_products_are_the_per_subset_product(case, L):
-    # one sweep at the generic points, relabeled onto each subset, against
-    # b_product subset by subset, at every length FZ (L) and cbb (n and
-    # n - 1) use; negative control: one point of a subset changed (from
+    # the exact batch sweep of the table's own weights, at points of every
+    # shape, against b_product subset by subset, at every length FZ (L) and
+    # cbb (n and n - 1) use; negative control: one point of a subset changed (from
     # L = 2 on: at L = 1, B |0> is c |1> at every point)
     pts, mus, q = _GENERIC_CASES[case](L)
     w = functional._WeightTable(pts, mus, q)
@@ -918,7 +968,7 @@ def test_exact_inputs_must_not_use_the_generic_points():
     assert functional_residual(FunctionalInput(2, below, mus, Q)).is_zero()
 
 
-def test_exponent_overflow_in_a_substituted_product(monkeypatch):
+def test_exponent_overflow_in_a_substituted_product():
     # two points share u1^9000: every weight and per-point product stays in
     # range (u1^27000 at most), their B-product at L = 3 does not (u1^36000)
     big = LaurentPoly.var(u_var(1)) ** 9000
@@ -926,17 +976,17 @@ def test_exponent_overflow_in_a_substituted_product(monkeypatch):
     mus = tuple(LaurentPoly.rational(Fraction(k, 7)) for k in (2, 3, 4))
     q = LaurentPoly.rational(Fraction(-3, 5))
     w = functional._WeightTable(pts, mus, q)
-    for call in (lambda: w.b_products([(1, 2, 3)]), lambda: b_product(pts[1:4], mus, q),
-                 lambda: functional.cbb_expansion_residual(3, pts[:4], mus, q)):
+    for call in (lambda: w.b_products([(1, 2, 3)]), lambda: b_product(pts[1:4], mus, q)):
         with pytest.raises(ExponentOverflow):
             call()
-    # on the FZ route the products come from the default provider; with
-    # every half-term 1, so that no numerator overflows first, the overflow
-    # arrives as its ProviderFailure
-    monkeypatch.setattr(functional, "_half_term", lambda w, *args: w.backend.one)
-    with pytest.raises(ProviderFailure, match="exponent") as failure:
+    # the orbit sums run at the generic points, where nothing overflows:
+    # the cbb residual there is the exact zero, and stays zero with the
+    # points put in; the FZ residual's den(every) takes the points in
+    # (u1^54000), and overflows
+    res, _ = functional.cbb_expansion_residual(3, pts[:4], mus, q)
+    assert len(res) == 8 and all(x.is_zero() for x in res)
+    with pytest.raises(ExponentOverflow, match="54000"):
         functional_residual(FunctionalInput(3, pts, mus, q))
-    assert isinstance(failure.value.__cause__, ExponentOverflow)
 
 
 def _cbb_cleared_route(pts, mus):
@@ -954,13 +1004,14 @@ def _cbb_cleared_route(pts, mus):
 
 @pytest.mark.parametrize("n, L", [(0, 2), (1, 1), (2, 2), (3, 2), (2, 3), (3, 3)])
 def test_exact_cbb_is_the_per_subset_sum(monkeypatch, n, L):
-    # the batched term vectors and the per-entry pairing against b_product
-    # term by term, with reweighted terms so that the residual is not zero
-    # when n > 0
-    _reweighted_terms(monkeypatch)
+    # the orbit sum of each entry against b_product term by term, with every
+    # omission numerator tripled so that the residual is not zero when n > 0
+    _tripled_omissions(monkeypatch)
+    calls = _spy_routes(monkeypatch)
     pts = _sym_points(n + 1, start=70)
     mus = _sym_mus(L)
     res, scale = functional.cbb_expansion_residual(n, pts, mus, Q)
+    assert calls == {"_orbits": 1, "_terms": 0}
     plain = _cbb_cleared_route(pts, mus)
     assert scale is None and list(res) == list(plain)
     assert all(x.is_zero() for x in res) == (n == 0)
