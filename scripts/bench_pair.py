@@ -14,8 +14,10 @@ repository holding this script, under the workload's name, beside the
 entries of other workloads already there. For every end-to-end metric of
 ``BENCHMARK.json`` it holds each side's median and quartiles, the number
 of pairs the change won (ties count for neither side), whether the medians
-differ by more than the parent's quartile spread, and the change's median
-relative to the parent's, to be read against the metric's bound.
+differ by more than the parent's quartile spread, the change's median
+relative to the parent's, and whether it is within the metric's bound: no
+worse, in the metric's ``better`` direction, than the parent's median by
+more than ``bound`` times it.
 """
 
 from __future__ import annotations
@@ -61,7 +63,8 @@ def quartiles(values: list[float]) -> list[float]:
 
 
 def compare(runs: list[dict], end_to_end: list[dict]) -> dict:
-    """Per-metric medians, quartiles and the change's wins over the pairs."""
+    """Per-metric medians, quartiles, the change's wins over the pairs and
+    whether its median is within the bound."""
     out = {}
     for spec in end_to_end:
         name, sign = spec["name"], 1 if spec["better"] == "higher" else -1
@@ -81,6 +84,7 @@ def compare(runs: list[dict], end_to_end: list[dict]) -> dict:
             "gap_exceeds_parent_spread":
                 abs(change_med - parent_med) > qs["parent"][2] - qs["parent"][0],
             "change_over_parent": change_med / parent_med if parent_med else None,
+            "within_bound": sign * (change_med - parent_med) >= -spec["bound"] * abs(parent_med),
         }
     return out
 
@@ -125,7 +129,8 @@ def main(argv=None) -> int:
         if "change_wins" in m:
             print(f"  {name:12s} parent {m['parent_quartiles']} change {m['change_quartiles']}"
                   f"  wins {m['change_wins']}/{args.pairs}"
-                  f"  gap>spread {m['gap_exceeds_parent_spread']}")
+                  f"  gap>spread {m['gap_exceeds_parent_spread']}"
+                  f"  within bound {m['bound']}: {m['within_bound']}")
     print(f"wrote {path}")
     return 0
 

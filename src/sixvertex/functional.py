@@ -56,8 +56,9 @@ points they do not single out, and ``den(every)`` is antisymmetric.  The
 orbits are defined once, ``_orbits``: each family's canonical term, and
 each term's sigma (a point-index list fixing 0), sign and subset, in
 ``_terms`` order.  ``_orbit_expansion_sum`` hands the sigmas to
-``sum_of_products`` as relabelings (its ``images``), applied from one
-decode of each operand.  A relabeling moves only the points, so the exact
+``sum_of_products`` as relabelings (its ``images``): the kernel expands
+each canonical product once and adds every image as a permutation of that
+product's slots.  A relabeling moves only the points, so the exact
 route runs on the weight table at generic points x_0 .. x_n (u indices
 from ``_GENERIC`` up, which an exact input may not use) with the input's
 mus and q, ``_generic_table``: only the two canonical numerators are

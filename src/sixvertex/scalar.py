@@ -33,9 +33,10 @@ Two interchangeable scalar backends are used throughout, each one
   itself, a sparser sum uses the sorted union of its keys.  A key box past
   int64, or a B past the prime table, falls back to pairwise products.
   With ``images`` the kernel also sums each pair under permutations of
-  its variables, sign * rho(a) * rho(b): each operand is decoded and its
-  residues taken once, and each image is a column gather of the decoded
-  digits (its residues negated when the sign is -1).
+  its variables, sign * rho(a) * rho(b) = sign * rho(a * b): one product
+  per pair, each image a permutation of its slots.  The product's residues
+  are expanded once per prime into one buffer, and each image adds or
+  subtracts that buffer with its slot axes transposed.
 * plain ``complex`` -- double precision.  A float zero test is relative:
   each check compares its residual with ``tolerance`` times a scale it
   computes from the same terms, never with an absolute bound, because the
@@ -832,23 +833,36 @@ def exponent_array(p: LaurentPoly, vars: list[VarId]) -> tuple[np.ndarray, list[
 # sum_of_products, as the module docstring says.  With D the common
 # denominator and f_t = D / (den a_t * den b_t), B bounds every numerator
 # over D because a monomial of one product gathers at most min(n_t, m_t)
-# term pairs.  In each slot every product term lies on lo + step * Z, step
-# the gcd of each operand's exponents less its first one's and of each
-# pair's first product less the first pair's (1 if that is 0).  A key counts
-# lattice points, (d - lo) // step in mixed radix, and a product term's key
-# is the sum of its factors'.  The union path stays for sparse sums, whose
-# box would be mostly empty (exact z_enumerate at L = 4: ~0.52 M term pairs,
-# ~1.1 M cells).  No int64 step wraps: residues stay below p < 2^26, so a
-# product of two is at most (p - 1)^2 < 2^52 and is added unreduced.  A
-# block adds to a cell at most one product per row of its short operand
-# (the long operand's keys are distinct), so a cell reduced below p that
-# then takes _ROWS = floor((2^63 - p) / (p - 1)^2) rows, p the largest
-# prime, stays below 2^63: the accumulator is reduced before the rows
+# term pairs.  An image's exponent in slot t is its product's in slot
+# cols[t].  In each slot every term of every image lies on lo + step * Z,
+# step the gcd of each operand's exponents less its first one's and of
+# each image's low less the lowest (1 if that is 0).  A key counts lattice
+# points, (d - lo) // step in mixed radix, and a product term's key is the
+# sum of its factors'.  The union path stays for sparse sums, whose box
+# would be mostly empty (exact z_enumerate at L = 4: ~0.52 M term pairs,
+# ~1.1 M cells).
+#
+# One product per pair, each image a permutation of its slots.  A pair
+# whose one image is the identity adds its products into the accumulator
+# directly.  Any other pair expands a * b once per prime into one buffer
+# on its own box: the box's lattice in the slots its images all fix, its
+# product's own low, step and extent elsewhere (on the union path, only
+# the box's distinct keys).  As each image lies on the box's lattice, an
+# image takes digit x of the buffer's slot cols[t] to digit start + k * x
+# of slot t: on the box it adds sign times the buffer with its slot axes
+# transposed into slices of the accumulator, on the union the buffer's
+# cells re-keyed by that map.
+#
+# No int64 step wraps: residues stay below p < 2^26, so a product of two
+# is at most (p - 1)^2 < 2^52 and is added unreduced.  A block adds to a
+# cell at most one product per row of its short operand (the long
+# operand's keys are distinct), so a cell reduced below p that then takes
+# _ROWS = floor((2^63 - p) / (p - 1)^2) rows, p the largest prime, stays
+# below 2^63: the accumulator, and a buffer, is reduced before the rows
 # since its last reduction would pass _ROWS (a block has at most 64 rows).
-# With images every (pair, image) is one product sum of its own: lo, step,
-# the radices, the box, the term-pair count and B (each pair's share times
-# its image count) cover every image, whose digit vectors are the pair's
-# with their columns gathered.
+# A buffer cell holds at most (p - 1)^2 times its rows (a reduced one
+# counts one row), and each image adds or subtracts it: the accumulator
+# counts rows times images, and stays within 2^63 in absolute value.
 
 # the 29 largest primes below 2^26; M reaches 2^753
 _PRIMES = (
@@ -920,13 +934,12 @@ def _sorted_union(parts) -> np.ndarray:
     return keys[keep]
 
 
-def _gathers(images) -> tuple[int, list[list[tuple[dict, np.ndarray | None, int]]]]:
+def _relabelings(images) -> tuple[int, list[list[tuple[dict, np.ndarray | None, int]]]]:
     """The digit width, and each (relabel, sign) image as (relabel, cols,
-    sign): the image's digits are an operand's digits[:, cols], since the
-    exponent of rho(v) in the image is that of v in the operand; cols is
-    None for the identity.  A relabel must permute the variables it names,
-    and a sign be 1 or -1; the variables get their slots before the width
-    is read."""
+    sign): the image's exponent in slot t is that of what it relabels in
+    slot cols[t], since rho(v) takes v's exponent; cols is None for the
+    identity.  A relabel must permute the variables it names, and a sign
+    be 1 or -1; the variables get their slots before the width is read."""
     for relabel, sign in (image for imgs in images for image in imgs):
         if sign not in (1, -1):
             raise ValueError(f"an image's sign must be 1 or -1, got {sign!r}")
@@ -957,16 +970,16 @@ def sum_of_products(pairs, images=None) -> LaurentPoly:
     With ``images``, one list of (relabel, sign) per pair, the sum is that
     of sign * rho(a) * rho(b) over each pair's images instead, rho the
     relabel: a dict from VarId to VarId that permutes the variables it
-    names (ValueError otherwise), sign 1 or -1.  Each operand is decoded
-    and its residues taken once; an image is a gather of its digit columns,
-    and a sign of -1 negates the short operand's residues."""
+    names (ValueError otherwise), sign 1 or -1.  One product per pair, each
+    image a permutation of its slots: a * b is expanded once, and each
+    image adds sign * rho(a * b)."""
     pairs = [(_as_poly(a), _as_poly(b)) for a, b in pairs]
     if images is None:
         images = [[({}, 1)]] * len(pairs)
     if len(images) != len(pairs):
         raise ValueError(f"{len(pairs)} pairs but {len(images)} image lists")
-    width, gathers = _gathers(images)
-    work = [(a, b, g) for (a, b), g in zip(pairs, gathers) if a._num and b._num and g]
+    width, relabelings = _relabelings(images)
+    work = [(a, b, g) for (a, b), g in zip(pairs, relabelings) if a._num and b._num and g]
     emax = 0
     for a, b, _ in work:
         e = a._emax + b._emax
@@ -981,19 +994,18 @@ def sum_of_products(pairs, images=None) -> LaurentPoly:
     nprimes = next((i + 1 for i in range(len(_PRIMES))
                     if math.prod(_PRIMES[:i + 1]) > 2 * bound), None)
     digits = [(_digit_array(a._num, width), _digit_array(b._num, width)) for a, b, _ in work]
-    # the lattice from each pair's low, high, first and step digits, one
-    # vector per image
-    lows, highs, firsts, steps = [], [], [], []
-    for (da, db), (_, _, g) in zip(digits, work):
-        pair = (da.min(0) + db.min(0), da.max(0) + db.max(0), da[0] + db[0],
-                np.gcd(np.gcd.reduce(da - da[0]), np.gcd.reduce(db - db[0])))
-        for _, cols, _ in g:
-            for out, x in zip((lows, highs, firsts, steps), pair):
-                out.append(x if cols is None else x[cols])
-    lo = np.min(lows, axis=0)
-    step = np.maximum(np.gcd.reduce(steps + [x - firsts[0] for x in firsts]), 1)
-    radices = ((np.max(highs, axis=0) - lo) // step + 1).tolist()
-    box = math.prod(radices)
+    # each product's low, high and step digits, and the lattice from those
+    # of every image, whose exponent in slot t is the product's in slot
+    # cols[t]
+    spans = [(da.min(0) + db.min(0), da.max(0) + db.max(0),
+              np.gcd(np.gcd.reduce(da - da[0]), np.gcd.reduce(db - db[0]))) for da, db in digits]
+    seen = [span if cols is None else [x[cols] for x in span]
+            for span, (_, _, g) in zip(spans, work) for _, cols, _ in g]
+    lo = np.min([low for low, _, _ in seen], axis=0)
+    hi = np.max([high for _, high, _ in seen], axis=0)
+    step = np.maximum(np.gcd.reduce([s for _, _, s in seen] + [low - lo for low, _, _ in seen]), 1)
+    radix = (hi - lo) // step + 1
+    box = math.prod(radix.tolist())
     npairs = sum(len(a._num) * len(b._num) * len(g) for a, b, g in work)
     if nprimes is None or box >= _MAX_KEYS:
         total = LaurentPoly.zero()
@@ -1005,60 +1017,133 @@ def sum_of_products(pairs, images=None) -> LaurentPoly:
         return total
     primes = _PRIMES[:nprimes]
     moduli = np.array(primes, dtype=np.int64)[:, None]
-    strides = np.array([math.prod(radices[:s]) for s in range(width)], dtype=np.int64)
-    # the short operand's digits shifted to start at 0 and the long one's
-    # by the rest of lo, then divided by the step, so that each product
-    # term's lattice digits lie in [0, radix); the long one's keys sorted,
-    # so that every row of a block is an increasing run
+    strides = np.cumprod(np.append(1, radix[:-1]))
+    # the box's slots with more than one digit: an accumulator row's axes,
+    # slowest first (past numpy's limit of 32 axes, a box has more cells
+    # than any sum has term pairs, and the union path takes it)
+    axes = [s for s in reversed(range(width)) if radix[s] > 1]
+    # each product keyed on its own box, with its lowest exponent base,
+    # step st and radices rad: the box itself when its one image is the
+    # identity (no places; its sign picks add), else each image placed by
+    # its sources cols[t], starts and ks over the axes; the long operand's
+    # keys sorted, so that every row of a block is an increasing run
     operands = []
-    for (a, b, g), f, (da, db) in zip(work, factors, digits):
+    for (a, b, g), f, (da, db), (low, high, own_step) in zip(work, factors, digits, spans):
         if len(a._num) > len(b._num):
             a, b, da, db = b, a, db, da
-        resa = _residues(a._num.values(), f, primes)
-        resb = _residues(b._num.values(), 1, primes)
-        for _, cols, sign in g:
-            ga, gb = (da, db) if cols is None else (da[:, cols], db[:, cols])
-            low = ga.min(0)
-            kb = (gb - (lo - low)) // step @ strides
-            order = np.argsort(kb, kind="stable")
-            operands.append(((ga - low) // step @ strides, kb[order],
-                             resa if sign > 0 else (moduli - resa) % moduli, resb[:, order]))
+        la, lb = da.min(0), db.min(0)
+        if len(g) == 1 and g[0][1] is None:
+            st, base, rad, own, places = step, lo, radix, strides, None
+            add = np.add.at if g[0][2] > 0 else np.subtract.at
+        else:
+            add = np.add.at
+            fixed = np.all([np.arange(width) if cols is None else cols for _, cols, _ in g]
+                           == np.arange(width), axis=0)
+            st = np.where(fixed, step, np.maximum(own_step, 1))
+            base = np.where(fixed, lo, low)
+            rad = np.where(fixed, radix, (high - low) // st + 1)
+            own = np.cumprod(np.append(1, rad[:-1]))
+            places = []
+            for _, cols, sign in g:
+                src = axes if cols is None else cols[axes].tolist()
+                places.append((src, [(base[c] - lo[t]) // step[t] for t, c in zip(axes, src)],
+                               [max(st[c] // step[t], 1) for t, c in zip(axes, src)], sign))
+        kb = ((db - lb + low - base) // st) @ own
+        order = np.argsort(kb, kind="stable")
+        operands.append(((da - la) // st @ own, kb[order], _residues(a._num.values(), f, primes),
+                         _residues(b._num.values(), 1, primes)[:, order], rad, own, places, add))
     del digits
     # the box itself if the term pairs fill it, else the union of every
-    # product's keys, merged whenever the keys waiting outnumber it
+    # image's keys, merged whenever the keys waiting outnumber it; a pair
+    # with images keys its buffer on its own distinct keys, its cells
     union = None
+    cells_of = {}
     if box > npairs:
         union = np.empty(0, dtype=np.int64)
         waiting = []
         count = 0
-        for ka, kb, _, _ in operands:
-            for ra, rb in _blocks(len(ka), len(kb)):
-                waiting.append((ka[ra, None] + kb[rb]).ravel())
-                count += waiting[-1].size
+        for n, (ka, kb, _, _, rad, own, places, _) in enumerate(operands):
+            parts = ((ka[ra, None] + kb[rb]).ravel() for ra, rb in _blocks(len(ka), len(kb)))
+            if places is not None:
+                cells = _sorted_union(list(parts))
+                varying = np.flatnonzero(rad > 1)
+                loc = cells[:, None] // own[varying] % rad[varying]
+                parts = []
+                for src, starts, ks, _ in places:
+                    coef = np.zeros(len(rad), dtype=np.int64)
+                    coef[src] = np.array(ks) * strides[axes]
+                    parts.append(loc @ coef[varying] + np.dot(starts, strides[axes]))
+                cells_of[n] = cells, parts
+            for part in parts:
+                waiting.append(part)
+                count += part.size
                 if count >= len(union):
                     union = _sorted_union([union, *waiting])
                     waiting, count = [], 0
         union = _sorted_union([union, *waiting])
         del waiting
     acc = np.zeros((nprimes, box if union is None else len(union)), dtype=np.int64)
+    shape = radix[axes].tolist()
+    # one buffer, as long as the longest that a pair with images needs
+    sizes = [len(cells_of[n][0]) if union is not None else math.prod(rad.tolist())
+             for n, (_, _, _, _, rad, _, places, _) in enumerate(operands) if places is not None]
+    buffer = np.empty(max(sizes, default=0), dtype=np.int64)
     rows = 0
-    for ka, kb, resa, resb in operands:
-        for ra, rb in _blocks(len(ka), len(kb)):
-            pos = (ka[ra, None] + kb[rb]).ravel()
-            if union is not None:
-                pos = np.searchsorted(union, pos)
-            rows += len(ka[ra])
-            if rows > _ROWS:
-                acc %= moduli
-                rows = len(ka[ra])
-            for row, x, y in zip(acc, resa[:, ra], resb[:, rb]):
-                np.add.at(row, pos, np.multiply.outer(x, y).ravel())
+    for n, (ka, kb, resa, resb, rad, own, places, add) in enumerate(operands):
+        blocks = list(_blocks(len(ka), len(kb)))
+        direct = places is None
+        # a pair whose one image is the identity adds (or, with sign -1,
+        # subtracts) into the accumulator itself; any other adds into a
+        # buffer, which each image then puts: on the box, into the slices
+        # of its part, the buffer's axes transposed onto theirs; on the
+        # union, at its cells' image keys
+        cells, targets, buf = union, [], None
+        if not direct and union is None:
+            buf = buffer[:math.prod(rad.tolist())]
+            for src, starts, ks, sign in places:
+                slots = sorted(src, reverse=True)
+                targets.append(((tuple(slice(x, x + (rad[c] - 1) * k + 1, k)
+                                       for x, k, c in zip(starts, ks, src)),
+                                 [int(rad[c]) for c in slots], [slots.index(c) for c in src]), sign))
+        elif not direct:
+            cells, keys = cells_of.pop(n)
+            buf = buffer[:len(cells)]
+            targets = [(np.searchsorted(union, k), sign) for k, (*_, sign) in zip(keys, places)]
+        for i, (row, p) in enumerate(zip(acc, primes)):
+            into, count = (row, rows) if direct else (buf, 0)
+            if not direct:
+                buf[:] = 0
+            for ra, rb in blocks:
+                pos = (ka[ra, None] + kb[rb]).ravel()
+                if cells is not None:
+                    pos = np.searchsorted(cells, pos)
+                if count + len(ka[ra]) > _ROWS:
+                    into %= p
+                    count = 1
+                count += len(ka[ra])
+                add(into, pos, np.multiply.outer(resa[i, ra], resb[i, rb]).ravel())
+            used = count if direct else rows
+            for target, sign in targets:
+                if used + count > _ROWS:
+                    row %= p
+                    used = 0
+                used += count
+                if cells is None:
+                    where, own_shape, perm = target
+                    dst, image = row.reshape(shape), buf.reshape(own_shape).transpose(perm)
+                else:
+                    dst, where, image = row, target, buf
+                if sign > 0:
+                    dst[where] += image
+                else:
+                    dst[where] -= image
+        rows = used
     acc %= moduli
     nonzero = np.flatnonzero(acc.any(axis=0))
     if not nonzero.size:
         return _ZERO
     keys = nonzero if union is None else union[nonzero]
-    mono = keys[:, None] // strides % np.array(radices, dtype=np.int64) * step + lo
+    mono = keys[:, None] // strides % radix * step + lo
     num = dict(zip(_packed_keys(mono), _symmetric_crt(acc[:, nonzero], primes)))
     return _reduced(num, den, emax)
 

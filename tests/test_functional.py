@@ -992,14 +992,21 @@ def test_exponent_overflow_in_a_substituted_product():
 def _cbb_cleared_route(pts, mus):
     """The exact cbb residual the old way: C(lam_0) prod B |0> times
     den(every), minus each term's numerator cleared to den(every) times its
-    b_product vector, one term at a time."""
+    b_product vector, one term at a time.  Also the weight table, and term
+    0 as (numerator, pair set, b_product vector, the vector times the
+    cleared numerator), None when there is no term."""
     w = functional._WeightTable(pts, mus, Q)
     want = build_monodromy(pts[0], mus, Q).apply("C", b_product(pts[1:], mus, Q)) \
         * w.den(w.every)
+    first = None
     for num, pairs, subset in functional._terms(w):
         cleared = num * w.den(w.every - pairs)
-        want = want - b_product([pts[k] for k in subset], mus, Q) * cleared
-    return want
+        vec = b_product([pts[k] for k in subset], mus, Q)
+        term = vec * cleared
+        want = want - term
+        if first is None:
+            first = (num, pairs, vec, term)
+    return want, w, first
 
 
 @pytest.mark.parametrize("n, L", [(0, 2), (1, 1), (2, 2), (3, 2), (2, 3), (3, 3)])
@@ -1012,16 +1019,15 @@ def test_exact_cbb_is_the_per_subset_sum(monkeypatch, n, L):
     mus = _sym_mus(L)
     res, scale = functional.cbb_expansion_residual(n, pts, mus, Q)
     assert calls == {"_orbits": 1, "_terms": 0}
-    plain = _cbb_cleared_route(pts, mus)
+    plain, w, first = _cbb_cleared_route(pts, mus)
     assert scale is None and list(res) == list(plain)
     assert all(x.is_zero() for x in res) == (n == 0)
     if n == 3:
         # negative control: from n = 3 on, a term's clearing factor is not
         # one, and term 0 with its bare numerator changes the residual
-        w = functional._WeightTable(pts, mus, Q)
-        num, pairs, subset = next(functional._terms(w))
+        num, pairs, vec, term = first
         assert w.clearing(pairs) != LaurentPoly.one()
-        dropped = plain + b_product([pts[k] for k in subset], mus, Q) * (num * w.clearing(pairs) - num)
+        dropped = plain + term - vec * num
         assert list(dropped) != list(res)
 
 

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from sixvertex import scalar
 from sixvertex.cli import main
 from sixvertex.errors import ExponentOverflow
+from sixvertex.functional import FunctionalInput, functional_residual
 from sixvertex.scalar import (
     EXP_LIMIT,
     LaurentPoly,
@@ -592,12 +593,28 @@ def test_prime_table():
             assert x in (1, n - 1) or any(pow(x, 2 ** r, n) == n - 1 for r in range(1, s))
 
 
-def test_sum_of_products_reduces_before_int64_wraps():
+def test_sum_of_products_reduces_before_int64_wraps(monkeypatch):
     # every product's residue is (p - 1)^2, and 3000 of them pass 2^63 in
-    # one cell: the accumulator must be reduced between rows
+    # one cell: the accumulator must be reduced between rows, and between
+    # the images of one product, which count its rows once each
     x = LaurentPoly.var(u_var(61))
     assert 3000 > scalar._ROWS
     assert sum_of_products([(-x, -x ** -1)] * 3000) == 3000
+    swap = {u_var(61): u_var(62), u_var(62): u_var(61)}
+    assert sum_of_products([(-x, -x ** -1)], [[({}, 1), (swap, 1)] * 1500]) == 3000
+    # with a prime below 2^31, _ROWS is 2 and three such products pass
+    # 2^63: x^0 of a * b takes four, so a product's buffer must be reduced
+    # between its rows too (blocks of one term pair, each within _ROWS)
+    p = 2147483647
+    monkeypatch.setattr(scalar, "_PRIMES", (p,))
+    monkeypatch.setattr(scalar, "_ROWS", ((1 << 63) - p) // (p - 1) ** 2)
+    monkeypatch.setattr(scalar, "_CHUNK", 1)
+    assert scalar._ROWS == 2 and 3 * (p - 1) ** 2 >= 1 << 63
+    a = -(1 + x + x ** 2 + x ** 3)
+    b = -(1 + x ** -1 + x ** -2 + x ** -3)
+    to = {u_var(61): LaurentPoly.var(u_var(62))}
+    assert sum_of_products([(a, b)], [[({}, 1), (swap, 1)] * 2]) \
+        == (a * b + (a * b).substitute(to)) * 2
 
 
 def test_sum_of_products_exponent_boundary():
@@ -771,6 +788,93 @@ def test_sum_of_products_images_on_both_paths(case, builds_union, monkeypatch):
     _check(sum_of_products([(LaurentPoly(a), LaurentPoly(b)) for a, b in pairs], images),
            ref_images(pairs, images))
     assert bool(built) == builds_union
+
+
+def _poly(terms):
+    """The reference polynomial of (coefficient, ((VarId, e), ...)) terms."""
+    out = {}
+    for c, exps in terms:
+        out = ref_add(out, _mono(c, *exps))
+    return out
+
+
+def _skewed_pairs(case):
+    """Pairs whose products lie on different lattices: u60 odd or even,
+    stepping by 2, w61 stepping by 3 from 1 or from 0, u61 even."""
+    u, v, w = _U60, _U61, w_var(61)
+    if case == "dense":
+        # 420 term pairs, 6 images each, in a box of 1,728 cells
+        a = _poly([(Fraction(i + 2 * j + 1, 3 + k), ((u, i), (w, j), (v, k)))
+                   for i in (-1, 1, 3) for j in (-2, 1, 4) for k in (0, 2)])
+        b = _poly([(Fraction(5 - i - j, 3 + k), ((u, i), (w, j), (v, k)))
+                   for i in (-2, 0, 2) for j in (0, 3) for k in (-2, 0)])
+        return [(a, b), (b, b), (b, a)]
+    a = _poly([(3, ((u, 41), (w, -7))), (Fraction(-1, 7), ((u, -39), (v, 4)))])
+    b = _poly([(1, ((w, 35), (u, 2))), (Fraction(2, 5), ((w, -28), (v, -6)))])
+    return [(a, b), (b, b)]
+
+
+# every permutation of u60, w61 and u61, signed by its signature
+_SKEWED = (_U60, w_var(61), _U61)
+_SKEWED_IMAGES = [({x: y for x, y in zip(_SKEWED, perm)},
+                   (-1) ** sum(_SKEWED.index(x) > _SKEWED.index(y)
+                               for x, y in itertools.combinations(perm, 2)))
+                  for perm in itertools.permutations(_SKEWED)]
+
+
+@pytest.mark.parametrize("reduced", [False, True])
+@pytest.mark.parametrize("case, builds_union", [("dense", False), ("sparse", True)])
+def test_sum_of_products_images_across_lattices(case, builds_union, reduced, monkeypatch):
+    # the images move slots of different steps and offsets onto one
+    # another, so each lands on the box's lattice at its own offsets, 2 or
+    # 3 box steps apart.  Reduced: primes below 2^31, whose _ROWS is 2, and
+    # blocks of one term pair, so that the buffer is reduced between blocks
+    # and the accumulator between images.  Negative control: one image's
+    # sign flipped changes the sum
+    pairs = _skewed_pairs(case)
+    images = [_SKEWED_IMAGES] * len(pairs)
+    if reduced:
+        primes = (2147483647, 2147483629)
+        rows = ((1 << 63) - max(primes)) // (max(primes) - 1) ** 2
+        assert rows == 2 and 3 * (max(primes) - 1) ** 2 >= 1 << 63
+        monkeypatch.setattr(scalar, "_PRIMES", primes)
+        monkeypatch.setattr(scalar, "_ROWS", rows)
+        monkeypatch.setattr(scalar, "_CHUNK", 1)
+    built = []
+    union = scalar._sorted_union
+
+    def spy(parts):
+        built.append(len(parts))
+        return union(parts)
+
+    monkeypatch.setattr(scalar, "_sorted_union", spy)
+    polys = [(LaurentPoly(a), LaurentPoly(b)) for a, b in pairs]
+    got = sum_of_products(polys, images)
+    _check(got, ref_images(pairs, images))
+    assert bool(built) == builds_union
+    relabel, sign = _SKEWED_IMAGES[3]
+    flipped = [_SKEWED_IMAGES[:3] + [(relabel, -sign)] + _SKEWED_IMAGES[4:]] + images[1:]
+    assert sum_of_products(polys, flipped) != got
+
+
+def test_sum_of_products_forms_each_product_once(monkeypatch):
+    # the exact FZ residual at L = 3, symbolic points and rational mus and
+    # q, sums two canonical pairs, 60 x 478 and 60 x 218 terms, over 4 and
+    # 6 images: the kernel forms their 41,760 term pairs once, not once per
+    # image (193,200)
+    blocks = scalar._blocks
+    formed = []
+
+    def spy(n, m):
+        formed.append(n * m)
+        return blocks(n, m)
+
+    monkeypatch.setattr(scalar, "_blocks", spy)
+    points = tuple(LaurentPoly.var(u_var(60 + i)) for i in range(5))
+    mus = tuple(LaurentPoly.rational(Fraction(k, 7)) for k in (2, 3, 4))
+    q = LaurentPoly.rational(Fraction(-3, 5))
+    assert functional_residual(FunctionalInput(3, points, mus, q)).is_zero()
+    assert sorted(formed) == [60 * 218, 60 * 478] and sum(formed) == 41760
 
 
 @pytest.mark.parametrize("case", ["key box", "primes"])
