@@ -38,7 +38,9 @@ the symbolic q in every string-operator function, an unknown normalization
 or a q_count below 1 in the numeric solve, and an omission or substitution
 coefficient index out of range.  The partition function's
 two routes, the operator product and the pruned configuration sum, must
-agree exactly at symbolic L = 1..3 and, at --trials seeded float points for
+agree exactly at symbolic L = 1..4 (at L = 4 the configuration sum is the
+kernel's largest sum on its sorted-union path, every pair with the
+identity as its one image) and, at --trials seeded float points for
 each L = 1..6, within 1e-9 of the larger |Z|.  Exact Z at L = 1..3 must come back unchanged from its text
 and JSON forms (``parse_poly`` and ``LaurentPoly.from_json_terms``).  The
 brute-force
@@ -305,7 +307,7 @@ def main():
         record(refused(f"refuse-index-{name}", call))
 
     print("== partition function: operator product vs configuration sum ==")
-    for L in (1, 2, 3):
+    for L in (1, 2, 3, 4):
         lams, mus, _ = partition.standard_symbolic_params(L)
         record(vertex.verdict(f"z-routes-L{L}", partition.z_enumerate(lams, mus, q, "pruned")
                               - partition.z_algebraic(lams, mus, q), None, 0.0))

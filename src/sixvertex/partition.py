@@ -257,7 +257,9 @@ def _config_weight(kinds: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 def z_enumerate(lams, mus, q, mode: str = "pruned",
                 conv: EdgeConvention = DEFAULT_CONVENTION):
-    """Configuration sum over valid DWBC lattices; equals z_algebraic."""
+    """Configuration sum over valid DWBC lattices; equals z_algebraic.
+    An exact sum past L = 4 whose weights hold a variable is refused
+    before any configuration weight is formed: those would exhaust memory."""
     lams = list(lams)
     mus = list(mus)
     L = len(lams)
@@ -267,6 +269,8 @@ def z_enumerate(lams, mus, q, mode: str = "pruned",
     weights = np.array([build_L(lam * invert(mu), q).ravel() for lam in lams for mu in mus])
     bk = backend_of(weights)
     if bk.exact:
+        if L > 4 and any(isinstance(x, LaurentPoly) and x.variables() for x in weights.flat):
+            raise SizeLimitExceeded("exact enumeration with symbolic weights supports L <= 4")
         # the last vertex's products go to the sum-of-products kernel unformed
         prefix = _config_weight(kinds[:-1], weights[:-1]) if L > 1 else [bk.one] * kinds.shape[1]
         return sum_of_products(zip(prefix, weights[-1][kinds[-1]]))

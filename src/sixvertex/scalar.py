@@ -32,11 +32,12 @@ Two interchangeable scalar backends are used throughout, each one
   step by 2); a box of no more cells than term pairs is the accumulator
   itself, a sparser sum uses the sorted union of its keys.  A key box past
   int64, or a B past the prime table, falls back to pairwise products.
-  With ``images`` the kernel also sums each pair under permutations of
-  its variables, sign * rho(a) * rho(b) = sign * rho(a * b): one product
-  per pair, each image a permutation of its slots.  The product's residues
-  are expanded once per prime into one buffer, and each image adds or
-  subtracts that buffer with its slot axes transposed.
+  With ``images`` the kernel sums each pair under permutations of its
+  variables, sign * rho(a) * rho(b) = sign * rho(a * b); without, a
+  pair's one image is the identity.  One product per pair, each image a
+  permutation of its slots: every pair's residues are expanded once per
+  prime into one buffer, and each image adds or subtracts that buffer with
+  its slot axes transposed (on the sorted union, its cells re-keyed).
 * plain ``complex`` -- double precision.  A float zero test is relative:
   each check compares its residual with ``tolerance`` times a scale it
   computes from the same terms, never with an absolute bound, because the
@@ -842,16 +843,16 @@ def exponent_array(p: LaurentPoly, vars: list[VarId]) -> tuple[np.ndarray, list[
 # would be mostly empty (exact z_enumerate at L = 4: ~0.52 M term pairs,
 # ~1.1 M cells).
 #
-# One product per pair, each image a permutation of its slots.  A pair
-# whose one image is the identity adds its products into the accumulator
-# directly.  Any other pair expands a * b once per prime into one buffer
-# on its own box: the box's lattice in the slots its images all fix, its
-# product's own low, step and extent elsewhere (on the union path, only
-# the box's distinct keys).  As each image lies on the box's lattice, an
-# image takes digit x of the buffer's slot cols[t] to digit start + k * x
-# of slot t: on the box it adds sign times the buffer with its slot axes
-# transposed into slices of the accumulator, on the union the buffer's
-# cells re-keyed by that map.
+# One product per pair, each image a permutation of its slots.  Every
+# pair, the identity included, expands a * b once per prime into one
+# buffer on its own box: the box's lattice in the slots its images all
+# fix, its product's own low, step and extent elsewhere (on the union
+# path, only the box's distinct keys).  As each image lies on the box's
+# lattice, an image takes digit x of the buffer's slot cols[t] to digit
+# start + k * x of slot t: on the box it adds sign times the buffer with
+# its slot axes transposed into slices of the accumulator, on the union
+# the buffer's cells re-keyed by that map (an image keyed as its pair is,
+# such as the identity of a pair with no other image, keeps the cells).
 #
 # No int64 step wraps: residues stay below p < 2^26, so a product of two
 # is at most (p - 1)^2 < 2^52 and is added unreduced.  A block adds to a
@@ -934,12 +935,13 @@ def _sorted_union(parts) -> np.ndarray:
     return keys[keep]
 
 
-def _relabelings(images) -> tuple[int, list[list[tuple[dict, np.ndarray | None, int]]]]:
+def _relabelings(images) -> tuple[int, list[list[tuple[dict, np.ndarray, int]]]]:
     """The digit width, and each (relabel, sign) image as (relabel, cols,
     sign): the image's exponent in slot t is that of what it relabels in
-    slot cols[t], since rho(v) takes v's exponent; cols is None for the
-    identity.  A relabel must permute the variables it names, and a sign
-    be 1 or -1; the variables get their slots before the width is read."""
+    slot cols[t], since rho(v) takes v's exponent (the identity's cols are
+    the slots in order).  A relabel must permute the variables it names,
+    and a sign be 1 or -1; the variables get their slots before the width
+    is read."""
     for relabel, sign in (image for imgs in images for image in imgs):
         if sign not in (1, -1):
             raise ValueError(f"an image's sign must be 1 or -1, got {sign!r}")
@@ -953,11 +955,9 @@ def _relabelings(images) -> tuple[int, list[list[tuple[dict, np.ndarray | None, 
     for imgs in images:
         out.append([])
         for relabel, sign in imgs:
-            moved = [(_SLOT_OF[v.key], _SLOT_OF[t.key]) for v, t in relabel.items() if v != t]
-            cols = None
-            if moved:
-                cols = np.arange(width)
-                cols[[t for _, t in moved]] = [s for s, _ in moved]
+            cols = np.arange(width)
+            for v, t in relabel.items():
+                cols[_SLOT_OF[t.key]] = _SLOT_OF[v.key]
             out[-1].append((relabel, cols, sign))
     return width, out
 
@@ -970,9 +970,10 @@ def sum_of_products(pairs, images=None) -> LaurentPoly:
     With ``images``, one list of (relabel, sign) per pair, the sum is that
     of sign * rho(a) * rho(b) over each pair's images instead, rho the
     relabel: a dict from VarId to VarId that permutes the variables it
-    names (ValueError otherwise), sign 1 or -1.  One product per pair, each
-    image a permutation of its slots: a * b is expanded once, and each
-    image adds sign * rho(a * b)."""
+    names (ValueError otherwise), sign 1 or -1; without, each pair's one
+    image is the identity.  One product per pair, each image a permutation
+    of its slots: a * b is expanded once, and each image adds
+    sign * rho(a * b)."""
     pairs = [(_as_poly(a), _as_poly(b)) for a, b in pairs]
     if images is None:
         images = [[({}, 1)]] * len(pairs)
@@ -999,8 +1000,7 @@ def sum_of_products(pairs, images=None) -> LaurentPoly:
     # cols[t]
     spans = [(da.min(0) + db.min(0), da.max(0) + db.max(0),
               np.gcd(np.gcd.reduce(da - da[0]), np.gcd.reduce(db - db[0]))) for da, db in digits]
-    seen = [span if cols is None else [x[cols] for x in span]
-            for span, (_, _, g) in zip(spans, work) for _, cols, _ in g]
+    seen = [[x[cols] for x in span] for span, (_, _, g) in zip(spans, work) for _, cols, _ in g]
     lo = np.min([low for low, _, _ in seen], axis=0)
     hi = np.max([high for _, high, _ in seen], axis=0)
     step = np.maximum(np.gcd.reduce([s for _, _, s in seen] + [low - lo for low, _, _ in seen]), 1)
@@ -1023,57 +1023,56 @@ def sum_of_products(pairs, images=None) -> LaurentPoly:
     # than any sum has term pairs, and the union path takes it)
     axes = [s for s in reversed(range(width)) if radix[s] > 1]
     # each product keyed on its own box, with its lowest exponent base,
-    # step st and radices rad: the box itself when its one image is the
-    # identity (no places; its sign picks add), else each image placed by
-    # its sources cols[t], starts and ks over the axes; the long operand's
-    # keys sorted, so that every row of a block is an increasing run
+    # step st and radices rad: the box's in the slots its images all fix,
+    # its own elsewhere; each image placed by its sources cols[t], starts
+    # and ks over the axes; the long operand's keys sorted, so that every
+    # row of a block is an increasing run
     operands = []
     for (a, b, g), f, (da, db), (low, high, own_step) in zip(work, factors, digits, spans):
         if len(a._num) > len(b._num):
             a, b, da, db = b, a, db, da
         la, lb = da.min(0), db.min(0)
-        if len(g) == 1 and g[0][1] is None:
-            st, base, rad, own, places = step, lo, radix, strides, None
-            add = np.add.at if g[0][2] > 0 else np.subtract.at
-        else:
-            add = np.add.at
-            fixed = np.all([np.arange(width) if cols is None else cols for _, cols, _ in g]
-                           == np.arange(width), axis=0)
-            st = np.where(fixed, step, np.maximum(own_step, 1))
-            base = np.where(fixed, lo, low)
-            rad = np.where(fixed, radix, (high - low) // st + 1)
-            own = np.cumprod(np.append(1, rad[:-1]))
-            places = []
-            for _, cols, sign in g:
-                src = axes if cols is None else cols[axes].tolist()
-                places.append((src, [(base[c] - lo[t]) // step[t] for t, c in zip(axes, src)],
-                               [max(st[c] // step[t], 1) for t, c in zip(axes, src)], sign))
+        fixed = np.all([cols for _, cols, _ in g] == np.arange(width), axis=0)
+        st = np.where(fixed, step, np.maximum(own_step, 1))
+        base = np.where(fixed, lo, low)
+        rad = np.where(fixed, radix, (high - low) // st + 1)
+        own = np.cumprod(np.append(1, rad[:-1]))
+        places = []
+        for _, cols, sign in g:
+            src = cols[axes].tolist()
+            places.append((src, [(base[c] - lo[t]) // step[t] for t, c in zip(axes, src)],
+                           [max(st[c] // step[t], 1) for t, c in zip(axes, src)], sign))
         kb = ((db - lb + low - base) // st) @ own
         order = np.argsort(kb, kind="stable")
         operands.append(((da - la) // st @ own, kb[order], _residues(a._num.values(), f, primes),
-                         _residues(b._num.values(), 1, primes)[:, order], rad, own, places, add))
+                         _residues(b._num.values(), 1, primes)[:, order], rad, own, places))
     del digits
     # the box itself if the term pairs fill it, else the union of every
     # image's keys, merged whenever the keys waiting outnumber it; a pair
-    # with images keys its buffer on its own distinct keys, its cells
+    # keys its buffer on its own distinct keys, its cells, which an image
+    # keyed as the pair is (no shift, the pair's own strides) keeps
     union = None
     cells_of = {}
     if box > npairs:
         union = np.empty(0, dtype=np.int64)
         waiting = []
         count = 0
-        for n, (ka, kb, _, _, rad, own, places, _) in enumerate(operands):
-            parts = ((ka[ra, None] + kb[rb]).ravel() for ra, rb in _blocks(len(ka), len(kb)))
-            if places is not None:
-                cells = _sorted_union(list(parts))
-                varying = np.flatnonzero(rad > 1)
-                loc = cells[:, None] // own[varying] % rad[varying]
-                parts = []
-                for src, starts, ks, _ in places:
-                    coef = np.zeros(len(rad), dtype=np.int64)
-                    coef[src] = np.array(ks) * strides[axes]
-                    parts.append(loc @ coef[varying] + np.dot(starts, strides[axes]))
-                cells_of[n] = cells, parts
+        for n, (ka, kb, _, _, rad, own, places) in enumerate(operands):
+            cells = _sorted_union([(ka[ra, None] + kb[rb]).ravel()
+                                   for ra, rb in _blocks(len(ka), len(kb))])
+            varying = np.flatnonzero(rad > 1)
+            loc = None
+            parts = []
+            for src, starts, ks, _ in places:
+                coef = np.zeros(len(rad), dtype=np.int64)
+                coef[src] = np.array(ks) * strides[axes]
+                shift = np.dot(starts, strides[axes])
+                if shift == 0 and np.array_equal(coef[varying], own[varying]):
+                    parts.append(cells)
+                else:
+                    loc = cells[:, None] // own[varying] % rad[varying] if loc is None else loc
+                    parts.append(loc @ coef[varying] + shift)
+            cells_of[n] = cells, parts
             for part in parts:
                 waiting.append(part)
                 count += part.size
@@ -1084,45 +1083,39 @@ def sum_of_products(pairs, images=None) -> LaurentPoly:
         del waiting
     acc = np.zeros((nprimes, box if union is None else len(union)), dtype=np.int64)
     shape = radix[axes].tolist()
-    # one buffer, as long as the longest that a pair with images needs
-    sizes = [len(cells_of[n][0]) if union is not None else math.prod(rad.tolist())
-             for n, (_, _, _, _, rad, _, places, _) in enumerate(operands) if places is not None]
-    buffer = np.empty(max(sizes, default=0), dtype=np.int64)
+    # one buffer, as long as the longest that a pair needs
+    buffer = np.empty(max(math.prod(rad.tolist()) if union is None else len(cells_of[n][0])
+                          for n, (*_, rad, _, _) in enumerate(operands)), dtype=np.int64)
     rows = 0
-    for n, (ka, kb, resa, resb, rad, own, places, add) in enumerate(operands):
+    for n, (ka, kb, resa, resb, rad, own, places) in enumerate(operands):
         blocks = list(_blocks(len(ka), len(kb)))
-        direct = places is None
-        # a pair whose one image is the identity adds (or, with sign -1,
-        # subtracts) into the accumulator itself; any other adds into a
-        # buffer, which each image then puts: on the box, into the slices
-        # of its part, the buffer's axes transposed onto theirs; on the
-        # union, at its cells' image keys
-        cells, targets, buf = union, [], None
-        if not direct and union is None:
-            buf = buffer[:math.prod(rad.tolist())]
+        # a pair adds into the buffer, which each image then puts: on the
+        # box, into the slices of its part, the buffer's axes transposed
+        # onto theirs; on the union, at its cells' image keys
+        if union is None:
+            cells, buf, targets = None, buffer[:math.prod(rad.tolist())], []
             for src, starts, ks, sign in places:
                 slots = sorted(src, reverse=True)
                 targets.append(((tuple(slice(x, x + (rad[c] - 1) * k + 1, k)
                                        for x, k, c in zip(starts, ks, src)),
                                  [int(rad[c]) for c in slots], [slots.index(c) for c in src]), sign))
-        elif not direct:
+        else:
             cells, keys = cells_of.pop(n)
             buf = buffer[:len(cells)]
             targets = [(np.searchsorted(union, k), sign) for k, (*_, sign) in zip(keys, places)]
         for i, (row, p) in enumerate(zip(acc, primes)):
-            into, count = (row, rows) if direct else (buf, 0)
-            if not direct:
-                buf[:] = 0
+            buf[:] = 0
+            count = 0
             for ra, rb in blocks:
                 pos = (ka[ra, None] + kb[rb]).ravel()
                 if cells is not None:
                     pos = np.searchsorted(cells, pos)
                 if count + len(ka[ra]) > _ROWS:
-                    into %= p
+                    buf %= p
                     count = 1
                 count += len(ka[ra])
-                add(into, pos, np.multiply.outer(resa[i, ra], resb[i, rb]).ravel())
-            used = count if direct else rows
+                np.add.at(buf, pos, np.multiply.outer(resa[i, ra], resb[i, rb]).ravel())
+            used = rows
             for target, sign in targets:
                 if used + count > _ROWS:
                     row %= p

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from sixvertex import partition
 from sixvertex.cli import RunConfig, main, run
 from sixvertex.functional import (FunctionalInput, check_b_nilpotency, check_cbb_expansion,
                                   check_fz)
@@ -115,6 +116,24 @@ def test_explicit_parameters(capsys):
     doc = json.loads(out)
     # Z(L=1) = c = (q - 1/q)/2 = 0.75 regardless of the spectral point
     assert abs(complex(doc["value"]["re"], doc["value"]["im"]) - 0.75) < 1e-12
+
+
+def test_symbolic_enumeration_past_l4_exits_2(capsys, monkeypatch):
+    # refused before any configuration weight is formed (one would exhaust
+    # memory at L = 5); exact numbers at L = 5 still compute
+    def refuse(*args):
+        raise AssertionError("a configuration weight was formed")
+
+    monkeypatch.setattr(partition, "_config_weight", refuse)
+    code, out = _capture(capsys, ["enumerate", "--size", "5"])
+    assert code == 2
+    assert json.loads(out)["kind"] == "config"
+    monkeypatch.undo()
+    numbers = [x for k in range(5) for x in ("--lam", str(k + 2), "--mu", "1")]
+    code, out = _capture(capsys, ["compute", "--size", "5", "--method", "enumerate-pruned",
+                                  *numbers, "--q", "3"])
+    assert code == 0
+    assert json.loads(out)["value"]["type"] == "exact"
 
 
 def test_parameter_count_mismatch(capsys):

@@ -2,6 +2,7 @@ import cmath
 import gc
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -103,6 +104,37 @@ def test_size_limits():
         z_enumerate(junk, junk, None, "pruned")
     with pytest.raises(SizeLimitExceeded):
         z_enumerate(junk[:5], junk[:5], None, "naive")
+
+
+def test_symbolic_exact_sum_is_refused_past_l4(monkeypatch):
+    # an exact sum past L = 4 with a variable in any weight is refused
+    # before its first prefix product, which would exhaust memory: with
+    # _config_weight refusing, a sum that got that far fails the test fast
+    def refuse(*args):
+        raise AssertionError("a configuration weight was formed")
+
+    monkeypatch.setattr(partition, "_config_weight", refuse)
+    numbers = [LaurentPoly.rational(k + 2) for k in range(6)]
+    for L in (5, 6):
+        lams, mus, q = standard_symbolic_params(L)
+        with pytest.raises(SizeLimitExceeded, match="symbolic"):
+            z_enumerate(lams, mus, q)
+        # one variable, in q or in one point, is enough
+        for points, q_in in ((numbers[:L], q), ([lams[0], *numbers[1:L]], Fraction(7, 5))):
+            with pytest.raises(SizeLimitExceeded, match="symbolic"):
+                z_enumerate(points, numbers[:L], q_in)
+
+
+def test_numeric_exact_routes_agree_at_l5():
+    # exact numbers past L = 4 still take the configuration sum; negative
+    # control: another q changes it
+    for number in (Fraction, LaurentPoly.rational):
+        lams = [number(Fraction(p)) for p in (2, 3, 5, 7, 11)]
+        mus = [number(Fraction(k, k + 1)) for k in range(1, 6)]
+        q = number(Fraction(7, 5))
+        za = z_algebraic(lams, mus, q)
+        assert z_enumerate(lams, mus, q) == za and not za.variables()
+        assert z_enumerate(lams, mus, number(Fraction(7, 4))) != za
 
 
 def test_configs_satisfy_invariants():

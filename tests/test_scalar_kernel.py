@@ -772,7 +772,8 @@ def test_sum_of_products_identity_sign_and_cycle_images():
 @pytest.mark.parametrize("case, builds_union", [("dense", False), ("sparse", True)])
 def test_sum_of_products_images_on_both_paths(case, builds_union, monkeypatch):
     # the dense box and the sorted union, each with a swap, a 3-cycle and a
-    # negative sign on every pair
+    # negative sign on every pair; then each with the identity alone, sign
+    # -1, on every pair, which places the buffer as it is, negated
     pairs = _lattice_pairs(case)
     u, v, w = u_var(60), u_var(61), w_var(61)
     imgs = [({}, 1), ({u: v, v: u}, -1), ({u: w, w: q_var(), q_var(): u}, 1)]
@@ -785,9 +786,13 @@ def test_sum_of_products_images_on_both_paths(case, builds_union, monkeypatch):
         return union(parts)
 
     monkeypatch.setattr(scalar, "_sorted_union", spy)
-    _check(sum_of_products([(LaurentPoly(a), LaurentPoly(b)) for a, b in pairs], images),
-           ref_images(pairs, images))
+    polys = [(LaurentPoly(a), LaurentPoly(b)) for a, b in pairs]
+    _check(sum_of_products(polys, images), ref_images(pairs, images))
     assert bool(built) == builds_union
+    built.clear()
+    negated = sum_of_products(polys, [[({}, -1)]] * len(pairs))
+    assert bool(built) == builds_union
+    assert negated == -sum_of_products(polys) and not negated.is_zero()
 
 
 def _poly(terms):
