@@ -41,9 +41,11 @@ The default provider evaluates every Z of one input in one call,
 ``_WeightTable.b_products``; Z is ``z_algebraic``'s on each subset, the same
 floats or polynomials: the subsets it needs (every term's in float, the
 two canonical terms' when exact) are the columns of one batch, each B
-operator one ``monodromy.b_products`` sweep over all of them, with the
-weights of the table's point-mu entries (the values ``build_monodromy``
-computes).  The C(lam_0) expansion takes its term vectors, and prod B |0>
+operator one ``monodromy.b_products`` sweep over all of them.  The table's
+point-mu weights (the values ``build_monodromy`` computes) are stacked
+once into one (points, mus, 3) array, ``_WeightTable.mu_rows``, and each
+operator's batch is one index gather from it, by the subsets' points at
+that operator's position.  The C(lam_0) expansion takes its term vectors, and prod B |0>
 over all of points[1:], from the same call, and C(lam_0) from the point-0
 weights.  An explicit provider goes subset by subset.
 
@@ -74,6 +76,7 @@ backend, go term by term through ``_terms``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -200,12 +203,21 @@ class _WeightTable:
         den = self.den(pairs)
         return RationalFunction(num, den) if self.backend.exact else num / den
 
+    @functools.cached_property
+    def mu_rows(self) -> np.ndarray:
+        """The point-mu weights as one (points, mus, 3) array: ``mu_rows[x, k]``
+        is (a, b, c) of lam_x - mu_k, complex, or object if exact."""
+        return np.array([[(ws.a, ws.b, ws.c) for ws in row] for row in self.mu]).reshape(
+            len(self.mu), len(self.mus), 3)
+
     def b_products(self, subsets) -> np.ndarray:
         """prod B |0> over the points of each subset (all of one length), one
         column per subset, in the table's backend: one batch sweep per B
-        operator, with the table's point-mu weights."""
-        ms = [batch_monodromy([self.mu[s[r]] for s in subsets]) for r in range(len(subsets[0]))]
-        v = vacuum(len(self.mu[0]), self.backend)
+        operator, its batch gathered from ``mu_rows`` by the subsets' points
+        at the operator's position."""
+        points = np.array(subsets, dtype=np.intp)
+        ms = [batch_monodromy(self.mu_rows[points[:, r]]) for r in range(points.shape[1])]
+        v = vacuum(len(self.mus), self.backend)
         return b_products(ms, np.repeat(v[:, None], len(subsets), axis=1))
 
 
@@ -445,7 +457,7 @@ def cbb_expansion_residual(n: int, points, mus, q):
         terms = list(_terms(w))
     # a batch holds subsets of one length: the full product is a batch of its own
     full = w.b_products([tuple(range(1, n + 1))])
-    res = apply_block(batch_monodromy([w.mu[0]]), "C", full)[:, 0]
+    res = apply_block(batch_monodromy(w.mu_rows[:1]), "C", full)[:, 0]
     vecs = w.b_products([s for *_, s in terms]) if terms else w.backend.full((len(res), 0))
     if exact:
         res = res * w.den(w.every) - [_orbit_expansion_sum(w, families, row, vs) for row in vecs]

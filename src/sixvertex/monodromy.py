@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import CoincidingSpectralPoints, DimensionMismatch
 from .sampling import MIN_POLE_DISTANCE, pole_distance
-from .scalar import EXACT, FLOAT, Backend, CheckOutcome, backend_of, invert
+from .scalar import EXACT, Backend, CheckOutcome, backend_of, invert
 from .vertex import Weights, apply_two_site, build_R, verdict, weights_of
 
 _BLOCKS = ("A", "B", "C", "D")
@@ -84,12 +84,11 @@ def build_monodromy(u, ws, q) -> Monodromy:
 
 
 def batch_monodromy(rows) -> Monodromy:
-    """The monodromies of k spectral points as one batch: rows[i] holds the
-    per-site Weights of point i (``Monodromy.weights``), and site j of the
-    batch carries their a, b, c as (k,) arrays: complex, or object if exact."""
-    sites = [np.array([(w.a, w.b, w.c) for w in site]) for site in zip(*rows)]
-    return Monodromy(tuple(Weights(*s.T) for s in sites),
-                     backend_of(sites[0]) if sites else FLOAT)
+    """The monodromies of k spectral points as one batch: rows, a (k, L, 3)
+    array, holds at [i, j] the weights (a, b, c) of point i at site j, and
+    site j of the batch carries their a, b, c as (k,) arrays: complex, or
+    object if exact."""
+    return Monodromy(tuple(Weights(*site) for site in rows.transpose(1, 2, 0)), backend_of(rows))
 
 
 def b_products(ms, v: np.ndarray) -> np.ndarray:

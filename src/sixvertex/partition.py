@@ -14,9 +14,15 @@ vertex's 4x4 ``build_L`` table.  The pruned table comes from a search that
 fills the lattice row by row and drops a branch at its first ice-rule or
 boundary violation; its columns are in the depth-first order of that
 search.  The naive table tests every assignment of the interior edges, in
-int64 bit masks, and keeps the same configurations.  Both are weighed by
-one loop that gathers each vertex's weights for all configurations at
-once and multiplies them into a running product, left to right.
+int64 bit masks, and keeps the same configurations.  Beside each table a
+row tree is cached, derived from the table alone: for each row, the
+distinct partial configurations with the rows up to it filled, each with
+its parent in the row before and its row's vertex kinds.  Configurations
+share their partials, so the weighing forms each partial's product once,
+row by row from its parent's, for all partials at once, and the last row
+is the configurations: every weight is the same left-to-right product as
+a per-configuration loop, in fewer multiplies (106,362 instead of 260,260
+at L = 6).
 
 Vertex (i, j) carries the spectral argument lambda_i - mu_j.  Edge states
 are bits; the arrow encoding is configurable and the shipped default is
@@ -212,7 +218,8 @@ def _naive_kinds(L: int, conv: EdgeConvention) -> np.ndarray:
                           == (words >> a_out & 1) + (words >> b_out & 1)]
         kept.append(words)
     words = np.concatenate(kept)
-    table = np.array([_kind(*(words >> p & 1 for p in v)) for v in vertices], dtype=np.uint8)
+    table = np.array([_kind(*(words >> p & 1 for p in v)) for v in vertices],
+                     dtype=np.uint8).reshape(len(vertices), len(words))
     table.flags.writeable = False
     return table
 
@@ -220,6 +227,41 @@ def _naive_kinds(L: int, conv: EdgeConvention) -> np.ndarray:
 def _config_table(L: int, mode: str, conv: EdgeConvention) -> np.ndarray:
     _check_size(L, mode)
     return (_dwbc_kinds if mode == "pruned" else _naive_kinds)(L, conv)
+
+
+@functools.lru_cache(maxsize=None)
+def _row_tree(L: int, mode: str, conv: EdgeConvention) -> tuple:
+    """The configuration table's row tree: for each row i, (parent, kinds)
+    of the distinct partial configurations with rows 0..i filled, in
+    column order.  parent[p] is partial p's index in row i - 1 (None in
+    row 0), kinds[:, p] its L vertex kinds in row i; read-only, kinds uint8.
+
+    Columns that agree on rows 0..i share a partial, and the table's
+    depth-first order keeps them adjacent, so each column is compared with
+    the one before it.  In the last row every column is its own partial:
+    the last row's partials are the configurations, column by column.
+    """
+    table = _config_table(L, mode, conv)
+    # new[c]: column c begins a partial; before row 0 all share the empty one
+    new = np.zeros(table.shape[1], dtype=bool)
+    new[:1] = True
+    index = None
+    rows = []
+    for i in range(L):
+        row = table[L * i:L * (i + 1)]
+        new[1:] |= (row[:, 1:] != row[:, :-1]).any(axis=0)
+        if i == L - 1:
+            new[:] = True
+        first = np.flatnonzero(new)
+        # each partial's parent is the row i - 1 partial of its first column
+        parent = None if index is None else index[first]
+        index = np.cumsum(new, dtype=np.int32) - 1
+        kinds = row[:, first]
+        kinds.flags.writeable = False
+        if parent is not None:
+            parent.flags.writeable = False
+        rows.append((parent, kinds))
+    return tuple(rows)
 
 
 def iter_dwbc_configs(L: int, conv: EdgeConvention = DEFAULT_CONVENTION,
@@ -232,23 +274,44 @@ def iter_dwbc_configs(L: int, conv: EdgeConvention = DEFAULT_CONVENTION,
                             beta=((conv.down,) * L, *map(tuple, b_out)))
 
 
-def _config_weight(kinds: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """The configuration weight of every column: the product of
-    weights[k][kinds[k]] over the vertices k, multiplied left to right for
-    all columns at once.  A float product is carried as real and imaginary
-    arrays and formed as Python's complex product forms it, so every weight
-    is bit-identical to a per-configuration loop over Python complex
-    numbers."""
+def _tree_steps(tree, n: int):
+    """(k, parent, kind) for each vertex k < n, row by row along the row
+    tree: kind indexes vertex k's weights for each partial of its row, and
+    parent, at the first vertex of every row after row 0, gathers the row's
+    partials from the row before."""
+    L = len(tree)
+    for i, (parent, kinds) in enumerate(tree):
+        for j in range(min(L, n - L * i)):
+            # an intp index gathers faster than a uint8 one
+            yield L * i + j, parent if j == 0 else None, kinds[j].astype(np.intp)
+
+
+def _config_weight(tree, weights: np.ndarray, n: int) -> np.ndarray:
+    """The weight of every configuration over its first n > L(L-1) vertices:
+    the product of weights[k][kind] over the vertices k < n, multiplied left
+    to right.  Along the row tree (``_row_tree``), each partial
+    configuration takes its parent's product and multiplies in its own
+    row's weights, once for all the configurations that share it; the last
+    row's partials are the configurations.  Each configuration's product is
+    thus the same multiplies in the same order as a per-configuration loop.
+    A float product is carried as real and imaginary arrays and formed as
+    Python's complex product forms it, so every weight is bit-identical to
+    a per-configuration loop over Python complex numbers."""
     if backend_of(weights).exact:
-        acc = weights[0][kinds[0]]
-        for k in range(1, len(kinds)):
-            acc = acc * weights[k][kinds[k]]
+        acc = None
+        for k, parent, kind in _tree_steps(tree, n):
+            w = weights[k][kind]
+            acc = w if acc is None else (acc if parent is None else acc[parent]) * w
         return acc
     re, im = weights.real, weights.imag
-    ar, ai = re[0][kinds[0]], im[0][kinds[0]]
-    for k in range(1, len(kinds)):
-        kind = kinds[k].astype(np.intp)  # an intp index gathers faster than a uint8 one
+    ar = ai = None
+    for k, parent, kind in _tree_steps(tree, n):
         br, bi = re[k][kind], im[k][kind]
+        if ar is None:
+            ar, ai = br, bi
+            continue
+        if parent is not None:
+            ar, ai = ar[parent], ai[parent]
         ar, ai = ar * br - ai * bi, ar * bi + ai * br
     out = np.empty(len(ar), dtype=complex)
     out.real, out.imag = ar, ai
@@ -258,6 +321,7 @@ def _config_weight(kinds: np.ndarray, weights: np.ndarray) -> np.ndarray:
 def z_enumerate(lams, mus, q, mode: str = "pruned",
                 conv: EdgeConvention = DEFAULT_CONVENTION):
     """Configuration sum over valid DWBC lattices; equals z_algebraic.
+    The empty lattice (L = 0) has one configuration, of weight one.
     An exact sum past L = 4 whose weights hold a variable is refused
     before any configuration weight is formed: those would exhaust memory."""
     lams = list(lams)
@@ -265,16 +329,20 @@ def z_enumerate(lams, mus, q, mode: str = "pruned",
     L = len(lams)
     if len(mus) != L:
         raise ValueError("need as many spectral points as inhomogeneities")
-    kinds = _config_table(L, mode, conv)
+    tree = _row_tree(L, mode, conv)
+    if not L:
+        # the empty lattice's one configuration weighs the empty product
+        return backend_of(q).one
     weights = np.array([build_L(lam * invert(mu), q).ravel() for lam in lams for mu in mus])
     bk = backend_of(weights)
     if bk.exact:
         if L > 4 and any(isinstance(x, LaurentPoly) and x.variables() for x in weights.flat):
             raise SizeLimitExceeded("exact enumeration with symbolic weights supports L <= 4")
         # the last vertex's products go to the sum-of-products kernel unformed
-        prefix = _config_weight(kinds[:-1], weights[:-1]) if L > 1 else [bk.one] * kinds.shape[1]
-        return sum_of_products(zip(prefix, weights[-1][kinds[-1]]))
-    terms = _config_weight(kinds, weights)
+        last = tree[-1][1][-1]
+        prefix = _config_weight(tree, weights, L * L - 1) if L > 1 else [bk.one] * len(last)
+        return sum_of_products(zip(prefix, weights[-1][last]))
+    terms = _config_weight(tree, weights, L * L)
     # deterministic pairwise reduction in configuration order
     return pairwise_sum(terms) if len(terms) else bk.zero
 

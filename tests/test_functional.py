@@ -544,6 +544,32 @@ def test_default_float_fz_is_bitwise_the_per_subset_provider(L):
         assert batched == per_subset
 
 
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
+def test_gathered_b_products_are_the_per_subset_products(L):
+    # each operator's batch is gathered from the table's weights by the
+    # subsets' points at its position; the rotations of 1..L+1 put point 1
+    # at every position, and the reversed and point-0 subsets mix them more
+    base = list(range(1, L + 2))
+    subsets = [tuple(base[r:] + base[:r])[:L] for r in range(L + 1)]
+    subsets += [tuple(reversed(base))[:L], (0, *base[:L - 1]), (*base[1:L], 0)]
+    rng = make_rng(80 + L)
+    float_input = (tuple(sample_spectral_set(rng, L + 2)), tuple(sample_spectral_set(rng, L)),
+                   sample_point(rng))
+    # symbolic points, rational mus and q: the exact products stay small at L = 4
+    exact_input = (_sym_points(L + 2), tuple(LaurentPoly.rational(Fraction(k, 7))
+                                             for k in range(2, L + 2)),
+                   LaurentPoly.rational(Fraction(-3, 5)))
+    for (pts, mus, q), exact in ((float_input, False), (exact_input, True)):
+        got = functional._WeightTable(pts, mus, q).b_products(subsets)
+        assert got.shape == (2 ** L, len(subsets)) and (got.dtype == object) == exact
+        for t, subset in enumerate(subsets):
+            want = b_product([pts[k] for k in subset], mus, q)
+            if exact:
+                assert list(got[:, t]) == list(want)
+            else:
+                assert got[:, t].tobytes() == want.tobytes()
+
+
 def test_default_float_fz_failure_is_a_provider_failure(monkeypatch, rng):
     inp = FunctionalInput.sample(2, rng)
 

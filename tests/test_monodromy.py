@@ -343,6 +343,12 @@ def test_b_sandwich_permutation_invariant():
         assert sandwich(list(perm)) == base
 
 
+def _batch(points, mus, q):
+    """The batch monodromy of the points, from each point's own monodromy's weights."""
+    return batch_monodromy(np.array([[(w.a, w.b, w.c) for w in build_monodromy(p, mus, q).weights]
+                                     for p in points]))
+
+
 @pytest.mark.parametrize("L", range(1, 7))
 def test_batched_b_products_are_bitwise_the_per_set_product(L):
     # one sweep per operator over a batch of point sets gives each column
@@ -352,8 +358,7 @@ def test_batched_b_products_are_bitwise_the_per_set_product(L):
     q = sample_point(rng)
     for m, k in ((L, 9), (L - 1, 4), (L, 1)):
         sets = [sample_spectral_set(rng, m) for _ in range(k)]
-        ms = [batch_monodromy([build_monodromy(s[r], mus, q).weights for s in sets])
-              for r in range(m)]
+        ms = [_batch([s[r] for s in sets], mus, q) for r in range(m)]
         got = b_products(ms, np.repeat(vacuum(L, FLOAT)[:, None], k, axis=1))
         assert got.shape == (2 ** L, k)
         for i, s in enumerate(sets):
@@ -367,8 +372,7 @@ def test_exact_batched_b_products_equal_the_per_set_product(L):
     mus = _sym_mus(L)
     for m, k in ((L, 3), (L - 1, 2), (L, 1)):
         sets = [_sym(m, start=1 + 10 * i) for i in range(k)]
-        ms = [batch_monodromy([build_monodromy(s[r], mus, Q).weights for s in sets])
-              for r in range(m)]
+        ms = [_batch([s[r] for s in sets], mus, Q) for r in range(m)]
         assert all(mono.backend.exact for mono in ms)
         got = b_products(ms, np.repeat(vacuum(L)[:, None], k, axis=1))
         assert got.dtype == object and got.shape == (2 ** L, k)

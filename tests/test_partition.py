@@ -22,7 +22,7 @@ from sixvertex.partition import (
     z_algebraic,
     z_enumerate,
 )
-from sixvertex.scalar import LaurentPoly, invert, u_var
+from sixvertex.scalar import LaurentPoly, invert, q_var, u_var
 from sixvertex.vertex import build_L, weights_of
 from sixvertex.sampling import make_rng, pairwise_sum, sample_point, sample_spectral_set
 
@@ -200,17 +200,68 @@ def test_pairwise_sum_pairs_like_the_list_loop():
     assert pairwise_sum([]) == 0.0
 
 
-def test_pruned_sum_is_bitwise_the_per_configuration_sum():
-    for L in (1, 2, 3, 4, 5, 6):
-        configs = list(iter_dwbc_configs(L))
+@pytest.mark.parametrize("mode", ["pruned", "naive"])
+def test_enumerated_sum_is_bitwise_the_per_configuration_sum(mode):
+    for L in range(1, partition._SIZE_LIMITS[mode] + 1):
+        configs = list(iter_dwbc_configs(L, mode=mode))
         for seed in (1, 2) if L == 6 else (1, 2, 3):
             rng = make_rng(100 * L + seed)
             lams = sample_spectral_set(rng, L)
             mus = sample_spectral_set(rng, L)
             q = sample_point(rng)
             want = _row_major_sum(configs, lams, mus, q)
-            got = z_enumerate(lams, mus, q, "pruned")
+            got = z_enumerate(lams, mus, q, mode)
             assert got == want and repr(got) == repr(want)
+
+
+def test_row_tree_shares_each_partial_configuration():
+    # the distinct partial configurations after each row; the last row's
+    # are the configurations, and every partial's kinds and its parent's
+    # rebuild the configuration table column by column
+    sizes = {(6, "pruned"): [6, 50, 406, 2394, 7436, 7436], (4, "naive"): [4, 16, 42, 42]}
+    for (L, mode), want in sizes.items():
+        tree = partition._row_tree(L, mode, DEFAULT_CONVENTION)
+        assert [kinds.shape[1] for _, kinds in tree] == want
+        assert all(kinds.dtype == np.uint8 and not kinds.flags.writeable for _, kinds in tree)
+        rebuilt = tree[0][1]
+        for parent, kinds in tree[1:]:
+            rebuilt = np.concatenate([rebuilt[:, parent], kinds])
+        assert np.array_equal(rebuilt, partition._config_table(L, mode, DEFAULT_CONVENTION))
+    # small beside the table it is derived from
+    tree = partition._row_tree(6, "pruned", DEFAULT_CONVENTION)
+    assert sum(k.nbytes + (p.nbytes if p is not None else 0) for p, k in tree) < 300_000
+
+
+def test_exact_enumeration_multiplies_each_partial_once(monkeypatch):
+    # symbolic z_enumerate at L = 4: 16 lam/mu quotients and 16 z*q for the
+    # weights, then the row tree's prefix products through vertex 14:
+    # 4 x 3 + 16 x 4 + 42 x 4 in rows 1-3 and 42 x 3 in the last row (370),
+    # not 42 configurations x 14 multiplies (588)
+    mul = LaurentPoly.__mul__
+    calls = []
+
+    def spy(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", spy)
+    got = z_enumerate(*standard_symbolic_params(4))
+    assert len(calls) == 32 + 370
+    # Z's 41,508 terms; both routes agree exactly at L <= 3 in
+    # test_oracle_equivalence_exact, at L = 4 in scripts/run_checks.py
+    assert got.num_terms() == 41508
+
+
+@pytest.mark.parametrize("q", [LaurentPoly.var(q_var()), Fraction(7, 5), 0.5 + 1j])
+def test_empty_lattice_has_one_configuration_of_weight_one(q):
+    # L = 0: one (empty) configuration with the empty product, as the
+    # operator route's empty product of B's
+    one = z_algebraic([], [], q)
+    assert one == 1
+    for mode in ("pruned", "naive"):
+        assert count_configs(0, mode) == 1
+        got = z_enumerate([], [], q, mode)
+        assert got == one and isinstance(got, LaurentPoly) == isinstance(one, LaurentPoly)
 
 
 def test_forcing_identity_l1():
