@@ -50,7 +50,9 @@ larger |Z|.  The homogeneous-limit
 differential relations are checked exactly at L = 1 and 2.  The coefficient
 solver must reproduce the known L = 2 table exactly; its rows, from two
 canonical terms relabeled, must equal array for array the rows with every
-term expanded on its own at L = 1, 2, 3; its exact check must refuse the
+term expanded on its own at L = 1, 2, 3, and its one row selection,
+modulo one prime at q = 3, must reach rank ncols - 1 on them, which is why
+the solve has no second selection; its exact check must refuse the
 solved L = 2 table with (1, -1) and (-1, 1) both shifted by q, on the
 equation, as that table is still symmetric; ``solve --size 3`` must
 print, byte for byte, the stored tests/data/solve_size3_exact.json; and the
@@ -357,13 +359,16 @@ def main():
         # with every term of functional._terms expanded on its own (a family
         # of one, sigma the identity): differing arrays
         w, families = solver._equation(L)
-        orbit_rows = solver._assemble_constraints(L, (w, families))[0]
+        orbit_rows, ncols, _ = solver._assemble_constraints(L, (w, families))
         identity = list(range(L + 2))
         per_term = [(term, [(identity, 1, term[2])]) for term in functional._terms(w)]
         term_rows = solver._assemble_constraints(L, (w, per_term))[0]
         record(vertex.verdict(f"solve-orbit-rows-L{L}", sum(
             int(not np.array_equal(getattr(orbit_rows, f), getattr(term_rows, f)))
             for f in ("starts", "col", "qexp", "val")), None, 0))
+        # the selection's rank deficit on the same rows
+        rank = solver._select_independent_rows(orbit_rows, ncols)[1]
+        record(vertex.verdict(f"solve-select-full-rank-L{L}", ncols - 1 - rank, None, 0))
         del orbit_rows, term_rows
     # step 4 must refuse a symmetric perturbation of the solved L = 2 table,
     # (1, -1) and (-1, 1) both shifted by q, on the equation itself

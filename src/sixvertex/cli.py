@@ -245,18 +245,22 @@ _EXACT_LIMITS = {
     "rtt": (2, "exact rtt materializes symbols; use --size <= 2"),
     "comm": (2, "exact comm materializes symbols; use --size <= 2"),
     "fz": (3, "exact fz supports --size <= 3"),
+    "cbb": (9, "exact cbb supports --size <= 9"),
 }
+# exact cbb: the most --operators each --size takes.  Past them the orbit
+# sums ran out of 2.5 GB (9 operators at L = 1, 2; 4 at L = 4; 3 at L = 5);
+# one operator took 1.4 GB at L = 10 and over a minute at L = 12
+_EXACT_CBB_OPERATORS = {1: 8, 2: 8, 3: 8, 4: 3, 5: 2, 6: 2, 7: 1, 8: 1, 9: 1}
 # runs with no float route: --backend float is refused, not ignored
 _EXACT_ONLY = ("ode", "verify --check appendix-a", "verify --check h-table")
 
 
-def _sampled_checks(cfg: RunConfig, rng, tol: dict) -> dict:
+def _sampled_checks(cfg: RunConfig, rng, tol: dict, n: int) -> dict:
     """Each check that runs on drawn parameters, as a list of (point count,
     mu count, call on one run's points, mus and q); comm has one entry per
     rule, each with its own stream of runs.  rtt above L = 4 draws its probe
-    columns from rng inside the call."""
+    columns from rng inside the call; cbb applies n B operators."""
     L = cfg.size
-    n = cfg.operators if cfg.operators is not None else L
 
     def fz(pts, mus, q):
         if cfg.backend == "exact" and L == 3:
@@ -290,6 +294,10 @@ def _run_check(cfg: RunConfig) -> list[CheckOutcome]:
     limit, message = _EXACT_LIMITS.get(check, (L, ""))
     if exact and L > limit:
         raise ConfigError(message)
+    n = cfg.operators if cfg.operators is not None else L
+    if exact and check == "cbb" and n > _EXACT_CBB_OPERATORS[L]:
+        raise ConfigError(f"exact cbb at --size {L} supports --operators <= "
+                          f"{_EXACT_CBB_OPERATORS[L]}")
     if check == "appendix-a":
         return asymptotics.run_asymptotic_checks(L)
     if check == "h-table":
@@ -298,7 +306,7 @@ def _run_check(cfg: RunConfig) -> list[CheckOutcome]:
         table = solver.solve_fz(3, "asymptotic", "exact") if cfg.source == "solver" \
             else solver.h_table_from_z(3)
         return [solver.verify_h_table(table)]
-    sampled = _sampled_checks(cfg, rng, tol)
+    sampled = _sampled_checks(cfg, rng, tol, n)
     if check not in sampled:
         raise ConfigError(f"unknown check {check!r}")
     out: list[CheckOutcome] = []
@@ -328,7 +336,7 @@ def run(cfg: RunConfig) -> tuple[int, dict]:
     if cfg.tolerance is not None and not cfg.tolerance >= 0:
         raise ConfigError(f"--tolerance must be a non-negative number, got {cfg.tolerance}")
     for flag, value, least in (("size", cfg.size, 1), ("trials", cfg.trials, 1),
-                               ("operators", cfg.operators, 0)):
+                               ("operators", cfg.operators, 0), ("seed", cfg.seed, 0)):
         if value is not None and value < least:
             raise ConfigError(f"--{flag} must be at least {least}, got {value}")
     for flag, given, owner in (("--operators", cfg.operators is not None, "cbb"),

@@ -98,12 +98,21 @@ class LatticeConfig:
         return True
 
 
+def _holds_variable(values) -> bool:
+    return any(isinstance(x, LaurentPoly) and x.variables() for x in values)
+
+
 def z_algebraic(lams, mus, q):
-    """<0bar| B(lam_1) ... B(lam_L) |0>; symmetric in the lams."""
+    """<0bar| B(lam_1) ... B(lam_L) |0>; symmetric in the lams.  Past L = 4,
+    points, inhomogeneities and q that all hold a variable are refused before
+    any B operator is built: at L = 5 they exhaust memory."""
     lams = list(lams)
     mus = list(mus)
     if len(lams) != len(mus):
         raise ValueError("need as many spectral points as inhomogeneities")
+    if len(lams) > 4 and all(map(_holds_variable, (lams, mus, [q]))):
+        raise SizeLimitExceeded(
+            "exact algebraic Z with symbolic points, inhomogeneities and q supports L <= 4")
     return b_product(lams, mus, q)[-1]
 
 
@@ -336,7 +345,7 @@ def z_enumerate(lams, mus, q, mode: str = "pruned",
     weights = np.array([build_L(lam * invert(mu), q).ravel() for lam in lams for mu in mus])
     bk = backend_of(weights)
     if bk.exact:
-        if L > 4 and any(isinstance(x, LaurentPoly) and x.variables() for x in weights.flat):
+        if L > 4 and _holds_variable(weights.flat):
             raise SizeLimitExceeded("exact enumeration with symbolic weights supports L <= 4")
         # the last vertex's products go to the sum-of-products kernel unformed
         last = tree[-1][1][-1]

@@ -21,9 +21,9 @@ Exact pipeline (L <= 3):
    key, and every spectral monomial yields one linear constraint, kept in
    flat int64 arrays of (column, q exponent, integer value) entries;
 2. select independent constraints greedily, fewest entries first, by rank
-   modulo the prime p = 2147483629 (``_SELECTION_PRIME``) at one integer q
-   (reduction modulo p and specialization of q can only lower rank, so
-   independence lifts to the generic field);
+   modulo the exact kernel's first prime, p = ``scalar._PRIMES[0]`` =
+   67108859, at q = 3 (reduction modulo p and specialization of q can only
+   lower rank, so independence lifts to the generic field);
 3. fraction-free Gaussian elimination over Z[q] on the selected rows,
    back-substitution over rational functions in q;
 4. verify the candidate table: it must be symmetric in the spectral
@@ -68,6 +68,7 @@ from .functional import (FunctionalInput, _orbit_expansion_sum, _orbits, _Weight
 from .partition import z_algebraic
 from .sampling import sample_point, sample_spectral_sets
 from .scalar import (
+    _PRIMES,
     CheckOutcome,
     LaurentPoly,
     RationalFunction,
@@ -318,29 +319,24 @@ def _assemble_constraints(L: int, equation: tuple):
 # -- row selection: rank modulo a prime at one q -----------------------
 
 
-# the prime of row selection, the second largest below 2^31
-_SELECTION_PRIME = 2147483629
-
-
-def _select_independent_rows(rows: _Rows, ncols: int, qval: int = 3):
+def _select_independent_rows(rows: _Rows, ncols: int):
     """Greedy selection, fewest entries first, of up to ncols - 1 rows
-    independent modulo p = ``_SELECTION_PRIME`` at q = qval: (row indices, rank).
+    independent modulo p = ``scalar._PRIMES[0]`` at q = 3: (row indices, rank).
 
     Rank modulo p at one q can only be lower than over Q(q), so the rows
     are independent over Q(q) too.  A row is independent of those selected
     when its product with their nullspace, kept modulo p, is not zero; once
     selected, the nullspace keeps the combinations it annihilates.  Rows are
     read in dense blocks of ncols rows, then twice as many each time up to
-    4096.  Residues stay below p < 2^31, so a float64 sum of fewer than 2^22
-    of them is exact, and no int64 step wraps: the block product splits the
-    block into 16-bit limbs, and a sum of ncols < 2^16 products of a limb
-    and a residue stays below 2^63.
+    4096.  Residues stay below p < 2^26: a float64 sum of under 2^27 is exact,
+    and the int64 block product, a sum of ncols products of two, stays below
+    2^63 while ncols <= 2048 (125 at ``_EXACT_LIMIT`` = 3, but 2401 at L = 4).
     """
-    p = _SELECTION_PRIME
+    p = _PRIMES[0]
     lengths = np.diff(rows.starts)
     order = np.argsort(lengths, kind="stable")
     low = rows.qexp.min(initial=0)  # a power of q per row keeps its rank
-    powers = np.array([pow(qval, k, p) for k in range(rows.qexp.max(initial=0) - low + 1)])
+    powers = np.array([pow(3, k, p) for k in range(rows.qexp.max(initial=0) - low + 1)])
     null = np.eye(ncols, dtype=np.int64)
     selected = []
     pos, size = 0, ncols
@@ -353,7 +349,7 @@ def _select_independent_rows(rows: _Rows, ncols: int, qval: int = 3):
         res = rows.val[entries] % p * powers[rows.qexp[entries] - low] % p
         cells = np.repeat(np.arange(len(block)) * ncols, counts) + rows.col[entries]
         m = np.bincount(cells, res, len(block) * ncols).astype(np.int64).reshape(-1, ncols) % p
-        t = ((m & 0xFFFF) @ null % p + (m >> 16) @ null % p * 65536) % p
+        t = m @ null % p
         live = np.flatnonzero(t.any(axis=1))
         t = t[live]
         for i, r in enumerate(block[live].tolist()):
@@ -445,20 +441,15 @@ def _verify_candidate(L: int, box, values: list[RationalFunction], equation: tup
     qv = q_var()
     one = LaurentPoly.one()
     den = one
+    # a zero value has denominator one
     for v in values:
-        if v.is_zero() or v.den == one:
+        if v.den == one:
             continue
         shared = _gcd_univariate(den, v.den, qv)
         extra = v.den if shared is None else _exact_div_univariate(v.den, shared, qv)
         den = den * extra
-    scaled = []
-    for v in values:
-        if v.is_zero():
-            scaled.append(LaurentPoly.zero())
-        elif v.den == one:
-            scaled.append(v.num * den)
-        else:
-            scaled.append(v.num * _exact_div_univariate(den, v.den, qv))
+    scaled = [v.num * (den if v.den == one else _exact_div_univariate(den, v.den, qv))
+              for v in values]
 
     def z(subset):
         total = LaurentPoly.zero()
@@ -498,26 +489,16 @@ def solve_fz_exact(L: int, normalization: str = "asymptotic") -> CoefficientTabl
     rows, ncols, box = _assemble_constraints(L, equation)
     selected, rank = _select_independent_rows(rows, ncols)
     if rank < ncols - 1:
-        selected2, rank2 = _select_independent_rows(rows, ncols, qval=5)
-        if rank2 < ncols - 1:
-            raise NullspaceDimensionUnexpected(
-                f"constraint rank {max(rank, rank2)} < {ncols - 1}: "
-                "solution space has dimension > 1")
-        selected, rank = selected2, rank2
+        raise NullspaceDimensionUnexpected(
+            f"constraint rank {rank} < {ncols - 1}: solution space has dimension > 1")
     values = _exact_nullvector(rows, selected, ncols)
     _verify_candidate(L, box, values, equation)
     top = values[box.index((L - 1,) * L)]
     if top.is_zero():
         raise NullspaceDimensionUnexpected("top coefficient vanished")
-    q = LaurentPoly.var(q_var())
-    norm = asymptotic_norm(L, q)
-    entries = {}
-    for idx, v in zip(box, values):
-        ratio = (v / top).reduced()
-        if normalization == "asymptotic":
-            entries[idx] = (ratio * norm).reduced()
-        else:
-            entries[idx] = ratio
+    norm = asymptotic_norm(L, LaurentPoly.var(q_var())) if normalization == "asymptotic" else 1
+    scale = RationalFunction(norm) / top
+    entries = {idx: (v * scale).reduced() for idx, v in zip(box, values)}
     return CoefficientTable(L, normalization, entries)
 
 

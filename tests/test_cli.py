@@ -4,13 +4,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from sixvertex import partition
+from sixvertex import functional, partition
 from sixvertex.cli import RunConfig, main, run
 from sixvertex.functional import (FunctionalInput, check_b_nilpotency, check_cbb_expansion,
                                   check_fz)
 from sixvertex.monodromy import check_commutation, check_rtt, check_triangular
+from sixvertex.scalar import LaurentPoly, q_var, u_var, w_var
 from sixvertex.vertex import check_yang_baxter
 
 
@@ -134,6 +136,53 @@ def test_symbolic_enumeration_past_l4_exits_2(capsys, monkeypatch):
                                   *numbers, "--q", "3"])
     assert code == 0
     assert json.loads(out)["value"]["type"] == "exact"
+
+
+def test_symbolic_algebraic_z_past_l4_exits_2(capsys, monkeypatch):
+    # the drawn symbols u1..u5, w1..w5 and q exhaust memory at L = 5: refused
+    # before any B operator is built; with one of the three free of
+    # variables the product is still formed
+    def refuse(*args):
+        raise AssertionError("a B operator was built")
+
+    monkeypatch.setattr(partition, "b_product", refuse)
+    code, out = _capture(capsys, ["compute", "--size", "5"])
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "exact algebraic Z with symbolic points, inhomogeneities and q supports L <= 4",
+        "kind": "config"}
+    formed = []
+    monkeypatch.setattr(partition, "b_product", lambda *args: formed.append(args) or [None])
+    u = [LaurentPoly.var(u_var(i)) for i in range(1, 6)]
+    w = [LaurentPoly.var(w_var(i)) for i in range(1, 6)]
+    q = LaurentPoly.var(q_var())
+    for args in ((u, [LaurentPoly.one()] * 5, q), (u, w, LaurentPoly.rational(3)),
+                 ([LaurentPoly.rational(2)] * 5, w, q)):
+        partition.z_algebraic(*args)
+    assert len(formed) == 3
+
+
+def test_exact_cbb_past_its_operator_count_exits_2(capsys, monkeypatch):
+    # L = 4 with the default four operators exhausted memory in its orbit
+    # sums: refused before any residual is formed; the counts measured to
+    # finish still reach it
+    formed = []
+
+    def residual(n, points, mus, q):
+        formed.append((len(mus), n))
+        return np.array([LaurentPoly.zero()], dtype=object), None
+
+    monkeypatch.setattr(functional, "cbb_expansion_residual", residual)
+    for size, operators in ((4, None), (4, 5), (5, 3), (2, 9), (10, 1)):
+        argv = ["verify", "--check", "cbb", "--size", str(size)]
+        code, out = _capture(capsys, argv + (["--operators", str(operators)] if operators else []))
+        assert code == 2
+        assert json.loads(out)["kind"] == "config"
+    for size, operators in ((4, 3), (3, 5), (2, 8), (9, 1)):
+        code, _ = _capture(capsys, ["verify", "--check", "cbb", "--size", str(size),
+                                    "--operators", str(operators)])
+        assert code == 0
+    assert formed == [(4, 3), (3, 5), (2, 8), (9, 1)]
 
 
 def test_parameter_count_mismatch(capsys):
@@ -337,6 +386,18 @@ def test_out_of_range_counts_are_config_errors(capsys, argv):
     doc = json.loads(out)
     assert doc["kind"] == "config"
     assert argv[-2] in doc["error"]
+
+
+def test_negative_seed_is_a_config_error(capsys):
+    # PCG64 takes non-negative seeds only: a negative one used to end in a
+    # traceback with nothing on stdout; seeds past 2^64 still run
+    argv = ["verify", "--check", "fz", "--size", "2", "--backend", "float", "--trials", "1"]
+    code, out = _capture(capsys, argv + ["--seed", "-1"])
+    assert code == 2
+    assert json.loads(out) == {"error": "--seed must be at least 0, got -1", "kind": "config"}
+    code, out = _capture(capsys, argv + ["--seed", str(10 ** 23)])
+    assert code == 0
+    assert json.loads(out)["provenance"]["seed"] == 10 ** 23
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -9,6 +9,7 @@ from sixvertex.asymptotics import asymptotic_norm
 from sixvertex import functional, solver
 from sixvertex.errors import NullspaceDimensionUnexpected, SizeLimitExceeded
 from sixvertex.scalar import (
+    _PRIMES,
     LaurentPoly,
     RationalFunction,
     coefficients_in,
@@ -18,7 +19,6 @@ from sixvertex.scalar import (
     u_var,
 )
 from sixvertex.solver import (
-    _SELECTION_PRIME,
     X,
     CoefficientTable,
     ansatz_box,
@@ -332,7 +332,7 @@ def test_modular_selection_matches_rational_rank_on_l2_rows():
 
 
 def test_modular_selection_skips_dependent_rows():
-    p = _SELECTION_PRIME
+    p = _PRIMES[0]
     a = [(0, 0, 1), (1, 1, 2)]
     b = [(1, 0, 1), (3, 0, -4)]
     system = [
@@ -361,15 +361,13 @@ def test_modular_selection_skips_dependent_rows():
 
 def test_modular_selection_stays_exact():
     # the docstring's bounds at the largest exact size: residues below
-    # p < 2^31, so an int64 product of two, or a sum of ncols products of a
-    # 16-bit limb and a residue, never wraps, and a float64 sum of a cell's
-    # residues stays below 2^53
-    p = _SELECTION_PRIME
+    # p < 2^26, so an int64 sum of ncols products of two never wraps, and a
+    # float64 sum of a cell's residues stays below 2^53
+    p = _PRIMES[0]
     L = solver._EXACT_LIMIT
     ncols = len(ansatz_box(L))
-    assert p < 2 ** 31
-    assert (p - 1) ** 2 + p < 2 ** 63
-    assert ncols * (2 ** 16 - 1) * (p - 1) < 2 ** 63
+    assert p < 2 ** 26
+    assert ncols * (p - 1) ** 2 < 2 ** 63
     # a cell's entries carry distinct powers of q, from the cleared terms;
     # a relabeling moves only u exponents, so the canonical terms hold them all
     variables = [*map(u_var, range(L + 2)), q_var()]
@@ -377,10 +375,10 @@ def test_modular_selection_stays_exact():
     qexps = np.concatenate([exponent_array(num * w.clearing(pairs), variables)[0][:, -1]
                             for (num, pairs, _), _ in families])
     assert (qexps.max() - qexps.min() + 1) * (p - 1) < 2 ** 53
-    # dense rows of residues near p, where plain int64 products would wrap:
-    # ten random rows and ten sums of two of them fill the first block; the
-    # second block opens with ten more such sums, which only the block
-    # product against the nullspace finds dependent, then random rows
+    # dense rows of residues near p, the largest terms a block product can
+    # meet: ten random rows and ten sums of two of them fill the first
+    # block; the second block opens with ten more such sums, which only the
+    # block product against the nullspace finds dependent, then random rows
     rng = np.random.default_rng(5)
     ncols = 20
     dense = [list(p - 1 - rng.integers(0, 1000, ncols)) for _ in range(10)]
@@ -393,26 +391,11 @@ def test_modular_selection_stays_exact():
     assert _independent_in_order(rows, selected)
 
 
-def test_exact_solve_retries_at_another_q(monkeypatch):
-    real = solver._select_independent_rows
-    calls = []
-
-    def short_at_3(rows, ncols, qval=3):
-        calls.append(qval)
-        selected, rank = real(rows, ncols, qval)
-        return (selected[:-1], rank - 1) if qval == 3 else (selected, rank)
-
-    monkeypatch.setattr(solver, "_select_independent_rows", short_at_3)
-    table = solve_fz_exact(2)
-    assert calls == [3, 5]
-    assert table.entries == expected_l2_table().entries
-
-
-def test_exact_solve_raises_when_both_qs_come_up_short(monkeypatch):
+def test_exact_solve_raises_when_the_selection_comes_up_short(monkeypatch):
     real = solver._select_independent_rows
 
-    def short(rows, ncols, qval=3):
-        selected, rank = real(rows, ncols, qval)
+    def short(rows, ncols):
+        selected, rank = real(rows, ncols)
         return selected[:-1], rank - 1
 
     monkeypatch.setattr(solver, "_select_independent_rows", short)
