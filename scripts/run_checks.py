@@ -48,12 +48,11 @@ configuration table must hold the pruned search's configurations and count
 at L = 1..4, and its float Z agree with the pruned one within 1e-12 of the
 larger |Z|.  The homogeneous-limit
 differential relations are checked exactly at L = 1 and 2.  The coefficient
-solver must reproduce the known L = 2 table exactly; its rows, from two
-canonical terms relabeled, must equal array for array the rows with every
-term expanded on its own at L = 1, 2, 3, and its one row selection,
-modulo one prime at q = 3, must reach rank ncols - 1 on them, which is why
-the solve has no second selection; its exact check must refuse the
-solved L = 2 table with (1, -1) and (-1, 1) both shifted by q, on the
+solver must reproduce the known L = 2 table exactly; at L = 1, 2, 3 its
+rows sampled modulo one prime must reach rank ncols - 1 at every sampled
+q, and the candidate it rebuilds in q from their nullvectors must be the
+directly expanded table's ratios to its top entry; its exact check must
+refuse the solved L = 2 table with (1, -1) and (-1, 1) both shifted by q, on the
 equation, as that table is still symmetric; ``solve --size 3`` must
 print, byte for byte, the stored tests/data/solve_size3_exact.json; and the
 numeric L = 3 solve, at one q drawn from --seed, must give the known L = 3
@@ -355,27 +354,24 @@ def main():
     record(vertex.verdict("solve-exact-L2", np.array(
         [(got[idx] - want[idx]).num for idx in want], dtype=object), None, 0.0))
     for L in (1, 2, 3):
-        # the rows from the two canonical terms relabeled against the rows
-        # with every term of functional._terms expanded on its own (a family
-        # of one, sigma the identity): differing arrays
-        w, families = solver._equation(L)
-        orbit_rows, ncols, _ = solver._assemble_constraints(L, (w, families))
-        identity = list(range(L + 2))
-        per_term = [(term, [(identity, 1, term[2])]) for term in functional._terms(w)]
-        term_rows = solver._assemble_constraints(L, (w, per_term))[0]
-        record(vertex.verdict(f"solve-orbit-rows-L{L}", sum(
-            int(not np.array_equal(getattr(orbit_rows, f), getattr(term_rows, f)))
-            for f in ("starts", "col", "qexp", "val")), None, 0))
-        # the selection's rank deficit on the same rows
-        rank = solver._select_independent_rows(orbit_rows, ncols)[1]
-        record(vertex.verdict(f"solve-select-full-rank-L{L}", ncols - 1 - rank, None, 0))
-        del orbit_rows, term_rows
+        # the rank certificate of the sampled rows modulo p: its deficit
+        # from ncols - 1, and the values of q it skipped
+        samples, ncols, box = solver._assemble_constraints(L)
+        nullvectors, rank = solver._select_independent_rows(samples, ncols)
+        record(vertex.verdict(f"solve-sampled-rank-L{L}", ncols - 1 - rank
+                              + len(samples.qs) - len(nullvectors), None, 0))
+        # the candidate rebuilt in q against the direct expansion's ratios
+        values = solver._exact_nullvector(nullvectors, ncols)
+        direct = solver.h_table_from_z(L)
+        top = direct.entries[direct.top_index]
+        record(vertex.verdict(f"solve-candidate-L{L}", np.array(
+            [(v - direct.entries[idx] / top).num for idx, v in zip(box, values)],
+            dtype=object), None, 0))
     # step 4 must refuse a symmetric perturbation of the solved L = 2 table,
     # (1, -1) and (-1, 1) both shifted by q, on the equation itself
+    samples, ncols, box = solver._assemble_constraints(2)
+    values = solver._exact_nullvector(solver._select_independent_rows(samples, ncols)[0], ncols)
     equation = solver._equation(2)
-    rows, ncols, box = solver._assemble_constraints(2, equation)
-    values = solver._exact_nullvector(rows, solver._select_independent_rows(rows, ncols)[0],
-                                      ncols)
     for idx in ((1, -1), (-1, 1)):
         values[box.index(idx)] = values[box.index(idx)] + RationalFunction(q)
     try:

@@ -253,7 +253,7 @@ def check_zbar_leading(L: int) -> CheckOutcome:
 
 
 def run_asymptotic_checks(L: int) -> list[CheckOutcome]:
-    out = [check_p_relations(L), check_ordering_sum(min(L, 5))]
+    out = [check_p_relations(L), check_ordering_sum(L)]
     if L <= 3:
         out.append(check_f_top_matches_b(L))
         out.append(check_zbar_leading(L))

@@ -246,6 +246,7 @@ _EXACT_LIMITS = {
     "comm": (2, "exact comm materializes symbols; use --size <= 2"),
     "fz": (3, "exact fz supports --size <= 3"),
     "cbb": (9, "exact cbb supports --size <= 9"),
+    "appendix-a": (5, "appendix-a supports --size <= 5 (its ordering sum enumerates L! products)"),
 }
 # exact cbb: the most --operators each --size takes.  Past them the orbit
 # sums ran out of 2.5 GB (9 operators at L = 1, 2; 4 at L = 4; 3 at L = 5);

@@ -69,9 +69,8 @@ points are put in for the x's at the end by ``LaurentPoly.substitute``.
 Substituting monomials or nonzero rational constants is a ring
 homomorphism, so the result is the per-term sum at the input's points,
 whatever their shape.  The solver's step-4 check takes the same orbit
-sum, and its assembly gathers each term's exponents from its family's
-canonical ones by the same sigmas.  An explicit provider, and the float
-backend, go term by term through ``_terms``.
+sum.  An explicit provider, the float backend, and the solver's sampled
+rows on ``scalar.Residues`` go term by term through ``_terms``.
 """
 
 from __future__ import annotations

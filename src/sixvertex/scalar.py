@@ -8,7 +8,8 @@ coefficients, so exact arithmetic is closed; no branch cuts or fractional
 powers ever appear.
 
 Two interchangeable scalar backends are used throughout, each one
-``Backend`` record (``EXACT``, ``FLOAT``; ``backend_of`` tells them apart):
+``Backend`` record (``EXACT``, ``FLOAT``; ``backend_of`` tells them apart),
+and a third, ``MODULAR``, for the exact solve's sampled rows:
 
 * :class:`LaurentPoly` -- exact, immutable, arbitrary-precision rational
   coefficients.  Internally each monomial is one packed Python int with a
@@ -42,6 +43,9 @@ Two interchangeable scalar backends are used throughout, each one
   each check compares its residual with ``tolerance`` times a scale it
   computes from the same terms, never with an absolute bound, because the
   weights grow exponentially in |lambda|.
+* :class:`Residues` -- int64 residues modulo ``_PRIMES[0]``, with the
+  inverses of the sampled points carried along: the ring operations the
+  vertex weights and ``functional._terms`` take, and no more.
 
 Ratios of polynomials (expansion coefficients, solved coefficient tables)
 are represented by :class:`RationalFunction`, whose equality is defined by
@@ -627,8 +631,9 @@ _ZERO = _make({}, 1, 0)
 @dataclass(frozen=True)
 class Backend:
     """One scalar backend: exact LaurentPoly entries in object arrays, or
-    complex doubles.  A computation reads it once from its inputs
-    (``backend_of``) and takes every zero, one, array and scale from it."""
+    complex doubles, or (``MODULAR``, for the weight table only) ``Residues``.
+    A computation reads it once from its inputs (``backend_of``) and takes
+    every zero, one, array and scale from it."""
 
     exact: bool
     zero: object
@@ -661,9 +666,12 @@ FLOAT = Backend(False, 0j, 1 + 0j, complex)
 
 def backend_of(x) -> Backend:
     """EXACT for a LaurentPoly, RationalFunction, int or Fraction and for an
-    object array; FLOAT for any other number or array."""
+    object array; MODULAR for ``Residues``; FLOAT for any other number or
+    array."""
     if isinstance(x, np.ndarray):
         return EXACT if x.dtype == object else FLOAT
+    if isinstance(x, Residues):
+        return MODULAR
     return EXACT if isinstance(x, (LaurentPoly, RationalFunction, int, Fraction)) else FLOAT
 
 
@@ -678,6 +686,97 @@ def invert(x):
     if isinstance(x, int) or type(x) is Fraction:
         return Fraction(1, x)
     return 1 / x
+
+
+class Residues:
+    """Integers modulo p = ``_PRIMES[0]``: int64 values in [0, p), an array
+    of them (one per sampled point set) or one, with their inverses where
+    known.
+
+    The exact solve evaluates its sampled rows through the unchanged
+    ``functional._WeightTable`` and ``functional._terms`` on these; their
+    backend is ``MODULAR``, whose one and zero are all the weight table
+    takes from it.  Inverses are formed once, for the sampled points and q
+    (``Residues.units``), and carried: a product of two residues with
+    inverses has the product of those, ``1 / x`` swaps value and inverse,
+    and an int brings its own.  A sum has none, and cannot be inverted."""
+
+    __slots__ = ("value", "inverse")
+
+    def __init__(self, value, inverse=None):
+        self.value = value
+        self.inverse = inverse
+
+    @classmethod
+    def units(cls, values) -> "Residues":
+        """Values nonzero modulo p, with their inverses from one Fermat power
+        x^(p - 2) over the whole array."""
+        p = _PRIMES[0]
+        v = np.asarray(values, dtype=np.int64) % p
+        if not v.all():
+            raise ZeroDivisionError("a unit modulo p cannot be 0")
+        inv, base, e = np.ones_like(v), v, p - 2
+        while e:
+            if e & 1:
+                inv = inv * base % p
+            base = base * base % p
+            e >>= 1
+        return cls(v, inv)
+
+    def __getitem__(self, index) -> "Residues":
+        return Residues(self.value[index], None if self.inverse is None else self.inverse[index])
+
+    @staticmethod
+    def _coerced(x):
+        if isinstance(x, Residues):
+            return x
+        if isinstance(x, int):
+            p = _PRIMES[0]
+            return Residues(x % p, pow(x, -1, p) if x % p else None)
+        return None
+
+    def __mul__(self, other):
+        o = self._coerced(other)
+        if o is None:
+            return NotImplemented
+        p = _PRIMES[0]
+        known = self.inverse is not None and o.inverse is not None
+        return Residues(self.value * o.value % p, self.inverse * o.inverse % p if known else None)
+
+    def __add__(self, other):
+        o = self._coerced(other)
+        if o is None:
+            return NotImplemented
+        return Residues((self.value + o.value) % _PRIMES[0])
+
+    def __neg__(self):
+        p = _PRIMES[0]
+        return Residues(-self.value % p, None if self.inverse is None else -self.inverse % p)
+
+    def __sub__(self, other):
+        o = self._coerced(other)
+        if o is None:
+            return NotImplemented
+        return Residues((self.value - o.value) % _PRIMES[0])
+
+    def __truediv__(self, other):
+        o = self._coerced(other)
+        if o is None:
+            return NotImplemented
+        return self * (1 / o)
+
+    def __rtruediv__(self, other):
+        o = self._coerced(other)
+        if o is None:
+            return NotImplemented
+        if self.inverse is None:
+            raise ZeroDivisionError("no inverse is known for this residue")
+        inverse = Residues(self.inverse, self.value)
+        return inverse if other == 1 else o * inverse
+
+
+# exact in that a residue is zero or not, with no tolerance
+MODULAR = Backend(True, Residues(0), Residues(1, 1), object)
 
 
 _VAR_RE = re.compile(r"^(u|w)(\d+)$|^q$")
@@ -800,8 +899,8 @@ def coefficients_in(p: LaurentPoly, vars: list[VarId]) -> dict[tuple[int, ...], 
     to its cofactor, free of those variables, so that p is the sum of
     cofactor * prod v^e.  The zero polynomial has no cofactors.
     """
-    # as in exponent_array, a last digit column, always zero, stands for
-    # variables without a slot
+    # one digit column per slot, and a last one, always zero, that stands
+    # for variables without a slot
     width = len(_SLOT_KEYS) + 1
     digits = _digit_array(p._num, width)
     slots = [_SLOT_OF.get(v.key, width - 1) for v in vars]
@@ -811,22 +910,6 @@ def coefficients_in(p: LaurentPoly, vars: list[VarId]) -> dict[tuple[int, ...], 
     for e, k, c in zip(es, _packed_keys(digits), p._num.values()):
         groups.setdefault(tuple(e), {})[k] = c
     return {es: _reduced(num, p._den, p._emax) for es, num in groups.items()}
-
-
-def exponent_array(p: LaurentPoly, vars: list[VarId]) -> tuple[np.ndarray, list[int], int]:
-    """p's terms as arrays: (exps, nums, den) with p the sum over terms t of
-    nums[t] / den * prod_i vars[i]^exps[t, i].  exps is int64 with one row
-    per term and one column per listed variable; nums are p's integer
-    numerators and den its shared denominator.  Raises ValueError if p
-    has a variable outside the list."""
-    # one digit column per slot, and a last one, always zero, that stands
-    # for variables without a slot
-    width = len(_SLOT_KEYS) + 1
-    digits = _digit_array(p._num, width)
-    slots = [_SLOT_OF.get(v.key, width - 1) for v in vars]
-    if np.delete(digits, slots, axis=1).any():
-        raise ValueError("the polynomial has a variable outside the list")
-    return digits[:, slots], list(p._num.values()), p._den
 
 
 # -- sums of products ---------------------------------------------------------

@@ -8,35 +8,42 @@ matching coefficients of every spectral monomial gives a finite, complete
 linear system over the field of rational functions in q for the unknown
 table entries h.
 
-Exact pipeline (L <= 3):
+Exact pipeline (L <= 3), modulo p = ``scalar._PRIMES[0]`` = 67108859 up
+to the candidate:
 
-1. assemble the cleared equation from the omission/substitution terms of
-   :mod:`sixvertex.functional` as its two orbits, ``functional._orbits``
-   (weight table and families built once per solve, ``_equation``): each
-   family's canonical numerator is expanded exactly times its clearing
-   factor at symbolic points and q, once, and every term of the family
-   takes those exponents with the u columns gathered by its point
-   permutation sigma, its values negated for odd sigma, as num_t * D_t =
-   sgn(sigma) * sigma(num_c * D_c); entries are summed per int64 numpy
-   key, and every spectral monomial yields one linear constraint, kept in
-   flat int64 arrays of (column, q exponent, integer value) entries;
-2. select independent constraints greedily, fewest entries first, by rank
-   modulo the exact kernel's first prime, p = ``scalar._PRIMES[0]`` =
-   67108859, at q = 3 (reduction modulo p and specialization of q can only
-   lower rank, so independence lifts to the generic field);
-3. fraction-free Gaussian elimination over Z[q] on the selected rows,
-   back-substitution over rational functions in q;
+1. sample the cleared equation's rows: at q = 2, 3, ..., 3 L^2 + 1 and, for
+   each q, ncols + 3 point sets of L + 2 random integers, drawn from a
+   fixed seed, with unit mus; each point set gives one row, the sum over
+   ``functional._terms`` of num * D times the term's ansatz monomials, D =
+   ``_WeightTable.clearing``, evaluated on ``scalar.Residues`` in one batch
+   over every point set and q, with the inverses of the points and q
+   formed once;
+2. certify the rank: Gaussian elimination modulo p of each q's rows, every
+   q at once, the top index (L-1, ..., L-1) the last column.  A row at one
+   q is a combination of the symbolic rows there, and reduction modulo p
+   and putting in q can only lower rank, so rank ncols - 1 at any q bounds
+   the nullspace over Q(q) to one dimension.  Each q whose rows have that
+   rank with a pivot in every column but the top one gives the nullvector
+   with top entry 1 there; a q where the rank or the top entry vanishes is
+   skipped;
+3. rebuild the candidate: each entry, a ratio to the top one, as a rational
+   function of q from its values at those q, by Newton interpolation and
+   the extended Euclidean algorithm, adding values of q until a candidate
+   takes the next two, its coefficients lifted from modulo p to fractions
+   by Wang's rational reconstruction;
 4. verify the candidate table: it must be symmetric in the spectral
    points, as Z is, or it is refused with a message of its own; then the
    whole equation, with the table's polynomial for every Z, must sum to
    exactly zero in one ``functional._orbit_expansion_sum`` of the two
    canonical terms over their orbits, as the default exact FZ residual
-   does.  It reuses step 1's weight table and families, but not its
-   expanded coefficients, grouping, selection or elimination.
+   does, at symbolic points and q (``_equation``).  Nothing of steps 1-3
+   enters it but the candidate.
 
 Step 2 bounding rank from below and step 4 exhibiting an exact solution
-together prove the nullspace is one-dimensional; any mismatch raises
-NullspaceDimensionUnexpected rather than being repaired silently.
+together prove the nullspace is one-dimensional and the candidate spans
+it; a rank short of ncols - 1, a candidate that does not settle or lift,
+or one that fails step 4 raises NullspaceDimensionUnexpected rather than
+being repaired silently.
 
 Numeric pipeline (L <= 4): the unknowns are the L^L entries whose exponents
 all have the parity of L-1, as every DWBC row has an odd number of c
@@ -63,21 +70,21 @@ import numpy as np
 
 from .asymptotics import asymptotic_norm
 from .errors import NullspaceDimensionUnexpected, SizeLimitExceeded
-from .functional import (FunctionalInput, _orbit_expansion_sum, _orbits, _WeightTable,
+from .functional import (FunctionalInput, _orbit_expansion_sum, _orbits, _terms, _WeightTable,
                          functional_residual)
 from .partition import z_algebraic
 from .sampling import sample_point, sample_spectral_sets
 from .scalar import (
     _PRIMES,
+    MODULAR,
     CheckOutcome,
     LaurentPoly,
     RationalFunction,
-    _content_and_lows,
+    Residues,
     _exact_div_univariate,
     _gcd_univariate,
     coefficients_in,
     divide_exponents,
-    exponent_array,
     invert,
     parse_poly,
     poly_derivative,
@@ -217,7 +224,7 @@ def h_table_from_z(L: int) -> CoefficientTable:
 
 
 # ---------------------------------------------------------------------
-# exact constraint assembly
+# exact solve: sampled rows, rank certificate, candidate, verification
 # ---------------------------------------------------------------------
 
 
@@ -229,194 +236,261 @@ def _equation_points(L: int) -> tuple:
 def _equation(L: int) -> tuple:
     """The weight table and the two term families (``functional._orbits``)
     of the equation at the symbolic points, unit inhomogeneities and
-    symbolic q, built once per solve; steps 1 and 4 both read them."""
+    symbolic q, which step 4 checks the candidate on."""
     w = _WeightTable(_equation_points(L), (LaurentPoly.one(),) * L, LaurentPoly.var(q_var()))
     return w, _orbits(w)
 
 
-@dataclass(frozen=True)
-class _Rows:
-    """Flat int64 rows: row r sums val * q^qexp * h[col] over starts[r]:starts[r + 1]."""
+# the exact solve's sampling: one fixed seed for every point set drawn, and
+# spare rows per q, past the ncols - 1 a rank certificate needs, for a
+# pivot that vanishes modulo p at some row
+_SAMPLE_SEED = 20100
+_SPARE_ROWS = 4
 
-    starts: np.ndarray
-    col: np.ndarray
-    qexp: np.ndarray
-    val: np.ndarray
+
+@dataclass(frozen=True)
+class _Samples:
+    """Rows of the cleared equation modulo p = ``scalar._PRIMES[0]``, by q:
+    ``rows[i, r]`` is the row of the r-th point set drawn at q = ``qs[i]``,
+    int64 residues, one per ansatz column."""
+
+    qs: list[int]
+    rows: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.starts) - 1
+        return self.rows.shape[0] * self.rows.shape[1]
 
 
-def _assemble_constraints(L: int, equation: tuple):
-    """The linear constraints of ``_equation(L)`` as ``_Rows``, one per
-    spectral monomial, entries by column, then q power; neither normalized
-    nor deduplicated, as the selection skips dependent rows.  The rows need
-    the coefficients of each numerator times its clearing factor, expanded:
-    once per family, for its canonical term; every other term's are
-    sgn(sigma) times those relabeled by sigma, exactly, as the equation's
-    points are bare variables that the unit mus and q do not hold."""
-    n = L + 1
+def _assemble_constraints(L: int):
+    """Rows of the cleared equation at sampled points, modulo p, and the
+    ansatz columns: (``_Samples``, ncols, box).
+
+    Each row is the equation at L + 2 random points with unit mus and an
+    integer q, as ``Residues``: the sum over ``functional._terms`` of num *
+    D * the term's ansatz monomials, D = ``_WeightTable.clearing``.  Every
+    point set of every q is one column of a single batch, so each weight is
+    one array operation, and the inverses the weights take are those of the
+    points and q, formed once (``Residues.units``).  The monomial products
+    add unreduced: each is below p^2 < 2^52, and a row sums one per term,
+    far fewer than 2^11."""
+    p = _PRIMES[0]
     box = ansatz_box(L)
     ncols = len(box)
-    variables = [*map(u_var, range(n + 1)), q_var()]
-    box_exps = np.array(box, dtype=np.int64)
-    w, families = equation
-    terms = []
-    for (num, pairs, _), orbit in families:
-        exps, nums, den = exponent_array(num * w.clearing(pairs), variables)
-        negated = [-c for c in nums]
-        for sigma, sign, subset in orbit:
-            # sigma moves the exponent of u_k to u_sigma[k]; q's stays put
-            inverse = np.argsort(sigma).tolist()
-            # the ansatz monomial of each column, spread onto the term's points
-            shift = np.zeros((ncols, n + 1), dtype=np.int64)
-            shift[:, list(subset)] = box_exps
-            terms.append((exps[:, inverse + [n + 1]], nums if sign > 0 else negated, den, shift))
-    # one common scale makes every coefficient an integer and keeps their proportions
-    common = math.lcm(*(den for _, _, den, _ in terms))
-    # one int64 key per (u-exponents, column, q-exponent) entry, in a mixed
-    # radix measured before expansion: u digits, then column, then q, so
-    # sorted keys come grouped by spectral monomial and in row order
-    allexps = np.concatenate([t[0] for t in terms])
-    lo = allexps.min(axis=0)
-    hi = allexps.max(axis=0)
-    lo[:-1] += box_exps.min()
-    hi[:-1] += box_exps.max()
-    dims = tuple(hi[:-1] - lo[:-1] + 1) + (ncols, hi[-1] - lo[-1] + 1)
-    cols = np.arange(ncols)
-    key_chunks = []
-    val_chunks = []
-    for exps, nums, den, shift in terms:
-        digits = tuple(exps[:, p, None] + shift[None, :, p] - lo[p] for p in range(n + 1))
-        digits += (cols[None, :], exps[:, -1, None] - lo[-1])
-        keys = np.ravel_multi_index(digits, dims)
-        vals = np.array([c * (common // den) for c in nums], dtype=np.int64)
-        key_chunks.append(keys.ravel())
-        val_chunks.append(np.broadcast_to(vals[:, None], keys.shape).ravel())
-    keys = np.concatenate(key_chunks)
-    vals = np.concatenate(val_chunks)
-    del key_chunks, val_chunks
-    # numpy's int64 sums wrap silently: refuse values whose sums could
-    if int(np.abs(vals).max()) * len(vals) > np.iinfo(np.int64).max:
-        raise OverflowError("constraint sums could leave int64")
-    # one array at a time, which keeps the peak memory down
-    order = np.argsort(keys)
-    keys = keys[order]
-    vals = vals[order]
-    del order
-    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    keys = keys[starts]
-    vals = np.add.reduceat(vals, starts)
-    del starts
-    nz = vals != 0
-    keys, vals = keys[nz], vals[nz]
-    # a row per spectral monomial; none at L = 1, where the equation cancels
-    nq = dims[-1]
-    starts = np.r_[np.flatnonzero(np.diff(keys // (ncols * nq), prepend=-1)), len(keys)]
-    return _Rows(starts, keys // nq % ncols, keys % nq + lo[-1], vals), ncols, box
+    # 3 L^2 values of q: an entry of the L = 3 table takes up to 20 to
+    # rebuild, and two more to confirm
+    qs = list(range(2, 2 + 3 * L * L))
+    per_q = ncols - 1 + _SPARE_ROWS
+    count = len(qs) * per_q
+    drawn = np.random.default_rng(_SAMPLE_SEED).integers(1, p, size=(L + 2, count))
+    units = Residues.units(np.vstack([drawn, np.repeat(qs, per_q)]))
+    points = [units[k] for k in range(L + 2)]
+    w = _WeightTable(points, (MODULAR.one,) * L, units[L + 2])
+    # x^e for e = -(L - 1) .. L - 1, the exponents of one ansatz position
+    powers = np.empty((L + 2, 2 * L - 1, count), dtype=np.int64)
+    powers[:, L - 1] = 1
+    for e in range(1, L):
+        powers[:, L - 1 + e] = powers[:, L - 2 + e] * units.value[:L + 2] % p
+        powers[:, L - 1 - e] = powers[:, L - e] * units.inverse[:L + 2] % p
+    total = np.zeros((ncols, count), dtype=np.int64)
+    for num, pairs, subset in _terms(w):
+        # columns in box order: the first position varies slowest
+        column = (num * w.clearing(pairs)).value[None]
+        for k in subset[:-1]:
+            column = (column[:, None] * powers[k]).reshape(-1, count) % p
+        total += (column[:, None] * powers[subset[-1]]).reshape(-1, count)
+    rows = (total % p).T.reshape(len(qs), per_q, ncols)
+    return _Samples(qs, rows), ncols, box
 
 
-# -- row selection: rank modulo a prime at one q -----------------------
+def _select_independent_rows(samples: _Samples, ncols: int):
+    """The rank certificate and each q's nullvector: (nullvectors, rank).
 
+    The rows at each q are reduced modulo p by Gaussian elimination, every
+    q at once, columns in box order, so the top index (L-1, ..., L-1),
+    the last, comes last.  rank is the largest rank found at any q.
+    Reduction modulo p and putting in a value of q can only lower rank, so
+    the rows over Q(q) have at least that rank: at ncols - 1, the nullspace
+    has at most one dimension.  nullvectors maps each q whose rows have
+    rank ncols - 1 with a pivot in every column but the top one to the
+    nullvector scaled to top entry 1, int64 residues in box order; a q
+    where the rank falls short or the top entry vanishes is skipped.
 
-def _select_independent_rows(rows: _Rows, ncols: int):
-    """Greedy selection, fewest entries first, of up to ncols - 1 rows
-    independent modulo p = ``scalar._PRIMES[0]`` at q = 3: (row indices, rank).
-
-    Rank modulo p at one q can only be lower than over Q(q), so the rows
-    are independent over Q(q) too.  A row is independent of those selected
-    when its product with their nullspace, kept modulo p, is not zero; once
-    selected, the nullspace keeps the combinations it annihilates.  Rows are
-    read in dense blocks of ncols rows, then twice as many each time up to
-    4096.  Residues stay below p < 2^26: a float64 sum of under 2^27 is exact,
-    and the int64 block product, a sum of ncols products of two, stays below
-    2^63 while ncols <= 2048 (125 at ``_EXACT_LIMIT`` = 3, but 2401 at L = 4).
-    """
+    Entries are reduced only where read, a pivot column and a pivot row:
+    each elimination step adds a product of two residues, below p^2 <
+    2^52, to an entry, so ncols - 1 steps stay inside int64 while ncols <=
+    2048 (125 at ``_EXACT_LIMIT`` = 3)."""
     p = _PRIMES[0]
-    lengths = np.diff(rows.starts)
-    order = np.argsort(lengths, kind="stable")
-    low = rows.qexp.min(initial=0)  # a power of q per row keeps its rank
-    powers = np.array([pow(3, k, p) for k in range(rows.qexp.max(initial=0) - low + 1)])
-    null = np.eye(ncols, dtype=np.int64)
-    selected = []
-    pos, size = 0, ncols
-    while len(selected) < ncols - 1 and pos < len(rows):
-        block = order[pos:pos + size]
-        pos, size = pos + size, min(2 * size, 4096)
-        counts = lengths[block]
-        entries = (np.repeat(rows.starts[block] - np.cumsum(counts) + counts, counts)
-                   + np.arange(counts.sum()))
-        res = rows.val[entries] % p * powers[rows.qexp[entries] - low] % p
-        cells = np.repeat(np.arange(len(block)) * ncols, counts) + rows.col[entries]
-        m = np.bincount(cells, res, len(block) * ncols).astype(np.int64).reshape(-1, ncols) % p
-        t = m @ null % p
-        live = np.flatnonzero(t.any(axis=1))
-        t = t[live]
-        for i, r in enumerate(block[live].tolist()):
-            nz = np.flatnonzero(t[i])
-            if len(nz) and len(selected) < ncols - 1:
-                j = nz[0]
-                s = t[i] * pow(int(t[i, j]), -1, p) % p
-                keep = np.arange(len(s)) != j
-                null = (null[:, keep] - null[:, j, None] * s[keep]) % p
-                t = (t[:, keep] - t[:, j, None] * s[keep]) % p
-                selected.append(r)
-    return selected, len(selected)
+    a = samples.rows.copy()
+    nq, count, _ = a.shape
+    at = np.arange(nq)
+    below = np.arange(count)
+    rank = np.zeros(nq, dtype=np.int64)
+    for j in range(ncols - 1):
+        lo = int(rank.min())
+        if lo == count:
+            break
+        column = a[:, lo:, j] % p
+        free = (column != 0) & (below[lo:] >= rank[:, None])
+        found = free.any(axis=1)
+        # each q's first free row with a nonzero entry swaps into its pivot
+        # row; a q with no such row (or none left) swaps a row with itself
+        here = np.minimum(rank, count - 1)
+        pivot = np.where(found, free.argmax(axis=1) + lo, here)
+        rows = a[at, pivot]
+        a[at, pivot] = a[at, here]
+        lead = rows[:, j] % p
+        scale = np.array([pow(x, -1, p) if x else 0 for x in lead.tolist()], dtype=np.int64)
+        rows = rows[:, j + 1:] % p * scale[:, None] % p
+        a[at[found], rank[found], j + 1:] = rows[found]
+        factor = np.where(below[lo:] > rank[:, None], a[:, lo:, j] % p, 0)
+        a[:, lo:, j + 1:] -= factor[:, :, None] * rows[:, None, :]
+        rank += found
+    # a nonzero left in the top column past the pivot rows is one more rank
+    full = ((a[:, :, -1] % p != 0) & (below >= rank[:, None])).any(axis=1)
+    good = np.flatnonzero((rank == ncols - 1) & ~full)
+    x = np.zeros((len(good), ncols), dtype=np.int64)
+    x[:, -1] = 1
+    # the pivot rows of a good q are its first ncols - 1, in column order
+    upper = a[good]
+    for j in reversed(range(ncols - 1 if len(good) else 0)):
+        x[:, j] = -(upper[:, j, j + 1:] * x[:, j + 1:]).sum(axis=1) % p
+    nullvectors = {samples.qs[i]: v for i, v in zip(good.tolist(), x)}
+    return nullvectors, int((rank + full).max(initial=0))
 
 
-# -- exact elimination over Z[q] ---------------------------------------
+# -- the candidate, rebuilt in q ---------------------------------------
+#
+# Polynomials modulo p are lists of coefficients, lowest power first.
 
 
-def _row_reduce_normalize(row: dict[int, LaurentPoly]) -> dict[int, LaurentPoly]:
-    """Divide a row by its lowest power of q and the gcd of its contents,
-    both read from one decode of each entry."""
-    if not row:
-        return row
-    qv = q_var()
-    contents, lows = zip(*map(_content_and_lows, row.values()))
-    minq = min(dict(low).get(qv.key, 0) for low in lows)
-    g = math.gcd(*(c.numerator for c in contents))
-    unit = LaurentPoly.monomial(Fraction(1, g), {qv: -minq})
-    return {c: p * unit for c, p in row.items()}
+def _poly_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder modulo p, b with a nonzero leading coefficient."""
+    p = _PRIMES[0]
+    a = list(a)
+    inv = pow(b[-1], -1, p)
+    quot = [0] * max(len(a) - len(b) + 1, 0)
+    for k in reversed(range(len(quot))):
+        c = quot[k] = a[k + len(b) - 1] * inv % p
+        if c:
+            for i, bi in enumerate(b):
+                a[k + i] = (a[k + i] - c * bi) % p
+    rem = a[:len(b) - 1]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quot, rem
 
 
-def _exact_nullvector(rows: _Rows, selected, ncols: int) -> list[RationalFunction]:
-    """Nullvector of the selected rows, a rank-(ncols-1) system over Z[q]."""
-    qv = q_var()
-    zero = LaurentPoly.zero()
-    basis: dict[int, dict[int, LaurentPoly]] = {}
-    for r in selected:
-        terms: dict[int, dict] = {}
-        span = slice(rows.starts[r], rows.starts[r + 1])
-        for c, e, x in zip(*(a[span].tolist() for a in (rows.col, rows.qexp, rows.val))):
-            terms.setdefault(c, {})[((qv.key, e),) if e else ()] = x
-        v = {c: LaurentPoly(t) for c, t in terms.items()}
-        # fraction-free reduction against the basis rows, keyed by leading
-        # (lowest) column; a nonzero remainder joins them, normalized
-        while v and min(v) in basis:
-            lead = min(v)
-            b = basis[lead]
-            nv = {}
-            for c in set(v) | set(b):
-                x = v.get(c, zero) * b[lead] - b.get(c, zero) * v[lead]
-                if x:
-                    nv[c] = x
-            v = _row_reduce_normalize(nv)
-        if v:
-            basis[min(v)] = _row_reduce_normalize(v)
-    if len(basis) != ncols - 1:
+def _poly_sub_mul(a: list[int], b: list[int], c: list[int]) -> list[int]:
+    """a - b * c modulo p, trimmed."""
+    p = _PRIMES[0]
+    out = list(a) + [0] * max(len(b) + len(c) - 1 - len(a), 0)
+    for i, bi in enumerate(b):
+        for k, ck in enumerate(c):
+            out[i + k] = (out[i + k] - bi * ck) % p
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _poly_at(poly: list[int], x: int) -> int:
+    """poly(x) modulo p, by Horner's rule."""
+    p = _PRIMES[0]
+    acc = 0
+    for c in reversed(poly):
+        acc = (acc * x + c) % p
+    return acc
+
+
+def _rational_interpolant(xs: list[int], newton: list[int]) -> tuple[list[int], list[int]]:
+    """num / den modulo p, den monic, through the values at xs whose
+    Newton coefficients are ``newton``.  The extended Euclidean algorithm on
+    M = prod (q - x) and the interpolating polynomial f gives remainders r
+    and cofactors t with r = t * f modulo M; of those pairs it takes the one
+    of least deg r + deg t, the one after the quotient of largest degree
+    (maximal quotient rational reconstruction)."""
+    p = _PRIMES[0]
+    f: list[int] = []
+    modulus = [1]
+    for x, c in zip(reversed(xs), reversed(newton)):
+        f = _poly_sub_mul([c], f, [x, p - 1]) if f else [c]
+    for x in xs:
+        modulus = _poly_sub_mul([0] + modulus, modulus, [x])
+    while f and not f[-1]:
+        f.pop()
+    r0, r1, t0, t1 = modulus, f, [], [1]
+    best, gap = (f, [1]), -1
+    while r1:
+        quot, rem = _poly_divmod(r0, r1)
+        if len(quot) - 1 > gap:
+            best, gap = (r1, t1), len(quot) - 1
+        r0, r1, t0, t1 = r1, rem, t1, _poly_sub_mul(t0, quot, t1)
+    num, den = best
+    inv = pow(den[-1], -1, p)
+    return [c * inv % p for c in num], [c * inv % p for c in den]
+
+
+def _lift(c: int) -> Fraction:
+    """The fraction a / b = c modulo p with |a| and b at most sqrt(p / 2),
+    by Wang's rational reconstruction; ValueError if there is none."""
+    p = _PRIMES[0]
+    bound = math.isqrt(p // 2)
+    r0, r1, s0, s1 = p, c, 0, 1
+    while r1 > bound:
+        k = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - k * r1, s1, s0 - k * s1
+    if abs(s1) > bound or math.gcd(r1, s1) != 1:
+        raise ValueError(f"{c} modulo p is no fraction of small height")
+    return Fraction(r1, s1)
+
+
+def _rebuild(qs: list[int], ys: list[int]) -> RationalFunction:
+    """The rational function of q with values ys modulo p at qs, from as few
+    of them as it takes: a candidate from the first m values must take the
+    next two, else it is rebuilt with the value it missed.  Its coefficients
+    are lifted to fractions once it holds."""
+    p = _PRIMES[0]
+    newton: list[int] = []
+    candidate, agreed = None, 0
+    for m, (x, y) in enumerate(zip(qs, ys)):
+        below = 0 if candidate is None else _poly_at(candidate[1], x)
+        if below and _poly_at(candidate[0], x) == y * below % p:
+            agreed += 1
+            if agreed == 2:
+                break
+        else:
+            candidate, agreed = None, 0
+        d = y
+        for xi, c in zip(qs, newton):
+            d = (d - c) * pow(x - xi, -1, p) % p
+        newton.append(d)
+        if candidate is None:
+            candidate = _rational_interpolant(qs[:m + 1], newton)
+    else:
         raise NullspaceDimensionUnexpected(
-            f"rank {len(basis)} over Z[q], expected {ncols - 1}")
-    free = next(c for c in range(ncols) if c not in basis)
-    values: dict[int, RationalFunction] = {free: RationalFunction(LaurentPoly.one())}
-    for lead in sorted(basis, reverse=True):
-        row = basis[lead]
-        acc = RationalFunction(LaurentPoly.zero())
-        for c, p in row.items():
-            if c != lead:
-                acc = acc + RationalFunction(p) * values[c]
-        values[lead] = (-acc / RationalFunction(row[lead])).reduced()
-    return [values[c] for c in range(ncols)]
+            f"candidate entry did not settle within {len(qs)} values of q")
+    qv = q_var()
+    try:
+        num, den = ({((qv.key, e),) if e else (): _lift(c) for e, c in enumerate(part) if c}
+                    for part in candidate)
+    except ValueError as exc:
+        raise NullspaceDimensionUnexpected(f"candidate entry does not lift: {exc}") from exc
+    return RationalFunction(LaurentPoly(num), LaurentPoly(den))
+
+
+def _exact_nullvector(nullvectors: dict, ncols: int) -> list[RationalFunction]:
+    """The candidate: each entry of the nullvectors, top entry 1, rebuilt as
+    a rational function of q (``_rebuild``); entries with the same values
+    at every q, such as an index and its permutations, are rebuilt once."""
+    qs = list(nullvectors)
+    values = np.array(list(nullvectors.values()), dtype=np.int64).reshape(len(qs), ncols)
+    rebuilt: dict[bytes, RationalFunction] = {}
+    out = []
+    for column in values.T:
+        key = column.tobytes()
+        if key not in rebuilt:
+            rebuilt[key] = _rebuild(qs, column.tolist())
+        out.append(rebuilt[key])
+    return out
 
 
 def _verify_candidate(L: int, box, values: list[RationalFunction], equation: tuple) -> None:
@@ -434,7 +508,7 @@ def _verify_candidate(L: int, box, values: list[RationalFunction], equation: tup
             swapped = (*idx[:p], idx[p + 1], idx[p], *idx[p + 2:])
             if swapped != idx and values[position[swapped]] != v:
                 raise NullspaceDimensionUnexpected(
-                    f"candidate from the selected constraints is not symmetric: h{idx} != "
+                    f"candidate rebuilt from the sampled rows is not symmetric: h{idx} != "
                     f"h{swapped}; the system has no one-dimensional solution space")
     w, families = equation
     points = _equation_points(L)
@@ -465,7 +539,7 @@ def _verify_candidate(L: int, box, values: list[RationalFunction], equation: tup
     if _orbit_expansion_sum(w, families, [z(c[2]) for c, _ in families],
                             list(map(u_var, range(L + 2)))):
         raise NullspaceDimensionUnexpected(
-            "candidate from the selected constraints fails the full equation; "
+            "candidate rebuilt from the sampled rows fails the full equation; "
             "the system has no one-dimensional solution space")
 
 
@@ -485,20 +559,16 @@ def _check_arguments(L: int, limit: int, backend: str, normalization: str,
 def solve_fz_exact(L: int, normalization: str = "asymptotic") -> CoefficientTable:
     """Exact coefficient table at zero inhomogeneities."""
     _check_arguments(L, _EXACT_LIMIT, "exact", normalization)
-    equation = _equation(L)
-    rows, ncols, box = _assemble_constraints(L, equation)
-    selected, rank = _select_independent_rows(rows, ncols)
+    samples, ncols, box = _assemble_constraints(L)
+    nullvectors, rank = _select_independent_rows(samples, ncols)
     if rank < ncols - 1:
         raise NullspaceDimensionUnexpected(
             f"constraint rank {rank} < {ncols - 1}: solution space has dimension > 1")
-    values = _exact_nullvector(rows, selected, ncols)
-    _verify_candidate(L, box, values, equation)
-    top = values[box.index((L - 1,) * L)]
-    if top.is_zero():
-        raise NullspaceDimensionUnexpected("top coefficient vanished")
+    values = _exact_nullvector(nullvectors, ncols)
+    _verify_candidate(L, box, values, _equation(L))
+    # the candidate's entries are ratios to its top entry
     norm = asymptotic_norm(L, LaurentPoly.var(q_var())) if normalization == "asymptotic" else 1
-    scale = RationalFunction(norm) / top
-    entries = {idx: (v * scale).reduced() for idx, v in zip(box, values)}
+    entries = {idx: (v * norm).reduced() for idx, v in zip(box, values)}
     return CoefficientTable(L, normalization, entries)
 
 

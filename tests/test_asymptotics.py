@@ -252,3 +252,9 @@ def test_p_operator_vs_kron_chain_float(rng):
             for x in (batch, batch[:, 0]):
                 ref = want @ x
                 assert np.abs(apply_p(j, L, x, q) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_asymptotic_checks_refuse_sizes_past_the_ordering_sum():
+    # the ordering sum runs at the size asked, not at min(L, 5)
+    with pytest.raises(SizeLimitExceeded):
+        asymptotics.run_asymptotic_checks(6)

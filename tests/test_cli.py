@@ -218,6 +218,15 @@ def test_verify_checks_smoke(capsys):
         assert json.loads(out)["passed"] is True
 
 
+def test_appendix_a_runs_its_ordering_sum_at_the_size_asked(capsys):
+    # the largest size it takes checks the ordering sum at that size
+    code, out = _capture(capsys, ["verify", "--check", "appendix-a", "--size", "5"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["L"] == 5 and doc["passed"] is True
+    assert [r["name"] for r in doc["results"]] == ["string-operator-relations", "ordering-sum"]
+
+
 def test_verify_fz_float_reports_sampled_points(capsys):
     code, out = _capture(capsys, ["verify", "--check", "fz", "--size", "2",
                                   "--backend", "float", "--trials", "2",
@@ -406,6 +415,9 @@ def test_negative_seed_is_a_config_error(capsys):
     (["enumerate", "--size", "7", "--backend", "float"], "pruned enumeration supports L <= 6"),
     (["compute", "--size", "5", "--method", "enumerate-naive", "--backend", "float"],
      "naive enumeration supports L <= 4"),
+    # it used to run the ordering sum at L = 5 and report "L": 6
+    (["verify", "--check", "appendix-a", "--size", "6"],
+     "appendix-a supports --size <= 5 (its ordering sum enumerates L! products)"),
 ])
 def test_size_limit_is_a_config_error(capsys, argv, message):
     # a size past a method's limit is a bad configuration, not a failed check

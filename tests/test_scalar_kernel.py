@@ -26,7 +26,6 @@ from sixvertex.scalar import (
     RationalFunction,
     coefficients_in,
     divide_exponents,
-    exponent_array,
     parse_poly,
     poly_derivative,
     poly_eval,
@@ -356,7 +355,7 @@ def test_slot_registry_under_threads():
     assert len(results) == 4
 
 
-# -- exponent bookkeeping: coefficients_in, divide_exponents, exponent_array --
+# -- exponent bookkeeping: coefficients_in, divide_exponents --
 
 
 @given(ref_polys(), st.lists(st.sampled_from(_VARS), max_size=3, unique=True))
@@ -369,22 +368,6 @@ def test_coefficients_in_adds_back_up(a, vars):
         assert not cofactor.variables() & set(vars)
         total = total + cofactor * LaurentPoly.monomial(1, dict(zip(vars, es)))
     assert total == p
-
-
-@given(ref_polys(), st.lists(st.sampled_from(_PROBES), min_size=1, max_size=4, unique=True))
-def test_exponent_array_matches_reference(a, vars):
-    p = LaurentPoly(a)
-    outside = {k for e in a for k, _ in e} - {v.key for v in vars}
-    if outside:
-        with pytest.raises(ValueError):
-            exponent_array(p, vars)
-        return
-    exps, nums, den = exponent_array(p, vars)
-    assert exps.dtype == "int64" and exps.shape == (len(a), len(vars))
-    got = {tuple(sorted((v.key, int(x)) for v, x in zip(vars, row) if x)): Fraction(c, den)
-           for row, c in zip(exps, nums)}
-    assert got == a
-    assert math.gcd(den, *nums) == 1
 
 
 @given(ref_polys(), st.sampled_from(_VARS), st.integers(1, 3))
@@ -504,8 +487,6 @@ def test_kernel_operations_on_zero():
     zero = LaurentPoly.zero()
     assert divide_exponents(zero, u_var(61), 2).is_zero()
     assert coefficients_in(zero, [u_var(61), q_var()]) == {}
-    exps, nums, den = exponent_array(zero, [u_var(61), q_var()])
-    assert exps.shape == (0, 2) and nums == [] and den == 1
 
 
 # -- sum_of_products ------------------------------------------------------------
@@ -929,3 +910,43 @@ def test_sum_of_products_refuses_a_bad_image(images):
     u = LaurentPoly.var(_U60)
     with pytest.raises(ValueError):
         sum_of_products([(u, u + 1)], images)
+
+
+# -- residues modulo p ------------------------------------------------------------
+
+
+def test_residues_follow_the_integers_modulo_p():
+    p = scalar._PRIMES[0]
+    xs, ys = [2, 3, p - 1, 12345678], [5, p - 2, 7, 99]
+    x, y = scalar.Residues.units(xs), scalar.Residues.units(ys)
+    assert scalar.backend_of(x) is scalar.MODULAR
+    assert x.inverse.tolist() == [pow(a, -1, p) for a in xs]
+    half = pow(2, -1, p)
+    for got, want in ((x * y, [a * b for a, b in zip(xs, ys)]),
+                      (x + y, [a + b for a, b in zip(xs, ys)]),
+                      (x - y, [a - b for a, b in zip(xs, ys)]),
+                      (-x, [-a for a in xs]),
+                      (x / 2, [a * half for a in xs]),
+                      (scalar.invert(x * y), [pow(a * b, -1, p) for a, b in zip(xs, ys)])):
+        assert got.value.tolist() == [w % p for w in want]
+    # a product keeps its inverse; a sum has none, and cannot be inverted
+    assert (x * y).inverse.tolist() == [pow(a * b, -1, p) for a, b in zip(xs, ys)]
+    assert (x + y).inverse is None
+    with pytest.raises(ZeroDivisionError):
+        scalar.invert(x + y)
+    with pytest.raises(ZeroDivisionError):
+        scalar.Residues.units([3, p])
+
+
+def test_weights_on_residues_are_the_exact_weights_modulo_p():
+    # the one weight formula on residues against the same formula on
+    # fractions, put modulo p
+    from sixvertex.vertex import weights_of
+
+    p = scalar._PRIMES[0]
+    z, q = Fraction(7, 4), Fraction(3)
+    exact = weights_of(z, q)
+    mod = weights_of(scalar.Residues.units([7]) / 4, scalar.Residues.units([3]))
+    for name in ("a", "b", "c"):
+        f = getattr(exact, name)
+        assert getattr(mod, name).value.tolist() == [f.numerator * pow(f.denominator, -1, p) % p]

@@ -1,6 +1,6 @@
 import itertools
 import math
-from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from sixvertex.scalar import (
     LaurentPoly,
     RationalFunction,
     coefficients_in,
-    exponent_array,
     invert,
     q_var,
     u_var,
@@ -127,131 +126,216 @@ def test_solve_size_guards():
         solve_fz_numeric(5, make_rng(0))
 
 
-def _row_value(rows, r, h):
-    """Row r's sum of val * q^qexp * h[col] over its entries, h polynomials."""
-    span = slice(rows.starts[r], rows.starts[r + 1])
-    total = LaurentPoly.zero()
-    for c, e, v in zip(rows.col[span].tolist(), rows.qexp[span].tolist(),
-                       rows.val[span].tolist()):
-        total = total + LaurentPoly.monomial(v, {q_var(): e}) * h[c]
-    return total
+P = _PRIMES[0]
 
 
-def _annihilates(rows, h):
-    return all(_row_value(rows, r, h).is_zero() for r in range(len(rows)))
+def _mod_p(x: Fraction) -> int:
+    return x.numerator * pow(x.denominator, -1, P) % P
 
 
-@pytest.mark.parametrize("L", [1, 2])
-def test_assembled_rows_annihilate_direct_table(L):
+def _value_at(poly, qval):
+    """A Laurent polynomial in q at the integer qval, exactly."""
+    return sum((c * Fraction(qval) ** dict(e).get(q_var().key, 0) for e, c in poly.items()),
+               Fraction(0))
+
+
+def _direct_at(L, qs):
+    """h_table_from_z(L) at each q of qs modulo p: one row per q, box order."""
+    table = h_table_from_z(L)
+    entries = [table.entries[idx] for idx in ansatz_box(L)]
+    assert all(v.den == LaurentPoly.one() for v in entries)
+    return np.array([[_mod_p(_value_at(v.num, qval)) for v in entries] for qval in qs])
+
+
+def _annihilated(samples, h):
+    """Whether every row at each q sums to 0 modulo p against that q's h."""
+    return not ((samples.rows * h[:, None, :]).sum(axis=2) % P).any()
+
+
+@pytest.mark.parametrize("L", [1, 2, 3])
+def test_assembled_rows_annihilate_direct_table(L, monkeypatch):
     # h_table_from_z expands the operator product itself, an independent
-    # route to the table the assembled constraints must single out
-    rows, ncols, box = solver._assemble_constraints(L, solver._equation(L))
+    # route to the table the sampled rows must single out: at every q they
+    # annihilate it modulo p, and their rank there is ncols - 1
+    samples, ncols, box = solver._assemble_constraints(L)
     assert box == ansatz_box(L) and ncols == len(box)
-    direct = [h_table_from_z(L).entries[idx] for idx in box]
-    assert all(v.den == LaurentPoly.one() for v in direct)
-    h = [v.num for v in direct]
-    assert _annihilates(rows, h)
+    assert len(samples.qs) == 3 * L * L
+    assert samples.rows.shape == (len(samples.qs), ncols + 3, ncols)
+    assert len(samples) == len(samples.qs) * (ncols + 3)
+    h = _direct_at(L, samples.qs)
+    assert _annihilated(samples, h)
+    assert solver._select_independent_rows(samples, ncols)[1] == ncols - 1
     if L == 1:
-        # the cleared L = 1 equation cancels identically: no rows at all
-        assert len(rows) == 0 and list(rows.starts) == [0]
-        assert len(rows.col) == len(rows.qexp) == len(rows.val) == 0
+        # the cleared L = 1 equation cancels identically: every row is zero
+        assert not samples.rows.any()
         return
-    assert solver._select_independent_rows(rows, ncols)[1] == ncols - 1
-    # the check sees an entry moved to the next column or the next q power
-    assert not _annihilates(replace(rows, col=(rows.col + 1) % ncols), h)
-    first = rows.starts[:-1]
-    next_q = rows.qexp.copy()
-    next_q[first] += 1
-    assert not _annihilates(replace(rows, qexp=next_q), h)
-
-
-def test_assembly_refuses_sums_that_could_wrap():
-    w, families = solver._equation(2)
-    scaled = [((num * 2 ** 60, pairs, subset), orbit)
-              for (num, pairs, subset), orbit in families]
-    with pytest.raises(OverflowError):
-        solver._assemble_constraints(2, (w, scaled))
-
-
-def _per_term_rows(L):
-    """The rows term by term, from ``functional._terms``: each term's
-    num * D expanded, its monomials shifted by each column's ansatz
-    monomial on the term's points and summed as Fractions per (spectral
-    monomial, column, q power), scaled to integers by the lcm of the
-    expansions' denominators; rows in spectral-monomial order, entries by
-    column, then q power, zero sums dropped."""
-    w = functional._WeightTable(solver._equation_points(L), (LaurentPoly.one(),) * L, Q)
-    box = ansatz_box(L)
-    slot = {u_var(k).key: k for k in range(L + 2)}
-    sums = {}
-    dens = []
-    for num, pairs, subset in functional._terms(w):
-        cleared = num * w.clearing(pairs)
-        for vec, coeff in cleared.items():
-            dens.append(coeff.denominator)
-            u = [0] * (L + 2)
-            qexp = 0
-            for key, e in vec:
-                if key == q_var().key:
-                    qexp = e
-                else:
-                    u[slot[key]] = e
-            for c, idx in enumerate(box):
-                shifted = list(u)
-                for pos, k in enumerate(subset):
-                    shifted[k] += idx[pos]
-                entry = sums.setdefault(tuple(shifted), {})
-                entry[c, qexp] = entry.get((c, qexp), 0) + coeff
-    common = math.lcm(*dens)
-    starts, col, qexp, val = [0], [], [], []
-    for mono in sorted(sums):
-        entries = sorted((k, v) for k, v in sums[mono].items() if v)
-        if not entries:
-            continue
-        for (c, e), v in entries:
-            assert (v * common).denominator == 1
-            col.append(c)
-            qexp.append(e)
-            val.append(int(v * common))
-        starts.append(len(col))
-    return [np.array(a, dtype=np.int64) for a in (starts, col, qexp, val)]
-
-
-def _same_rows(rows, arrays):
-    return all(np.array_equal(getattr(rows, f), a)
-               for f, a in zip(("starts", "col", "qexp", "val"), arrays))
-
-
-@pytest.mark.parametrize("L", [1, 2])
-def test_orbit_rows_are_the_per_term_rows(L):
-    # two canonical expansions relabeled by each term's sigma against
-    # every term expanded on its own; negative control: the odd sigmas
+    # negative control: the terms of odd sigma in each family (``_orbits``)
     # without their sign
-    w, families = solver._equation(L)
-    rows, _, _ = solver._assemble_constraints(L, (w, families))
-    assert _same_rows(rows, _per_term_rows(L))
-    unsigned = [(c, [(sigma, 1, subset) for sigma, _, subset in orbit])
-                for c, orbit in families]
-    bad, _, _ = solver._assemble_constraints(L, (w, unsigned))
-    assert not _same_rows(bad, _per_term_rows(L))
+    real = functional._terms
+
+    def unsigned(w):
+        signs = [sign for _, orbit in functional._orbits(w) for _, sign, _ in orbit]
+        for (num, pairs, subset), sign in zip(real(w), signs, strict=True):
+            yield (num if sign > 0 else -num), pairs, subset
+
+    monkeypatch.setattr(solver, "_terms", unsigned)
+    assert not _annihilated(solver._assemble_constraints(L)[0], h)
 
 
-def _l2_system():
-    rows, ncols, box = solver._assemble_constraints(2, solver._equation(2))
-    selected, rank = solver._select_independent_rows(rows, ncols)
+def _rational_rows(L, point_sets, qval):
+    """The cleared equation's rows over Q at integer point sets, unit mus and
+    q = qval: the same terms through the exact backend's weight table."""
+    box = ansatz_box(L)
+    rows = []
+    for points in point_sets:
+        pts = [Fraction(int(x)) for x in points]
+        w = functional._WeightTable(pts, (Fraction(1),) * L, Fraction(qval))
+        row = [Fraction(0)] * len(box)
+        for num, pairs, subset in functional._terms(w):
+            coeff = dict((num * w.clearing(pairs)).items()).get((), Fraction(0))
+            for c, idx in enumerate(box):
+                row[c] += coeff * math.prod(pts[k] ** e for k, e in zip(subset, idx))
+        rows.append(row)
+    return rows
+
+
+def _rational_rank(rows):
+    """Rank over Q by fraction-free elimination on integer rows."""
+    basis = {}
+    rank = 0
+    for row in rows:
+        scale = math.lcm(*(x.denominator for x in row))
+        v = {c: int(x * scale) for c, x in enumerate(row) if x}
+        while v:
+            lead = min(v)
+            if lead not in basis:
+                basis[lead] = v
+                rank += 1
+                break
+            b = basis[lead]
+            v = {c: x for c in set(v) | set(b)
+                 if (x := v.get(c, 0) * b[lead] - b.get(c, 0) * v[lead])}
+    return rank
+
+
+def test_modular_selection_matches_rational_rank_on_l2_rows():
+    # rows over Q at integer points against the same rows modulo p: the
+    # same rank for every first k rows (the seventh set repeats a point,
+    # and its row adds no rank), 8 for all 13, and modulo p the nullvector
+    # is the direct table's ratios
+    rng = np.random.default_rng(3)
+    qval = 3
+    point_sets = rng.integers(2, 60, size=(13, 4))
+    rows = _rational_rows(2, point_sets, qval)
+    residues = np.array([[_mod_p(x) for x in row] for row in rows], dtype=np.int64)
+    ranks = []
+    for count in range(1, 14):
+        samples = solver._Samples([qval], residues[None, :count])
+        nullvectors, rank = solver._select_independent_rows(samples, 9)
+        assert rank == _rational_rank(rows[:count])
+        assert list(nullvectors) == ([qval] if rank == 8 else [])
+        ranks.append(rank)
+    assert ranks == [1, 2, 3, 4, 5, 6, 6, 7, 8, 8, 8, 8, 8]
+    h = _direct_at(2, [qval])[0]
+    assert list(nullvectors[qval]) == list(h * pow(int(h[-1]), -1, P) % P)
+
+
+def test_modular_selection_skips_dependent_rows():
+    # a q whose rows lose rank (one row repeated), or whose nullvector has a
+    # zero top entry (column 0 cleared, so e_0 spans it), is skipped; the
+    # others keep their nullvectors, and the rank is the best of any q
+    samples, ncols, _ = solver._assemble_constraints(2)
+    rows = samples.rows[:4].copy()
+    rows[0] = rows[0, :1]
+    rows[1, :, 0] = 0
+    qs = samples.qs[:4]
+    nullvectors, rank = solver._select_independent_rows(solver._Samples(qs, rows), ncols)
     assert rank == ncols - 1
-    return rows, selected, ncols, box
+    assert list(nullvectors) == qs[2:]
+    want = _direct_at(2, qs[2:])
+    for (q, v), h in zip(nullvectors.items(), want):
+        assert list(v) == list(h * pow(int(h[-1]), -1, P) % P)
+    # the repeated row alone has rank 1, the cleared column's rows rank ncols - 1
+    assert solver._select_independent_rows(solver._Samples(qs[:1], rows[:1]), ncols) == ({}, 1)
+    assert solver._select_independent_rows(solver._Samples(qs[1:2], rows[1:2]), ncols) == (
+        {}, ncols - 1)
+
+
+def test_modular_selection_stays_exact():
+    # the docstring's bounds at the largest exact size: residues below
+    # p < 2^26, and ncols - 1 unreduced elimination steps, each adding a
+    # product of two, never wrap int64; nor does a row's sum of one
+    # unreduced monomial product per term
+    L = solver._EXACT_LIMIT
+    ncols = len(ansatz_box(L))
+    assert P < 2 ** 26
+    assert P + (ncols - 1) * (P - 1) ** 2 < 2 ** 63
+    terms = (L + 1) * (L + 2) // 2
+    assert terms * (P - 1) ** 2 < 2 ** 63
+    # dense residues near p, with a known nullvector, at that size
+    rng = np.random.default_rng(5)
+    lead = P - 1 - rng.integers(0, 1000, size=(2, ncols + 3, ncols - 1))
+    x = rng.integers(0, P, size=(2, ncols - 1))
+    top = -(lead * x[:, None, :] % P).sum(axis=2) % P
+    rows = np.concatenate([lead, top[:, :, None]], axis=2)
+    nullvectors, rank = solver._select_independent_rows(solver._Samples([2, 3], rows), ncols)
+    assert rank == ncols - 1
+    for v, xs in zip(nullvectors.values(), x):
+        assert list(v) == list(xs) + [1]
+
+
+def test_sampling_is_fixed():
+    # one internal seed: the same rows at every call, whatever the state of
+    # numpy's global generator
+    first = solver._assemble_constraints(2)[0]
+    np.random.seed(12345)
+    again = solver._assemble_constraints(2)[0]
+    assert first.qs == again.qs and np.array_equal(first.rows, again.rows)
+
+
+def test_rebuild_recovers_a_rational_function():
+    # an L = 3 ratio, (1 - 8q^2 - 34q^4 - 8q^6 + q^8) / (q^4 (1 + q^2)(1 + q^2 + q^4)):
+    # 18 degrees between them, so 20 values give it and two more confirm
+    want = reference_l3_ratios()[(0, 0, 0)]
+    qs = list(range(2, 40))
+    ys = [_mod_p(_value_at(want.num, q) / _value_at(want.den, q)) for q in qs]
+    assert solver._rebuild(qs, ys) == want
+    assert solver._rebuild(qs[:22], ys[:22]) == want
+    with pytest.raises(NullspaceDimensionUnexpected, match="did not settle within 21"):
+        solver._rebuild(qs[:21], ys[:21])
+    # no fraction of height below sqrt(p / 2) is 100003 modulo p
+    with pytest.raises(NullspaceDimensionUnexpected, match="does not lift"):
+        solver._rebuild(qs, [(100003 * q) % P for q in qs])
+
+
+@pytest.mark.parametrize("L", [2, 3])
+def test_rebuilt_candidate_is_the_direct_table(L):
+    samples, ncols, box = solver._assemble_constraints(L)
+    values = solver._exact_nullvector(solver._select_independent_rows(samples, ncols)[0], ncols)
+    direct = h_table_from_z(L)
+    top = direct.entries[direct.top_index]
+    assert all(v == direct.entries[idx] / top for idx, v in zip(box, values))
 
 
 def test_exact_nullvector_rejects_too_few_rows():
-    rows, selected, ncols, _ = _l2_system()
-    with pytest.raises(NullspaceDimensionUnexpected):
-        solver._exact_nullvector(rows, selected[:-1], ncols)
+    # the nullvectors of the rows at the first eight values of q do not
+    # settle every L = 3 entry, so no candidate comes out
+    samples, ncols, _ = solver._assemble_constraints(3)
+    nullvectors = solver._select_independent_rows(samples, ncols)[0]
+    few = dict(list(nullvectors.items())[:8])
+    with pytest.raises(NullspaceDimensionUnexpected, match="did not settle within 8 values"):
+        solver._exact_nullvector(few, ncols)
+
+
+def _l2_candidate():
+    samples, ncols, box = solver._assemble_constraints(2)
+    nullvectors, rank = solver._select_independent_rows(samples, ncols)
+    assert rank == ncols - 1
+    return solver._exact_nullvector(nullvectors, ncols), box
 
 
 def test_verify_candidate_rejects_perturbed_solution():
-    rows, selected, ncols, box = _l2_system()
-    values = solver._exact_nullvector(rows, selected, ncols)
+    values, box = _l2_candidate()
     equation = solver._equation(2)
     solver._verify_candidate(2, box, values, equation)
     k = box.index((1, -1))
@@ -267,136 +351,12 @@ def test_verify_candidate_rejects_perturbed_solution():
         solver._verify_candidate(2, box, symmetric, equation)
 
 
-# -- reference for the modular selection: rank over Q at one integer q,
-# by fraction-free elimination on Python integers
-
-
-def _row_at_q(rows, r, qval):
-    """Row r at q = qval, scaled by a power of q to integers: column -> value."""
-    span = slice(rows.starts[r], rows.starts[r + 1])
-    low = int(rows.qexp[span].min(initial=0))
-    out = {}
-    for c, e, v in zip(rows.col[span].tolist(), rows.qexp[span].tolist(),
-                       rows.val[span].tolist()):
-        out[c] = out.get(c, 0) + v * qval ** (e - low)
-    return {c: v for c, v in out.items() if v}
-
-
-def _gcd_normalize(row):
-    g = math.gcd(*row.values())
-    return {c: x // g for c, x in row.items()}
-
-
-def _reduce_into(basis, v):
-    """Fraction-free reduction of integer row v against the basis, keyed by
-    leading column; a nonzero remainder joins it.  Returns whether it did."""
-    while v:
-        lead = min(v)
-        if lead not in basis:
-            basis[lead] = _gcd_normalize(v)
-            return True
-        b = basis[lead]
-        f1, f2 = b[lead], v[lead]
-        nv = {}
-        for c in set(v) | set(b):
-            x = v.get(c, 0) * f1 - b.get(c, 0) * f2
-            if x:
-                nv[c] = x
-        v = _gcd_normalize(nv)
-    return False
-
-
-def _reference_rank(rows, indices, qval=3):
-    basis = {}
-    return sum(_reduce_into(basis, _row_at_q(rows, r, qval)) for r in indices)
-
-
-def _rows_of(entries_by_row):
-    """_Rows from a list of rows, each a list of (column, q exponent, value)."""
-    flat = [e for row in entries_by_row for e in row]
-    col, qexp, val = (np.array([e[k] for e in flat], dtype=np.int64).reshape(-1)
-                      for k in range(3))
-    starts = np.cumsum([0] + [len(row) for row in entries_by_row])
-    return solver._Rows(starts, col, qexp, val)
-
-
-def _independent_in_order(rows, selected):
-    """Every selected row is independent over Q, at q = 3, of those before it."""
-    return _reference_rank(rows, selected) == len(selected)
-
-
-def test_modular_selection_matches_rational_rank_on_l2_rows():
-    rows, selected, ncols, _ = _l2_system()
-    assert len(selected) == ncols - 1
-    assert _independent_in_order(rows, selected)
-
-
-def test_modular_selection_skips_dependent_rows():
-    p = _PRIMES[0]
-    a = [(0, 0, 1), (1, 1, 2)]
-    b = [(1, 0, 1), (3, 0, -4)]
-    system = [
-        a,
-        a,                                              # duplicate
-        [(c, e + 1, 2 * v) for c, e, v in a],           # 2q times a
-        [],                                             # empty row
-        [(2, 0, 3), (2, 1, -1)],                        # 3 - q: zero at q = 3
-        [(c, e, p * v) for c, e, v in b],               # zero modulo p
-        b,
-        [(0, 0, 1), (1, 1, 2), (1, 0, 1), (3, 0, -4)],  # a + b
-        [(2, 2, 5), (3, 0, 1), (4, 0, 7)],
-        [(0, -1, 1), (4, 3, 1)],
-    ]
-    rows = _rows_of(system)
-    selected, rank = solver._select_independent_rows(rows, 5)
-    assert rank == len(selected) == 4
-    # the p-multiple of b is skipped, and b itself taken; a + b never is
-    assert selected == [0, 6, 9, 8]
-    for k in range(1, len(system) + 1):
-        sub = _rows_of(system[:k])
-        selected, rank = solver._select_independent_rows(sub, 5)
-        assert _independent_in_order(sub, selected)
-        assert rank <= _reference_rank(sub, range(k))
-
-
-def test_modular_selection_stays_exact():
-    # the docstring's bounds at the largest exact size: residues below
-    # p < 2^26, so an int64 sum of ncols products of two never wraps, and a
-    # float64 sum of a cell's residues stays below 2^53
-    p = _PRIMES[0]
-    L = solver._EXACT_LIMIT
-    ncols = len(ansatz_box(L))
-    assert p < 2 ** 26
-    assert ncols * (p - 1) ** 2 < 2 ** 63
-    # a cell's entries carry distinct powers of q, from the cleared terms;
-    # a relabeling moves only u exponents, so the canonical terms hold them all
-    variables = [*map(u_var, range(L + 2)), q_var()]
-    w, families = solver._equation(L)
-    qexps = np.concatenate([exponent_array(num * w.clearing(pairs), variables)[0][:, -1]
-                            for (num, pairs, _), _ in families])
-    assert (qexps.max() - qexps.min() + 1) * (p - 1) < 2 ** 53
-    # dense rows of residues near p, the largest terms a block product can
-    # meet: ten random rows and ten sums of two of them fill the first
-    # block; the second block opens with ten more such sums, which only the
-    # block product against the nullspace finds dependent, then random rows
-    rng = np.random.default_rng(5)
-    ncols = 20
-    dense = [list(p - 1 - rng.integers(0, 1000, ncols)) for _ in range(10)]
-    dense += [list(np.add(dense[i], dense[(i + k) % 10])) for k in (3, 5) for i in range(10)]
-    dense += [list(p - 1 - rng.integers(0, 1000, ncols)) for _ in range(15)]
-    rows = _rows_of([[(c, 0, int(v)) for c, v in enumerate(row)] for row in dense])
-    assert _reference_rank(rows, range(30)) == 10
-    selected, rank = solver._select_independent_rows(rows, ncols)
-    assert selected == list(range(10)) + list(range(30, 39))
-    assert _independent_in_order(rows, selected)
-
-
 def test_exact_solve_raises_when_the_selection_comes_up_short(monkeypatch):
     real = solver._select_independent_rows
 
-    def short(rows, ncols):
-        selected, rank = real(rows, ncols)
-        return selected[:-1], rank - 1
+    def short(samples, ncols):
+        nullvectors, rank = real(samples, ncols)
+        return nullvectors, rank - 1
 
     monkeypatch.setattr(solver, "_select_independent_rows", short)
     with pytest.raises(NullspaceDimensionUnexpected, match=r"constraint rank 7 < 8"):
